@@ -32,11 +32,11 @@ import numpy as np
 
 from .optimize import golden_max
 from .physics import (
+    ChannelDerived,
     DetectorConfig,
     SetupConfig,
     derive_channel,
     holevo_chi,
-    monitor_precision_delta,
     monitoring_unacceptable,
 )
 
@@ -45,6 +45,8 @@ from .physics import (
 _EPS_CLAMP = 1e-12
 
 DEFAULT_B_GRID_POINTS = 2000
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,15 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig,
     exceeds 1 and the unitarity limit b_max = 1 applies. An empty interval
     (b_min >= b_max) means the attack degenerates to beam splitting.
     """
-    if delta is None:
-        delta = monitor_precision_delta(setup, detector)
     channel = derive_channel(setup, detector)
-    mu, mu_prime, eta = setup.mu, channel.mu_prime, detector.eta
+    if delta is None:
+        delta = channel.delta
+    return _b_bounds(setup.mu, detector.eta, channel, delta)
 
+
+def _b_bounds(mu: float, eta: float, channel: ChannelDerived,
+              delta: float) -> tuple[float, float]:
+    mu_prime = channel.mu_prime
     x = 2.0 * eta * mu_prime * delta
     b_lo = max(
         1.0 - math.log1p(math.exp(x)) / (2.0 * mu),
@@ -179,16 +185,65 @@ def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float) 
     return np.where(valid, info, -np.inf)
 
 
+def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float) -> float:
+    """Scalar twin of :func:`_information_curve`, written with ``math``.
+
+    Same formula, clamps and feasibility test, and ``a`` comes from the
+    expression :func:`amplification` uses, so a finite value here means
+    ``amplification(b, ...)`` succeeds. The golden-section refinement calls
+    this once per step, where a 1-lane NumPy evaluation costs an order of
+    magnitude more.
+    """
+    q = math.exp(-2.0 * eta * mu_prime * delta)
+    p = 1.0 / (1.0 + q)
+
+    log_arg = 1.0 - q * math.expm1(2.0 * mu * (1.0 - b))
+    if not log_arg > 0.0:
+        return -math.inf
+    a = 1.0 - math.log(log_arg) / (2.0 * mu)
+
+    mu_max = mu_prime * (1.0 + delta)
+    mu_min = mu_prime * (1.0 - delta)
+    eps_s = a * mu - mu_max
+    eps_f = b * mu - mu_min
+    if not (eps_s >= -_EPS_CLAMP and eps_f >= -_EPS_CLAMP):
+        return -math.inf
+
+    conclusive = -math.expm1(-2.0 * eta * mu_prime)
+    if conclusive <= 0.0:
+        return 0.0
+
+    w_s = -math.expm1(-2.0 * eta * mu_max)
+    w_f = -math.expm1(-2.0 * eta * mu_min)  # negative once delta > 1 (flagged regime)
+    info = (p * w_s * _chi(max(eps_s, 0.0))
+            + (1.0 - p) * w_f * _chi(max(eps_f, 0.0))) / conclusive
+    return min(max(info, 0.0), 1.0)
+
+
+def _chi(intensity: float) -> float:
+    # physics.holevo_chi for one float: H(x) with x = (1 - exp(-2*intensity))/2 <= 1/2.
+    x = -math.expm1(-2.0 * intensity) / 2.0
+    if x <= 0.0:
+        return 0.0
+    h = -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
+    return min(max(h, 0.0), 1.0)
+
+
 def eve_information(b: float, setup: SetupConfig, detector: DetectorConfig,
                     delta: Optional[float] = None) -> float:
     """Eve's information per conclusive bit at attenuation b, in bits."""
-    if delta is None:
-        delta = monitor_precision_delta(setup, detector)
     channel = derive_channel(setup, detector)
-    b_lo, b_hi = b_interval(setup, detector, delta)
+    if delta is None:
+        delta = channel.delta
+    return _checked_information(b, setup.mu, detector.eta, channel, delta)
+
+
+def _checked_information(b: float, mu: float, eta: float, channel: ChannelDerived,
+                         delta: float) -> float:
+    b_lo, b_hi = _b_bounds(mu, eta, channel, delta)
     if not b_lo - 1e-12 <= b <= b_hi + 1e-12:
         raise ValueError(f"b={b} outside feasible interval [{b_lo}, {b_hi}]")
-    value = float(_information_curve(b, setup.mu, detector.eta, channel.mu_prime, delta)[0])
+    value = float(_information_curve(b, mu, eta, channel.mu_prime, delta)[0])
     if not math.isfinite(value):
         raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
     return value
@@ -202,10 +257,15 @@ def beam_splitting_information(mu: float, mu_prime: float) -> float:
 def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig,
                  delta: Optional[float] = None) -> AttackPoint:
     """Assemble the full parameter set (p, a, intensities, information) at b."""
-    if delta is None:
-        delta = monitor_precision_delta(setup, detector)
     channel = derive_channel(setup, detector)
-    mu, eta, mu_prime = setup.mu, detector.eta, channel.mu_prime
+    if delta is None:
+        delta = channel.delta
+    i_e = _checked_information(b, setup.mu, detector.eta, channel, delta)
+    return _filtering_point(b, i_e, setup.mu, detector.eta, channel.mu_prime, delta)
+
+
+def _filtering_point(b: float, i_e: float, mu: float, eta: float, mu_prime: float,
+                     delta: float) -> AttackPoint:
     p = success_probability(eta, mu_prime, delta)
     a = amplification(b, mu, eta, mu_prime, delta)
     beta_s_sq = mu_prime * (1.0 + delta)
@@ -214,7 +274,7 @@ def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig,
         b=b, p=p, a=a,
         beta_s_sq=beta_s_sq, beta_f_sq=beta_f_sq,
         eps_s_sq=a * mu - beta_s_sq, eps_f_sq=b * mu - beta_f_sq,
-        i_e=eve_information(b, setup, detector, delta),
+        i_e=i_e,
     )
 
 
@@ -239,20 +299,26 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     A dense grid locates the best cell (the objective is not proven
     unimodal), golden-section search refines it, and interval endpoints are
     always evaluated exactly so endpoint optima are returned untouched.
+    The grid is one vectorized pass; every candidate that can be returned
+    (best cell, refined point, endpoints) is scored by the scalar objective,
+    whose feasibility test matches :func:`amplification` bit for bit.
     The result is deterministic for a given grid size.
     """
-    delta = monitor_precision_delta(setup, detector)
     channel = derive_channel(setup, detector)
-    mu, eta, mu_prime = setup.mu, detector.eta, channel.mu_prime
-    grey = monitoring_unacceptable(delta)
+    mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
+    b_lo, b_hi = _b_bounds(mu, eta, channel, delta)
 
-    b_lo, b_hi = b_interval(setup, detector, delta)
-    if b_lo >= b_hi:
+    def solution(best: Optional[AttackPoint], trace=None) -> AttackSolution:
+        empty = best is None
+        if empty:
+            best = _beam_splitting_point(setup, detector, delta, mu_prime)
         return AttackSolution(
-            best=_beam_splitting_point(setup, detector, delta, mu_prime),
-            b_min=b_lo, b_max=b_hi, delta=delta,
-            interval_empty=True, monitoring_unacceptable=grey,
+            best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty,
+            monitoring_unacceptable=monitoring_unacceptable(delta), scan_trace=trace,
         )
+
+    if b_lo >= b_hi:
+        return solution(None)
 
     grid = np.linspace(b_lo, b_hi, max(b_points, 2))
     values = _information_curve(grid, mu, eta, mu_prime, delta)
@@ -262,36 +328,21 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
                  for b, v in zip(grid, values)]
 
     if not np.any(np.isfinite(values)):
-        return AttackSolution(
-            best=_beam_splitting_point(setup, detector, delta, mu_prime),
-            b_min=b_lo, b_max=b_hi, delta=delta,
-            interval_empty=True, monitoring_unacceptable=grey, scan_trace=trace,
-        )
+        return solution(None, trace)
 
     def objective(b: float) -> float:
-        return float(_information_curve(b, mu, eta, mu_prime, delta)[0])
+        return _information(b, mu, eta, mu_prime, delta)
 
     k = int(np.nanargmax(np.where(np.isfinite(values), values, -np.inf)))
     bracket = (float(grid[max(k - 1, 0)]), float(grid[min(k + 1, len(grid) - 1)]))
     b_ref, v_ref = golden_max(objective, *bracket, tol=1e-10)
 
-    candidates = [(float(grid[k]), float(values[k])), (b_ref, v_ref)]
+    candidates = [(float(grid[k]), objective(float(grid[k]))), (b_ref, v_ref)]
     for edge in (float(grid[0]), float(grid[-1])):
-        candidates.append((edge, float(_information_curve(edge, mu, eta, mu_prime, delta)[0])))
-    b_best, i_best = max(candidates, key=lambda pair: pair[1]
-                         if math.isfinite(pair[1]) else -math.inf)
-
-    p = success_probability(eta, mu_prime, delta)
-    a = amplification(b_best, mu, eta, mu_prime, delta)
-    beta_s_sq = mu_prime * (1.0 + delta)
-    beta_f_sq = mu_prime * (1.0 - delta)
-    best = AttackPoint(
-        b=b_best, p=p, a=a,
-        beta_s_sq=beta_s_sq, beta_f_sq=beta_f_sq,
-        eps_s_sq=a * mu - beta_s_sq, eps_f_sq=b_best * mu - beta_f_sq,
-        i_e=min(max(i_best, 0.0), 1.0),
-    )
-    return AttackSolution(
-        best=best, b_min=b_lo, b_max=b_hi, delta=delta,
-        interval_empty=False, monitoring_unacceptable=grey, scan_trace=trace,
-    )
+        candidates.append((edge, objective(edge)))
+    b_best, i_best = max(candidates, key=lambda pair: pair[1])
+    if not math.isfinite(i_best):
+        # Only lanes NumPy rounded onto the feasible side of the unitarity
+        # bound looked feasible.
+        return solution(None, trace)
+    return solution(_filtering_point(b_best, i_best, mu, eta, mu_prime, delta), trace)

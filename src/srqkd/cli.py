@@ -110,6 +110,10 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Re-run every domain validation on the merged values."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         self.setup()
         self.detector()
         self.grid()
@@ -150,7 +154,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _convert(key, raw)
-        except ValueError:
+        except (ValueError, OverflowError):  # int(float("inf")) overflows
             raise ValueError(f"{source}:{lineno}: bad value for {key!r}: {raw!r}") from None
     return values
 

@@ -51,6 +51,14 @@ class Protocol(str, Enum):
         raise ValueError(f"no sifting factor for non-SR protocol {self.value}")
 
 
+def _require_finite(config, names) -> None:
+    # Range checks written as ``x < 0`` let NaN and +inf through.
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SetupConfig:
     """Transmitter-side protocol configuration.
@@ -70,6 +78,7 @@ class SetupConfig:
     def __post_init__(self):
         if isinstance(self.protocol, str):
             object.__setattr__(self, "protocol", Protocol(self.protocol))
+        _require_finite(self, ("mu", "t_db", "length_km", "pulse_rate_hz", "fiber_loss_db_km"))
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.t_db < 0:
@@ -109,6 +118,7 @@ class DetectorConfig:
     f_ec: float = 1.2
 
     def __post_init__(self):
+        _require_finite(self, ("eta", "p_dc", "p_opt", "nep", "tau_s", "lambda_m", "f_ec"))
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if not 0 <= self.p_dc < 0.5:

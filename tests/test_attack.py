@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from srqkd import (
     DetectorConfig,
@@ -21,6 +23,7 @@ from srqkd import (
     success_probability,
     unitarity_residual,
 )
+from srqkd.attack import _information, _information_curve
 
 # Frozen at the reference setup (mu=0.3, t=65dB, L=10km, default detector)
 # against a from-scratch evaluation of the filtering formulas.
@@ -189,3 +192,42 @@ def test_beam_splitting_information_limits():
     # Tap grows with the gap; saturates at one bit.
     assert beam_splitting_information(0.3, 0.1) < beam_splitting_information(0.3, 0.01)
     assert beam_splitting_information(50.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu, t_db, length_km", [
+    (0.509703, 40.9804, 5.0),
+    (0.638084, 40.9804, 5.0),
+    (0.638084, 40.9804, 25.0),
+])
+def test_maximizer_deep_grey_points(detector, mu, t_db, length_km):
+    # b_min is the unitarity bound itself: NumPy's grid rounds it feasible,
+    # amplification() does not. Every returned candidate must satisfy both.
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db,
+                        length_km=length_km, pulse_rate_hz=5e6)
+    sol = maximize_eve_information(setup, detector)
+    assert sol.monitoring_unacceptable
+    assert sol.b_min <= sol.best.b <= sol.b_max
+    assert sol.best.a >= 1.0
+    assert 0.0 <= sol.best.i_e <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=st.floats(0.01, 1.0), t_db=st.floats(40.0, 90.0),
+       length_km=st.floats(0.0, 60.0), u=st.floats(0.0, 1.0))
+def test_scalar_objective_matches_curve(mu, t_db, length_km, u):
+    detector = DetectorConfig()
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db,
+                        length_km=length_km, pulse_rate_hz=5e6)
+    b_lo, b_hi = b_interval(setup, detector)
+    assume(b_lo < b_hi)
+    b = b_lo + u * (b_hi - b_lo)
+    channel = derive_channel(setup, detector)
+    args = (mu, detector.eta, channel.mu_prime, channel.delta)
+    scalar = _information(b, *args)
+    lane = float(_information_curve(b, *args)[0])
+    if b != b_lo:
+        assert math.isfinite(scalar) == math.isfinite(lane)
+    if math.isfinite(scalar) and math.isfinite(lane):
+        # The absolute floor covers grey-region points where eps_s = a*mu - mu'(1+delta)
+        # cancels and a 1-ulp difference in a shows; elsewhere they agree to ~4e-15.
+        assert scalar == pytest.approx(lane, rel=1e-12, abs=1e-14)

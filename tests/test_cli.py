@@ -98,6 +98,8 @@ def test_config_comments_and_bad_values(tmp_path):
     assert values == {"mu": 0.25, "seed": 7}
     with pytest.raises(ValueError, match="bad value"):
         parse_config_text("mu = lots\n")
+    with pytest.raises(ValueError, match="bad value"):
+        parse_config_text("mu_points = inf\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("mu 0.3\n")
     cfg = load_run_config(None, {"mu": 0.5, "t_db": None})
@@ -114,6 +116,24 @@ def test_invalid_value_exits_1(capsys):
     code, _, err = _run(["rate", "--mu", "-0.3"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--t-db", "nan"), ("--length-km", "inf")])
+def test_non_finite_value_exits_1(capsys, flag, value):
+    code, out, err = _run(["rate", flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_deep_grey_rate_exits_0(capsys):
+    # The b-grid used to score the unitarity bound b_min as feasible here,
+    # and the maximizer then raised on it.
+    code, out, _ = _run(["rate", "--mu", "0.509703", "--t-db", "40.9804",
+                         "--length-km", "5"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith(",grey-region;clamped")
 
 
 def test_min_srp_without_positive_rate_exits_2(capsys):

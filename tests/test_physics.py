@@ -45,7 +45,9 @@ def test_setup_validation_and_nu():
     assert s.protocol is Protocol.B92_SR
     assert s.nu == pytest.approx(0.3 * 10 ** 6.5, rel=1e-15)
     for bad in (dict(mu=0.0), dict(mu=-0.1), dict(t_db=-1.0),
-                dict(length_km=-5.0), dict(pulse_rate_hz=0.0)):
+                dict(length_km=-5.0), dict(pulse_rate_hz=0.0),
+                dict(mu=math.inf), dict(t_db=math.nan), dict(length_km=math.inf),
+                dict(fiber_loss_db_km=math.nan)):
         kwargs = dict(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=10.0,
                       pulse_rate_hz=5e6)
         kwargs.update(bad)
@@ -63,6 +65,9 @@ def test_detector_validation():
         DetectorConfig(eta=1.2)
     with pytest.raises(ValueError):
         DetectorConfig(p_dc=-1e-9)
+    for bad in (dict(nep=math.nan), dict(tau_s=math.inf), dict(f_ec=math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            DetectorConfig(**bad)
 
 
 def test_monitor_prefactor_value(detector):
