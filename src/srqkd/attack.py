@@ -35,6 +35,7 @@ from .physics import (
     ChannelDerived,
     DetectorConfig,
     SetupConfig,
+    _entropy,
     derive_channel,
     holevo_chi,
     monitoring_unacceptable,
@@ -45,8 +46,6 @@ from .physics import (
 _EPS_CLAMP = 1e-12
 
 DEFAULT_B_GRID_POINTS = 2000
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -221,12 +220,8 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
 
 
 def _chi(intensity: float) -> float:
-    # physics.holevo_chi for one float: H(x) with x = (1 - exp(-2*intensity))/2 <= 1/2.
-    x = -math.expm1(-2.0 * intensity) / 2.0
-    if x <= 0.0:
-        return 0.0
-    h = -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
-    return min(max(h, 0.0), 1.0)
+    # physics.holevo_chi for one float.
+    return _entropy(-math.expm1(-2.0 * intensity) / 2.0)
 
 
 def eve_information(b: float, setup: SetupConfig, detector: DetectorConfig,

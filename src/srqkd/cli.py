@@ -33,6 +33,9 @@ from .physics import DetectorConfig, Protocol, SetupConfig, derive_channel
 from .rates import DecoyConfig, bb84_secret_rate
 from .simulation import AttackKind, DoubleClickPolicy, SimConfig, simulate
 from .sweeps import (
+    FLAG_CLAMPED,
+    FLAG_GREY,
+    FLAG_INFEASIBLE,
     GridSpec,
     evaluate_sr_point,
     min_srp_photons,
@@ -232,7 +235,7 @@ def _cmd_rate(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
         "mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
         "delta": math.nan, "qber": breakdown.qber, "i_e": breakdown.i_e,
         "r_sec_per_pulse": breakdown.per_pulse, "r_sec_hz": breakdown.r_sec,
-        "flags": ("clamped",) if breakdown.r_sec_unclamped < 0 else (),
+        "flags": (FLAG_CLAMPED,) if breakdown.r_sec_unclamped < 0 else (),
     }
     return [row], SWEEP_FIELDS
 
@@ -246,9 +249,9 @@ def _cmd_attack(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
         Path(args.trace_out).write_text(render_rows(trace_rows, ("b", "i_e"), config.format))
     flags = []
     if solution.monitoring_unacceptable:
-        flags.append("grey-region")
+        flags.append(FLAG_GREY)
     if solution.interval_empty:
-        flags.append("attack-infeasible")
+        flags.append(FLAG_INFEASIBLE)
     best = solution.best
     row = {
         "mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,

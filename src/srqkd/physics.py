@@ -19,14 +19,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import constants, special
 
-# Fiber attenuation assumed for telecom wavelengths; overridable per setup.
+# Fiber attenuation assumed for telecom wavelengths.
 FIBER_LOSS_DB_PER_KM = 0.2
+
+# Exact by the 2019 SI definitions.
+PLANCK_H = 6.62607015e-34  # J s
+SPEED_OF_LIGHT = 299792458.0  # m/s
 
 # SRP monitoring counts as unusable once its relative precision is worse
 # than 50% (the "grey region" rule in contour scans).
 GREY_REGION_DELTA = 0.5
+
+_LN2 = math.log(2.0)
 
 
 class Protocol(str, Enum):
@@ -73,12 +78,11 @@ class SetupConfig:
     t_db: float
     length_km: float
     pulse_rate_hz: float
-    fiber_loss_db_km: float = FIBER_LOSS_DB_PER_KM
 
     def __post_init__(self):
         if isinstance(self.protocol, str):
             object.__setattr__(self, "protocol", Protocol(self.protocol))
-        _require_finite(self, ("mu", "t_db", "length_km", "pulse_rate_hz", "fiber_loss_db_km"))
+        _require_finite(self, ("mu", "t_db", "length_km", "pulse_rate_hz"))
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.t_db < 0:
@@ -87,8 +91,6 @@ class SetupConfig:
             raise ValueError(f"length_km must be >= 0, got {self.length_km}")
         if not self.pulse_rate_hz > 0:
             raise ValueError(f"pulse_rate_hz must be > 0, got {self.pulse_rate_hz}")
-        if self.fiber_loss_db_km < 0:
-            raise ValueError(f"fiber_loss_db_km must be >= 0, got {self.fiber_loss_db_km}")
 
     @property
     def nu(self) -> float:
@@ -138,7 +140,7 @@ class DetectorConfig:
     @property
     def monitor_photon_uncertainty(self) -> float:
         """Absolute photon-number uncertainty of SRP monitoring: NEP*sqrt(tau)*lambda/(h*c)."""
-        return self.nep * math.sqrt(self.tau_s) * self.lambda_m / (constants.h * constants.c)
+        return self.nep * math.sqrt(self.tau_s) * self.lambda_m / (PLANCK_H * SPEED_OF_LIGHT)
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,6 @@ class ChannelDerived:
     nu_prime: float
     delta: float
     qber: float
-
-    @property
-    def monitoring_unacceptable(self) -> bool:
-        return self.delta > GREY_REGION_DELTA
 
 
 def transmittance(length_km, loss_db_per_km: float = FIBER_LOSS_DB_PER_KM):
@@ -167,9 +165,7 @@ def transmittance(length_km, loss_db_per_km: float = FIBER_LOSS_DB_PER_KM):
 
 def _delta_at_unit_mu(setup: SetupConfig, detector: DetectorConfig) -> float:
     # SRP intensity at Bob for mu = 1: 10**(t/10) * T(L).
-    nu_prime_unit = 10.0 ** (setup.t_db / 10.0) * transmittance(
-        setup.length_km, setup.fiber_loss_db_km
-    )
+    nu_prime_unit = 10.0 ** (setup.t_db / 10.0) * transmittance(setup.length_km)
     return detector.monitor_photon_uncertainty / nu_prime_unit
 
 
@@ -199,7 +195,7 @@ def qber(setup: SetupConfig, detector: DetectorConfig) -> float:
     capped at 0.5. With no clicks at all (mu'=0 and p_dc=0) the bit value is
     undefined and 0.5 is returned.
     """
-    mu_prime = setup.mu * transmittance(setup.length_km, setup.fiber_loss_db_km)
+    mu_prime = setup.mu * transmittance(setup.length_km)
     return qber_from_received(mu_prime, detector)
 
 
@@ -222,12 +218,26 @@ def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
 def binary_entropy(x):
     """Shannon binary entropy in bits, H(0) = H(1) = 0 by convention."""
     arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return _entropy(float(arr))
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("binary_entropy argument must lie in [0, 1]")
-    # xlogy handles the 0*log(0) endpoints without special-casing.
-    out = -(special.xlogy(arr, arr) + special.xlogy(1.0 - arr, 1.0 - arr)) / math.log(2.0)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    inner = (arr > 0.0) & (arr < 1.0)
+    y = np.where(inner, arr, 0.5)
+    out = np.where(inner, -(y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) / _LN2, 0.0)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _entropy(x: float) -> float:
+    # binary_entropy of one float, in math: a 0-d NumPy evaluation costs
+    # several times more, and rate assembly and the attack's scalar
+    # objective call this once per value.
+    if x < 0.0 or x > 1.0:
+        raise ValueError("binary_entropy argument must lie in [0, 1]")
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    h = -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
+    return min(max(h, 0.0), 1.0)
 
 
 def holevo_chi(intensity):
@@ -245,7 +255,7 @@ def holevo_chi(intensity):
 
 def derive_channel(setup: SetupConfig, detector: DetectorConfig) -> ChannelDerived:
     """Bundle the receiver-side quantities used by the attack and rate models."""
-    trans = transmittance(setup.length_km, setup.fiber_loss_db_km)
+    trans = transmittance(setup.length_km)
     mu_prime = setup.mu * trans
     nu_prime = setup.nu * trans
     return ChannelDerived(

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import constants
 
 from .attack import maximize_eve_information
 from .optimize import grid_then_golden_max
 from .physics import (
     GREY_REGION_DELTA,
+    SPEED_OF_LIGHT,
     DetectorConfig,
     Protocol,
     SetupConfig,
     _delta_at_unit_mu,
-    monitoring_unacceptable,
 )
 from .rates import DecoyConfig, bb84_secret_rate, sr_secret_rate
 
@@ -394,8 +393,12 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
 def train_capacity(storage_km: float, pulse_rate_hz: float,
                    n_fib: float = DEFAULT_FIBER_INDEX) -> int:
     """Pulses that fit in a fiber storage line: floor(l*n_fib*f/c)."""
+    for name, value in (("storage_km", storage_km), ("pulse_rate_hz", pulse_rate_hz),
+                        ("n_fib", n_fib)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if storage_km < 0:
         raise ValueError(f"storage_km must be >= 0, got {storage_km}")
     if pulse_rate_hz <= 0 or n_fib <= 0:
         raise ValueError("pulse_rate_hz and n_fib must be > 0")
-    return math.floor(storage_km * 1e3 * n_fib * pulse_rate_hz / constants.c)
+    return math.floor(storage_km * 1e3 * n_fib * pulse_rate_hz / SPEED_OF_LIGHT)

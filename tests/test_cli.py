@@ -123,9 +123,18 @@ def test_invalid_value_exits_1(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--t-db", "nan"), ("--length-km", "inf")])
-def test_non_finite_value_exits_1(capsys, flag, value):
-    code, out, err = _run(["rate", flag, value], capsys)
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rate", "--t-db", "nan"], id="--t-db-nan"),
+    pytest.param(["rate", "--length-km", "inf"], id="--length-km-inf"),
+    pytest.param(["train-capacity", "--storage-km", "inf"], id="train-capacity--storage-km-inf"),
+    pytest.param(["train-capacity", "--storage-km", "nan"], id="train-capacity--storage-km-nan"),
+    pytest.param(["train-capacity", "--storage-km", "10", "--rate-hz", "inf"],
+                 id="train-capacity--rate-hz-inf"),
+    pytest.param(["train-capacity", "--storage-km", "10", "--n-fib", "inf"],
+                 id="train-capacity--n-fib-inf"),
+])
+def test_non_finite_value_exits_1(capsys, argv):
+    code, out, err = _run(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "must be finite" in err
@@ -233,6 +242,14 @@ def _assert_prints_245(proc):
     assert proc.stdout.strip() == "245"
 
 
+def _child_env():
+    # A child process must import the same srqkd as this one, installed or not.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(srqkd.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point():
     # What an installed `srqkd` script runs: the [project.scripts] target, loaded
     # the way installers resolve it and called with no arguments in its own process.
@@ -240,15 +257,21 @@ def test_console_entry_point():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["srqkd"]
     assert target == "srqkd.cli:main"
-    # The child must import the same srqkd as this process, installed or not.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(srqkd.__file__).parents[1]), env.get("PYTHONPATH")]))
     script = ("import sys; from importlib.metadata import EntryPoint; "
               f"sys.exit(EntryPoint('srqkd', {target!r}, 'console_scripts').load()())")
     proc = subprocess.run([sys.executable, "-c", script, *TRAIN_CAPACITY_ARGV],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     _assert_prints_245(proc)
+
+
+def test_runtime_imports_no_scipy():
+    # NumPy is the only runtime dependency; SciPy is a test-only oracle.
+    script = ("import sys, srqkd, srqkd.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("srqkd") is None, reason="no srqkd script on PATH")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants
 
 from srqkd import (
     ChannelDerived,
@@ -17,6 +18,7 @@ from srqkd import (
     qber_from_received,
     transmittance,
 )
+from srqkd.physics import PLANCK_H, SPEED_OF_LIGHT
 
 # Frozen oracle values (computed by direct, independent evaluation of the
 # closed forms; see the entropy duplicates below for the double route).
@@ -46,8 +48,7 @@ def test_setup_validation_and_nu():
     assert s.nu == pytest.approx(0.3 * 10 ** 6.5, rel=1e-15)
     for bad in (dict(mu=0.0), dict(mu=-0.1), dict(t_db=-1.0),
                 dict(length_km=-5.0), dict(pulse_rate_hz=0.0),
-                dict(mu=math.inf), dict(t_db=math.nan), dict(length_km=math.inf),
-                dict(fiber_loss_db_km=math.nan)):
+                dict(mu=math.inf), dict(t_db=math.nan), dict(length_km=math.inf)):
         kwargs = dict(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=10.0,
                       pulse_rate_hz=5e6)
         kwargs.update(bad)
@@ -71,6 +72,9 @@ def test_detector_validation():
 
 
 def test_monitor_prefactor_value(detector):
+    # SciPy is a test-only oracle for the exact SI constants.
+    assert PLANCK_H == constants.h
+    assert SPEED_OF_LIGHT == constants.c
     assert detector.monitor_photon_uncertainty == pytest.approx(K_MONITOR, rel=1e-12)
 
 
@@ -156,6 +160,10 @@ def test_binary_entropy_symmetry_and_array():
     h = binary_entropy(xs)
     assert np.allclose(h, h[::-1], atol=1e-14)
     assert h.max() == 1.0
+    # The float (math) and array (NumPy) routes agree, endpoints included.
+    scalar = np.array([binary_entropy(float(x)) for x in xs])
+    assert np.allclose(h, scalar, rtol=0.0, atol=1e-15)
+    assert h[0] == h[-1] == scalar[0] == scalar[-1] == 0.0
 
 
 def test_holevo_chi():
@@ -177,7 +185,7 @@ def test_derive_channel_consistency(b92_setup, detector):
     assert ch.nu_prime == pytest.approx(ch.mu_prime * 10 ** 6.5, rel=1e-12)
     assert ch.delta == monitor_precision_delta(b92_setup, detector)
     assert ch.qber == qber(b92_setup, detector)
-    assert not ch.monitoring_unacceptable
+    assert not monitoring_unacceptable(ch.delta)
 
 
 def test_sifting_factors():
