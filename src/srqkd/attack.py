@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimize import golden_max
+from .optimize import grid_then_golden_max
 from .physics import (
     ChannelDerived,
     DetectorConfig,
@@ -315,29 +315,22 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     if b_lo >= b_hi:
         return solution(None)
 
-    grid = np.linspace(b_lo, b_hi, max(b_points, 2))
-    values = _information_curve(grid, mu, eta, mu_prime, delta)
-    trace = None
-    if keep_trace:
-        trace = [(float(b), float(v) if math.isfinite(v) else math.nan)
-                 for b, v in zip(grid, values)]
+    trace = [] if keep_trace else None
 
-    if not np.any(np.isfinite(values)):
-        return solution(None, trace)
+    def information_curve(b: np.ndarray) -> np.ndarray:
+        values = _information_curve(b, mu, eta, mu_prime, delta)
+        if trace is not None:
+            trace.extend((float(x), float(v) if math.isfinite(v) else math.nan)
+                         for x, v in zip(b, values))
+        return values
 
-    def objective(b: float) -> float:
+    def information(b: float) -> float:
         return _information(b, mu, eta, mu_prime, delta)
 
-    k = int(np.nanargmax(np.where(np.isfinite(values), values, -np.inf)))
-    bracket = (float(grid[max(k - 1, 0)]), float(grid[min(k + 1, len(grid) - 1)]))
-    b_ref, v_ref = golden_max(objective, *bracket, tol=1e-10)
-
-    candidates = [(float(grid[k]), objective(float(grid[k]))), (b_ref, v_ref)]
-    for edge in (float(grid[0]), float(grid[-1])):
-        candidates.append((edge, objective(edge)))
-    b_best, i_best = max(candidates, key=lambda pair: pair[1])
+    b_best, i_best = grid_then_golden_max(information_curve, information, b_lo, b_hi,
+                                          max(b_points, 2))
     if not math.isfinite(i_best):
-        # Only lanes NumPy rounded onto the feasible side of the unitarity
-        # bound looked feasible.
+        # No feasible lane, or only lanes NumPy rounded onto the feasible
+        # side of the unitarity bound.
         return solution(None, trace)
     return solution(_filtering_point(b_best, i_best, mu, eta, mu_prime, delta), trace)

@@ -275,7 +275,7 @@ def _cmd_optimize_mu(config: RunConfig, args) -> tuple[list[dict], Sequence[str]
     opt = optimize_mu(config.length_km, config.t_db, config.detector(),
                       protocol=Protocol(config.protocol),
                       pulse_rate_hz=config.pulse_rate_hz,
-                      mu_range=config.grid().mu_range)
+                      mu_range=config.grid().mu_range, decoy=config.decoy)
     row = {"length_km": opt.length_km, "t_db": opt.t_db, "mu_opt": opt.mu_opt,
            "r_sec_hz": opt.r_sec_hz, "per_pulse": opt.per_pulse, "found": opt.found}
     return [row], tuple(row)
@@ -295,7 +295,7 @@ def _cmd_rate_vs_distance(config: RunConfig, args) -> tuple[list[dict], Sequence
     comparison = rate_vs_distance(protocols, config.detector(),
                                   config.grid().l_values(), t_db=config.t_db,
                                   pulse_rate_hz=config.pulse_rate_hz,
-                                  mu_range=config.grid().mu_range)
+                                  mu_range=config.grid().mu_range, decoy=config.decoy)
     print(f"crossover_km = {comparison.crossover_km}", file=sys.stderr)
     fields = ("protocol", "length_km", "mu", "r_sec_hz", "per_pulse")
     return [{k: getattr(r, k) for k in fields} for r in comparison.rows], fields

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import DetectorConfig, SetupConfig, derive_channel
 
 # Operator identities (completeness, positivity, zero cross-clicks) are
 # enforced well above double rounding but below any physical effect.
@@ -106,19 +105,6 @@ def conclusive_prob_ideal(mu: float) -> float:
     if mu < 0:
         raise ValueError("mu must be >= 0")
     return -math.expm1(-2.0 * mu)
-
-
-def acceptance_rate(setup: SetupConfig, detector: DetectorConfig) -> float:
-    """Per-pulse conclusive-bit probability of the realistic receiver.
-
-    xi * (1 - exp(-2*eta*mu')), where xi is the protocol sifting factor
-    (1 for B92-SR, 1/2 for BB84-SR whose basis reconciliation discards half
-    of the conclusive events). Multiply by the pulse rate for the raw rate.
-    """
-    if not setup.protocol.uses_reference_pulse:
-        raise ValueError(f"acceptance_rate applies to SR protocols, not {setup.protocol.value}")
-    mu_prime = derive_channel(setup, detector).mu_prime
-    return setup.protocol.sifting_factor * -math.expm1(-2.0 * detector.eta * mu_prime)
 
 
 # -- Fock-basis cross-check ------------------------------------------------

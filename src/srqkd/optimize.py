@@ -45,10 +45,11 @@ def grid_then_golden_max(f_grid: Callable[[np.ndarray], np.ndarray],
                          tol: float = 1e-10) -> tuple[float, float]:
     """Dense-grid scan followed by golden-section refinement of the best cell.
 
-    f_grid evaluates the objective on an array (may return -inf for invalid
-    points); f_scalar evaluates a single point. The best of {grid optimum,
-    refined optimum, both interval endpoints} is returned, so exact endpoint
-    optima are never lost to the local search.
+    f_grid evaluates the objective on an array (non-finite values mark
+    invalid points); f_scalar evaluates a single point. The best of {grid
+    optimum, refined optimum, both interval endpoints} is returned, every
+    one scored by f_scalar, so exact endpoint optima are never lost to the
+    local search. With no finite grid value the result is (lo, -inf).
     """
     if hi < lo:
         raise ValueError("empty search interval")
@@ -62,12 +63,14 @@ def grid_then_golden_max(f_grid: Callable[[np.ndarray], np.ndarray],
     else:
         xs = np.linspace(lo, hi, points)
     values = np.asarray(f_grid(xs), dtype=float)
-    k = int(np.nanargmax(values))
+    k = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
+    if not math.isfinite(values[k]):
+        return lo, -math.inf
     bracket_lo = xs[max(k - 1, 0)]
     bracket_hi = xs[min(k + 1, points - 1)]
     x_ref, v_ref = golden_max(f_scalar, float(bracket_lo), float(bracket_hi), tol=tol)
 
-    candidates = [(float(xs[k]), float(values[k])), (x_ref, v_ref)]
+    candidates = [(float(xs[k]), f_scalar(float(xs[k]))), (x_ref, v_ref)]
     for edge in (lo, hi):
         candidates.append((edge, f_scalar(edge)))
     best = max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)

@@ -154,13 +154,11 @@ class ChannelDerived:
     qber: float
 
 
-def transmittance(length_km, loss_db_per_km: float = FIBER_LOSS_DB_PER_KM):
+def transmittance(length_km: float, loss_db_per_km: float = FIBER_LOSS_DB_PER_KM) -> float:
     """Fiber power transmittance 10**(-loss_db_per_km * L / 10)."""
-    length_km = np.asarray(length_km, dtype=float)
-    if np.any(length_km < 0):
+    if length_km < 0:
         raise ValueError("length_km must be >= 0")
-    out = 10.0 ** (-loss_db_per_km * length_km / 10.0)
-    return float(out) if out.ndim == 0 else out
+    return 10.0 ** (-loss_db_per_km * length_km / 10.0)
 
 
 def _delta_at_unit_mu(setup: SetupConfig, detector: DetectorConfig) -> float:

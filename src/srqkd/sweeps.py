@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .physics import (
     SetupConfig,
     _delta_at_unit_mu,
 )
-from .rates import DecoyConfig, bb84_secret_rate, sr_secret_rate
+from .rates import DecoyConfig, secret_rate, sr_secret_rate
 
 DEFAULT_PULSE_RATE_HZ = 5e6
 DEFAULT_T_DB = 65.0
@@ -178,24 +178,20 @@ def grey_region_mu_floor(length_km: float, t_db: float,
     return _delta_at_unit_mu(probe, detector) / GREY_REGION_DELTA
 
 
-def _sr_rate_at(mu: float, length_km: float, t_db: float, detector: DetectorConfig,
-                protocol: Protocol, pulse_rate_hz: float) -> float:
-    setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
-                        length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-    i_e = maximize_eve_information(setup, detector).best.i_e
-    return sr_secret_rate(setup, detector, i_e=i_e).r_sec
-
-
 def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 protocol: Protocol = Protocol.B92_SR,
                 pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
                 mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
-                mu_floor: Optional[float] = None) -> MuOptimum:
+                mu_floor: Optional[float] = None,
+                decoy: Callable[[float], DecoyConfig] = DecoyConfig.from_signal,
+                ) -> MuOptimum:
     """Maximize r_sec over mu at fixed (t, L): coarse log grid, then golden search.
 
-    mu_floor restricts the search from below (used to stay out of the
-    grey-monitoring region); a floor above the whole range, or an all-zero
-    rate, is reported with found=False and an undefined mu_opt.
+    Serves every protocol; the BB84 baselines ignore t_db, and decoy maps
+    a signal mu to the decoy-BB84 intensities. mu_floor restricts the
+    search from below (used to stay out of the grey-monitoring region); a
+    floor above the whole range, or an all-zero rate, is reported with
+    found=False and an undefined mu_opt.
     """
     lo, hi, points, scale = mu_range
     if mu_floor is not None:
@@ -205,7 +201,10 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
 
     def objective(mu: float) -> float:
-        return _sr_rate_at(mu, length_km, t_db, detector, protocol, pulse_rate_hz)
+        setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
+                            length_km=length_km, pulse_rate_hz=pulse_rate_hz)
+        decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
+        return secret_rate(setup, detector, decoy=decoy_at).r_sec
 
     mu_best, r_best = grid_then_golden_max(
         lambda xs: np.array([objective(float(x)) for x in xs]),
@@ -251,51 +250,30 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
     return TSaturation(rows=rows, t_sat_db=t_sat, onset_t_db=onset_t, onset_nu=onset_nu)
 
 
-def _bb84_optimize_mu(protocol: Protocol, length_km: float, detector: DetectorConfig,
-                      pulse_rate_hz: float,
-                      mu_range: tuple[float, float, int, str]) -> tuple[float, float]:
-    def objective(mu: float) -> float:
-        setup = SetupConfig(protocol=protocol, mu=mu, t_db=0.0,
-                            length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-        decoy = DecoyConfig.from_signal(mu) if protocol is Protocol.BB84_DECOY else None
-        return bb84_secret_rate(setup, detector, decoy=decoy).r_sec
-
-    lo, hi, points, scale = mu_range
-    return grid_then_golden_max(
-        lambda xs: np.array([objective(float(x)) for x in xs]),
-        objective, lo, hi, points, log_spaced=(scale == "log"),
-    )
-
-
 def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
                      l_grid: Sequence[float], t_db: float = DEFAULT_T_DB,
                      pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
                      mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
+                     decoy: Callable[[float], DecoyConfig] = DecoyConfig.from_signal,
                      ) -> DistanceComparison:
     """Per-protocol rate curves vs distance, mu optimized at every point.
 
     SR protocols run at the given SRP attenuation; BB84 baselines have no
-    reference pulse. The crossover is where the B92-SR and decoy-BB84 curves
-    intersect, interpolated linearly in log-rate between grid points.
+    reference pulse, and decoy-BB84 takes its intensities from decoy. The
+    crossover is where the B92-SR and decoy-BB84 curves intersect,
+    interpolated linearly in log-rate between grid points.
     """
     protocols = [Protocol(p) for p in protocols]
     rows = []
     by_protocol: dict[Protocol, list[float]] = {p: [] for p in protocols}
     for length_km in np.asarray(l_grid, dtype=float):
         for protocol in protocols:
-            if protocol.uses_reference_pulse:
-                opt = optimize_mu(float(length_km), t_db, detector, protocol=protocol,
-                                  pulse_rate_hz=pulse_rate_hz, mu_range=mu_range)
-                mu_opt, rate = opt.mu_opt, opt.r_sec_hz
-            else:
-                mu_opt, rate = _bb84_optimize_mu(protocol, float(length_km), detector,
-                                                 pulse_rate_hz, mu_range)
-                if rate <= 0.0:
-                    mu_opt = math.nan
+            opt = optimize_mu(float(length_km), t_db, detector, protocol=protocol,
+                              pulse_rate_hz=pulse_rate_hz, mu_range=mu_range, decoy=decoy)
             rows.append(DistancePoint(protocol=protocol.value, length_km=float(length_km),
-                                      mu=mu_opt, r_sec_hz=max(rate, 0.0),
-                                      per_pulse=max(rate, 0.0) / pulse_rate_hz))
-            by_protocol[protocol].append(max(rate, 0.0))
+                                      mu=opt.mu_opt, r_sec_hz=opt.r_sec_hz,
+                                      per_pulse=opt.per_pulse))
+            by_protocol[protocol].append(opt.r_sec_hz)
 
     crossover = None
     if Protocol.B92_SR in by_protocol and Protocol.BB84_DECOY in by_protocol:
@@ -357,6 +335,9 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         raise ValueError(f"unknown criterion {criterion!r}")
     if (mu_policy == "fixed") != (fixed_mu is not None):
         raise ValueError("fixed_mu is required for the fixed policy and only then")
+    protocol = Protocol(protocol)
+    if not protocol.uses_reference_pulse:
+        raise ValueError(f"min_srp_photons needs an SR protocol, got {protocol.value}")
     if t_grid is None:
         t_grid = GridSpec().t_values()
 
@@ -366,8 +347,9 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         if mu_policy == "fixed":
             if fixed_mu < floor:
                 continue
-            rate = _sr_rate_at(fixed_mu, length_km, float(t_db), detector,
-                               protocol, pulse_rate_hz)
+            setup = SetupConfig(protocol=protocol, mu=fixed_mu, t_db=float(t_db),
+                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
+            rate = secret_rate(setup, detector).r_sec
             mu_at = fixed_mu
         else:
             opt = optimize_mu(length_km, float(t_db), detector, protocol=protocol,

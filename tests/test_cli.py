@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, schemas, config handling, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,23 @@ def test_sweep_row_count(capsys):
     assert len(lines) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize("protocol", ["bb84-standard", "bb84-decoy"])
+def test_optimize_mu_bb84_matches_rate_vs_distance_row(capsys, protocol):
+    grid = ["--mu-points", "11", "--format", "json"]
+    code, out, _ = _run(["optimize-mu", "--protocol", protocol, "--length-km", "20",
+                         "--nu1-ratio", "0.1", "--p-mu", "0.9"] + grid, capsys)
+    assert code == 0
+    (opt,) = json.loads(out)
+    code, out, _ = _run(["rate-vs-distance", "--protocols", protocol, "--l-lo", "20",
+                         "--l-hi", "40", "--l-points", "2",
+                         "--nu1-ratio", "0.1", "--p-mu", "0.9"] + grid, capsys)
+    assert code == 0
+    row = json.loads(out)[0]
+    assert opt["found"] is True
+    assert (opt["mu_opt"], opt["r_sec_hz"], opt["per_pulse"]) == (
+        row["mu"], row["r_sec_hz"], row["per_pulse"])
+
+
 def test_rate_vs_distance_stderr_crossover(capsys):
     code, out, err = _run(["rate-vs-distance", "--protocols", "b92-sr,bb84-decoy",
                            "--l-lo", "50", "--l-hi", "80", "--l-points", "2",
@@ -278,3 +298,80 @@ def test_runtime_imports_no_scipy():
 def test_installed_console_script():
     proc = subprocess.run(["srqkd", *TRAIN_CAPACITY_ARGV], capture_output=True, text=True)
     _assert_prints_245(proc)
+
+
+# ---------------------------------------------------------------------------
+# Golden CLI corpus: exit code, stdout and stderr of a fixed set of runs,
+# compared byte for byte. A change that shifts numbers on purpose
+# regenerates it with `PYTHONPATH=src python tests/test_cli.py`.
+
+GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
+
+_CORPUS_POINTS = (
+    ("--mu", "0.3", "--t-db", "65", "--length-km", "10"),
+    ("--mu", "0.05", "--t-db", "75", "--length-km", "25"),
+    ("--mu", "0.5", "--t-db", "55", "--length-km", "0"),
+    ("--mu", "0.2", "--t-db", "86", "--length-km", "0"),
+    ("--mu", "0.509703", "--t-db", "40.9804", "--length-km", "5"),  # deep grey
+    ("--mu", "0.01", "--t-db", "40", "--length-km", "30"),  # empty b-interval
+)
+_DECOY_KEYS = ("--nu1-ratio", "0.1", "--p-mu", "0.9")
+_MIN_SRP_GRID = ("--t-lo", "50", "--t-hi", "80", "--t-points", "6", "--mu-points", "21")
+
+
+def _corpus_commands() -> list[tuple[str, ...]]:
+    commands = [("rate", "--protocol", protocol, "--length-km", length)
+                for protocol in ("b92-sr", "bb84-sr", "bb84-standard", "bb84-decoy")
+                for length in ("0", "10", "37", "80")]
+    commands += [(name,) + point for point in _CORPUS_POINTS for name in ("rate", "attack")]
+    commands += [("attack", "--b-points", "1"), ("attack", "--b-points", "7")]
+    commands += [("optimize-mu", "--protocol", p)
+                 for p in ("b92-sr", "bb84-sr", "bb84-standard", "bb84-decoy")]
+    commands += [("optimize-mu", "--protocol", "bb84-decoy") + _DECOY_KEYS,
+                 ("rate-vs-distance", "--protocols", "bb84-decoy", "--l-points", "3",
+                  "--l-hi", "40", "--mu-points", "11") + _DECOY_KEYS,
+                 ("min-srp", "--protocol", "bb84-decoy") + _MIN_SRP_GRID]
+    commands += [
+        ("rate-vs-t", "--t-points", "41"),
+        ("rate-vs-distance", "--l-points", "13", "--mu-points", "21"),
+        ("sweep-mu-t", "--mu-points", "9", "--t-points", "9"),
+        ("simulate", "--attack", "soft-filter", "--n-pulses", "100000"),
+        ("simulate", "--attack", "beam-split", "--n-pulses", "100000"),
+        ("povm-check",),
+        ("train-capacity", "--storage-km", "10"),
+        ("min-srp", "--p-opt", "0.5") + _MIN_SRP_GRID,
+    ]
+    commands += [("min-srp", "--criterion", criterion) + policy + _MIN_SRP_GRID
+                 for criterion in ("positive-rate", "0.99-of-max")
+                 for policy in ((), ("--mu-policy", "fixed", "--fixed-mu", "0.3"))]
+    return commands + [argv + ("--format", "json") for argv in commands]
+
+
+def _run_captured(argv) -> list:
+    # Python warnings are left out of the record: whether one reaches stderr
+    # depends on the filters and on what ran before in the same process.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(list(argv))
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def test_golden_cli_corpus():
+    corpus = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
+    keys = [" ".join(argv) for argv in _corpus_commands()]
+    assert sorted(corpus) == sorted(keys)
+    changed = [key for key in keys if _run_captured(key.split(" ")) != corpus[key]]
+    assert not changed, f"{len(changed)} runs differ from {GOLDEN_CORPUS.name}: {changed}"
+
+
+def write_golden_corpus() -> None:
+    os.environ.pop("SRQKD_CONFIG", None)
+    corpus = {" ".join(argv): _run_captured(argv) for argv in _corpus_commands()}
+    GOLDEN_CORPUS.parent.mkdir(exist_ok=True)
+    GOLDEN_CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_golden_corpus()

@@ -10,7 +10,6 @@ from srqkd import (
     DetectorConfig,
     Protocol,
     SetupConfig,
-    acceptance_rate,
     build_povm,
     conclusive_prob_ideal,
     coherent_state_fock,
@@ -19,6 +18,7 @@ from srqkd import (
     overlap,
     povm_probabilities_fock,
     span_states,
+    sr_secret_rate,
 )
 
 # Frozen against an independent evaluation of xi * (1 - exp(-2*eta*mu')) with
@@ -115,6 +115,11 @@ def test_fock_basis_helpers():
     neg = coherent_state_fock(-math.sqrt(0.5), dim)
     assert neg[1] == pytest.approx(-vec[1], rel=1e-12)
     assert coherent_state_fock(0.0, 4)[0] == 1.0
+
+
+def acceptance_rate(setup, detector):
+    # Per-pulse conclusive-bit probability; r_raw does not depend on i_e.
+    return sr_secret_rate(setup, detector, i_e=0.0).r_raw / setup.pulse_rate_hz
 
 
 def test_acceptance_rate_reference(b92_setup, detector):

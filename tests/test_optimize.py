@@ -57,6 +57,29 @@ def test_grid_then_golden_degenerate_interval():
         grid_then_golden_max(lambda xs: f(xs), f, 1.0, 0.0, 10)
 
 
+def test_grid_then_golden_no_finite_cell():
+    calls = []
+
+    def f_scalar(x):
+        calls.append(x)
+        return 0.0
+
+    x, v = grid_then_golden_max(lambda xs: np.full(len(xs), np.nan), f_scalar, 0.2, 1.0, 11)
+    assert (x, v) == (0.2, -math.inf)
+    assert calls == []  # no golden search, no endpoint scoring
+
+
+def test_grid_then_golden_scores_grid_cell_with_scalar():
+    # The grid pass only picks the cell: the value returned for it is the
+    # scalar objective's, here -inf where the array form said 1.
+    def f_scalar(x):
+        return -math.inf if x == 0.5 else -abs(x - 0.5)
+
+    x, v = grid_then_golden_max(lambda xs: np.where(xs == 0.5, 1.0, -np.abs(xs - 0.5)),
+                                f_scalar, 0.0, 1.0, 3, tol=1e-3)
+    assert x != 0.5 and math.isfinite(v)
+
+
 def test_grid_then_golden_skips_invalid_cells():
     # -inf marks infeasible points; the scan must land on the feasible peak.
     def f_grid(xs):

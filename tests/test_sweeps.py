@@ -7,11 +7,13 @@ import pytest
 from scipy import constants
 
 from srqkd import (
+    DecoyConfig,
     DetectorConfig,
     GridSpec,
     Protocol,
     SetupConfig,
     SweepRow,
+    bb84_secret_rate,
     crossover_distance,
     evaluate_sr_point,
     grey_region_mu_floor,
@@ -159,6 +161,31 @@ def test_rate_vs_distance_rows_and_crossover(detector):
     assert 50.0 < comp.crossover_km < 80.0
 
 
+def test_rate_vs_distance_honours_decoy_config(detector):
+    def decoy(mu):
+        return DecoyConfig.from_signal(mu, nu1_ratio=0.1, p_mu=0.9)
+
+    comp = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
+                            mu_range=(0.01, 1.0, 11, "log"), decoy=decoy)
+    (row,) = comp.rows
+    setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=row.mu, t_db=0.0,
+                        length_km=20.0, pulse_rate_hz=5e6)
+    assert row.r_sec_hz == bb84_secret_rate(setup, detector, decoy=decoy(row.mu)).r_sec
+    default = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
+                               mu_range=(0.01, 1.0, 11, "log"))
+    assert default.rows[0].r_sec_hz != row.r_sec_hz
+
+
+def test_optimize_mu_bb84_matches_rate_vs_distance(detector):
+    for protocol in (Protocol.BB84_STANDARD, Protocol.BB84_DECOY):
+        opt = optimize_mu(20.0, 65.0, detector, protocol=protocol, mu_range=COARSE_MU)
+        (row,) = rate_vs_distance([protocol], detector, l_grid=[20.0],
+                                  mu_range=COARSE_MU).rows
+        assert opt.found
+        assert (opt.mu_opt, opt.r_sec_hz, opt.per_pulse) == (row.mu, row.r_sec_hz,
+                                                             row.per_pulse)
+
+
 def test_crossover_interpolation_properties():
     lengths = [0.0, 1.0, 2.0]
     a = [math.e ** 2, math.e, 1.0]
@@ -202,6 +229,12 @@ def test_min_srp_validation(detector):
         min_srp_photons(10.0, detector, mu_policy="fixed")
     with pytest.raises(ValueError, match="fixed_mu"):
         min_srp_photons(10.0, detector, fixed_mu=0.3)
+    # Checked before any rate is computed: a BB84 baseline has no SRP.
+    for policy, mu in (("optimized-per-t", None), ("fixed", 0.3)):
+        with pytest.raises(ValueError, match="min_srp_photons needs an SR protocol, "
+                                             "got bb84-decoy"):
+            min_srp_photons(10.0, detector, mu_policy=policy, fixed_mu=mu,
+                            protocol=Protocol.BB84_DECOY)
 
 
 def test_min_srp_no_positive_rate():
