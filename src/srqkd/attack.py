@@ -297,8 +297,11 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     The grid is one vectorized pass; every candidate that can be returned
     (best cell, refined point, endpoints) is scored by the scalar objective,
     whose feasibility test matches :func:`amplification` bit for bit.
-    The result is deterministic for a given grid size.
+    The result is deterministic for a given grid size, which must be at
+    least 2.
     """
+    if b_points < 2:
+        raise ValueError(f"b_points must be >= 2, got {b_points}")
     channel = derive_channel(setup, detector)
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
     b_lo, b_hi = _b_bounds(mu, eta, channel, delta)
@@ -328,7 +331,7 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
         return _information(b, mu, eta, mu_prime, delta)
 
     b_best, i_best = grid_then_golden_max(information_curve, information, b_lo, b_hi,
-                                          max(b_points, 2))
+                                          b_points)
     if not math.isfinite(i_best):
         # No feasible lane, or only lanes NumPy rounded onto the feasible
         # side of the unitarity bound.

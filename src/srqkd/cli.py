@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attack import maximize_eve_information
+from .attack import DEFAULT_B_GRID_POINTS, maximize_eve_information
 from .discrimination import build_povm, outcome_probabilities, povm_probabilities_fock, span_states
 from .physics import DetectorConfig, Protocol, SetupConfig, derive_channel
 from .rates import DecoyConfig, bb84_secret_rate
@@ -400,15 +400,25 @@ def _add_override_flags(parser: argparse.ArgumentParser):
             parser.add_argument(flag, dest=field.name, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="srqkd", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The srqkd parser, with the subparser of ``command`` only or of every command.
 
-    for name in _COMMANDS:
+    All ten subparsers take longer to build than a quick command takes to
+    run; help, an empty argv and an unknown command need them all.
+    """
+    parser = _Parser(prog="srqkd", description=__doc__.splitlines()[0])
+    names = tuple(_COMMANDS) if command is None else (command,)
+    # One command's usage line still lists every command. The full parser keeps
+    # no metavar, so its errors name the argument "command".
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=metavar)
+
+    for name in names:
         p = sub.add_parser(name)
         _add_override_flags(p)
         if name == "attack":
-            p.add_argument("--b-points", type=int, default=2000,
+            p.add_argument("--b-points", type=int, default=DEFAULT_B_GRID_POINTS,
                            help="attenuation grid resolution")
             p.add_argument("--trace-out", help="write the (b, i_e) scan to this file")
         elif name == "rate-vs-distance":
@@ -431,8 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     try:
         config = load_run_config(args.config, overrides)

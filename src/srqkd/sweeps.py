@@ -335,6 +335,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         raise ValueError(f"unknown criterion {criterion!r}")
     if (mu_policy == "fixed") != (fixed_mu is not None):
         raise ValueError("fixed_mu is required for the fixed policy and only then")
+    if fixed_mu is not None and not (math.isfinite(fixed_mu) and fixed_mu > 0.0):
+        raise ValueError(f"fixed_mu must be finite and > 0, got {fixed_mu}")
     protocol = Protocol(protocol)
     if not protocol.uses_reference_pulse:
         raise ValueError(f"min_srp_photons needs an SR protocol, got {protocol.value}")

@@ -187,6 +187,17 @@ def test_empty_interval_falls_back_to_beam_splitting(detector):
     assert sol.best.i_e == beam_splitting_information(setup.mu, mu_prime)
 
 
+@pytest.mark.parametrize("b_points", [1, 0, -5])
+def test_maximizer_rejects_fewer_than_two_grid_points(b92_setup, detector, b_points):
+    with pytest.raises(ValueError, match="b_points must be >= 2"):
+        maximize_eve_information(b92_setup, detector, b_points=b_points)
+    # Also where the b-interval is empty and no grid is laid.
+    empty = SetupConfig(protocol=Protocol.B92_SR, mu=0.05, t_db=40.0,
+                        length_km=50.0, pulse_rate_hz=5e6)
+    with pytest.raises(ValueError, match="b_points must be >= 2"):
+        maximize_eve_information(empty, detector, b_points=b_points)
+
+
 def test_beam_splitting_information_limits():
     assert beam_splitting_information(0.3, 0.3) == 0.0
     # Tap grows with the gap; saturates at one bit.

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, schemas, config handling, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -142,6 +144,45 @@ def test_non_finite_value_exits_1(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and "must be finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["attack", "--b-points", value], "b_points", id=f"--b-points-{value}")
+    for value in ("0", "-5", "1")
+] + [
+    pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", value], "fixed_mu",
+                 id=f"--fixed-mu-{value}")
+    for value in ("-1", "0", "nan")
+])
+def test_bad_search_setting_exits_1(capsys, argv, name):
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name} must be")
+
+
+def test_empty_argv_names_missing_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([])
+    assert excinfo.value.code == 1
+    assert "the following arguments are required: command" in capsys.readouterr().err
+
+
+def test_parser_for_one_command(capsys, monkeypatch):
+    from srqkd import cli
+
+    one, full = cli.build_parser("rate"), cli.build_parser()
+    (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["rate"]
+    assert one.format_usage() == full.format_usage()
+    # main builds the parser once, for the command it was given.
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or full)
+    assert main(["rate", "--dump-config"]) == 0
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert built == ["rate", None]
 
 
 def test_deep_grey_rate_exits_0(capsys):
@@ -344,17 +385,28 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     commands += [("min-srp", "--criterion", criterion) + policy + _MIN_SRP_GRID
                  for criterion in ("positive-rate", "0.99-of-max")
                  for policy in ((), ("--mu-policy", "fixed", "--fixed-mu", "0.3"))]
-    return commands + [argv + ("--format", "json") for argv in commands]
+    commands += [("min-srp", "--mu-policy", "fixed", "--fixed-mu", "-1")]
+    commands += [argv + ("--format", "json") for argv in commands]
+    # argparse's own output: help, usage lines and usage errors.
+    return commands + [
+        ("-h",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),
+        ("rate", "--bogus", "1"), ("rate", "0.3"), ("rate", "--mu", "x"),
+        ("min-srp", "--criterion", "z"), ("train-capacity",), ("rate", "--m", "0.2"),
+    ]
 
 
 def _run_captured(argv) -> list:
     # Python warnings are left out of the record: whether one reaches stderr
     # depends on the filters and on what ran before in the same process.
+    # argparse leaves main by SystemExit and wraps help to the terminal width.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+            warnings.catch_warnings(), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         warnings.simplefilter("ignore")
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return [code, out.getvalue(), err.getvalue()]
 
 

@@ -229,6 +229,10 @@ def test_min_srp_validation(detector):
         min_srp_photons(10.0, detector, mu_policy="fixed")
     with pytest.raises(ValueError, match="fixed_mu"):
         min_srp_photons(10.0, detector, fixed_mu=0.3)
+    # A fixed mu must be a usable intensity, not a point skipped at every t.
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fixed_mu must be finite and > 0"):
+            min_srp_photons(10.0, detector, mu_policy="fixed", fixed_mu=bad)
     # Checked before any rate is computed: a BB84 baseline has no SRP.
     for policy, mu in (("optimized-per-t", None), ("fixed", 0.3)):
         with pytest.raises(ValueError, match="min_srp_photons needs an SR protocol, "
