@@ -120,8 +120,7 @@ def rate_residual(p: float, beta_s_sq: float, beta_f_sq: float,
     return abs(under_attack - -math.expm1(-2.0 * eta * mu_prime))
 
 
-def b_interval(setup: SetupConfig, detector: DetectorConfig,
-               delta: Optional[float] = None) -> tuple[float, float]:
+def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, float]:
     """Feasible attenuation interval (b_min, b_max).
 
     The lower bound combines solvability of the unitarity constraint with
@@ -132,14 +131,11 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig,
     (b_min >= b_max) means the attack degenerates to beam splitting.
     """
     channel = derive_channel(setup, detector)
-    if delta is None:
-        delta = channel.delta
-    return _b_bounds(setup.mu, detector.eta, channel, delta)
+    return _b_bounds(setup.mu, detector.eta, channel)
 
 
-def _b_bounds(mu: float, eta: float, channel: ChannelDerived,
-              delta: float) -> tuple[float, float]:
-    mu_prime = channel.mu_prime
+def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
+    mu_prime, delta = channel.mu_prime, channel.delta
     x = 2.0 * eta * mu_prime * delta
     b_lo = max(
         1.0 - math.log1p(math.exp(x)) / (2.0 * mu),
@@ -224,21 +220,17 @@ def _chi(intensity: float) -> float:
     return _entropy(-math.expm1(-2.0 * intensity) / 2.0)
 
 
-def eve_information(b: float, setup: SetupConfig, detector: DetectorConfig,
-                    delta: Optional[float] = None) -> float:
+def eve_information(b: float, setup: SetupConfig, detector: DetectorConfig) -> float:
     """Eve's information per conclusive bit at attenuation b, in bits."""
     channel = derive_channel(setup, detector)
-    if delta is None:
-        delta = channel.delta
-    return _checked_information(b, setup.mu, detector.eta, channel, delta)
+    return _checked_information(b, setup.mu, detector.eta, channel)
 
 
-def _checked_information(b: float, mu: float, eta: float, channel: ChannelDerived,
-                         delta: float) -> float:
-    b_lo, b_hi = _b_bounds(mu, eta, channel, delta)
+def _checked_information(b: float, mu: float, eta: float, channel: ChannelDerived) -> float:
+    b_lo, b_hi = _b_bounds(mu, eta, channel)
     if not b_lo - 1e-12 <= b <= b_hi + 1e-12:
         raise ValueError(f"b={b} outside feasible interval [{b_lo}, {b_hi}]")
-    value = float(_information_curve(b, mu, eta, channel.mu_prime, delta)[0])
+    value = float(_information_curve(b, mu, eta, channel.mu_prime, channel.delta)[0])
     if not math.isfinite(value):
         raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
     return value
@@ -249,14 +241,11 @@ def beam_splitting_information(mu: float, mu_prime: float) -> float:
     return float(holevo_chi(max(mu - mu_prime, 0.0)))
 
 
-def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig,
-                 delta: Optional[float] = None) -> AttackPoint:
+def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig) -> AttackPoint:
     """Assemble the full parameter set (p, a, intensities, information) at b."""
     channel = derive_channel(setup, detector)
-    if delta is None:
-        delta = channel.delta
-    i_e = _checked_information(b, setup.mu, detector.eta, channel, delta)
-    return _filtering_point(b, i_e, setup.mu, detector.eta, channel.mu_prime, delta)
+    i_e = _checked_information(b, setup.mu, detector.eta, channel)
+    return _filtering_point(b, i_e, setup.mu, detector.eta, channel.mu_prime, channel.delta)
 
 
 def _filtering_point(b: float, i_e: float, mu: float, eta: float, mu_prime: float,
@@ -304,7 +293,7 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
         raise ValueError(f"b_points must be >= 2, got {b_points}")
     channel = derive_channel(setup, detector)
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
-    b_lo, b_hi = _b_bounds(mu, eta, channel, delta)
+    b_lo, b_hi = _b_bounds(mu, eta, channel)
 
     def solution(best: Optional[AttackPoint], trace=None) -> AttackSolution:
         empty = best is None
@@ -330,8 +319,8 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     def information(b: float) -> float:
         return _information(b, mu, eta, mu_prime, delta)
 
-    b_best, i_best = grid_then_golden_max(information_curve, information, b_lo, b_hi,
-                                          b_points)
+    b_best, i_best = grid_then_golden_max(information_curve, information,
+                                          np.linspace(b_lo, b_hi, b_points))
     if not math.isfinite(i_best):
         # No feasible lane, or only lanes NumPy rounded onto the feasible
         # side of the unitarity bound.

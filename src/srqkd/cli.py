@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .attack import DEFAULT_B_GRID_POINTS, maximize_eve_information
 from .discrimination import build_povm, outcome_probabilities, povm_probabilities_fock, span_states
-from .physics import DetectorConfig, Protocol, SetupConfig, derive_channel
+from .physics import DetectorConfig, Protocol, SetupConfig
 from .rates import DecoyConfig, bb84_secret_rate
 from .simulation import AttackKind, DoubleClickPolicy, SimConfig, simulate
 from .sweeps import (

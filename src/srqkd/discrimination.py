@@ -22,26 +22,6 @@ OPERATOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class CoherentPair:
-    """The signal pair {|alpha>, |-alpha>} with mean photon number mu."""
-
-    mu: float
-    cos_gamma: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not 0 < self.cos_gamma <= 1:
-            raise ValueError(f"cos_gamma must be in (0, 1], got {self.cos_gamma}")
-        if abs(self.cos_gamma - math.exp(-2.0 * self.mu)) > 1e-12:
-            raise ValueError("cos_gamma inconsistent with exp(-2*mu)")
-
-    @classmethod
-    def from_mu(cls, mu: float) -> "CoherentPair":
-        return cls(mu=mu, cos_gamma=overlap(mu))
-
-
-@dataclass(frozen=True)
 class PovmSet:
     """Three-outcome USD measurement on the span of the two signal states.
 
@@ -100,28 +80,24 @@ def outcome_probabilities(povm: PovmSet, state: np.ndarray) -> tuple[float, floa
     return tuple(float(state @ m @ state) for m in (povm.m0, povm.m1, povm.m_inc))
 
 
-def conclusive_prob_ideal(mu: float) -> float:
-    """Conclusive-outcome probability 1 - exp(-2*mu) for a lossless ideal receiver."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    return -math.expm1(-2.0 * mu)
-
-
 # -- Fock-basis cross-check ------------------------------------------------
 #
 # The span construction above is exact; the functions below rebuild the same
 # measurement in a truncated photon-number basis so tests can compare the
 # two routes without sharing code paths.
 
+# Poisson weight a truncated Fock basis may discard.
+FOCK_TAIL_MASS = 1e-12
 
-def fock_dimension(mu: float, tail_mass: float = 1e-12) -> int:
-    """Smallest Fock-space dimension whose discarded coherent tail is < tail_mass."""
+
+def fock_dimension(mu: float) -> int:
+    """Smallest Fock-space dimension whose discarded coherent tail is < FOCK_TAIL_MASS."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
     weight = math.exp(-mu)
     total = weight
     n = 0
-    while 1.0 - total >= tail_mass:
+    while 1.0 - total >= FOCK_TAIL_MASS:
         n += 1
         weight *= mu / n
         total += weight
@@ -139,14 +115,14 @@ def coherent_state_fock(alpha: float, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def povm_probabilities_fock(mu: float, tail_mass: float = 1e-12) -> dict[str, float]:
+def povm_probabilities_fock(mu: float) -> dict[str, float]:
     """Outcome probabilities computed entirely in a truncated Fock basis.
 
     Returns conditional probabilities for either input state: conclusive
     correct ('ok'), cross-click ('cross'), inconclusive ('inc'). The POVM
     identity is the projector onto the span of the two truncated states.
     """
-    dim = fock_dimension(mu, tail_mass)
+    dim = fock_dimension(mu)
     alpha = math.sqrt(mu)
     psi0 = coherent_state_fock(alpha, dim)
     psi1 = coherent_state_fock(-alpha, dim)

@@ -145,20 +145,28 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class ChannelDerived:
-    """Receiver-side quantities derived from a (setup, detector) pair."""
+    """Receiver-side quantities derived from a (setup, detector) pair.
+
+    delta is the relative precision of Bob's SRP intensity monitoring,
+    NEP*sqrt(tau)*lambda/(h*c) / nu', where nu' is the expected SRP
+    intensity at the receiver, computed from exact physical constants.
+    delta factorizes as delta(mu, t, L) = delta(1, t, L)/mu; the division by
+    mu is done last so that identity holds exactly in floating point.
+    Values above ``GREY_REGION_DELTA`` mean the monitoring is too coarse to
+    be trusted (callers flag such points rather than masking them).
+    """
 
     transmittance: float
     mu_prime: float
-    nu_prime: float
     delta: float
     qber: float
 
 
-def transmittance(length_km: float, loss_db_per_km: float = FIBER_LOSS_DB_PER_KM) -> float:
-    """Fiber power transmittance 10**(-loss_db_per_km * L / 10)."""
+def transmittance(length_km: float) -> float:
+    """Fiber power transmittance 10**(-FIBER_LOSS_DB_PER_KM * L / 10)."""
     if length_km < 0:
         raise ValueError("length_km must be >= 0")
-    return 10.0 ** (-loss_db_per_km * length_km / 10.0)
+    return 10.0 ** (-FIBER_LOSS_DB_PER_KM * length_km / 10.0)
 
 
 def _delta_at_unit_mu(setup: SetupConfig, detector: DetectorConfig) -> float:
@@ -167,38 +175,18 @@ def _delta_at_unit_mu(setup: SetupConfig, detector: DetectorConfig) -> float:
     return detector.monitor_photon_uncertainty / nu_prime_unit
 
 
-def monitor_precision_delta(setup: SetupConfig, detector: DetectorConfig) -> float:
-    """Relative precision of Bob's SRP intensity monitoring.
-
-    delta = NEP*sqrt(tau)*lambda/(h*c) / nu', where nu' is the expected SRP
-    intensity at the receiver. Computed from exact physical constants.
-    delta factorizes as delta(mu, t, L) = delta(1, t, L)/mu; the division by
-    mu is done last so that identity holds exactly in floating point.
-
-    Values above ``GREY_REGION_DELTA`` mean the monitoring is too coarse to
-    be trusted (callers flag such points rather than masking them).
-    """
-    return _delta_at_unit_mu(setup, detector) / setup.mu
-
-
 def monitoring_unacceptable(delta: float) -> bool:
     """True when SRP monitoring precision is worse than the 50% grey-region bound."""
     return delta > GREY_REGION_DELTA
 
 
-def qber(setup: SetupConfig, detector: DetectorConfig) -> float:
-    """Receiver QBER from dark counts and optical errors.
+def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
+    """Receiver QBER from dark counts and optical errors at received intensity mu'.
 
     (p_dc + p_opt*(1 - exp(-2*eta*mu'))) / (2*p_dc + 1 - exp(-2*eta*mu')),
     capped at 0.5. With no clicks at all (mu'=0 and p_dc=0) the bit value is
     undefined and 0.5 is returned.
     """
-    mu_prime = setup.mu * transmittance(setup.length_km)
-    return qber_from_received(mu_prime, detector)
-
-
-def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
-    """QBER for a given received signal intensity (see :func:`qber`)."""
     if mu_prime < 0:
         raise ValueError("mu_prime must be >= 0")
     click = -np.expm1(-2.0 * detector.eta * mu_prime)
@@ -255,11 +243,9 @@ def derive_channel(setup: SetupConfig, detector: DetectorConfig) -> ChannelDeriv
     """Bundle the receiver-side quantities used by the attack and rate models."""
     trans = transmittance(setup.length_km)
     mu_prime = setup.mu * trans
-    nu_prime = setup.nu * trans
     return ChannelDerived(
         transmittance=trans,
         mu_prime=mu_prime,
-        nu_prime=nu_prime,
-        delta=monitor_precision_delta(setup, detector),
+        delta=_delta_at_unit_mu(setup, detector) / setup.mu,
         qber=qber_from_received(mu_prime, detector),
     )

@@ -231,9 +231,8 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
 
 
 def secret_rate(setup: SetupConfig, detector: DetectorConfig,
-                decoy: Optional[DecoyConfig] = None,
-                i_e: Optional[float] = None) -> RateBreakdown:
+                decoy: Optional[DecoyConfig] = None) -> RateBreakdown:
     """Dispatch to the SR or BB84 rate according to setup.protocol."""
     if setup.protocol.uses_reference_pulse:
-        return sr_secret_rate(setup, detector, i_e=i_e)
+        return sr_secret_rate(setup, detector)
     return bb84_secret_rate(setup, detector, decoy=decoy)

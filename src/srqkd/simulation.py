@@ -73,10 +73,11 @@ class SimResult:
             raise ValueError("need error_count <= conclusive_count <= n_pulses")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% confidence interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
+    z = _Z95
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

@@ -38,6 +38,25 @@ FLAG_CLAMPED = "clamped"
 FLAG_INFEASIBLE = "attack-infeasible"
 
 
+def _check_mu_scale(lo: float, scale: str) -> None:
+    if scale not in ("linear", "log"):
+        raise ValueError(f"mu scale must be linear or log, got {scale!r}")
+    if scale == "log" and lo <= 0:
+        raise ValueError("log-spaced mu grid needs lo > 0")
+
+
+def _mu_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
+    # A log grid keeps lo and hi exact: they are the search's interval edges.
+    _check_mu_scale(lo, scale)
+    if points < 2:
+        raise ValueError(f"mu grid needs at least 2 points, got {points}")
+    if scale == "linear":
+        return np.linspace(lo, hi, points)
+    xs = np.logspace(math.log10(lo), math.log10(hi), points)
+    xs[0], xs[-1] = lo, hi
+    return xs
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sweep axes; mu is log-spaced by default because rates span decades."""
@@ -48,10 +67,7 @@ class GridSpec:
 
     def __post_init__(self):
         lo, hi, points, scale = self.mu_range
-        if scale not in ("linear", "log"):
-            raise ValueError(f"mu scale must be linear or log, got {scale!r}")
-        if scale == "log" and lo <= 0:
-            raise ValueError("log-spaced mu grid needs lo > 0")
+        _check_mu_scale(lo, scale)
         for name, (a, b, n) in (("mu", (lo, hi, points)),
                                 ("t", self.t_range_db),
                                 ("l", self.l_range_km)):
@@ -61,12 +77,7 @@ class GridSpec:
                 raise ValueError(f"{name} range needs at least 2 points")
 
     def mu_values(self) -> np.ndarray:
-        lo, hi, points, scale = self.mu_range
-        if scale == "log":
-            xs = np.logspace(math.log10(lo), math.log10(hi), points)
-            xs[0], xs[-1] = lo, hi
-            return xs
-        return np.linspace(lo, hi, points)
+        return _mu_grid(*self.mu_range)
 
     def t_values(self) -> np.ndarray:
         return np.linspace(*self.t_range_db)
@@ -208,7 +219,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
 
     mu_best, r_best = grid_then_golden_max(
         lambda xs: np.array([objective(float(x)) for x in xs]),
-        objective, lo, hi, points, log_spaced=(scale == "log"),
+        objective, _mu_grid(lo, hi, points, scale),
     )
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
@@ -261,9 +272,13 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
     SR protocols run at the given SRP attenuation; BB84 baselines have no
     reference pulse, and decoy-BB84 takes its intensities from decoy. The
     crossover is where the B92-SR and decoy-BB84 curves intersect,
-    interpolated linearly in log-rate between grid points.
+    interpolated linearly in log-rate between grid points. protocols must
+    be non-empty and hold each protocol at most once.
     """
     protocols = [Protocol(p) for p in protocols]
+    if not protocols or len(set(protocols)) < len(protocols):
+        raise ValueError("protocols must be a non-empty list without repeats, got "
+                         f"{[p.value for p in protocols]}")
     rows = []
     by_protocol: dict[Protocol, list[float]] = {p: [] for p in protocols}
     for length_km in np.asarray(l_grid, dtype=float):

@@ -23,10 +23,8 @@ from srqkd import (
     derive_channel,
     maximize_eve_information,
     min_srp_photons,
-    monitor_precision_delta,
     optimize_mu,
     outcome_probabilities,
-    qber,
     rate_residual,
     rate_vs_distance,
     simulate,
@@ -101,7 +99,7 @@ def test_criterion_04_attack_constraint_residuals(detector):
     while count < 1000:
         setup = _b92(rng.uniform(0.05, 1.0), rng.uniform(0.0, 60.0),
                      t_db=rng.uniform(55.0, 85.0))
-        delta = monitor_precision_delta(setup, detector)
+        delta = derive_channel(setup, detector).delta
         if delta >= 0.5:
             continue
         b_lo, b_hi = b_interval(setup, detector)
@@ -171,7 +169,7 @@ def test_criterion_07_monte_carlo_vs_analytic(detector):
         n_pulses=n, seed=424243, attack=AttackKind.SOFT_FILTER, attack_point=point))
     elapsed = time.perf_counter() - start
 
-    q_th = qber(setup, detector)
+    q_th = derive_channel(setup, detector).qber
     z_q = abs(quiet.qber_hat - q_th) / math.sqrt(
         q_th * (1.0 - q_th) / quiet.conclusive_count)
     r_th = -math.expm1(-2.0 * detector.eta * derive_channel(setup, detector).mu_prime)
@@ -206,7 +204,7 @@ def test_criterion_08_decoy_sandwich(detector):
 
 def test_criterion_09_monitor_precision_prefactor(detector):
     k = detector.monitor_photon_uncertainty
-    delta = monitor_precision_delta(_b92(0.3, 10.0), detector)
+    delta = derive_channel(_b92(0.3, 10.0), detector).delta
     ok = abs(k / 1.38e4 - 1.0) < 0.01 and abs(delta / 0.0231 - 1.0) < 0.01
     detail = (f"prefactor {k:.6g} vs 1.38e4 ({abs(k / 1.38e4 - 1) * 100:.2f}%), "
               f"delta(0.3, 10km, 65dB) = {delta:.6g} vs 0.0231 "

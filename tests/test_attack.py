@@ -18,7 +18,6 @@ from srqkd import (
     derive_channel,
     eve_information,
     maximize_eve_information,
-    monitor_precision_delta,
     rate_residual,
     success_probability,
     unitarity_residual,
@@ -52,7 +51,7 @@ def _random_feasible_setups(n, rng):
         length = rng.uniform(0.0, 60.0)
         setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db,
                             length_km=length, pulse_rate_hz=5e6)
-        delta = monitor_precision_delta(setup, detector)
+        delta = derive_channel(setup, detector).delta
         if delta >= 0.5:
             continue
         b_lo, b_hi = b_interval(setup, detector)

@@ -161,6 +161,19 @@ def test_bad_search_setting_exits_1(capsys, argv, name):
     assert err.startswith(f"error: {name} must be")
 
 
+@pytest.mark.parametrize("protocols, names", [
+    (",", "[]"),
+    ("b92-sr,b92-sr", "['b92-sr', 'b92-sr']"),
+    ("b92-sr,bb84-decoy,b92-sr", "['b92-sr', 'bb84-decoy', 'b92-sr']"),
+], ids=["empty", "repeated", "repeated-apart"])
+def test_bad_protocol_list_exits_1(capsys, protocols, names):
+    code, out, err = _run(["rate-vs-distance", "--protocols", protocols,
+                           "--l-points", "2", "--mu-points", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: protocols must be a non-empty list without repeats, got {names}\n"
+
+
 def test_empty_argv_names_missing_command(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -386,6 +399,9 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                  for criterion in ("positive-rate", "0.99-of-max")
                  for policy in ((), ("--mu-policy", "fixed", "--fixed-mu", "0.3"))]
     commands += [("min-srp", "--mu-policy", "fixed", "--fixed-mu", "-1")]
+    commands += [("rate-vs-distance", "--protocols", ","),
+                 ("rate-vs-distance", "--protocols", "b92-sr,b92-sr", "--l-points", "2",
+                  "--mu-points", "5")]
     commands += [argv + ("--format", "json") for argv in commands]
     # argparse's own output: help, usage lines and usage errors.
     return commands + [

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from srqkd import (
-    CoherentPair,
     DetectorConfig,
     Protocol,
     SetupConfig,
     build_povm,
-    conclusive_prob_ideal,
     coherent_state_fock,
     fock_dimension,
     outcome_probabilities,
@@ -26,28 +24,11 @@ from srqkd import (
 ACCEPT_B92_REF = 0.07291950316828034
 
 
-def test_overlap_and_ideal_conclusive():
+def test_overlap():
     assert overlap(0.0) == 1.0
     assert overlap(0.25) == pytest.approx(math.exp(-0.5), rel=1e-15)
-    assert conclusive_prob_ideal(0.0) == 0.0
-    # The two are complementary: p_conclusive = 1 - overlap.
-    for mu in (0.05, 0.3, 1.7):
-        assert conclusive_prob_ideal(mu) + overlap(mu) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         overlap(-0.1)
-    with pytest.raises(ValueError):
-        conclusive_prob_ideal(-1.0)
-
-
-def test_coherent_pair_validation():
-    pair = CoherentPair.from_mu(0.3)
-    assert pair.cos_gamma == pytest.approx(math.exp(-0.6), rel=1e-15)
-    with pytest.raises(ValueError):
-        CoherentPair(mu=-0.1, cos_gamma=1.0)
-    with pytest.raises(ValueError):
-        CoherentPair(mu=0.3, cos_gamma=0.9)  # inconsistent with exp(-2 mu)
-    with pytest.raises(ValueError):
-        CoherentPair(mu=0.0, cos_gamma=0.0)
 
 
 def test_build_povm_domain():

@@ -12,9 +12,7 @@ from srqkd import (
     binary_entropy,
     derive_channel,
     holevo_chi,
-    monitor_precision_delta,
     monitoring_unacceptable,
-    qber,
     qber_from_received,
     transmittance,
 )
@@ -78,31 +76,30 @@ def test_monitor_prefactor_value(detector):
 
 
 def test_delta_reference_point(b92_setup, detector):
-    assert monitor_precision_delta(b92_setup, detector) == pytest.approx(
-        DELTA_REF, rel=1e-12)
+    assert derive_channel(b92_setup, detector).delta == pytest.approx(DELTA_REF, rel=1e-12)
 
 
 def test_delta_scalings(detector):
     base = SetupConfig(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=10.0,
                        pulse_rate_hz=5e6)
-    d0 = monitor_precision_delta(base, detector)
+    d0 = derive_channel(base, detector).delta
 
     # exact 1/mu separability: delta(mu) = delta(1)/mu bit-for-bit
     unit = SetupConfig(protocol="b92-sr", mu=1.0, t_db=65.0, length_km=10.0,
                        pulse_rate_hz=5e6)
-    d_unit = monitor_precision_delta(unit, detector)
+    d_unit = derive_channel(unit, detector).delta
     for mu in (0.01, 0.07, 0.3, 0.9):
         s = SetupConfig(protocol="b92-sr", mu=mu, t_db=65.0, length_km=10.0,
                         pulse_rate_hz=5e6)
-        assert monitor_precision_delta(s, detector) == d_unit / mu
+        assert derive_channel(s, detector).delta == d_unit / mu
 
     # +10 dB on t brightens the SRP tenfold -> delta/10; +50 km -> 10x delta
     s_t = SetupConfig(protocol="b92-sr", mu=0.3, t_db=75.0, length_km=10.0,
                       pulse_rate_hz=5e6)
-    assert monitor_precision_delta(s_t, detector) == pytest.approx(d0 / 10, rel=1e-12)
+    assert derive_channel(s_t, detector).delta == pytest.approx(d0 / 10, rel=1e-12)
     s_l = SetupConfig(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=60.0,
                       pulse_rate_hz=5e6)
-    assert monitor_precision_delta(s_l, detector) == pytest.approx(10 * d0, rel=1e-12)
+    assert derive_channel(s_l, detector).delta == pytest.approx(10 * d0, rel=1e-12)
 
 
 def test_grey_region_predicate():
@@ -112,7 +109,7 @@ def test_grey_region_predicate():
 
 
 def test_qber_reference_point(b92_setup, detector):
-    assert qber(b92_setup, detector) == pytest.approx(QBER_REF, rel=1e-12)
+    assert derive_channel(b92_setup, detector).qber == pytest.approx(QBER_REF, rel=1e-12)
 
 
 def test_qber_limits(detector):
@@ -133,7 +130,7 @@ def test_qber_monotone_in_distance(detector):
     for length in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0):
         s = SetupConfig(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=length,
                         pulse_rate_hz=5e6)
-        values.append(qber(s, detector))
+        values.append(derive_channel(s, detector).qber)
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(v <= 0.5 for v in values)
 
@@ -181,9 +178,10 @@ def test_derive_channel_consistency(b92_setup, detector):
     assert isinstance(ch, ChannelDerived)
     assert ch.transmittance == pytest.approx(10 ** -0.2, rel=1e-15)
     assert ch.mu_prime == pytest.approx(MU_PRIME_REF, rel=1e-14)
-    assert ch.nu_prime == pytest.approx(ch.mu_prime * 10 ** 6.5, rel=1e-12)
-    assert ch.delta == monitor_precision_delta(b92_setup, detector)
-    assert ch.qber == qber(b92_setup, detector)
+    # delta is the monitor's photon uncertainty over the SRP intensity at Bob.
+    nu_prime = ch.mu_prime * 10 ** 6.5
+    assert ch.delta == pytest.approx(K_MONITOR / nu_prime, rel=1e-12)
+    assert ch.qber == qber_from_received(ch.mu_prime, detector)
     assert not monitoring_unacceptable(ch.delta)
 
 

@@ -14,7 +14,6 @@ from srqkd import (
     SimConfig,
     derive_channel,
     maximize_eve_information,
-    qber,
     simulate,
     wilson_interval,
 )
@@ -83,7 +82,7 @@ def test_estimates_match_closed_forms_grid(detector):
         setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=65.0,
                             length_km=length, pulse_rate_hz=5e6)
         res = simulate(setup, detector, SimConfig(n_pulses=n, seed=100 + i))
-        expected_q = qber(setup, detector)
+        expected_q = derive_channel(setup, detector).qber
         expected_r = -math.expm1(-2.0 * detector.eta * derive_channel(setup, detector).mu_prime)
         ok_rate = _sigma_distance(res.rate_hat, expected_r, n) < 3.0
         ok_qber = _sigma_distance(res.qber_hat, expected_q, res.conclusive_count) < 3.0

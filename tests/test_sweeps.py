@@ -1,6 +1,7 @@
 """Sweep datasets, scalar optimizers and derived quantities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from srqkd import (
     SweepRow,
     bb84_secret_rate,
     crossover_distance,
+    derive_channel,
     evaluate_sr_point,
     grey_region_mu_floor,
     min_srp_photons,
-    monitor_precision_delta,
     optimize_mu,
     rate_vs_distance,
     rate_vs_t,
     sweep_mu_t,
+    sweeps,
     train_capacity,
 )
 
@@ -88,10 +90,10 @@ def test_grey_floor_is_bit_exact(detector):
     floor = grey_region_mu_floor(10.0, 55.0, detector)
     at_floor = SetupConfig(protocol=Protocol.B92_SR, mu=floor, t_db=55.0,
                            length_km=10.0, pulse_rate_hz=5e6)
-    assert monitor_precision_delta(at_floor, detector) == 0.5
+    assert derive_channel(at_floor, detector).delta == 0.5
     below = SetupConfig(protocol=Protocol.B92_SR, mu=0.99 * floor, t_db=55.0,
                         length_km=10.0, pulse_rate_hz=5e6)
-    assert monitor_precision_delta(below, detector) > 0.5
+    assert derive_channel(below, detector).delta > 0.5
 
 
 def test_evaluate_sr_point_grey_flags(detector):
@@ -123,6 +125,17 @@ def test_optimize_mu_floor_above_range(detector):
     assert not opt.found
     assert math.isnan(opt.mu_opt)
     assert opt.r_sec_hz == 0.0
+
+
+def test_optimize_mu_rejects_bad_mu_range(detector):
+    with pytest.raises(ValueError, match="lo > 0"):
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0, 10, "log"))
+    with pytest.raises(ValueError, match="scale"):
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 10, "cubic"))
+    # A one-point grid is no search.
+    for scale in ("log", "linear"):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 1, scale))
 
 
 def test_optimize_mu_hopeless_detector():
@@ -174,6 +187,22 @@ def test_rate_vs_distance_honours_decoy_config(detector):
     default = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
                                mu_range=(0.01, 1.0, 11, "log"))
     assert default.rows[0].r_sec_hz != row.r_sec_hz
+
+
+@pytest.mark.parametrize("protocols", [
+    [],
+    [Protocol.B92_SR, Protocol.B92_SR],
+    [Protocol.B92_SR, Protocol.BB84_DECOY, Protocol.B92_SR],
+], ids=["empty", "repeated", "repeated-apart"])
+def test_rate_vs_distance_rejects_bad_protocol_list(detector, monkeypatch, protocols):
+    # Rejected before any rate is computed.
+    def no_search(*args, **kwargs):
+        raise AssertionError("optimize_mu called")
+
+    monkeypatch.setattr(sweeps, "optimize_mu", no_search)
+    names = str([p.value for p in protocols])
+    with pytest.raises(ValueError, match=re.escape(names)):
+        rate_vs_distance(protocols, detector, l_grid=[10.0, 20.0], mu_range=COARSE_MU)
 
 
 def test_optimize_mu_bb84_matches_rate_vs_distance(detector):
