@@ -25,6 +25,7 @@ over the single free parameter b.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +48,9 @@ _EPS_CLAMP = 1e-12
 
 DEFAULT_B_GRID_POINTS = 2000
 
+# Largest x with a finite math.exp(x).
+_MAX_EXP_ARG = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class AttackPoint:
@@ -68,8 +72,9 @@ class AttackPoint:
     i_e: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
+        # p rounds to 1 once 2*eta*mu'*delta exceeds about 37 (deep grey region).
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.b > 1.0 + 1e-12 or self.b < 0.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         if self.a < 1.0 - 1e-12:
@@ -137,16 +142,18 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, flo
 def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
     mu_prime, delta = channel.mu_prime, channel.delta
     x = 2.0 * eta * mu_prime * delta
-    b_lo = max(
-        1.0 - math.log1p(math.exp(x)) / (2.0 * mu),
-        (1.0 - delta) * channel.transmittance,
-        0.0,
-    )
-    log_arg = 1.0 - math.exp(x) * math.expm1(2.0 * (mu - mu_prime * (1.0 + delta)))
-    if log_arg <= 0.0:
-        b_hi = 1.0
+    c = math.expm1(2.0 * (mu - mu_prime * (1.0 + delta)))
+    if x <= _MAX_EXP_ARG:
+        log_lo = math.log1p(math.exp(x))
+        log_arg = 1.0 - math.exp(x) * c
+        log_hi = math.log(log_arg) if log_arg > 0.0 else None
     else:
-        b_hi = min(1.0 - math.log(log_arg) / (2.0 * mu), 1.0)
+        # Deep grey region, where exp(x) overflows: log(1 + e^z) rounds to z
+        # for z this large, and 1 - e^x*c = 1 + e^(x + log(-c)) for c < 0.
+        log_lo = x
+        log_hi = x + math.log(-c) if c < 0.0 else None
+    b_lo = max(1.0 - log_lo / (2.0 * mu), (1.0 - delta) * channel.transmittance, 0.0)
+    b_hi = 1.0 if log_hi is None else min(1.0 - log_hi / (2.0 * mu), 1.0)
     return b_lo, b_hi
 
 
@@ -185,9 +192,9 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
 
     Same formula, clamps and feasibility test, and ``a`` comes from the
     expression :func:`amplification` uses, so a finite value here means
-    ``amplification(b, ...)`` succeeds. The golden-section refinement calls
-    this once per step, where a 1-lane NumPy evaluation costs an order of
-    magnitude more.
+    ``amplification(b, ...)`` succeeds. The Brent refinement calls this
+    once per step, about 19 times per maximization, where a 1-lane NumPy
+    evaluation costs an order of magnitude more.
     """
     q = math.exp(-2.0 * eta * mu_prime * delta)
     p = 1.0 / (1.0 + q)
@@ -281,13 +288,15 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     """Maximize Eve's information over the feasible attenuation interval.
 
     A dense grid locates the best cell (the objective is not proven
-    unimodal), golden-section search refines it, and interval endpoints are
-    always evaluated exactly so endpoint optima are returned untouched.
+    unimodal), Brent's parabolic-golden search refines it to a bracket of
+    at most ``optimize.GOLDEN_TOL``, and interval endpoints are always
+    evaluated exactly so endpoint optima are returned untouched.
     The grid is one vectorized pass; every candidate that can be returned
     (best cell, refined point, endpoints) is scored by the scalar objective,
     whose feasibility test matches :func:`amplification` bit for bit.
     The result is deterministic for a given grid size, which must be at
-    least 2.
+    least 2. With ``keep_trace`` the scan lands in ``scan_trace``, which
+    is empty when the interval is.
     """
     if b_points < 2:
         raise ValueError(f"b_points must be >= 2, got {b_points}")
@@ -295,7 +304,9 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
     b_lo, b_hi = _b_bounds(mu, eta, channel)
 
-    def solution(best: Optional[AttackPoint], trace=None) -> AttackSolution:
+    trace = [] if keep_trace else None
+
+    def solution(best: Optional[AttackPoint]) -> AttackSolution:
         empty = best is None
         if empty:
             best = _beam_splitting_point(setup, detector, delta, mu_prime)
@@ -306,8 +317,6 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
 
     if b_lo >= b_hi:
         return solution(None)
-
-    trace = [] if keep_trace else None
 
     def information_curve(b: np.ndarray) -> np.ndarray:
         values = _information_curve(b, mu, eta, mu_prime, delta)
@@ -324,5 +333,5 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     if not math.isfinite(i_best):
         # No feasible lane, or only lanes NumPy rounded onto the feasible
         # side of the unitarity bound.
-        return solution(None, trace)
-    return solution(_filtering_point(b_best, i_best, mu, eta, mu_prime, delta), trace)
+        return solution(None)
+    return solution(_filtering_point(b_best, i_best, mu, eta, mu_prime, delta))

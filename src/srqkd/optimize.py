@@ -1,4 +1,9 @@
-"""Scalar maximization helpers shared by the attack and sweep modules."""
+"""Scalar maximization shared by the attack and sweep modules.
+
+One grid-then-refine maximizer serves the attack's search over b and every
+mu search: a scan of the caller's grid picks the best cell, and Brent's
+parabolic-golden search refines it.
+"""
 
 from __future__ import annotations
 
@@ -7,44 +12,91 @@ from typing import Callable
 
 import numpy as np
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# The golden-section search stops once its bracket is this narrow (absolute,
-# in x), or after this many steps.
+# Fraction of the larger bracket part that a golden-section step covers.
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+# The search stops once its bracket is this narrow (absolute, in x), or
+# after this many steps.
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
 
 
 def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of f on [a, b].
+    """Brent's parabolic-golden search for the maximum of f on [a, b].
+
+    The maximizing form of Brent's ``localmin`` (Algorithms for Minimization
+    without Derivatives, 1973, ch. 5): each step fits a parabola through the
+    three best points and falls back to a golden-section step whenever that
+    fit is not trusted. It stops once the bracket around the best point is
+    at most GOLDEN_TOL wide, or after GOLDEN_MAX_ITER steps; a bracket that
+    is already that narrow returns its midpoint. The search starts at the
+    midpoint; when f is finite there and -inf (infeasible) on either side
+    of some interval around it, the result is the maximum on that interval.
 
     Assumes f is unimodal on the bracket; on multimodal functions it
     converges to some local maximum, which is why callers first locate the
-    best cell of a dense grid. Returns (x, f(x)).
+    best cell of a dense grid. Returns (x, f(x)) for the best x evaluated.
     """
     if b < a:
         a, b = b, a
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    if b - a <= GOLDEN_TOL:
+        x = (a + b) / 2.0
+        return x, f(x)
+    # No step is shorter than tol, and the search ends once the best point
+    # lies within 2*tol of both bracket ends: a bracket of at most GOLDEN_TOL.
+    tol = GOLDEN_TOL / 4.0
+    # Brent starts at a golden-section point. The middle is the best cell of
+    # an interior grid bracket (on a linear grid), which is feasible, and
+    # from a finite best point an infeasible (-inf) one only cuts the bracket.
+    x = w = v = (a + b) / 2.0
+    fx = fw = fv = f(x)
+    d = e = 0.0
     for _ in range(GOLDEN_MAX_ITER):
-        if b - a <= GOLDEN_TOL:
+        m = (a + b) / 2.0
+        if abs(x - m) <= 2.0 * tol - (b - a) / 2.0:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            # Parabolic step, kept at least 2*tol inside the bracket.
+            d = p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+            e = (b if x < m else a) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def grid_then_golden_max(f_grid: Callable[[np.ndarray], np.ndarray],
                          f_scalar: Callable[[float], float],
                          xs: np.ndarray) -> tuple[float, float]:
-    """Scan of the increasing grid xs, then golden-section refinement of the best cell.
+    """Scan of the increasing grid xs, then a Brent refinement of the best cell.
 
     f_grid evaluates the objective on an array (non-finite values mark
     invalid points); f_scalar evaluates a single point. The search interval

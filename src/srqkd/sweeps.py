@@ -149,6 +149,14 @@ class MinSrpResult:
     criterion: str
 
 
+def _sr_protocol(protocol: Protocol, caller: str) -> Protocol:
+    # Checked before any attack maximization, which only SR protocols need.
+    protocol = Protocol(protocol)
+    if not protocol.uses_reference_pulse:
+        raise ValueError(f"{caller} needs an SR protocol, got {protocol.value}")
+    return protocol
+
+
 def evaluate_sr_point(setup: SetupConfig, detector: DetectorConfig) -> SweepRow:
     """Full evaluation of one SR setup: attack maximization plus rate assembly."""
     solution = maximize_eve_information(setup, detector)
@@ -172,6 +180,7 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
                protocol: Protocol = Protocol.B92_SR,
                pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ) -> list[SweepRow]:
     """Rate grid over (mu, t) at fixed distance; row order is mu-major."""
+    protocol = _sr_protocol(protocol, "sweep_mu_t")
     rows = []
     for mu in grid.mu_values():
         for t_db in grid.t_values():
@@ -196,9 +205,11 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 mu_floor: Optional[float] = None,
                 decoy: Callable[[float], DecoyConfig] = DecoyConfig.from_signal,
                 ) -> MuOptimum:
-    """Maximize r_sec over mu at fixed (t, L): coarse log grid, then golden search.
+    """Maximize r_sec over mu at fixed (t, L): coarse log grid, then Brent refinement.
 
-    Serves every protocol; the BB84 baselines ignore t_db, and decoy maps
+    Each mu is rated once: the best grid cell and both interval edges,
+    which the refinement scores again, come from a memo. Serves every
+    protocol; the BB84 baselines ignore t_db, and decoy maps
     a signal mu to the decoy-BB84 intensities. mu_floor restricts the
     search from below (used to stay out of the grey-monitoring region); a
     floor above the whole range, or an all-zero rate, is reported with
@@ -211,11 +222,15 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
 
+    scores: dict[float, float] = {}
+
     def objective(mu: float) -> float:
-        setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
-                            length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-        decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
-        return secret_rate(setup, detector, decoy=decoy_at).r_sec
+        if mu not in scores:
+            setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
+                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
+            decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
+            scores[mu] = secret_rate(setup, detector, decoy=decoy_at).r_sec
+        return scores[mu]
 
     mu_best, r_best = grid_then_golden_max(
         lambda xs: np.array([objective(float(x)) for x in xs]),
@@ -241,6 +256,7 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
     but the monitor cannot vouch for the reference pulse there, so those
     rows are returned flagged and skipped for the scalar summaries.
     """
+    protocol = _sr_protocol(protocol, "rate_vs_t")
     rows = []
     for t_db in np.asarray(t_grid, dtype=float):
         setup = SetupConfig(protocol=protocol, mu=mu, t_db=float(t_db),
@@ -352,9 +368,7 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         raise ValueError("fixed_mu is required for the fixed policy and only then")
     if fixed_mu is not None and not (math.isfinite(fixed_mu) and fixed_mu > 0.0):
         raise ValueError(f"fixed_mu must be finite and > 0, got {fixed_mu}")
-    protocol = Protocol(protocol)
-    if not protocol.uses_reference_pulse:
-        raise ValueError(f"min_srp_photons needs an SR protocol, got {protocol.value}")
+    protocol = _sr_protocol(protocol, "min_srp_photons")
     if t_grid is None:
         t_grid = GridSpec().t_values()
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -207,6 +208,27 @@ def test_deep_grey_rate_exits_0(capsys):
     assert out.strip().splitlines()[1].endswith(",grey-region;clamped")
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--t-db", "20"],  # p rounds to 1
+    ["attack", "--t-db", "20"],
+    ["rate", "--t-db", "5"],  # exp(2*eta*mu'*delta) overflows
+    ["attack", "--t-db", "5"],
+])
+def test_deep_grey_low_attenuation_exits_0(capsys, argv):
+    code, out, err = _run(argv, capsys)
+    assert code == 0, err
+    assert out.strip().splitlines()[1].endswith(",grey-region;attack-infeasible")
+
+
+@pytest.mark.parametrize("protocol", ["bb84-decoy", "bb84-standard"])
+@pytest.mark.parametrize("command", ["sweep-mu-t", "rate-vs-t"])
+def test_sr_sweep_of_bb84_exits_1(capsys, command, protocol):
+    code, out, err = _run([command, "--protocol", protocol], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"needs an SR protocol, got {protocol}" in err
+
+
 def test_min_srp_without_positive_rate_exits_2(capsys):
     code, _, err = _run(["min-srp", "--p-opt", "0.5"] + FAST_GRID, capsys)
     assert code == 2
@@ -284,6 +306,17 @@ def test_attack_trace_out(capsys, tmp_path):
     trace_lines = trace.read_text().strip().splitlines()
     assert trace_lines[0] == "b,i_e"
     assert len(trace_lines) == 1 + 40
+
+
+@pytest.mark.parametrize("fmt, empty", [("csv", "b,i_e\n"), ("json", "[]\n")])
+def test_attack_trace_out_empty_interval(capsys, tmp_path, fmt, empty):
+    # An empty b-interval has no scan: the trace holds no rows.
+    trace = tmp_path / f"trace.{fmt}"
+    code, out, err = _run(["attack", "--mu", "0.01", "--t-db", "40", "--length-km", "30",
+                           "--format", fmt, "--trace-out", str(trace)], capsys)
+    assert code == 0, err
+    assert "attack-infeasible" in out
+    assert trace.read_text() == empty
 
 
 def test_povm_check_row(capsys):
@@ -369,6 +402,9 @@ _CORPUS_POINTS = (
     ("--mu", "0.509703", "--t-db", "40.9804", "--length-km", "5"),  # deep grey
     ("--mu", "0.01", "--t-db", "40", "--length-km", "30"),  # empty b-interval
 )
+# Deep grey at low SRP attenuation: p rounds to 1 at 20 dB, exp overflows at 5 dB.
+_DEEP_GREY = (("rate", "--t-db", "20"), ("attack", "--t-db", "20"),
+              ("rate", "--t-db", "5"), ("attack", "--t-db", "5"))
 _DECOY_KEYS = ("--nu1-ratio", "0.1", "--p-mu", "0.9")
 _MIN_SRP_GRID = ("--t-lo", "50", "--t-hi", "80", "--t-points", "6", "--mu-points", "21")
 
@@ -379,6 +415,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                 for length in ("0", "10", "37", "80")]
     commands += [(name,) + point for point in _CORPUS_POINTS for name in ("rate", "attack")]
     commands += [("attack", "--b-points", "1"), ("attack", "--b-points", "7")]
+    commands += list(_DEEP_GREY)
     commands += [("optimize-mu", "--protocol", p)
                  for p in ("b92-sr", "bb84-sr", "bb84-standard", "bb84-decoy")]
     commands += [("optimize-mu", "--protocol", "bb84-decoy") + _DECOY_KEYS,
@@ -434,9 +471,40 @@ def test_golden_cli_corpus():
     assert not changed, f"{len(changed)} runs differ from {GOLDEN_CORPUS.name}: {changed}"
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _corpus_change(old: list, new: list) -> str:
+    """How a corpus entry moved: its largest relative numeric shift, or a flag.
+
+    An exit code that differs, or stdout/stderr that differ anywhere but in
+    their numbers, is flagged instead of measured.
+    """
+    if old[0] != new[0]:
+        return f"EXIT CODE {old[0]} -> {new[0]}"
+    shift = 0.0
+    for before, after in zip(old[1:], new[1:]):
+        if _NUMBER.split(before) != _NUMBER.split(after):
+            return "TEXT CHANGED"
+        for x, y in zip(map(float, _NUMBER.findall(before)), map(float, _NUMBER.findall(after))):
+            if x != y:
+                shift = max(shift, abs(x - y) / max(abs(x), abs(y)))
+    return f"max rel shift {shift:.3g}"
+
+
 def write_golden_corpus() -> None:
+    """Rewrite the corpus and print how each entry that changed moved."""
     os.environ.pop("SRQKD_CONFIG", None)
+    old = (json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
+           if GOLDEN_CORPUS.exists() else {})
     corpus = {" ".join(argv): _run_captured(argv) for argv in _corpus_commands()}
+    for key, entry in corpus.items():
+        if key not in old:
+            print(f"{key}: new")
+        elif entry != old[key]:
+            print(f"{key}: {_corpus_change(old[key], entry)}")
+    for key in old.keys() - corpus.keys():
+        print(f"{key}: removed")
     GOLDEN_CORPUS.parent.mkdir(exist_ok=True)
     GOLDEN_CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
 

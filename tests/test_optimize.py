@@ -1,11 +1,56 @@
-"""Golden-section and grid-then-refine maximizers."""
+"""Brent's parabolic-golden search and the grid-then-refine maximizer."""
 
 import math
 
 import numpy as np
 import pytest
 
-from srqkd.optimize import golden_max, grid_then_golden_max
+from srqkd import (
+    DetectorConfig,
+    Protocol,
+    SetupConfig,
+    b_interval,
+    maximize_eve_information,
+    optimize,
+    optimize_mu,
+    sweeps,
+)
+from srqkd.optimize import GOLDEN_MAX_ITER, GOLDEN_TOL, golden_max, grid_then_golden_max
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_max(f, a, b):
+    # Oracle: the plain golden-section loop that Brent's search replaced,
+    # with the same stop rule and the bracket midpoint as its result.
+    if b < a:
+        a, b = b, a
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(GOLDEN_MAX_ITER):
+        if b - a <= GOLDEN_TOL:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    x = (a + b) / 2.0
+    return x, f(x)
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
 
 
 def test_golden_max_quadratic():
@@ -95,3 +140,120 @@ def test_grid_then_golden_skips_invalid_cells():
     x, v = grid_then_golden_max(f_grid, f_scalar, np.linspace(0.0, 1.0, 101))
     assert x == pytest.approx(0.8, abs=5e-8)
     assert v == pytest.approx(0.0, abs=1e-14)
+
+
+def _seeded_attack_setups(n, rng):
+    # The sweep-grid plane: both sides of the grey boundary, L = 0 included.
+    detector = DetectorConfig()
+    out = []
+    while len(out) < n:
+        setup = SetupConfig(protocol=Protocol.B92_SR, mu=10.0 ** rng.uniform(-2.0, 0.0),
+                            t_db=rng.uniform(40.0, 90.0),
+                            length_km=float(rng.choice([0.0, 5.0, 10.0, 25.0, 30.0])),
+                            pulse_rate_hz=5e6)
+        b_lo, b_hi = b_interval(setup, detector)
+        if b_lo < b_hi:
+            out.append(setup)
+    return out
+
+
+def test_brent_matches_golden_section_on_attack(monkeypatch):
+    # At L = 0 and t above about 72 dB, I_E (1e-8 to 1e-6 bits) loses up to
+    # 1e-7 of its value to cancellation; there both searches land on
+    # rounding noise of up to about 3e-15 bits, which the absolute floor covers.
+    detector = DetectorConfig()
+    setups = _seeded_attack_setups(200, np.random.default_rng(8))
+    brent = [maximize_eve_information(s, detector).best for s in setups]
+    monkeypatch.setattr(optimize, "golden_max", _golden_section_max)
+    for setup, new in zip(setups, brent):
+        old = maximize_eve_information(setup, detector).best
+        assert new.i_e == pytest.approx(old.i_e, rel=1e-10, abs=4e-15), setup
+        if old.i_e < 1.0:  # I_E clamped at 1 is a plateau, every b on it a maximizer
+            assert new.b == pytest.approx(old.b, rel=2e-6, abs=0.0), setup
+
+
+@pytest.mark.parametrize("protocol", [Protocol.B92_SR, Protocol.BB84_SR, Protocol.BB84_DECOY])
+def test_brent_matches_golden_section_on_mu(monkeypatch, protocol):
+    detector = DetectorConfig()
+    rng = np.random.default_rng(9)
+    points = [(float(rng.choice([0.0, 10.0, 25.0, 40.0])), rng.uniform(55.0, 85.0))
+              for _ in range(3)]
+    mu_range = (0.01, 1.0, 21, "log")
+    brent = [optimize_mu(l, t, detector, protocol=protocol, mu_range=mu_range)
+             for l, t in points]
+    monkeypatch.setattr(optimize, "golden_max", _golden_section_max)
+    for (l, t), new in zip(points, brent):
+        old = optimize_mu(l, t, detector, protocol=protocol, mu_range=mu_range)
+        assert new.found and old.found
+        assert new.r_sec_hz == pytest.approx(old.r_sec_hz, rel=1e-10, abs=0.0), (l, t)
+        assert new.mu_opt == pytest.approx(old.mu_opt, rel=2e-6, abs=0.0), (l, t)
+
+
+def test_brent_evaluation_budget():
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    x, _ = golden_max(f, 0.0, 1.0)
+    assert x == pytest.approx(0.3, abs=5e-8)
+    assert len(calls) <= 15
+    # The golden-section oracle needs more than three times as many.
+    f_old, calls_old = _counted(lambda x: -(x - 0.3) ** 2)
+    _golden_section_max(f_old, 0.0, 1.0)
+    assert len(calls_old) > 3 * 15
+
+
+def test_brent_final_bracket_within_tolerance():
+    # Every point tried after the best one brackets it: the last evaluations
+    # on both sides of x lie at most GOLDEN_TOL apart.
+    f, calls = _counted(lambda x: -(x - 0.41) ** 2 + 0.1 * (x - 0.41) ** 3)
+    x, v = golden_max(f, 0.2, 0.9)
+    assert v == f(x)
+    left = max(c for c in calls if c < x)
+    right = min(c for c in calls if c > x)
+    assert right - left <= GOLDEN_TOL
+
+
+def test_brent_degenerate_bracket_returns_midpoint():
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    a, b = 0.75, 0.75 + 0.5 * GOLDEN_TOL
+    x, v = golden_max(f, a, b)
+    assert calls == [x]
+    assert x == (a + b) / 2.0
+    assert v == f(x)
+    assert golden_max(f, b, a) == (x, v)
+
+
+@pytest.mark.parametrize("feasible, peak", [
+    ((0.45, 1.0), 0.8),
+    ((0.0, 0.55), 0.52),
+    ((0.49, 0.51), 0.5),       # -inf at every golden-section point of the bracket
+    ((0.499, 0.8), 0.499),     # the peak on the feasibility edge
+    ((0.0, 0.5000001), 0.5),   # the peak 1e-7 inside the feasible part
+])
+def test_brent_partly_infeasible_bracket(feasible, peak):
+    # As in a grid refinement, the bracket's middle is feasible.
+    def f(x):
+        if not feasible[0] <= x <= feasible[1]:
+            return -math.inf
+        return -(x - peak) ** 2
+
+    x, v = golden_max(f, 0.0, 1.0)
+    assert math.isfinite(v)
+    assert v == f(x)
+    assert x == pytest.approx(peak, abs=1e-6)
+
+
+def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
+    scored = []
+    secret_rate = sweeps.secret_rate
+
+    def recording(setup, detector, decoy=None):
+        scored.append(setup.mu)
+        return secret_rate(setup, detector, decoy=decoy)
+
+    monkeypatch.setattr(sweeps, "secret_rate", recording)
+    for protocol in (Protocol.B92_SR, Protocol.BB84_DECOY):
+        scored.clear()
+        opt = optimize_mu(10.0, 65.0, detector, protocol=protocol,
+                          mu_range=(0.01, 1.0, 21, "log"))
+        assert opt.found
+        assert len(scored) == len(set(scored)) > 21
+        assert opt.mu_opt in scored

@@ -270,6 +270,24 @@ def test_min_srp_validation(detector):
                             protocol=Protocol.BB84_DECOY)
 
 
+@pytest.mark.parametrize("protocol", [Protocol.BB84_DECOY, Protocol.BB84_STANDARD])
+def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol):
+    calls = []
+    maximize = sweeps.maximize_eve_information
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
+    grid = GridSpec(mu_range=(0.1, 0.5, 2, "log"), t_range_db=(60.0, 70.0, 2))
+    with pytest.raises(ValueError, match=f"sweep_mu_t needs an SR protocol, got {protocol.value}"):
+        sweep_mu_t(10.0, grid, detector, protocol=protocol)
+    with pytest.raises(ValueError, match=f"rate_vs_t needs an SR protocol, got {protocol.value}"):
+        rate_vs_t(10.0, 0.3, [60.0, 70.0], detector, protocol=protocol)
+    assert calls == []
+
+
 def test_min_srp_no_positive_rate():
     bad = DetectorConfig(p_opt=0.5)
     with pytest.raises(RuntimeError, match="no positive secret rate"):
