@@ -48,7 +48,7 @@ _EPS_CLAMP = 1e-12
 
 DEFAULT_B_GRID_POINTS = 2000
 
-# Largest x with a finite math.exp(x).
+# Largest x with a finite math.exp(x) and math.expm1(x).
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
@@ -103,10 +103,15 @@ def success_probability(eta: float, mu_prime: float, delta: float) -> float:
     return 1.0 / (1.0 + math.exp(-2.0 * eta * mu_prime * delta))
 
 
+def _expm1(x: float) -> float:
+    """math.expm1, with +inf where it would overflow."""
+    return math.expm1(x) if x <= _MAX_EXP_ARG else math.inf
+
+
 def amplification(b: float, mu: float, eta: float, mu_prime: float, delta: float) -> float:
     """Amplification coefficient a solving the unitarity constraint for given b."""
-    log_arg = 1.0 - math.exp(-2.0 * eta * mu_prime * delta) * math.expm1(2.0 * mu * (1.0 - b))
-    if log_arg <= 0.0:
+    log_arg = 1.0 - math.exp(-2.0 * eta * mu_prime * delta) * _expm1(2.0 * mu * (1.0 - b))
+    if not log_arg > 0.0:
         raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
     return 1.0 - math.log(log_arg) / (2.0 * mu)
 
@@ -142,7 +147,7 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, flo
 def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
     mu_prime, delta = channel.mu_prime, channel.delta
     x = 2.0 * eta * mu_prime * delta
-    c = math.expm1(2.0 * (mu - mu_prime * (1.0 + delta)))
+    c = _expm1(2.0 * (mu - mu_prime * (1.0 + delta)))
     if x <= _MAX_EXP_ARG:
         log_lo = math.log1p(math.exp(x))
         log_arg = 1.0 - math.exp(x) * c
@@ -163,6 +168,7 @@ def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float) 
     q = math.exp(-2.0 * eta * mu_prime * delta)
     p = 1.0 / (1.0 + q)
 
+    # np.expm1 is +inf past _MAX_EXP_ARG, as _expm1 is: an infeasible b.
     log_arg = 1.0 - q * np.expm1(2.0 * mu * (1.0 - b))
     valid = log_arg > 0.0
     a = np.where(valid, 1.0 - np.log(np.where(valid, log_arg, 1.0)) / (2.0 * mu), np.nan)
@@ -199,7 +205,12 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
     q = math.exp(-2.0 * eta * mu_prime * delta)
     p = 1.0 / (1.0 + q)
 
-    log_arg = 1.0 - q * math.expm1(2.0 * mu * (1.0 - b))
+    try:
+        log_arg = 1.0 - q * math.expm1(2.0 * mu * (1.0 - b))
+    except OverflowError:
+        # _expm1 would give +inf: an infeasible b. Inline, to spare the hot
+        # path a call.
+        return -math.inf
     if not log_arg > 0.0:
         return -math.inf
     a = 1.0 - math.log(log_arg) / (2.0 * mu)

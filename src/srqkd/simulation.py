@@ -1,4 +1,4 @@
-"""Pulse-level Monte-Carlo oracle for the SR detection model.
+"""Monte-Carlo oracle for the SR detection model.
 
 Samples the same stochastic model the closed-form QBER and acceptance-rate
 expressions average over: a conclusive signal click with probability
@@ -8,10 +8,13 @@ cross-check those closed forms and the rate-preservation property of the
 soft-filtering attack by sampling, so it deliberately shares no code with
 them beyond the channel attenuation.
 
-Pulses are processed in fixed-size blocks, each with its own child stream
-spawned from the master seed; counts are merged in block order, so results
-are bit-reproducible for a given (seed, config) regardless of how the
-blocks would be scheduled.
+The four events of a pulse are independent Bernoulli draws, so the counts
+of n pulses over their 16 joint patterns are one multinomial draw, and a
+run costs about the same whatever n is. One seeded stream makes every
+draw in a fixed order: the soft-filter branch split (binomial), one
+multinomial per branch, and last the random-bit coin of the double clicks
+(binomial), so both double-click policies share every earlier draw at the
+same seed and results are bit-reproducible for a given (seed, config).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -26,7 +30,8 @@ import numpy as np
 from .attack import AttackPoint
 from .physics import DetectorConfig, SetupConfig, derive_channel
 
-BLOCK_SIZE = 1_000_000
+# NumPy's binomial and multinomial take the pulse count as an int64.
+_MAX_PULSES = 2**63 - 1
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -50,8 +55,8 @@ class SimConfig:
     double_click: DoubleClickPolicy = DoubleClickPolicy.DISCARD
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        if not 1 <= self.n_pulses <= _MAX_PULSES:
+            raise ValueError(f"n_pulses must be in [1, {_MAX_PULSES}], got {self.n_pulses}")
         object.__setattr__(self, "attack", AttackKind(self.attack))
         object.__setattr__(self, "double_click", DoubleClickPolicy(self.double_click))
         if (self.attack is AttackKind.SOFT_FILTER) != (self.attack_point is not None):
@@ -85,60 +90,64 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _sample_block(rng: np.random.Generator, n: int, eta: float, mu_prime: float,
-                  detector: DetectorConfig, config: SimConfig) -> tuple[int, int]:
-    """Sample one block of pulses; returns (conclusive, errors)."""
-    if config.attack is AttackKind.SOFT_FILTER:
-        point = config.attack_point
-        success = rng.random(n) < point.p
-        intensity = np.where(success, point.beta_s_sq, point.beta_f_sq)
-    else:
-        # Beam splitting forwards exactly mu' as well; Bob sees no difference.
-        intensity = np.full(n, mu_prime)
-    p_click = -np.expm1(-2.0 * eta * np.clip(intensity, 0.0, None))
+# A pulse's four independent events, in the bit order of a pattern number
+# 0..15: signal click, optical error, dark count on the correct detector,
+# dark count on the wrong one. The tables are built without NumPy, so
+# importing the module runs none of its kernels.
+_EVENTS = [tuple(bool(pattern >> k & 1) for k in range(4)) for pattern in range(16)]
 
-    sig = rng.random(n) < p_click
-    sig_wrong = sig & (rng.random(n) < detector.p_opt)
-    dark_correct = rng.random(n) < detector.p_dc
-    dark_wrong = rng.random(n) < detector.p_dc
 
-    click_correct = (sig & ~sig_wrong) | dark_correct
+def _outcome(sig: bool, wrong: bool, dark_correct: bool,
+             dark_wrong: bool) -> tuple[bool, bool, bool]:
+    """(single click, single click on the wrong detector, double click)."""
+    sig_wrong = sig & wrong
+    click_correct = (sig & (not sig_wrong)) | dark_correct
     click_wrong = sig_wrong | dark_wrong
-    double = click_correct & click_wrong
     single = click_correct ^ click_wrong
+    return single, single & click_wrong, click_correct & click_wrong
 
-    conclusive = single.copy()
-    errors = single & click_wrong
-    if config.double_click is DoubleClickPolicy.RANDOM_BIT:
-        conclusive |= double
-        errors |= double & (rng.random(n) < 0.5)
-    return int(np.count_nonzero(conclusive)), int(np.count_nonzero(errors))
+
+# For each of the three outcomes, which patterns produce it.
+_OUTCOMES = tuple(zip(*(_outcome(*events) for events in _EVENTS)))
+
+
+def _sample_branch(rng: np.random.Generator, n: int, intensity: float,
+                   detector: DetectorConfig) -> tuple[int, ...]:
+    """Sample n pulses at one intensity; returns (singles, single errors, doubles)."""
+    p_click = -math.expm1(-2.0 * detector.eta * max(intensity, 0.0))
+    p_events = (p_click, detector.p_opt, detector.p_dc, detector.p_dc)
+    probabilities = [math.prod(p if hit else 1.0 - p for hit, p in zip(events, p_events))
+                     for events in _EVENTS]
+    counts = rng.multinomial(n, probabilities).tolist()
+    return tuple(sum(compress(counts, outcome)) for outcome in _OUTCOMES)
 
 
 def simulate(setup: SetupConfig, detector: DetectorConfig, config: SimConfig) -> SimResult:
     """Run the Monte-Carlo model and aggregate counts with Wilson intervals."""
     channel = derive_channel(setup, detector)
-    n_blocks = -(-config.n_pulses // BLOCK_SIZE)
-    streams = np.random.SeedSequence(config.seed).spawn(n_blocks)
+    rng = np.random.default_rng(config.seed)
+    n = config.n_pulses
+    if config.attack is AttackKind.SOFT_FILTER:
+        point = config.attack_point
+        n_success = int(rng.binomial(n, point.p))
+        branches = ((n_success, point.beta_s_sq), (n - n_success, point.beta_f_sq))
+    else:
+        # Beam splitting forwards exactly mu' as well; Bob sees no difference.
+        branches = ((n, channel.mu_prime),)
 
-    conclusive = 0
-    errors = 0
-    remaining = config.n_pulses
-    for child in streams:
-        n = min(BLOCK_SIZE, remaining)
-        c, e = _sample_block(np.random.default_rng(child), n, detector.eta,
-                             channel.mu_prime, detector, config)
-        conclusive += c
-        errors += e
-        remaining -= n
+    conclusive, errors, doubles = map(sum, zip(
+        *(_sample_branch(rng, size, intensity, detector) for size, intensity in branches)))
+    if config.double_click is DoubleClickPolicy.RANDOM_BIT:
+        conclusive += doubles
+        errors += int(rng.binomial(doubles, 0.5))
 
     qber_hat = errors / conclusive if conclusive else 0.0
     return SimResult(
-        n_pulses=config.n_pulses,
+        n_pulses=n,
         conclusive_count=conclusive,
         error_count=errors,
         qber_hat=qber_hat,
-        rate_hat=conclusive / config.n_pulses,
+        rate_hat=conclusive / n,
         qber_ci=wilson_interval(errors, conclusive),
-        rate_ci=wilson_interval(conclusive, config.n_pulses),
+        rate_ci=wilson_interval(conclusive, n),
     )

@@ -1,6 +1,7 @@
 """Soft-filtering attack: constraint identities, feasible interval, maximizer."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from srqkd import (
     success_probability,
     unitarity_residual,
 )
-from srqkd.attack import _information, _information_curve
+from srqkd.attack import _expm1, _information, _information_curve
 
 # Frozen at the reference setup (mu=0.3, t=65dB, L=10km, default detector)
 # against a from-scratch evaluation of the filtering formulas.
@@ -83,6 +84,45 @@ def test_amplification_infeasible_raises():
     # Deep attenuation at high delta pushes the unitarity log argument <= 0.
     with pytest.raises(ValueError, match="infeasible"):
         amplification(0.0, 2.0, 0.9, 1.9, 0.45)
+
+
+# Largest argument with a finite math.expm1, and the next float up.
+_LAST_FINITE = math.log(sys.float_info.max)
+_FIRST_OVERFLOW = math.nextafter(_LAST_FINITE, math.inf)
+
+
+def test_expm1_overflow_reads_as_inf():
+    assert _expm1(_LAST_FINITE) == math.expm1(_LAST_FINITE) < math.inf
+    with pytest.raises(OverflowError):
+        math.expm1(_FIRST_OVERFLOW)
+    assert _expm1(_FIRST_OVERFLOW) == math.inf
+
+
+def test_large_attenuation_argument_is_infeasible():
+    # 2*mu*(1 - b) = 800 at b = 0: the unitarity log argument is -inf, so b is
+    # infeasible, where math.expm1 used to raise OverflowError.
+    args = (400.0, 0.2, 0.63, 1e-5)
+    assert _information(0.0, *args) == -math.inf
+    with pytest.raises(ValueError, match="infeasible"):
+        amplification(0.0, *args)
+    with np.errstate(over="ignore"):
+        curve = _information_curve(np.array([0.0, 1.0]), *args)
+    assert curve[0] == -math.inf
+    assert curve[1] == _information(1.0, *args)
+
+
+@pytest.mark.parametrize("mu", [1000.0, 1e300])
+def test_large_signal_intensity(detector, mu):
+    # 2*(mu - mu'(1 + delta)) passes the largest finite expm1 argument: the
+    # upper bound of the b-interval is the unitarity limit b_max = 1.
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=65.0, length_km=10.0,
+                        pulse_rate_hz=5e6)
+    assert b_interval(setup, detector)[1] == 1.0
+    sol = maximize_eve_information(setup, detector)
+    assert sol.b_max == 1.0
+    assert sol.b_min <= sol.best.b <= sol.b_max
+    assert 0.0 <= sol.best.i_e <= 1.0
+    assert sol.interval_empty == (mu == 1e300)
 
 
 def test_constraint_identities_random_points():

@@ -62,6 +62,13 @@ def test_rate_bb84_has_no_monitor_delta(capsys, tmp_path):
     assert payload[0]["r_sec_hz"] > 0.0
 
 
+def test_simulate_rejects_more_pulses_than_int64(capsys, address_space_cap):
+    code, out, err = _run(["simulate", "--n-pulses", "99999999999999999999"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "n_pulses must be in [1, 9223372036854775807]" in err
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     args = ["simulate", "--n-pulses", "200000", "--seed", "31415"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -218,6 +225,16 @@ def test_deep_grey_low_attenuation_exits_0(capsys, argv):
     code, out, err = _run(argv, capsys)
     assert code == 0, err
     assert out.strip().splitlines()[1].endswith(",grey-region;attack-infeasible")
+
+
+@pytest.mark.parametrize("command", ["rate", "attack"])
+def test_large_signal_intensity_exits_0(capsys, command):
+    # math.expm1 in the b-interval overflowed here ("math range error", exit 2).
+    code, out, err = _run([command, "--mu", "1000"], capsys)
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 2
+    code, _, err = _run([command, "--mu", "1e300"], capsys)
+    assert code in (0, 1), err
 
 
 @pytest.mark.parametrize("protocol", ["bb84-decoy", "bb84-standard"])
@@ -428,6 +445,10 @@ def _corpus_commands() -> list[tuple[str, ...]]:
         ("sweep-mu-t", "--mu-points", "9", "--t-points", "9"),
         ("simulate", "--attack", "soft-filter", "--n-pulses", "100000"),
         ("simulate", "--attack", "beam-split", "--n-pulses", "100000"),
+        ("simulate", "--attack", "none", "--n-pulses", "100000"),
+        ("simulate", "--double-click", "random-bit", "--n-pulses", "100000"),
+        ("simulate", "--n-pulses", "1000000000000"),
+        ("simulate", "--n-pulses", "99999999999999999999"),
         ("povm-check",),
         ("train-capacity", "--storage-km", "10"),
         ("min-srp", "--p-opt", "0.5") + _MIN_SRP_GRID,
@@ -436,6 +457,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                  for criterion in ("positive-rate", "0.99-of-max")
                  for policy in ((), ("--mu-policy", "fixed", "--fixed-mu", "0.3"))]
     commands += [("min-srp", "--mu-policy", "fixed", "--fixed-mu", "-1")]
+    commands += [(name, "--mu", mu) for mu in ("1000", "1e300") for name in ("rate", "attack")]
     commands += [("rate-vs-distance", "--protocols", ","),
                  ("rate-vs-distance", "--protocols", "b92-sr,b92-sr", "--l-points", "2",
                   "--mu-points", "5")]
@@ -463,7 +485,7 @@ def _run_captured(argv) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
-def test_golden_cli_corpus():
+def test_golden_cli_corpus(address_space_cap):
     corpus = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
     keys = [" ".join(argv) for argv in _corpus_commands()]
     assert sorted(corpus) == sorted(keys)
