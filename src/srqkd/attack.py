@@ -47,6 +47,8 @@ from .physics import (
 _EPS_CLAMP = 1e-12
 
 DEFAULT_B_GRID_POINTS = 2000
+# Largest b-grid: its vectorized pass takes about 106 bytes per point.
+MAX_B_GRID_POINTS = 10**6
 
 # Largest x with a finite math.exp(x) and math.expm1(x).
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -198,9 +200,9 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
 
     Same formula, clamps and feasibility test, and ``a`` comes from the
     expression :func:`amplification` uses, so a finite value here means
-    ``amplification(b, ...)`` succeeds. The Brent refinement calls this
-    once per step, about 19 times per maximization, where a 1-lane NumPy
-    evaluation costs an order of magnitude more.
+    ``amplification(b, ...)`` succeeds. It scores every single b: each
+    Brent step, every candidate the maximizer can return, and
+    :func:`attack_point`, which so reproduces the maximizer's optimum.
     """
     q = math.exp(-2.0 * eta * mu_prime * delta)
     p = 1.0 / (1.0 + q)
@@ -248,7 +250,7 @@ def _checked_information(b: float, mu: float, eta: float, channel: ChannelDerive
     b_lo, b_hi = _b_bounds(mu, eta, channel)
     if not b_lo - 1e-12 <= b <= b_hi + 1e-12:
         raise ValueError(f"b={b} outside feasible interval [{b_lo}, {b_hi}]")
-    value = float(_information_curve(b, mu, eta, channel.mu_prime, channel.delta)[0])
+    value = _information(b, mu, eta, channel.mu_prime, channel.delta)
     if not math.isfinite(value):
         raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
     return value
@@ -305,12 +307,14 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     The grid is one vectorized pass; every candidate that can be returned
     (best cell, refined point, endpoints) is scored by the scalar objective,
     whose feasibility test matches :func:`amplification` bit for bit.
-    The result is deterministic for a given grid size, which must be at
-    least 2. With ``keep_trace`` the scan lands in ``scan_trace``, which
-    is empty when the interval is.
+    The result is deterministic for a given grid size, which must lie in
+    [2, MAX_B_GRID_POINTS]. With ``keep_trace`` the scan lands in
+    ``scan_trace``, which is empty when the interval is.
     """
     if b_points < 2:
         raise ValueError(f"b_points must be >= 2, got {b_points}")
+    if b_points > MAX_B_GRID_POINTS:
+        raise ValueError(f"b_points must be <= {MAX_B_GRID_POINTS}, got {b_points}")
     channel = derive_channel(setup, detector)
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
     b_lo, b_hi = _b_bounds(mu, eta, channel)

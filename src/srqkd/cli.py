@@ -2,15 +2,16 @@
 
 Configuration is a flat ``key = value`` file (``#`` starts a comment) whose
 keys match the RunConfig fields below; command-line flags override file
-values, which override built-in defaults that mirror the reference setup
-(eta=0.2, p_dc=2e-5, p_opt=0.02, NEP=25 pW/sqrt(Hz), tau=5 ns,
-lambda=1550 nm, f_ec=1.2, t=65 dB, f=5 MHz). The SRQKD_CONFIG environment
+values, which override the library's defaults (DetectorConfig, GridSpec,
+the sweeps' pulse rate and attenuation). The SRQKD_CONFIG environment
 variable names a default config file.
 
-Datasets are written as CSV (default; lowercase-e scientific notation) or
-JSON (an array of row objects with the same field names). Output for a
-given config and seed is byte-identical between runs. Exit codes: 0 on
-success, 1 on validation errors, 2 on numerical failure.
+Each row is the record the library returns (SweepRow, MuOptimum,
+DistancePoint, MinSrpResult; the attack row spreads AttackPoint), written
+as CSV (default; lowercase-e scientific notation) or JSON (an array of row
+objects with the same field names). Output for a given config and seed is
+byte-identical between runs. Exit codes: 0 on success, 1 on validation
+errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -31,23 +32,25 @@ from .physics import DetectorConfig, Protocol, SetupConfig
 from .rates import DecoyConfig, bb84_secret_rate
 from .simulation import AttackKind, DoubleClickPolicy, SimConfig, simulate
 from .sweeps import (
-    FLAG_CLAMPED,
-    FLAG_GREY,
-    FLAG_INFEASIBLE,
+    DEFAULT_FIBER_INDEX,
+    DEFAULT_PULSE_RATE_HZ,
+    DEFAULT_T_DB,
     GridSpec,
     evaluate_sr_point,
     min_srp_photons,
     optimize_mu,
+    rate_row,
     rate_vs_distance,
     rate_vs_t,
+    row_flags,
     sweep_mu_t,
     train_capacity,
 )
 
 CONFIG_ENV_VAR = "SRQKD_CONFIG"
 
-SWEEP_FIELDS = ("mu", "t_db", "length_km", "delta", "qber", "i_e",
-                "r_sec_per_pulse", "r_sec_hz", "flags")
+_DETECTOR = DetectorConfig()
+_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
@@ -57,32 +60,32 @@ class RunConfig:
     # protocol / setup
     protocol: str = "b92-sr"
     mu: float = 0.3
-    t_db: float = 65.0
+    t_db: float = DEFAULT_T_DB
     length_km: float = 10.0
-    pulse_rate_hz: float = 5e6
+    pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ
     # detector
-    eta: float = 0.2
-    p_dc: float = 2e-5
-    p_opt: float = 0.02
-    nep: float = 25e-12
-    tau_s: float = 5e-9
-    lambda_m: float = 1550e-9
-    f_ec: float = 1.2
+    eta: float = _DETECTOR.eta
+    p_dc: float = _DETECTOR.p_dc
+    p_opt: float = _DETECTOR.p_opt
+    nep: float = _DETECTOR.nep
+    tau_s: float = _DETECTOR.tau_s
+    lambda_m: float = _DETECTOR.lambda_m
+    f_ec: float = _DETECTOR.f_ec
     # decoy-state baseline
     nu1_ratio: float = 0.25
     nu2_ratio: float = 0.01
     p_mu: float = 0.5
     # sweep grids
-    mu_lo: float = 0.01
-    mu_hi: float = 1.0
-    mu_points: int = 81
-    mu_scale: str = "log"
-    t_lo: float = 40.0
-    t_hi: float = 90.0
-    t_points: int = 101
-    l_lo: float = 0.0
-    l_hi: float = 120.0
-    l_points: int = 61
+    mu_lo: float = _GRID.mu_range[0]
+    mu_hi: float = _GRID.mu_range[1]
+    mu_points: int = _GRID.mu_range[2]
+    mu_scale: str = _GRID.mu_range[3]
+    t_lo: float = _GRID.t_range_db[0]
+    t_hi: float = _GRID.t_range_db[1]
+    t_points: int = _GRID.t_range_db[2]
+    l_lo: float = _GRID.l_range_km[0]
+    l_hi: float = _GRID.l_range_km[1]
+    l_points: int = _GRID.l_range_km[2]
     # simulation
     n_pulses: int = 1_000_000
     seed: int = 12345
@@ -120,9 +123,7 @@ class RunConfig:
         self.grid()
         self.decoy(self.mu)
         AttackKind(self.attack)
-        DoubleClickPolicy(self.double_click)
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        SimConfig(n_pulses=self.n_pulses, seed=self.seed, double_click=self.double_click)
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         return self
@@ -216,105 +217,78 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _sweep_row_dict(row) -> dict:
-    return {name: getattr(row, name) for name in SWEEP_FIELDS}
+def _record(obj) -> dict:
+    """A dataclass's fields, in declaration order: the columns of its row."""
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its rows, whose keys are the columns
 
-def _cmd_rate(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_rate(config: RunConfig, args) -> list[dict]:
     setup, detector = config.setup(), config.detector()
     if setup.protocol.uses_reference_pulse:
-        return [_sweep_row_dict(evaluate_sr_point(setup, detector))], SWEEP_FIELDS
+        return [_record(evaluate_sr_point(setup, detector))]
     decoy = config.decoy(setup.mu) if setup.protocol is Protocol.BB84_DECOY else None
-    breakdown = bb84_secret_rate(setup, detector, decoy=decoy)
-    row = {
-        "mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
-        "delta": math.nan, "qber": breakdown.qber, "i_e": breakdown.i_e,
-        "r_sec_per_pulse": breakdown.per_pulse, "r_sec_hz": breakdown.r_sec,
-        "flags": (FLAG_CLAMPED,) if breakdown.r_sec_unclamped < 0 else (),
-    }
-    return [row], SWEEP_FIELDS
+    return [_record(rate_row(setup, bb84_secret_rate(setup, detector, decoy=decoy)))]
 
 
-def _cmd_attack(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_attack(config: RunConfig, args) -> list[dict]:
     setup, detector = config.setup(), config.detector()
     solution = maximize_eve_information(setup, detector, b_points=args.b_points,
                                         keep_trace=args.trace_out is not None)
     if args.trace_out is not None:
         trace_rows = [{"b": b, "i_e": v} for b, v in solution.scan_trace]
         Path(args.trace_out).write_text(render_rows(trace_rows, ("b", "i_e"), config.format))
-    flags = []
-    if solution.monitoring_unacceptable:
-        flags.append(FLAG_GREY)
-    if solution.interval_empty:
-        flags.append(FLAG_INFEASIBLE)
-    best = solution.best
-    row = {
-        "mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
-        "delta": solution.delta, "b_min": solution.b_min, "b_max": solution.b_max,
-        "b": best.b, "p": best.p, "a": best.a,
-        "beta_s_sq": best.beta_s_sq, "beta_f_sq": best.beta_f_sq,
-        "eps_s_sq": best.eps_s_sq, "eps_f_sq": best.eps_f_sq,
-        "i_e": best.i_e, "flags": tuple(flags),
-    }
-    return [row], tuple(row)
+    return [{"mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
+             "delta": solution.delta, "b_min": solution.b_min, "b_max": solution.b_max,
+             **_record(solution.best), "flags": row_flags(solution, clamped=False)}]
 
 
-def _cmd_sweep_mu_t(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_sweep_mu_t(config: RunConfig, args) -> list[dict]:
     rows = sweep_mu_t(config.length_km, config.grid(), config.detector(),
                       protocol=Protocol(config.protocol),
                       pulse_rate_hz=config.pulse_rate_hz)
-    return [_sweep_row_dict(r) for r in rows], SWEEP_FIELDS
+    return [_record(r) for r in rows]
 
 
-def _cmd_optimize_mu(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
-    opt = optimize_mu(config.length_km, config.t_db, config.detector(),
-                      protocol=Protocol(config.protocol),
-                      pulse_rate_hz=config.pulse_rate_hz,
-                      mu_range=config.grid().mu_range, decoy=config.decoy)
-    row = {"length_km": opt.length_km, "t_db": opt.t_db, "mu_opt": opt.mu_opt,
-           "r_sec_hz": opt.r_sec_hz, "per_pulse": opt.per_pulse, "found": opt.found}
-    return [row], tuple(row)
+def _cmd_optimize_mu(config: RunConfig, args) -> list[dict]:
+    return [_record(optimize_mu(config.length_km, config.t_db, config.detector(),
+                                protocol=Protocol(config.protocol),
+                                pulse_rate_hz=config.pulse_rate_hz,
+                                mu_range=config.grid().mu_range, decoy=config.decoy))]
 
 
-def _cmd_rate_vs_t(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_rate_vs_t(config: RunConfig, args) -> list[dict]:
     curve = rate_vs_t(config.length_km, config.mu, config.grid().t_values(),
                       config.detector(), protocol=Protocol(config.protocol),
                       pulse_rate_hz=config.pulse_rate_hz)
     print(f"t_sat_db = {curve.t_sat_db}  onset_t_db = {curve.onset_t_db}"
           f"  onset_nu = {curve.onset_nu}", file=sys.stderr)
-    return [_sweep_row_dict(r) for r in curve.rows], SWEEP_FIELDS
+    return [_record(r) for r in curve.rows]
 
 
-def _cmd_rate_vs_distance(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
     protocols = [Protocol(p.strip()) for p in args.protocols.split(",") if p.strip()]
     comparison = rate_vs_distance(protocols, config.detector(),
                                   config.grid().l_values(), t_db=config.t_db,
                                   pulse_rate_hz=config.pulse_rate_hz,
                                   mu_range=config.grid().mu_range, decoy=config.decoy)
     print(f"crossover_km = {comparison.crossover_km}", file=sys.stderr)
-    fields = ("protocol", "length_km", "mu", "r_sec_hz", "per_pulse")
-    return [{k: getattr(r, k) for k in fields} for r in comparison.rows], fields
+    return [_record(r) for r in comparison.rows]
 
 
-def _cmd_min_srp(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
-    result = min_srp_photons(config.length_km, config.detector(),
-                             t_grid=config.grid().t_values(),
-                             mu_policy=args.mu_policy, fixed_mu=args.fixed_mu,
-                             criterion=args.criterion,
-                             protocol=Protocol(config.protocol),
-                             pulse_rate_hz=config.pulse_rate_hz,
-                             mu_range=config.grid().mu_range)
-    row = {"length_km": config.length_km, "criterion": result.criterion,
-           "mu_policy": args.mu_policy, "nu_threshold": result.nu_threshold,
-           "mu_at": result.mu_at, "t_db_at": result.t_db_at,
-           "r_sec_hz": result.r_sec_hz}
-    return [row], tuple(row)
+def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
+    return [_record(min_srp_photons(config.length_km, config.detector(),
+                                    t_grid=config.grid().t_values(),
+                                    mu_policy=args.mu_policy, fixed_mu=args.fixed_mu,
+                                    criterion=args.criterion,
+                                    protocol=Protocol(config.protocol),
+                                    pulse_rate_hz=config.pulse_rate_hz,
+                                    mu_range=config.grid().mu_range))]
 
 
-def _cmd_simulate(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_simulate(config: RunConfig, args) -> list[dict]:
     setup, detector = config.setup(), config.detector()
     kind = AttackKind(config.attack)
     point = None
@@ -331,10 +305,10 @@ def _cmd_simulate(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
         "qber_ci_lo": result.qber_ci[0], "qber_ci_hi": result.qber_ci[1],
         "rate_ci_lo": result.rate_ci[0], "rate_ci_hi": result.rate_ci[1],
     }
-    return [row], tuple(row)
+    return [row]
 
 
-def _cmd_povm_check(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
     mu = config.mu
     povm = build_povm(math.exp(-2.0 * mu))
     psi0, psi1 = span_states(math.exp(-2.0 * mu))
@@ -350,15 +324,14 @@ def _cmd_povm_check(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]
         "fock_p_ok_0": fock["ok"], "fock_p_cross_0": fock["cross"],
         "fock_p_inc_0": fock["inc"],
     }
-    return [row], tuple(row)
+    return [row]
 
 
-def _cmd_train_capacity(config: RunConfig, args) -> tuple[list[dict], Sequence[str]]:
+def _cmd_train_capacity(config: RunConfig, args) -> list[dict]:
     rate_hz = args.rate_hz if args.rate_hz is not None else config.pulse_rate_hz
     count = train_capacity(args.storage_km, rate_hz, n_fib=args.n_fib)
-    row = {"storage_km": args.storage_km, "pulse_rate_hz": rate_hz,
-           "n_fib": args.n_fib, "capacity": count}
-    return [row], tuple(row)
+    return [{"storage_km": args.storage_km, "pulse_rate_hz": rate_hz,
+             "n_fib": args.n_fib, "capacity": count}]
 
 
 _COMMANDS = {
@@ -433,7 +406,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                            help="storage-line fiber length in km")
             p.add_argument("--rate-hz", type=float, default=None,
                            help="pulse repetition rate (default: pulse_rate_hz)")
-            p.add_argument("--n-fib", type=float, default=1.47,
+            p.add_argument("--n-fib", type=float, default=DEFAULT_FIBER_INDEX,
                            help="fiber group refractive index")
     return parser
 
@@ -449,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.dump_config:
             _emit(dump_config(config), args.out)
             return 0
-        rows, fields = _COMMANDS[args.command](config, args)
+        rows = _COMMANDS[args.command](config, args)
         for row in rows:
             for value in row.values():
                 if isinstance(value, float) and math.isinf(value):
@@ -458,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the common interactive use: just answer with the number
             sys.stdout.write(f"{rows[0]['capacity']}\n")
             return 0
-        _emit(render_rows(rows, fields, config.format), args.out)
+        _emit(render_rows(rows, tuple(rows[0]), config.format), args.out)
         return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

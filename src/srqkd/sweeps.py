@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attack import maximize_eve_information
+from .attack import AttackSolution, maximize_eve_information
 from .optimize import grid_then_golden_max
 from .physics import (
     GREY_REGION_DELTA,
@@ -26,13 +26,12 @@ from .physics import (
     SetupConfig,
     _delta_at_unit_mu,
 )
-from .rates import DecoyConfig, secret_rate, sr_secret_rate
+from .rates import DecoyConfig, RateBreakdown, secret_rate, sr_secret_rate
 
 DEFAULT_PULSE_RATE_HZ = 5e6
 DEFAULT_T_DB = 65.0
 DEFAULT_FIBER_INDEX = 1.47
 
-# Canonical flag order so serialized rows are byte-stable.
 FLAG_GREY = "grey-region"
 FLAG_CLAMPED = "clamped"
 FLAG_INFEASIBLE = "attack-infeasible"
@@ -142,11 +141,13 @@ class DistanceComparison:
 
 @dataclass(frozen=True)
 class MinSrpResult:
+    length_km: float
+    criterion: str
+    mu_policy: str
     nu_threshold: float
     mu_at: float
     t_db_at: float
     r_sec_hz: float
-    criterion: str
 
 
 def _sr_protocol(protocol: Protocol, caller: str) -> Protocol:
@@ -157,23 +158,33 @@ def _sr_protocol(protocol: Protocol, caller: str) -> Protocol:
     return protocol
 
 
+def row_flags(solution: Optional[AttackSolution], clamped: bool) -> tuple[str, ...]:
+    """A row's flags, in the one canonical order that keeps output byte-stable.
+
+    solution is the attack behind the row; BB84 baselines have none.
+    """
+    flags = ((FLAG_GREY, solution is not None and solution.monitoring_unacceptable),
+             (FLAG_CLAMPED, clamped),
+             (FLAG_INFEASIBLE, solution is not None and solution.interval_empty))
+    return tuple(name for name, raised in flags if raised)
+
+
+def rate_row(setup: SetupConfig, breakdown: RateBreakdown,
+             solution: Optional[AttackSolution] = None) -> SweepRow:
+    """The row of one rated setup; without an attack solution delta is nan."""
+    return SweepRow(
+        mu=setup.mu, t_db=setup.t_db, length_km=setup.length_km,
+        delta=math.nan if solution is None else solution.delta,
+        qber=breakdown.qber, i_e=breakdown.i_e,
+        r_sec_per_pulse=breakdown.per_pulse, r_sec_hz=breakdown.r_sec,
+        flags=row_flags(solution, clamped=breakdown.r_sec_unclamped < 0.0),
+    )
+
+
 def evaluate_sr_point(setup: SetupConfig, detector: DetectorConfig) -> SweepRow:
     """Full evaluation of one SR setup: attack maximization plus rate assembly."""
     solution = maximize_eve_information(setup, detector)
-    breakdown = sr_secret_rate(setup, detector, i_e=solution.best.i_e)
-    flags = []
-    if solution.monitoring_unacceptable:
-        flags.append(FLAG_GREY)
-    if breakdown.r_sec_unclamped < 0.0:
-        flags.append(FLAG_CLAMPED)
-    if solution.interval_empty:
-        flags.append(FLAG_INFEASIBLE)
-    return SweepRow(
-        mu=setup.mu, t_db=setup.t_db, length_km=setup.length_km,
-        delta=solution.delta, qber=breakdown.qber, i_e=breakdown.i_e,
-        r_sec_per_pulse=breakdown.per_pulse, r_sec_hz=breakdown.r_sec,
-        flags=tuple(flags),
-    )
+    return rate_row(setup, sr_secret_rate(setup, detector, i_e=solution.best.i_e), solution)
 
 
 def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
@@ -263,17 +274,12 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
         rows.append(evaluate_sr_point(setup, detector))
 
-    rates = np.array([row.r_sec_hz for row in rows])
-    t_vals = np.array([row.t_db for row in rows])
-    ok = np.nonzero([FLAG_GREY not in row.flags for row in rows])[0]
-    t_sat = onset_t = onset_nu = None
-    if ok.size and rates[ok[-1]] > 0.0:
-        k = int(ok[np.argmax(rates[ok] >= 0.99 * rates[ok[-1]])])
-        t_sat = float(t_vals[k])
-    positive = ok[rates[ok] > 0.0] if ok.size else ok
-    if positive.size:
-        onset_t = float(t_vals[positive[0]])
-        onset_nu = mu * 10.0 ** (onset_t / 10.0)
+    ok = [row for row in rows if FLAG_GREY not in row.flags]
+    t_sat = None
+    if ok and ok[-1].r_sec_hz > 0.0:
+        t_sat = next(row.t_db for row in ok if row.r_sec_hz >= 0.99 * ok[-1].r_sec_hz)
+    onset_t = next((row.t_db for row in ok if row.r_sec_hz > 0.0), None)
+    onset_nu = None if onset_t is None else mu * 10.0 ** (onset_t / 10.0)
     return TSaturation(rows=rows, t_sat_db=t_sat, onset_t_db=onset_t, onset_nu=onset_nu)
 
 
@@ -399,8 +405,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         r_max = max(c[3] for c in candidates)
         candidates = [c for c in candidates if c[3] >= 0.99 * r_max]
     nu, mu_at, t_at, rate = min(candidates, key=lambda c: c[0])
-    return MinSrpResult(nu_threshold=nu, mu_at=mu_at, t_db_at=t_at,
-                        r_sec_hz=rate, criterion=criterion)
+    return MinSrpResult(length_km=length_km, criterion=criterion, mu_policy=mu_policy,
+                        nu_threshold=nu, mu_at=mu_at, t_db_at=t_at, r_sec_hz=rate)
 
 
 def train_capacity(storage_km: float, pulse_rate_hz: float,

@@ -23,7 +23,7 @@ from srqkd import (
     success_probability,
     unitarity_residual,
 )
-from srqkd.attack import _expm1, _information, _information_curve
+from srqkd.attack import MAX_B_GRID_POINTS, _expm1, _information, _information_curve
 
 # Frozen at the reference setup (mu=0.3, t=65dB, L=10km, default detector)
 # against a from-scratch evaluation of the filtering formulas.
@@ -224,6 +224,37 @@ def test_empty_interval_falls_back_to_beam_splitting(detector):
     assert sol.best.b == 1.0 and sol.best.a == 1.0
     mu_prime = derive_channel(setup, detector).mu_prime
     assert sol.best.i_e == beam_splitting_information(setup.mu, mu_prime)
+
+
+def test_attack_point_reproduces_maximizer_best(detector):
+    # The single-point path scores b with the objective that scored the
+    # maximizer's candidates, so it reproduces the optimum bit for bit. A
+    # 1-lane NumPy evaluation there differed in the last ulp or so at 12 of
+    # the 331 feasible setups drawn here.
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(400):
+        setup = SetupConfig(protocol=Protocol.B92_SR, mu=10.0 ** rng.uniform(-2.0, 0.0),
+                            t_db=rng.uniform(40.0, 90.0),
+                            length_km=float(rng.choice([0.0, 5.0, 10.0, 15.0, 25.0, 30.0])),
+                            pulse_rate_hz=5e6)
+        sol = maximize_eve_information(setup, detector)
+        if sol.interval_empty:
+            continue
+        checked += 1
+        assert attack_point(sol.best.b, setup, detector) == sol.best
+        assert eve_information(sol.best.b, setup, detector) == sol.best.i_e
+    assert checked > 200
+
+
+def test_maximizer_rejects_huge_grid(b92_setup, detector, address_space_cap):
+    # Refused before any lane is allocated, not with a MemoryError.
+    with pytest.raises(ValueError, match=f"b_points must be <= {MAX_B_GRID_POINTS}"):
+        maximize_eve_information(b92_setup, detector, b_points=10**12)
+    # The bound itself is accepted; an empty b-interval lays no grid.
+    empty = SetupConfig(protocol=Protocol.B92_SR, mu=0.05, t_db=40.0,
+                        length_km=50.0, pulse_rate_hz=5e6)
+    assert maximize_eve_information(empty, detector, b_points=MAX_B_GRID_POINTS).interval_empty
 
 
 @pytest.mark.parametrize("b_points", [1, 0, -5])

@@ -17,7 +17,9 @@ from unittest import mock
 import pytest
 
 import srqkd
+from srqkd import DetectorConfig, GridSpec
 from srqkd.cli import RunConfig, dump_config, load_run_config, main, parse_config_text
+from srqkd.sweeps import DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB
 
 SWEEP_HEADER = "mu,t_db,length_km,delta,qber,i_e,r_sec_per_pulse,r_sec_hz,flags"
 
@@ -69,6 +71,12 @@ def test_simulate_rejects_more_pulses_than_int64(capsys, address_space_cap):
     assert "n_pulses must be in [1, 9223372036854775807]" in err
 
 
+def test_dump_config_rejects_what_simulate_rejects(capsys):
+    # --dump-config must not write a config that simulate then refuses.
+    argv = ["simulate", "--n-pulses", "99999999999999999999"]
+    assert _run(argv + ["--dump-config"], capsys) == _run(argv, capsys)
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     args = ["simulate", "--n-pulses", "200000", "--seed", "31415"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -100,6 +108,13 @@ def test_env_var_names_config(capsys, tmp_path, monkeypatch):
     # Explicit flags still win over the environment config.
     code, out, _ = _run(["rate", "--mu", "0.5", "--dump-config"], capsys)
     assert "mu = 0.5\n" in out
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    config = RunConfig()
+    assert config.detector() == DetectorConfig()
+    assert config.grid() == GridSpec()
+    assert (config.pulse_rate_hz, config.t_db) == (DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB)
 
 
 def test_unknown_config_key_is_named(capsys, tmp_path):
@@ -156,13 +171,15 @@ def test_non_finite_value_exits_1(capsys, argv):
 
 @pytest.mark.parametrize("argv, name", [
     pytest.param(["attack", "--b-points", value], "b_points", id=f"--b-points-{value}")
-    for value in ("0", "-5", "1")
+    for value in ("0", "-5", "1", "1000000000000")
 ] + [
     pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", value], "fixed_mu",
                  id=f"--fixed-mu-{value}")
     for value in ("-1", "0", "nan")
 ])
-def test_bad_search_setting_exits_1(capsys, argv, name):
+def test_bad_search_setting_exits_1(capsys, address_space_cap, argv, name):
+    # Under the cap, a b-grid of 10**12 lanes fails with MemoryError if it is
+    # not refused first.
     code, out, err = _run(argv, capsys)
     assert code == 1
     assert out == ""
@@ -431,7 +448,8 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                 for protocol in ("b92-sr", "bb84-sr", "bb84-standard", "bb84-decoy")
                 for length in ("0", "10", "37", "80")]
     commands += [(name,) + point for point in _CORPUS_POINTS for name in ("rate", "attack")]
-    commands += [("attack", "--b-points", "1"), ("attack", "--b-points", "7")]
+    commands += [("attack", "--b-points", "1"), ("attack", "--b-points", "7"),
+                 ("attack", "--b-points", "1000000000000")]
     commands += list(_DEEP_GREY)
     commands += [("optimize-mu", "--protocol", p)
                  for p in ("b92-sr", "bb84-sr", "bb84-standard", "bb84-decoy")]
@@ -449,6 +467,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
         ("simulate", "--double-click", "random-bit", "--n-pulses", "100000"),
         ("simulate", "--n-pulses", "1000000000000"),
         ("simulate", "--n-pulses", "99999999999999999999"),
+        ("simulate", "--n-pulses", "99999999999999999999", "--dump-config"),
         ("povm-check",),
         ("train-capacity", "--storage-km", "10"),
         ("min-srp", "--p-opt", "0.5") + _MIN_SRP_GRID,
