@@ -36,7 +36,6 @@ from .physics import (
     ChannelDerived,
     DetectorConfig,
     SetupConfig,
-    _entropy,
     derive_channel,
     holevo_chi,
     monitoring_unacceptable,
@@ -52,6 +51,8 @@ MAX_B_GRID_POINTS = 10**6
 
 # Largest x with a finite math.exp(x) and math.expm1(x).
 _MAX_EXP_ARG = math.log(sys.float_info.max)
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,8 @@ class AttackSolution:
 
 def success_probability(eta: float, mu_prime: float, delta: float) -> float:
     """Filtering success probability p = 1/(1 + exp(-2*eta*mu'*delta))."""
-    if min(eta, mu_prime, delta) < 0:
-        raise ValueError("arguments must be >= 0")
+    if not all(0 <= x < math.inf for x in (eta, mu_prime, delta)):
+        raise ValueError(f"arguments must be finite and >= 0, got {(eta, mu_prime, delta)}")
     return 1.0 / (1.0 + math.exp(-2.0 * eta * mu_prime * delta))
 
 
@@ -164,6 +165,15 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
     return b_lo, b_hi
 
 
+def _chi_curve(intensity: np.ndarray) -> np.ndarray:
+    """holevo_chi of every lane: H((1 - exp(-2*intensity))/2), clipped to [0, 1]."""
+    x = -np.expm1(-2.0 * intensity) / 2.0
+    inner = (x > 0.0) & (x < 1.0)
+    y = np.where(inner, x, 0.5)
+    h = np.where(inner, -(y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) / _LN2, 0.0)
+    return np.clip(h, 0.0, 1.0)
+
+
 def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float) -> np.ndarray:
     """Eve's information at each b; -inf marks infeasible points."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -189,8 +199,8 @@ def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float) 
 
     w_s = -np.expm1(-2.0 * eta * mu_max)
     w_f = -np.expm1(-2.0 * eta * mu_min)  # negative once delta > 1 (flagged regime)
-    info = (p * w_s * holevo_chi(np.where(valid, eps_s, 0.0))
-            + (1.0 - p) * w_f * holevo_chi(np.where(valid, eps_f, 0.0))) / conclusive
+    info = (p * w_s * _chi_curve(np.where(valid, eps_s, 0.0))
+            + (1.0 - p) * w_f * _chi_curve(np.where(valid, eps_f, 0.0))) / conclusive
     info = np.clip(info, 0.0, 1.0)
     return np.where(valid, info, -np.inf)
 
@@ -230,14 +240,9 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
 
     w_s = -math.expm1(-2.0 * eta * mu_max)
     w_f = -math.expm1(-2.0 * eta * mu_min)  # negative once delta > 1 (flagged regime)
-    info = (p * w_s * _chi(max(eps_s, 0.0))
-            + (1.0 - p) * w_f * _chi(max(eps_f, 0.0))) / conclusive
+    info = (p * w_s * holevo_chi(max(eps_s, 0.0))
+            + (1.0 - p) * w_f * holevo_chi(max(eps_f, 0.0))) / conclusive
     return min(max(info, 0.0), 1.0)
-
-
-def _chi(intensity: float) -> float:
-    # physics.holevo_chi for one float.
-    return _entropy(-math.expm1(-2.0 * intensity) / 2.0)
 
 
 def eve_information(b: float, setup: SetupConfig, detector: DetectorConfig) -> float:
@@ -258,7 +263,7 @@ def _checked_information(b: float, mu: float, eta: float, channel: ChannelDerive
 
 def beam_splitting_information(mu: float, mu_prime: float) -> float:
     """Information from plain beam splitting: the Holevo quantity of the tapped light."""
-    return float(holevo_chi(max(mu - mu_prime, 0.0)))
+    return holevo_chi(max(mu - mu_prime, 0.0))
 
 
 def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig) -> AttackPoint:
@@ -333,18 +338,13 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     if b_lo >= b_hi:
         return solution(None)
 
-    def information_curve(b: np.ndarray) -> np.ndarray:
-        values = _information_curve(b, mu, eta, mu_prime, delta)
-        if trace is not None:
-            trace.extend((float(x), float(v) if math.isfinite(v) else math.nan)
-                         for x, v in zip(b, values))
-        return values
-
-    def information(b: float) -> float:
-        return _information(b, mu, eta, mu_prime, delta)
-
-    b_best, i_best = grid_then_golden_max(information_curve, information,
-                                          np.linspace(b_lo, b_hi, b_points))
+    bs = np.linspace(b_lo, b_hi, b_points)
+    values = _information_curve(bs, mu, eta, mu_prime, delta)
+    if trace is not None:
+        trace.extend((float(x), float(v) if math.isfinite(v) else math.nan)
+                     for x, v in zip(bs, values))
+    b_best, i_best = grid_then_golden_max(
+        lambda b: _information(b, mu, eta, mu_prime, delta), bs, values)
     if not math.isfinite(i_best):
         # No feasible lane, or only lanes NumPy rounded onto the feasible
         # side of the unitarity bound.

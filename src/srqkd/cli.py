@@ -51,6 +51,8 @@ CONFIG_ENV_VAR = "SRQKD_CONFIG"
 
 _DETECTOR = DetectorConfig()
 _GRID = GridSpec()
+# At a unit signal the decoy intensities equal their ratios to it.
+_DECOY = DecoyConfig.from_signal(1.0)
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,9 @@ class RunConfig:
     lambda_m: float = _DETECTOR.lambda_m
     f_ec: float = _DETECTOR.f_ec
     # decoy-state baseline
-    nu1_ratio: float = 0.25
-    nu2_ratio: float = 0.01
-    p_mu: float = 0.5
+    nu1_ratio: float = _DECOY.nu1
+    nu2_ratio: float = _DECOY.nu2
+    p_mu: float = _DECOY.p_mu
     # sweep grids
     mu_lo: float = _GRID.mu_range[0]
     mu_hi: float = _GRID.mu_range[1]

@@ -11,6 +11,7 @@ independent cross-check of the outcome probabilities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class PovmSet:
 
 def overlap(mu: float) -> float:
     """Overlap <alpha|-alpha> = exp(-2*mu) of the two signal states."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     return math.exp(-2.0 * mu)
 
 
@@ -92,9 +93,11 @@ FOCK_TAIL_MASS = 1e-12
 
 def fock_dimension(mu: float) -> int:
     """Smallest Fock-space dimension whose discarded coherent tail is < FOCK_TAIL_MASS."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     weight = math.exp(-mu)
+    if weight < sys.float_info.min:  # mu > 708: subnormal weights never sum to 1
+        raise ValueError(f"mu={mu} too large for a Fock-basis construction")
     total = weight
     n = 0
     while 1.0 - total >= FOCK_TAIL_MASS:

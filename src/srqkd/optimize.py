@@ -93,33 +93,32 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     return x, fx
 
 
-def grid_then_golden_max(f_grid: Callable[[np.ndarray], np.ndarray],
-                         f_scalar: Callable[[float], float],
-                         xs: np.ndarray) -> tuple[float, float]:
-    """Scan of the increasing grid xs, then a Brent refinement of the best cell.
+def grid_then_golden_max(f: Callable[[float], float], xs: np.ndarray,
+                         values: np.ndarray) -> tuple[float, float]:
+    """Best cell of the increasing grid xs, then a Brent refinement of it.
 
-    f_grid evaluates the objective on an array (non-finite values mark
-    invalid points); f_scalar evaluates a single point. The search interval
-    is [xs[0], xs[-1]]. The best of {grid optimum, refined optimum, both
-    interval endpoints} is returned, every one scored by f_scalar, so exact
-    endpoint optima are never lost to the local search. With no finite grid
-    value the result is (xs[0], -inf).
+    values holds the caller's objective at each grid point (non-finite
+    values mark invalid points); f evaluates a single point. The search
+    interval is [xs[0], xs[-1]]. The best of {grid optimum, refined
+    optimum, both interval endpoints} is returned, every one scored by f,
+    so exact endpoint optima are never lost to the local search. With no
+    finite grid value the result is (xs[0], -inf).
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
         raise ValueError("empty search interval")
     if hi == lo:
-        return lo, f_scalar(lo)
-    values = np.asarray(f_grid(xs), dtype=float)
+        return lo, f(lo)
+    values = np.asarray(values, dtype=float)
     k = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
     if not math.isfinite(values[k]):
         return lo, -math.inf
     bracket_lo = xs[max(k - 1, 0)]
     bracket_hi = xs[min(k + 1, len(xs) - 1)]
-    x_ref, v_ref = golden_max(f_scalar, float(bracket_lo), float(bracket_hi))
+    x_ref, v_ref = golden_max(f, float(bracket_lo), float(bracket_hi))
 
-    candidates = [(float(xs[k]), f_scalar(float(xs[k]))), (x_ref, v_ref)]
+    candidates = [(float(xs[k]), f(float(xs[k]))), (x_ref, v_ref)]
     for edge in (lo, hi):
-        candidates.append((edge, f_scalar(edge)))
+        candidates.append((edge, f(edge)))
     best = max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)
     return best

@@ -6,9 +6,10 @@ relative precision of strong-reference-pulse (SRP) monitoring, the QBER
 model, Shannon binary entropy and the Holevo quantity for binary coherent
 ensembles.
 
-All functions are pure and accept scalars or numpy arrays where it makes
-sense; none of them mutates shared state, so unrestricted concurrent use is
-safe.
+Everything is computed with ``math`` on plain floats. The configs reject
+NaN and infinite fields, and the elementary functions (transmittance,
+QBER, entropy, Holevo quantity) reject NaN and infinite arguments. No
+function mutates shared state, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 # Fiber attenuation assumed for telecom wavelengths.
 FIBER_LOSS_DB_PER_KM = 0.2
@@ -164,20 +163,25 @@ class ChannelDerived:
 
 def transmittance(length_km: float) -> float:
     """Fiber power transmittance 10**(-FIBER_LOSS_DB_PER_KM * L / 10)."""
-    if length_km < 0:
-        raise ValueError("length_km must be >= 0")
+    if not 0 <= length_km < math.inf:
+        raise ValueError(f"length_km must be finite and >= 0, got {length_km}")
     return 10.0 ** (-FIBER_LOSS_DB_PER_KM * length_km / 10.0)
 
 
-def _delta_at_unit_mu(setup: SetupConfig, detector: DetectorConfig) -> float:
+def _delta_at_unit_mu(t_db: float, trans: float, detector: DetectorConfig) -> float:
     # SRP intensity at Bob for mu = 1: 10**(t/10) * T(L).
-    nu_prime_unit = 10.0 ** (setup.t_db / 10.0) * transmittance(setup.length_km)
-    return detector.monitor_photon_uncertainty / nu_prime_unit
+    return detector.monitor_photon_uncertainty / (10.0 ** (t_db / 10.0) * trans)
 
 
 def monitoring_unacceptable(delta: float) -> bool:
     """True when SRP monitoring precision is worse than the 50% grey-region bound."""
     return delta > GREY_REGION_DELTA
+
+
+def grey_region_mu_floor(length_km: float, t_db: float,
+                         detector: DetectorConfig) -> float:
+    """Smallest mu with acceptable monitoring (delta <= 0.5) at this (t, L)."""
+    return _delta_at_unit_mu(t_db, transmittance(length_km), detector) / GREY_REGION_DELTA
 
 
 def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
@@ -187,9 +191,9 @@ def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
     capped at 0.5. With no clicks at all (mu'=0 and p_dc=0) the bit value is
     undefined and 0.5 is returned.
     """
-    if mu_prime < 0:
-        raise ValueError("mu_prime must be >= 0")
-    click = -np.expm1(-2.0 * detector.eta * mu_prime)
+    if not 0 <= mu_prime < math.inf:
+        raise ValueError(f"mu_prime must be finite and >= 0, got {mu_prime}")
+    click = -math.expm1(-2.0 * detector.eta * mu_prime)
     denom = 2.0 * detector.p_dc + click
     if denom == 0.0:
         return 0.5
@@ -198,45 +202,28 @@ def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
         # Possible only outside the validated parameter ranges.
         warnings.warn(f"QBER model value {value:.4g} > 0.5 capped; nonphysical regime")
         return 0.5
-    return float(value)
+    return value
 
 
-def binary_entropy(x):
+def binary_entropy(x: float) -> float:
     """Shannon binary entropy in bits, H(0) = H(1) = 0 by convention."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return _entropy(float(arr))
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        raise ValueError("binary_entropy argument must lie in [0, 1]")
-    inner = (arr > 0.0) & (arr < 1.0)
-    y = np.where(inner, arr, 0.5)
-    out = np.where(inner, -(y * np.log(y) + (1.0 - y) * np.log(1.0 - y)) / _LN2, 0.0)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _entropy(x: float) -> float:
-    # binary_entropy of one float, in math: a 0-d NumPy evaluation costs
-    # several times more, and rate assembly and the attack's scalar
-    # objective call this once per value.
-    if x < 0.0 or x > 1.0:
-        raise ValueError("binary_entropy argument must lie in [0, 1]")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return 0.0
     h = -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
     return min(max(h, 0.0), 1.0)
 
 
-def holevo_chi(intensity):
+def holevo_chi(intensity: float) -> float:
     """Holevo bound for the binary ensemble {|alpha>, |-alpha>} with |alpha|^2 = intensity.
 
     chi(mu) = H((1 - exp(-2*mu))/2); 0 at mu=0, saturating at 1 bit for
     orthogonal (bright) states.
     """
-    arr = np.asarray(intensity, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("intensity must be >= 0")
-    out = binary_entropy(-np.expm1(-2.0 * arr) / 2.0)
-    return float(out) if np.ndim(out) == 0 else out
+    if not 0.0 <= intensity < math.inf:
+        raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
+    return binary_entropy(-math.expm1(-2.0 * intensity) / 2.0)
 
 
 def derive_channel(setup: SetupConfig, detector: DetectorConfig) -> ChannelDerived:
@@ -246,6 +233,6 @@ def derive_channel(setup: SetupConfig, detector: DetectorConfig) -> ChannelDeriv
     return ChannelDerived(
         transmittance=trans,
         mu_prime=mu_prime,
-        delta=_delta_at_unit_mu(setup, detector) / setup.mu,
+        delta=_delta_at_unit_mu(setup.t_db, trans, detector) / setup.mu,
         qber=qber_from_received(mu_prime, detector),
     )

@@ -1,8 +1,9 @@
 """Secret-key rates for the SR protocols and the BB84 baselines.
 
-The strong-reference protocols use R_sec = R_raw*(I_AB - I_E) with the
-eavesdropper information supplied by the soft-filtering maximization. The
-BB84 baselines use the GLLP rate
+Pure rate assembly from scalar formulas. The strong-reference protocols
+use R_sec = R_raw*(I_AB - I_E), with the eavesdropper information I_E
+supplied by the caller (``sweeps.secret_rate`` takes it from the
+soft-filtering maximization). The BB84 baselines use the GLLP rate
 
     R = (1/2)*f*{Q1*[1 - H(E1)] - Q_mu*f_ec*H(E_mu)},
 
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .attack import maximize_eve_information
 from .physics import (
     DetectorConfig,
     Protocol,
@@ -112,18 +112,15 @@ def _breakdown(r_raw: float, qber: float, i_ab: float, i_e: float,
 
 
 def sr_secret_rate(setup: SetupConfig, detector: DetectorConfig,
-                   i_e: Optional[float] = None) -> RateBreakdown:
-    """Secret rate of a strong-reference protocol under the soft-filtering attack.
+                   i_e: float) -> RateBreakdown:
+    """Secret rate of a strong-reference protocol given Eve's information i_e.
 
-    i_e overrides the optimized eavesdropper information when given; sweeps
-    use this to avoid re-running the maximization, and property tests use
-    it to probe the no-attack (i_e=0) and fully-compromised (i_e=1) limits.
+    i_e is bits per conclusive bit: the attack maximum for the secure rate,
+    0 for the no-attack limit, 1 for a fully compromised key.
     """
     if not setup.protocol.uses_reference_pulse:
         raise ValueError(f"sr_secret_rate needs an SR protocol, got {setup.protocol.value}")
     channel = derive_channel(setup, detector)
-    if i_e is None:
-        i_e = maximize_eve_information(setup, detector).best.i_e
     conclusive = -math.expm1(-2.0 * detector.eta * channel.mu_prime)
     r_raw = setup.protocol.sifting_factor * setup.pulse_rate_hz * conclusive
     i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)
@@ -138,8 +135,8 @@ def bb84_gain_error(intensity: float, detector: DetectorConfig,
     with Y0 = 2*p_dc. A vacuum pulse clicks only through dark counts and
     carries a random bit, hence E = 1/2.
     """
-    if intensity < 0:
-        raise ValueError(f"intensity must be >= 0, got {intensity}")
+    if not 0 <= intensity < math.inf:
+        raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
     y0 = 2.0 * detector.p_dc
     detected = -math.expm1(-detector.eta * intensity * transmittance(length_km))
     q = y0 + detected
@@ -228,11 +225,3 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
     else:
         i_e = 1.0
     return _breakdown(r_raw, yields.e_mu, i_ab, i_e, setup.pulse_rate_hz)
-
-
-def secret_rate(setup: SetupConfig, detector: DetectorConfig,
-                decoy: Optional[DecoyConfig] = None) -> RateBreakdown:
-    """Dispatch to the SR or BB84 rate according to setup.protocol."""
-    if setup.protocol.uses_reference_pulse:
-        return sr_secret_rate(setup, detector)
-    return bb84_secret_rate(setup, detector, decoy=decoy)

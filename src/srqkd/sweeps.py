@@ -24,9 +24,9 @@ from .physics import (
     DetectorConfig,
     Protocol,
     SetupConfig,
-    _delta_at_unit_mu,
+    grey_region_mu_floor,
 )
-from .rates import DecoyConfig, RateBreakdown, secret_rate, sr_secret_rate
+from .rates import DecoyConfig, RateBreakdown, bb84_secret_rate, sr_secret_rate
 
 DEFAULT_PULSE_RATE_HZ = 5e6
 DEFAULT_T_DB = 65.0
@@ -184,7 +184,16 @@ def rate_row(setup: SetupConfig, breakdown: RateBreakdown,
 def evaluate_sr_point(setup: SetupConfig, detector: DetectorConfig) -> SweepRow:
     """Full evaluation of one SR setup: attack maximization plus rate assembly."""
     solution = maximize_eve_information(setup, detector)
-    return rate_row(setup, sr_secret_rate(setup, detector, i_e=solution.best.i_e), solution)
+    return rate_row(setup, sr_secret_rate(setup, detector, solution.best.i_e), solution)
+
+
+def secret_rate(setup: SetupConfig, detector: DetectorConfig,
+                decoy: Optional[DecoyConfig] = None) -> RateBreakdown:
+    """Rate of any protocol: SR setups under the optimal attack, BB84 by GLLP."""
+    if setup.protocol.uses_reference_pulse:
+        i_e = maximize_eve_information(setup, detector).best.i_e
+        return sr_secret_rate(setup, detector, i_e)
+    return bb84_secret_rate(setup, detector, decoy=decoy)
 
 
 def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
@@ -199,14 +208,6 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
                                 length_km=length_km, pulse_rate_hz=pulse_rate_hz)
             rows.append(evaluate_sr_point(setup, detector))
     return rows
-
-
-def grey_region_mu_floor(length_km: float, t_db: float,
-                         detector: DetectorConfig) -> float:
-    """Smallest mu with acceptable monitoring (delta <= 0.5) at this (t, L)."""
-    probe = SetupConfig(protocol=Protocol.B92_SR, mu=1.0, t_db=t_db,
-                        length_km=length_km, pulse_rate_hz=1.0)
-    return _delta_at_unit_mu(probe, detector) / GREY_REGION_DELTA
 
 
 def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
@@ -243,10 +244,9 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
             scores[mu] = secret_rate(setup, detector, decoy=decoy_at).r_sec
         return scores[mu]
 
-    mu_best, r_best = grid_then_golden_max(
-        lambda xs: np.array([objective(float(x)) for x in xs]),
-        objective, _mu_grid(lo, hi, points, scale),
-    )
+    mus = _mu_grid(lo, hi, points, scale)
+    mu_best, r_best = grid_then_golden_max(objective, mus,
+                                           [objective(float(mu)) for mu in mus])
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
@@ -314,8 +314,7 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
 
     crossover = None
     if Protocol.B92_SR in by_protocol and Protocol.BB84_DECOY in by_protocol:
-        crossover = crossover_distance(np.asarray(l_grid, dtype=float),
-                                       by_protocol[Protocol.B92_SR],
+        crossover = crossover_distance(l_grid, by_protocol[Protocol.B92_SR],
                                        by_protocol[Protocol.BB84_DECOY])
     return DistanceComparison(rows=rows, crossover_km=crossover)
 
@@ -326,23 +325,20 @@ def crossover_distance(lengths: Sequence[float], rates_a: Sequence[float],
 
     Swapping the curves flips the sign of the gap but returns the same
     distance. None when the curves never cross where both are positive.
+    The three sequences must have the same length.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    ra = np.asarray(rates_a, dtype=float)
-    rb = np.asarray(rates_b, dtype=float)
-    valid = (ra > 0.0) & (rb > 0.0)
-    gap = np.where(valid, np.log(np.where(valid, ra, 1.0)) - np.log(np.where(valid, rb, 1.0)),
-                   np.nan)
-    for i in range(len(lengths) - 1):
-        if not (valid[i] and valid[i + 1]):
+    # (length, log-rate gap) at each point, gap None where a rate is <= 0.
+    points = [(float(length), math.log(a) - math.log(b) if a > 0.0 and b > 0.0 else None)
+              for length, a, b in zip(lengths, rates_a, rates_b, strict=True)]
+    for (l0, g0), (l1, g1) in zip(points, points[1:]):
+        if g0 is None or g1 is None:
             continue
-        if gap[i] == 0.0:
-            return float(lengths[i])
-        if gap[i] * gap[i + 1] < 0.0:
-            frac = gap[i] / (gap[i] - gap[i + 1])
-            return float(lengths[i] + frac * (lengths[i + 1] - lengths[i]))
-    if valid[-1] and gap[-1] == 0.0:
-        return float(lengths[-1])
+        if g0 == 0.0:
+            return l0
+        if g0 * g1 < 0.0:
+            return l0 + g0 / (g0 - g1) * (l1 - l0)
+    if points and points[-1][1] == 0.0:
+        return points[-1][0]
     return None
 
 

@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 
 import srqkd
-from srqkd import DetectorConfig, GridSpec
+from srqkd import DecoyConfig, DetectorConfig, GridSpec
 from srqkd.cli import RunConfig, dump_config, load_run_config, main, parse_config_text
 from srqkd.sweeps import DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB
 
@@ -115,6 +115,8 @@ def test_run_config_defaults_are_the_library_defaults():
     assert config.detector() == DetectorConfig()
     assert config.grid() == GridSpec()
     assert (config.pulse_rate_hz, config.t_db) == (DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB)
+    for mu in (0.3, 0.77):
+        assert config.decoy(mu) == DecoyConfig.from_signal(mu)
 
 
 def test_unknown_config_key_is_named(capsys, tmp_path):

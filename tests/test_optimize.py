@@ -72,7 +72,8 @@ def test_golden_max_swapped_bracket():
 
 def test_grid_then_golden_interior():
     f = lambda x: -(x - 0.41) ** 2
-    x, v = grid_then_golden_max(lambda xs: f(xs), f, np.linspace(0.0, 1.0, 100))
+    xs = np.linspace(0.0, 1.0, 100)
+    x, v = grid_then_golden_max(f, xs, f(xs))
     assert x == pytest.approx(0.41, abs=5e-8)
     assert v == pytest.approx(0.0, abs=1e-14)
 
@@ -81,8 +82,8 @@ def test_grid_then_golden_endpoint_optimum():
     # Monotone objective: the optimum sits on the boundary and must be
     # returned exactly, not a refined near-boundary point.
     f = lambda x: x
-    x, v = grid_then_golden_max(lambda xs: np.asarray(xs, dtype=float), f,
-                                np.linspace(0.0, 2.0, 50))
+    xs = np.linspace(0.0, 2.0, 50)
+    x, v = grid_then_golden_max(f, xs, xs)
     assert x == 2.0
     assert v == 2.0
 
@@ -91,16 +92,18 @@ def test_grid_then_golden_log_spacing():
     f = lambda x: -(np.log10(x) + 1.0) ** 2  # peak at x = 0.1
     xs = np.logspace(-3.0, 0.0, 200)
     xs[0], xs[-1] = 1e-3, 1.0
-    x, _ = grid_then_golden_max(f, lambda s: float(f(s)), xs)
+    x, _ = grid_then_golden_max(lambda s: float(f(s)), xs, f(xs))
     assert x == pytest.approx(0.1, rel=1e-6)
 
 
 def test_grid_then_golden_degenerate_interval():
     f = lambda x: -(x - 0.3) ** 2
-    x, v = grid_then_golden_max(lambda xs: f(xs), f, np.linspace(0.7, 0.7, 100))
+    xs = np.linspace(0.7, 0.7, 100)
+    x, v = grid_then_golden_max(f, xs, f(xs))
     assert (x, v) == (0.7, f(0.7))
+    xs = np.linspace(1.0, 0.0, 10)
     with pytest.raises(ValueError, match="empty"):
-        grid_then_golden_max(lambda xs: f(xs), f, np.linspace(1.0, 0.0, 10))
+        grid_then_golden_max(f, xs, f(xs))
 
 
 def test_grid_then_golden_no_finite_cell():
@@ -110,8 +113,7 @@ def test_grid_then_golden_no_finite_cell():
         calls.append(x)
         return 0.0
 
-    x, v = grid_then_golden_max(lambda xs: np.full(len(xs), np.nan), f_scalar,
-                                np.linspace(0.2, 1.0, 11))
+    x, v = grid_then_golden_max(f_scalar, np.linspace(0.2, 1.0, 11), np.full(11, np.nan))
     assert (x, v) == (0.2, -math.inf)
     assert calls == []  # no golden search, no endpoint scoring
 
@@ -122,8 +124,8 @@ def test_grid_then_golden_scores_grid_cell_with_scalar():
     def f_scalar(x):
         return -math.inf if x == 0.5 else -abs(x - 0.5)
 
-    x, v = grid_then_golden_max(lambda xs: np.where(xs == 0.5, 1.0, -np.abs(xs - 0.5)),
-                                f_scalar, np.linspace(0.0, 1.0, 3))
+    xs = np.linspace(0.0, 1.0, 3)
+    x, v = grid_then_golden_max(f_scalar, xs, np.where(xs == 0.5, 1.0, -np.abs(xs - 0.5)))
     assert x != 0.5 and math.isfinite(v)
 
 
@@ -137,7 +139,8 @@ def test_grid_then_golden_skips_invalid_cells():
     def f_scalar(x):
         return -math.inf if x < 0.5 else -(x - 0.8) ** 2
 
-    x, v = grid_then_golden_max(f_grid, f_scalar, np.linspace(0.0, 1.0, 101))
+    xs = np.linspace(0.0, 1.0, 101)
+    x, v = grid_then_golden_max(f_scalar, xs, f_grid(xs))
     assert x == pytest.approx(0.8, abs=5e-8)
     assert v == pytest.approx(0.0, abs=1e-14)
 

@@ -1,4 +1,5 @@
-"""Package hygiene: no unused imports, and __all__ matches the public namespace."""
+"""Package hygiene: no unused imports, __all__ matches the public namespace,
+and the import graph keeps its layers."""
 
 import ast
 import types
@@ -38,3 +39,41 @@ def test_all_lists_the_public_namespace():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(srqkd.__all__) == sorted(public)
     assert len(srqkd.__all__) == len(set(srqkd.__all__))
+
+
+
+def _imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every name a source file imports; '' for whole-module imports."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
+            out += [(module, alias.name) for alias in node.names]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_name_crosses_modules(path):
+    assert [(m, n) for m, n in _imports(path) if n.startswith("_")] == []
+
+
+def test_physics_and_rates_are_the_scalar_layers():
+    src = SOURCES[0].parent
+    # physics is the base: plain math, nothing from the package above it.
+    physics = [m for m, _ in _imports(src / "physics.py")]
+    assert not [m for m in physics if m.split(".")[0] == "numpy"]
+    assert not [m for m in physics if m.startswith((".", "srqkd"))]
+    # rates assembles scalars from physics and nothing else.
+    rates = [m for m, _ in _imports(src / "rates.py")]
+    assert not [m for m in rates if m.split(".")[0] == "numpy"]
+    assert {m for m in rates if m.startswith((".", "srqkd"))} == {".physics"}
+
+
+def test_moved_functions_still_resolve():
+    from srqkd import physics, sweeps
+
+    assert srqkd.secret_rate is sweeps.secret_rate
+    assert srqkd.grey_region_mu_floor is sweeps.grey_region_mu_floor \
+        is physics.grey_region_mu_floor

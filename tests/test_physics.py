@@ -9,11 +9,15 @@ from srqkd import (
     DetectorConfig,
     Protocol,
     SetupConfig,
+    bb84_gain_error,
     binary_entropy,
     derive_channel,
+    fock_dimension,
     holevo_chi,
     monitoring_unacceptable,
+    overlap,
     qber_from_received,
+    success_probability,
     transmittance,
 )
 from srqkd.physics import PLANCK_H, SPEED_OF_LIGHT
@@ -151,15 +155,11 @@ def test_binary_entropy_values():
         binary_entropy(1.01)
 
 
-def test_binary_entropy_symmetry_and_array():
-    xs = np.linspace(0.0, 1.0, 101)
-    h = binary_entropy(xs)
-    assert np.allclose(h, h[::-1], atol=1e-14)
-    assert h.max() == 1.0
-    # The float (math) and array (NumPy) routes agree, endpoints included.
-    scalar = np.array([binary_entropy(float(x)) for x in xs])
-    assert np.allclose(h, scalar, rtol=0.0, atol=1e-15)
-    assert h[0] == h[-1] == scalar[0] == scalar[-1] == 0.0
+def test_binary_entropy_symmetry():
+    hs = [binary_entropy(float(x)) for x in np.linspace(0.0, 1.0, 101)]
+    assert np.allclose(hs, hs[::-1], rtol=0.0, atol=1e-14)
+    assert max(hs) == 1.0
+    assert hs[0] == hs[-1] == 0.0
 
 
 def test_holevo_chi():
@@ -171,6 +171,28 @@ def test_holevo_chi():
     for mu in (0.05, 0.3, 1.7):
         assert holevo_chi(mu) == pytest.approx(
             binary_entropy((1 - math.exp(-2 * mu)) / 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: binary_entropy(math.nan), id="entropy-nan"),
+    pytest.param(lambda: holevo_chi(math.nan), id="chi-nan"),
+    pytest.param(lambda: holevo_chi(math.inf), id="chi-inf"),
+    pytest.param(lambda: transmittance(math.nan), id="transmittance-nan"),
+    pytest.param(lambda: transmittance(math.inf), id="transmittance-inf"),
+    pytest.param(lambda: qber_from_received(math.nan, DetectorConfig()), id="qber-nan"),
+    pytest.param(lambda: bb84_gain_error(math.nan, DetectorConfig(), 10.0), id="gain-nan"),
+    pytest.param(lambda: overlap(math.nan), id="overlap-nan"),
+    pytest.param(lambda: overlap(math.inf), id="overlap-inf"),
+    pytest.param(lambda: success_probability(math.nan, 1.0, 0.1), id="success-nan"),
+    pytest.param(lambda: success_probability(0.2, math.inf, 0.1), id="success-inf"),
+    pytest.param(lambda: fock_dimension(math.nan), id="fock-nan"),
+    pytest.param(lambda: fock_dimension(math.inf), id="fock-inf"),
+    # exp(-mu) is subnormal: the Poisson sum used to loop forever.
+    pytest.param(lambda: fock_dimension(1000.0), id="fock-1000"),
+])
+def test_scalar_functions_reject_non_finite(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_derive_channel_consistency(b92_setup, detector):

@@ -17,6 +17,7 @@ from srqkd import (
     bb84_pns_bounds,
     bb84_secret_rate,
     decoy_bounds,
+    maximize_eve_information,
     secret_rate,
     sr_secret_rate,
     transmittance,
@@ -121,7 +122,8 @@ def test_decoy_config_validation():
 
 
 def test_sr_breakdown_identities(b92_setup, detector):
-    out = sr_secret_rate(b92_setup, detector)
+    i_e = maximize_eve_information(b92_setup, detector).best.i_e
+    out = sr_secret_rate(b92_setup, detector, i_e)
     assert out.r_sec > 0.0
     assert out.r_sec == pytest.approx(out.r_raw * (out.i_ab - out.i_e), rel=1e-12)
     assert out.per_pulse == pytest.approx(out.r_sec / b92_setup.pulse_rate_hz, rel=1e-15)
@@ -143,7 +145,7 @@ def test_sr_rejects_non_sr_protocol(detector):
     setup = SetupConfig(protocol=Protocol.BB84_STANDARD, mu=0.3, t_db=65.0,
                         length_km=10.0, pulse_rate_hz=5e6)
     with pytest.raises(ValueError, match="SR protocol"):
-        sr_secret_rate(setup, detector)
+        sr_secret_rate(setup, detector, 0.0)
 
 
 def test_rate_breakdown_validation():
@@ -192,7 +194,8 @@ def test_decoy_beats_standard_at_long_distance(detector):
 
 
 def test_secret_rate_dispatch(b92_setup, detector):
-    assert secret_rate(b92_setup, detector) == sr_secret_rate(b92_setup, detector)
+    i_e = maximize_eve_information(b92_setup, detector).best.i_e
+    assert secret_rate(b92_setup, detector) == sr_secret_rate(b92_setup, detector, i_e)
     setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=0.3, t_db=65.0,
                         length_km=10.0, pulse_rate_hz=5e6)
     assert secret_rate(setup, detector) == bb84_secret_rate(setup, detector)

@@ -228,6 +228,12 @@ def test_crossover_interpolation_properties():
     assert crossover_distance(lengths, [1.0, 0.0, 1.0], [2.0, 0.0, 0.5]) is None
 
 
+@pytest.mark.parametrize("lengths", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+def test_crossover_rejects_length_mismatch(lengths):
+    with pytest.raises(ValueError):
+        crossover_distance(lengths, [4.0, 2.0, 1.0], [1.0, 2.0, 4.0])
+
+
 def test_min_srp_monotone_in_distance(detector):
     t_grid = np.linspace(40.0, 90.0, 11)
     near = min_srp_photons(0.0, detector, t_grid=t_grid, mu_range=COARSE_MU)
