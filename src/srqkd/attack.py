@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimize import grid_then_golden_max
+from .optimize import golden_max
 from .physics import (
     ChannelDerived,
     DetectorConfig,
@@ -46,7 +46,7 @@ from .physics import (
 _EPS_CLAMP = 1e-12
 
 DEFAULT_B_GRID_POINTS = 2000
-# Largest b-grid: its vectorized pass takes about 106 bytes per point.
+# Largest scan: its vectorized pass takes about 106 bytes per point.
 MAX_B_GRID_POINTS = 10**6
 
 # Largest x with a finite math.exp(x) and math.expm1(x).
@@ -121,6 +121,8 @@ def amplification(b: float, mu: float, eta: float, mu_prime: float, delta: float
 
 def unitarity_residual(p: float, a: float, b: float, mu: float) -> float:
     """|p*exp(-2*a*mu) + (1-p)*exp(-2*b*mu) - exp(-2*mu)|."""
+    if not all(map(math.isfinite, (p, a, b, mu))):
+        raise ValueError(f"arguments must be finite, got {(p, a, b, mu)}")
     return abs(p * math.exp(-2.0 * a * mu) + (1.0 - p) * math.exp(-2.0 * b * mu)
                - math.exp(-2.0 * mu))
 
@@ -128,6 +130,9 @@ def unitarity_residual(p: float, a: float, b: float, mu: float) -> float:
 def rate_residual(p: float, beta_s_sq: float, beta_f_sq: float,
                   eta: float, mu_prime: float) -> float:
     """Deviation of Bob's conclusive-click rate under attack from the expected one."""
+    args = (p, beta_s_sq, beta_f_sq, eta, mu_prime)
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"arguments must be finite, got {args}")
     under_attack = (p * -math.expm1(-2.0 * eta * beta_s_sq)
                     + (1.0 - p) * -math.expm1(-2.0 * eta * beta_f_sq))
     return abs(under_attack - -math.expm1(-2.0 * eta * mu_prime))
@@ -175,7 +180,7 @@ def _chi_curve(intensity: np.ndarray) -> np.ndarray:
 
 
 def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float) -> np.ndarray:
-    """Eve's information at each b; -inf marks infeasible points."""
+    """Eve's information at each b of a traced scan; -inf marks infeasible points."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
     q = math.exp(-2.0 * eta * mu_prime * delta)
     p = 1.0 / (1.0 + q)
@@ -300,21 +305,27 @@ def _beam_splitting_point(setup: SetupConfig, detector: DetectorConfig,
     )
 
 
+def _scan(b_lo: float, b_hi: float, b_points: int, mu: float, eta: float, mu_prime: float,
+          delta: float) -> list[tuple[float, float]]:
+    """(b, I_E) at b_points even steps over [b_lo, b_hi], nan where b is infeasible."""
+    if b_lo >= b_hi:
+        return []
+    bs = np.linspace(b_lo, b_hi, b_points)
+    return [(float(x), float(v) if math.isfinite(v) else math.nan)
+            for x, v in zip(bs, _information_curve(bs, mu, eta, mu_prime, delta))]
+
+
 def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
                              b_points: int = DEFAULT_B_GRID_POINTS,
                              keep_trace: bool = False) -> AttackSolution:
     """Maximize Eve's information over the feasible attenuation interval.
 
-    A dense grid locates the best cell (the objective is not proven
-    unimodal), Brent's parabolic-golden search refines it to a bracket of
-    at most ``optimize.GOLDEN_TOL``, and interval endpoints are always
-    evaluated exactly so endpoint optima are returned untouched.
-    The grid is one vectorized pass; every candidate that can be returned
-    (best cell, refined point, endpoints) is scored by the scalar objective,
-    whose feasibility test matches :func:`amplification` bit for bit.
-    The result is deterministic for a given grid size, which must lie in
-    [2, MAX_B_GRID_POINTS]. With ``keep_trace`` the scan lands in
-    ``scan_trace``, which is empty when the interval is.
+    One Brent search over the whole interval, and both edges scored ahead
+    of its result, so that endpoint optima are returned exactly. Every
+    candidate is scored by the scalar objective, whose feasibility test
+    matches :func:`amplification` bit for bit. ``b_points``, in
+    [2, MAX_B_GRID_POINTS], sets only the resolution of the scan that
+    ``keep_trace`` keeps in ``scan_trace`` (empty when the interval is).
     """
     if b_points < 2:
         raise ValueError(f"b_points must be >= 2, got {b_points}")
@@ -324,29 +335,27 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
     b_lo, b_hi = _b_bounds(mu, eta, channel)
 
-    trace = [] if keep_trace else None
+    def information(b: float) -> float:
+        return _information(b, mu, eta, mu_prime, delta)
 
-    def solution(best: Optional[AttackPoint]) -> AttackSolution:
-        empty = best is None
-        if empty:
-            best = _beam_splitting_point(setup, detector, delta, mu_prime)
-        return AttackSolution(
-            best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty,
-            monitoring_unacceptable=monitoring_unacceptable(delta), scan_trace=trace,
-        )
-
-    if b_lo >= b_hi:
-        return solution(None)
-
-    bs = np.linspace(b_lo, b_hi, b_points)
-    values = _information_curve(bs, mu, eta, mu_prime, delta)
-    if trace is not None:
-        trace.extend((float(x), float(v) if math.isfinite(v) else math.nan)
-                     for x, v in zip(bs, values))
-    b_best, i_best = grid_then_golden_max(
-        lambda b: _information(b, mu, eta, mu_prime, delta), bs, values)
-    if not math.isfinite(i_best):
-        # No feasible lane, or only lanes NumPy rounded onto the feasible
-        # side of the unitarity bound.
-        return solution(None)
-    return solution(_filtering_point(b_best, i_best, mu, eta, mu_prime, delta))
+    candidates = []
+    if b_lo < b_hi:
+        candidates.append((b_lo, information(b_lo)))
+        if candidates[0][1] == -math.inf:
+            # b_lo is the unitarity bound (a -> inf). I_E can peak in a sliver
+            # next to it that the search never samples (it takes no step on an
+            # interval narrower than GOLDEN_TOL), so close in on b_lo geometrically.
+            candidates += [(b, information(b))
+                           for b in (b_lo + (b_hi - b_lo) * 0.5 ** k for k in range(30, 0, -1))]
+        # Scored ahead of the search's result and in order of b, so that a
+        # tie (an I_E = 1 plateau) goes to the lowest b.
+        candidates += [(b_hi, information(b_hi)), golden_max(information, b_lo, b_hi)]
+    b_best, i_best = max(candidates, key=lambda pair: pair[1], default=(1.0, -math.inf))
+    empty = i_best == -math.inf
+    best = (_beam_splitting_point(setup, detector, delta, mu_prime) if empty
+            else _filtering_point(b_best, i_best, mu, eta, mu_prime, delta))
+    return AttackSolution(
+        best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty,
+        monitoring_unacceptable=monitoring_unacceptable(delta),
+        scan_trace=_scan(b_lo, b_hi, b_points, mu, eta, mu_prime, delta) if keep_trace else None,
+    )

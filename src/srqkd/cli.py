@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .attack import DEFAULT_B_GRID_POINTS, maximize_eve_information
-from .discrimination import build_povm, outcome_probabilities, povm_probabilities_fock, span_states
+from .discrimination import (build_povm, outcome_probabilities, overlap,
+                             povm_probabilities_fock, span_states)
 from .physics import DetectorConfig, Protocol, SetupConfig
 from .rates import DecoyConfig, bb84_secret_rate
 from .simulation import AttackKind, DoubleClickPolicy, SimConfig, simulate
@@ -312,13 +313,14 @@ def _cmd_simulate(config: RunConfig, args) -> list[dict]:
 
 def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
     mu = config.mu
-    povm = build_povm(math.exp(-2.0 * mu))
-    psi0, psi1 = span_states(math.exp(-2.0 * mu))
+    cos_gamma = overlap(mu)
+    povm = build_povm(cos_gamma)
+    psi0, psi1 = span_states(cos_gamma)
     p0 = outcome_probabilities(povm, psi0)
     p1 = outcome_probabilities(povm, psi1)
     fock = povm_probabilities_fock(mu)
     row = {
-        "mu": mu, "cos_gamma": math.exp(-2.0 * mu),
+        "mu": mu, "cos_gamma": cos_gamma,
         "completeness_residual": povm.completeness_residual(),
         "min_eigenvalue": povm.min_eigenvalue(),
         "p_ok_0": p0[0], "p_cross_0": p0[1], "p_inc_0": p0[2],

@@ -17,11 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Operator identities (completeness, positivity, zero cross-clicks) are
-# enforced well above double rounding but below any physical effect.
-OPERATOR_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class PovmSet:
     """Three-outcome USD measurement on the span of the two signal states.
@@ -33,11 +28,10 @@ class PovmSet:
     m0: np.ndarray
     m1: np.ndarray
     m_inc: np.ndarray
-    dim: int
 
     def completeness_residual(self) -> float:
         """Max-norm deviation of M0 + M1 + M? from the identity."""
-        return float(np.max(np.abs(self.m0 + self.m1 + self.m_inc - np.eye(self.dim))))
+        return float(np.max(np.abs(self.m0 + self.m1 + self.m_inc - np.eye(2))))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue over all three operators (>= -1e-10 when valid)."""
@@ -72,7 +66,7 @@ def build_povm(cos_gamma: float) -> PovmSet:
     m0 = (eye - np.outer(psi1, psi1)) / (1.0 + cos_gamma)
     m1 = (eye - np.outer(psi0, psi0)) / (1.0 + cos_gamma)
     m_inc = eye - m0 - m1
-    return PovmSet(m0=m0, m1=m1, m_inc=m_inc, dim=2)
+    return PovmSet(m0=m0, m1=m1, m_inc=m_inc)
 
 
 def outcome_probabilities(povm: PovmSet, state: np.ndarray) -> tuple[float, float, float]:
@@ -109,6 +103,8 @@ def fock_dimension(mu: float) -> int:
 
 def coherent_state_fock(alpha: float, dim: int) -> np.ndarray:
     """Amplitudes of |alpha> (real alpha) on the first ``dim`` Fock states, renormalized."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n = np.arange(dim)
     if alpha == 0.0:
         return (n == 0).astype(float)

@@ -1,8 +1,8 @@
 """Scalar maximization shared by the attack and sweep modules.
 
-One grid-then-refine maximizer serves the attack's search over b and every
-mu search: a scan of the caller's grid picks the best cell, and Brent's
-parabolic-golden search refines it.
+Brent's parabolic-golden search is the attack's search over b. The mu
+search first scans its grid for the best cell, which the same search then
+refines.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     of some interval around it, the result is the maximum on that interval.
 
     Assumes f is unimodal on the bracket; on multimodal functions it
-    converges to some local maximum, which is why callers first locate the
-    best cell of a dense grid. Returns (x, f(x)) for the best x evaluated.
+    converges to some local maximum. Returns (x, f(x)) for the best x
+    evaluated.
     """
     if b < a:
         a, b = b, a
@@ -44,9 +44,9 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     # No step is shorter than tol, and the search ends once the best point
     # lies within 2*tol of both bracket ends: a bracket of at most GOLDEN_TOL.
     tol = GOLDEN_TOL / 4.0
-    # Brent starts at a golden-section point. The middle is the best cell of
-    # an interior grid bracket (on a linear grid), which is feasible, and
-    # from a finite best point an infeasible (-inf) one only cuts the bracket.
+    # Brent starts at a golden-section point. The middle is feasible for both
+    # callers, and from a finite best point an infeasible (-inf) one only
+    # cuts the bracket.
     x = w = v = (a + b) / 2.0
     fx = fw = fv = f(x)
     d = e = 0.0
@@ -97,28 +97,24 @@ def grid_then_golden_max(f: Callable[[float], float], xs: np.ndarray,
                          values: np.ndarray) -> tuple[float, float]:
     """Best cell of the increasing grid xs, then a Brent refinement of it.
 
-    values holds the caller's objective at each grid point (non-finite
-    values mark invalid points); f evaluates a single point. The search
+    values holds f at each grid point (non-finite values mark invalid
+    points); f scores only the points the refinement adds. The search
     interval is [xs[0], xs[-1]]. The best of {grid optimum, refined
-    optimum, both interval endpoints} is returned, every one scored by f,
-    so exact endpoint optima are never lost to the local search. With no
-    finite grid value the result is (xs[0], -inf).
+    optimum, both interval endpoints} is returned, so exact endpoint optima
+    are never lost to the local search. With no finite grid value the
+    result is (xs[0], -inf).
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
         raise ValueError("empty search interval")
-    if hi == lo:
-        return lo, f(lo)
     values = np.asarray(values, dtype=float)
+    if hi == lo:
+        return lo, float(values[0])
     k = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
     if not math.isfinite(values[k]):
         return lo, -math.inf
-    bracket_lo = xs[max(k - 1, 0)]
-    bracket_hi = xs[min(k + 1, len(xs) - 1)]
-    x_ref, v_ref = golden_max(f, float(bracket_lo), float(bracket_hi))
+    x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]))
 
-    candidates = [(float(xs[k]), f(float(xs[k]))), (x_ref, v_ref)]
-    for edge in (lo, hi):
-        candidates.append((edge, f(edge)))
-    best = max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)
-    return best
+    candidates = [(float(xs[k]), float(values[k])), (x_ref, v_ref),
+                  (lo, float(values[0])), (hi, float(values[-1]))]
+    return max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)

@@ -219,10 +219,10 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 ) -> MuOptimum:
     """Maximize r_sec over mu at fixed (t, L): coarse log grid, then Brent refinement.
 
-    Each mu is rated once: the best grid cell and both interval edges,
-    which the refinement scores again, come from a memo. Serves every
-    protocol; the BB84 baselines ignore t_db, and decoy maps
-    a signal mu to the decoy-BB84 intensities. mu_floor restricts the
+    Each mu is rated once: the refinement takes the best grid cell's and
+    both edges' rates from the grid pass. Serves every protocol; the BB84
+    baselines ignore t_db, and decoy maps a signal mu to the decoy-BB84
+    intensities. mu_floor restricts the
     search from below (used to stay out of the grey-monitoring region); a
     floor above the whole range, or an all-zero rate, is reported with
     found=False and an undefined mu_opt.
@@ -234,15 +234,11 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
 
-    scores: dict[float, float] = {}
-
     def objective(mu: float) -> float:
-        if mu not in scores:
-            setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
-                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-            decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
-            scores[mu] = secret_rate(setup, detector, decoy=decoy_at).r_sec
-        return scores[mu]
+        setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
+                            length_km=length_km, pulse_rate_hz=pulse_rate_hz)
+        decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
+        return secret_rate(setup, detector, decoy=decoy_at).r_sec
 
     mus = _mu_grid(lo, hi, points, scale)
     mu_best, r_best = grid_then_golden_max(objective, mus,

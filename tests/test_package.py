@@ -77,3 +77,14 @@ def test_moved_functions_still_resolve():
     assert srqkd.secret_rate is sweeps.secret_rate
     assert srqkd.grey_region_mu_floor is sweeps.grey_region_mu_floor \
         is physics.grey_region_mu_floor
+
+
+def test_attack_maximizer_decides_without_the_grid():
+    # One Brent search decides Eve's optimum; the array objective only
+    # draws the --trace-out scan.
+    tree = ast.parse((SOURCES[0].parent / "attack.py").read_text(encoding="utf-8"))
+    (maximizer,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name == "maximize_eve_information"]
+    names = {node.id for node in ast.walk(maximizer) if isinstance(node, ast.Name)}
+    assert "golden_max" in names
+    assert not names & {"_information_curve", "grid_then_golden_max"}

@@ -11,14 +11,17 @@ from srqkd import (
     SetupConfig,
     bb84_gain_error,
     binary_entropy,
+    coherent_state_fock,
     derive_channel,
     fock_dimension,
     holevo_chi,
     monitoring_unacceptable,
     overlap,
     qber_from_received,
+    rate_residual,
     success_probability,
     transmittance,
+    unitarity_residual,
 )
 from srqkd.physics import PLANCK_H, SPEED_OF_LIGHT
 
@@ -189,6 +192,11 @@ def test_holevo_chi():
     pytest.param(lambda: fock_dimension(math.inf), id="fock-inf"),
     # exp(-mu) is subnormal: the Poisson sum used to loop forever.
     pytest.param(lambda: fock_dimension(1000.0), id="fock-1000"),
+    pytest.param(lambda: coherent_state_fock(math.nan, 3), id="fock-state-nan"),
+    pytest.param(lambda: unitarity_residual(math.nan, 1.0, 0.5, 0.3), id="unitarity-nan"),
+    pytest.param(lambda: unitarity_residual(0.5, math.inf, 0.5, 0.3), id="unitarity-inf"),
+    pytest.param(lambda: rate_residual(math.nan, 0.2, 0.1, 0.2, 0.15), id="rate-residual-nan"),
+    pytest.param(lambda: rate_residual(0.5, 0.2, 0.1, 0.2, math.inf), id="rate-residual-inf"),
 ])
 def test_scalar_functions_reject_non_finite(call):
     with pytest.raises(ValueError):
