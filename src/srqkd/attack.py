@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,9 +44,8 @@ from .physics import (
 # feasibility boundary; anything more negative means an infeasible b.
 _EPS_CLAMP = 1e-12
 
-DEFAULT_B_GRID_POINTS = 2000
-# Largest scan: its vectorized pass takes about 106 bytes per point.
-MAX_B_GRID_POINTS = 10**6
+# Points of the traced scan over the feasible interval.
+SCAN_POINTS = 2000
 
 # Largest x with a finite math.exp(x) and math.expm1(x).
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -96,7 +94,6 @@ class AttackSolution:
     delta: float
     interval_empty: bool = False
     monitoring_unacceptable: bool = False
-    scan_trace: Optional[list[tuple[float, float]]] = None
 
 
 def success_probability(eta: float, mu_prime: float, delta: float) -> float:
@@ -250,32 +247,22 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
     return min(max(info, 0.0), 1.0)
 
 
-def eve_information(b: float, setup: SetupConfig, detector: DetectorConfig) -> float:
-    """Eve's information per conclusive bit at attenuation b, in bits."""
-    channel = derive_channel(setup, detector)
-    return _checked_information(b, setup.mu, detector.eta, channel)
-
-
-def _checked_information(b: float, mu: float, eta: float, channel: ChannelDerived) -> float:
-    b_lo, b_hi = _b_bounds(mu, eta, channel)
-    if not b_lo - 1e-12 <= b <= b_hi + 1e-12:
-        raise ValueError(f"b={b} outside feasible interval [{b_lo}, {b_hi}]")
-    value = _information(b, mu, eta, channel.mu_prime, channel.delta)
-    if not math.isfinite(value):
-        raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
-    return value
-
-
 def beam_splitting_information(mu: float, mu_prime: float) -> float:
     """Information from plain beam splitting: the Holevo quantity of the tapped light."""
     return holevo_chi(max(mu - mu_prime, 0.0))
 
 
 def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig) -> AttackPoint:
-    """Assemble the full parameter set (p, a, intensities, information) at b."""
+    """The full parameter set (p, a, intensities, information I_E in bits) at b."""
     channel = derive_channel(setup, detector)
-    i_e = _checked_information(b, setup.mu, detector.eta, channel)
-    return _filtering_point(b, i_e, setup.mu, detector.eta, channel.mu_prime, channel.delta)
+    mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
+    b_lo, b_hi = _b_bounds(mu, eta, channel)
+    if not b_lo - 1e-12 <= b <= b_hi + 1e-12:
+        raise ValueError(f"b={b} outside feasible interval [{b_lo}, {b_hi}]")
+    i_e = _information(b, mu, eta, mu_prime, delta)
+    if not math.isfinite(i_e):
+        raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
+    return _filtering_point(b, i_e, mu, eta, mu_prime, delta)
 
 
 def _filtering_point(b: float, i_e: float, mu: float, eta: float, mu_prime: float,
@@ -305,32 +292,31 @@ def _beam_splitting_point(setup: SetupConfig, detector: DetectorConfig,
     )
 
 
-def _scan(b_lo: float, b_hi: float, b_points: int, mu: float, eta: float, mu_prime: float,
-          delta: float) -> list[tuple[float, float]]:
-    """(b, I_E) at b_points even steps over [b_lo, b_hi], nan where b is infeasible."""
+def scan_information(setup: SetupConfig,
+                     detector: DetectorConfig) -> list[tuple[float, float]]:
+    """(b, I_E) at SCAN_POINTS even steps over the feasible interval.
+
+    I_E is nan where b is infeasible; an empty interval has no rows. The
+    scan only draws the curve: :func:`maximize_eve_information` decides
+    the optimum without it.
+    """
+    channel = derive_channel(setup, detector)
+    b_lo, b_hi = _b_bounds(setup.mu, detector.eta, channel)
     if b_lo >= b_hi:
         return []
-    bs = np.linspace(b_lo, b_hi, b_points)
-    return [(float(x), float(v) if math.isfinite(v) else math.nan)
-            for x, v in zip(bs, _information_curve(bs, mu, eta, mu_prime, delta))]
+    bs = np.linspace(b_lo, b_hi, SCAN_POINTS)
+    values = _information_curve(bs, setup.mu, detector.eta, channel.mu_prime, channel.delta)
+    return [(float(x), float(v) if math.isfinite(v) else math.nan) for x, v in zip(bs, values)]
 
 
-def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
-                             b_points: int = DEFAULT_B_GRID_POINTS,
-                             keep_trace: bool = False) -> AttackSolution:
+def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> AttackSolution:
     """Maximize Eve's information over the feasible attenuation interval.
 
     One Brent search over the whole interval, and both edges scored ahead
     of its result, so that endpoint optima are returned exactly. Every
     candidate is scored by the scalar objective, whose feasibility test
-    matches :func:`amplification` bit for bit. ``b_points``, in
-    [2, MAX_B_GRID_POINTS], sets only the resolution of the scan that
-    ``keep_trace`` keeps in ``scan_trace`` (empty when the interval is).
+    matches :func:`amplification` bit for bit.
     """
-    if b_points < 2:
-        raise ValueError(f"b_points must be >= 2, got {b_points}")
-    if b_points > MAX_B_GRID_POINTS:
-        raise ValueError(f"b_points must be <= {MAX_B_GRID_POINTS}, got {b_points}")
     channel = derive_channel(setup, detector)
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
     b_lo, b_hi = _b_bounds(mu, eta, channel)
@@ -357,5 +343,4 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig,
     return AttackSolution(
         best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty,
         monitoring_unacceptable=monitoring_unacceptable(delta),
-        scan_trace=_scan(b_lo, b_hi, b_points, mu, eta, mu_prime, delta) if keep_trace else None,
     )

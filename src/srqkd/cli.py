@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .attack import DEFAULT_B_GRID_POINTS, maximize_eve_information
+from .attack import maximize_eve_information, scan_information
 from .discrimination import (build_povm, outcome_probabilities, overlap,
                              povm_probabilities_fock, span_states)
 from .physics import DetectorConfig, Protocol, SetupConfig
@@ -238,10 +238,9 @@ def _cmd_rate(config: RunConfig, args) -> list[dict]:
 
 def _cmd_attack(config: RunConfig, args) -> list[dict]:
     setup, detector = config.setup(), config.detector()
-    solution = maximize_eve_information(setup, detector, b_points=args.b_points,
-                                        keep_trace=args.trace_out is not None)
+    solution = maximize_eve_information(setup, detector)
     if args.trace_out is not None:
-        trace_rows = [{"b": b, "i_e": v} for b, v in solution.scan_trace]
+        trace_rows = [{"b": b, "i_e": v} for b, v in scan_information(setup, detector)]
         Path(args.trace_out).write_text(render_rows(trace_rows, ("b", "i_e"), config.format))
     return [{"mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
              "delta": solution.delta, "b_min": solution.b_min, "b_max": solution.b_max,
@@ -393,8 +392,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_override_flags(p)
         if name == "attack":
-            p.add_argument("--b-points", type=int, default=DEFAULT_B_GRID_POINTS,
-                           help="attenuation grid resolution")
             p.add_argument("--trace-out", help="write the (b, i_e) scan to this file")
         elif name == "rate-vs-distance":
             p.add_argument("--protocols", default="b92-sr,bb84-standard,bb84-decoy",

@@ -8,9 +8,7 @@ refines.
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 # Fraction of the larger bracket part that a golden-section step covers.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -93,28 +91,27 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     return x, fx
 
 
-def grid_then_golden_max(f: Callable[[float], float], xs: np.ndarray,
-                         values: np.ndarray) -> tuple[float, float]:
+def grid_then_golden_max(f: Callable[[float], float],
+                         xs: Sequence[float]) -> tuple[float, float]:
     """Best cell of the increasing grid xs, then a Brent refinement of it.
 
-    values holds f at each grid point (non-finite values mark invalid
-    points); f scores only the points the refinement adds. The search
-    interval is [xs[0], xs[-1]]. The best of {grid optimum, refined
-    optimum, both interval endpoints} is returned, so exact endpoint optima
-    are never lost to the local search. With no finite grid value the
-    result is (xs[0], -inf).
+    f scores each grid point once, then the points the refinement adds.
+    The search interval is [xs[0], xs[-1]]. The best of {grid optimum,
+    refined optimum, both interval endpoints} is returned, so exact
+    endpoint optima are never lost to the local search. Ties keep the
+    first; with no finite grid value the result is (xs[0], -inf).
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
         raise ValueError("empty search interval")
-    values = np.asarray(values, dtype=float)
+    values = [f(float(x)) for x in xs]
     if hi == lo:
-        return lo, float(values[0])
-    k = int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
-    if not math.isfinite(values[k]):
+        return lo, values[0]
+    # Non-finite values mark invalid points: they score -inf.
+    scores = [v if math.isfinite(v) else -math.inf for v in values]
+    k = scores.index(max(scores))
+    if scores[k] == -math.inf:
         return lo, -math.inf
     x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]))
-
-    candidates = [(float(xs[k]), float(values[k])), (x_ref, v_ref),
-                  (lo, float(values[0])), (hi, float(values[-1]))]
+    candidates = [(float(xs[k]), values[k]), (x_ref, v_ref), (lo, values[0]), (hi, values[-1])]
     return max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)

@@ -35,6 +35,9 @@ DEFAULT_FIBER_INDEX = 1.47
 FLAG_GREY = "grey-region"
 FLAG_CLAMPED = "clamped"
 FLAG_INFEASIBLE = "attack-infeasible"
+# Most points on any sweep axis: a larger one is refused before NumPy fails to
+# allocate it with a MemoryError.
+MAX_GRID_POINTS = 10**6
 
 
 def _check_mu_scale(lo: float, scale: str) -> None:
@@ -49,6 +52,8 @@ def _mu_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
     _check_mu_scale(lo, scale)
     if points < 2:
         raise ValueError(f"mu grid needs at least 2 points, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"mu grid needs at most {MAX_GRID_POINTS} points, got {points}")
     if scale == "linear":
         return np.linspace(lo, hi, points)
     xs = np.logspace(math.log10(lo), math.log10(hi), points)
@@ -74,6 +79,8 @@ class GridSpec:
                 raise ValueError(f"{name} range needs lo < hi")
             if n < 2:
                 raise ValueError(f"{name} range needs at least 2 points")
+            if n > MAX_GRID_POINTS:
+                raise ValueError(f"{name} range needs at most {MAX_GRID_POINTS} points")
 
     def mu_values(self) -> np.ndarray:
         return _mu_grid(*self.mu_range)
@@ -240,9 +247,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
         decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
         return secret_rate(setup, detector, decoy=decoy_at).r_sec
 
-    mus = _mu_grid(lo, hi, points, scale)
-    mu_best, r_best = grid_then_golden_max(objective, mus,
-                                           [objective(float(mu)) for mu in mus])
+    mu_best, r_best = grid_then_golden_max(objective, _mu_grid(lo, hi, points, scale))
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)

@@ -17,13 +17,12 @@ from srqkd import (
     b_interval,
     beam_splitting_information,
     derive_channel,
-    eve_information,
     maximize_eve_information,
     rate_residual,
     success_probability,
     unitarity_residual,
 )
-from srqkd.attack import MAX_B_GRID_POINTS, _expm1, _information, _information_curve
+from srqkd.attack import _expm1, _information, _information_curve, scan_information
 from srqkd.optimize import golden_max
 
 # Frozen at the reference setup (mu=0.3, t=65dB, L=10km, default detector)
@@ -177,9 +176,9 @@ def test_b_interval_reference(b92_setup, detector):
     assert 0.0 <= b_lo < b_hi <= 1.0
     # Interior points feasible, outside points rejected.
     mid = 0.5 * (b_lo + b_hi)
-    assert math.isfinite(eve_information(mid, b92_setup, detector))
+    assert math.isfinite(attack_point(mid, b92_setup, detector).i_e)
     with pytest.raises(ValueError, match="outside feasible interval"):
-        eve_information(b_lo - 0.05, b92_setup, detector)
+        attack_point(b_lo - 0.05, b92_setup, detector)
 
 
 def test_frozen_reference_point(b92_setup, detector):
@@ -195,15 +194,17 @@ def test_frozen_reference_point(b92_setup, detector):
 
 
 def test_maximizer_reproducible_and_bounded(b92_setup, detector):
-    first = maximize_eve_information(b92_setup, detector, keep_trace=True)
-    second = maximize_eve_information(b92_setup, detector, keep_trace=True)
+    first = maximize_eve_information(b92_setup, detector)
+    second = maximize_eve_information(b92_setup, detector)
     assert first.best == second.best
-    assert first.scan_trace == second.scan_trace
-    assert len(first.scan_trace) == 2000
+    scan = scan_information(b92_setup, detector)
+    assert scan == scan_information(b92_setup, detector)
+    assert len(scan) == 2000
     assert 0.0 <= first.best.i_e <= 1.0
     assert (first.b_min, first.b_max) == b_interval(b92_setup, detector)
+    assert (scan[0][0], scan[-1][0]) == b_interval(b92_setup, detector)
     # The returned optimum dominates every scanned point.
-    finite = [v for _, v in first.scan_trace if not math.isnan(v)]
+    finite = [v for _, v in scan if not math.isnan(v)]
     assert first.best.i_e >= max(finite) - 1e-12
 
 
@@ -211,7 +212,7 @@ def test_maximizer_beats_interior_samples(b92_setup, detector):
     sol = maximize_eve_information(b92_setup, detector)
     rng = np.random.default_rng(11)
     for b in rng.uniform(sol.b_min, sol.b_max, size=50):
-        assert eve_information(float(b), b92_setup, detector) <= sol.best.i_e + 1e-10
+        assert attack_point(float(b), b92_setup, detector).i_e <= sol.best.i_e + 1e-10
 
 
 def test_empty_interval_falls_back_to_beam_splitting(detector):
@@ -244,18 +245,7 @@ def test_attack_point_reproduces_maximizer_best(detector):
             continue
         checked += 1
         assert attack_point(sol.best.b, setup, detector) == sol.best
-        assert eve_information(sol.best.b, setup, detector) == sol.best.i_e
     assert checked > 200
-
-
-def test_maximizer_rejects_huge_grid(b92_setup, detector, address_space_cap):
-    # Refused before any lane is allocated, not with a MemoryError.
-    with pytest.raises(ValueError, match=f"b_points must be <= {MAX_B_GRID_POINTS}"):
-        maximize_eve_information(b92_setup, detector, b_points=10**12)
-    # The bound itself is accepted; an empty b-interval lays no grid.
-    empty = SetupConfig(protocol=Protocol.B92_SR, mu=0.05, t_db=40.0,
-                        length_km=50.0, pulse_rate_hz=5e6)
-    assert maximize_eve_information(empty, detector, b_points=MAX_B_GRID_POINTS).interval_empty
 
 
 @pytest.mark.parametrize("mu, t_db, length_km", [
@@ -264,15 +254,17 @@ def test_maximizer_rejects_huge_grid(b92_setup, detector, address_space_cap):
     (0.509703, 40.9804, 5.0),  # b_min is the unitarity bound
     (1000.0, 65.0, 10.0),      # an I_E = 1 plateau
 ])
-def test_maximizer_result_ignores_b_points(detector, mu, t_db, length_km):
+def test_scan_never_beats_maximizer(detector, mu, t_db, length_km):
+    # The scan draws the curve beside the optimum; it has no point above it.
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
-    default = maximize_eve_information(setup, detector)
-    assert default.scan_trace is None
-    for b_points in (2, 7, 20001):
-        traced = maximize_eve_information(setup, detector, b_points=b_points, keep_trace=True)
-        assert traced.best == default.best
-        assert len(traced.scan_trace) == b_points
+    sol = maximize_eve_information(setup, detector)
+    scan = scan_information(setup, detector)
+    assert len(scan) == 2000
+    assert [b for b, _ in scan] == sorted(b for b, _ in scan)
+    finite = [v for _, v in scan if not math.isnan(v)]
+    assert finite and not sol.interval_empty
+    assert sol.best.i_e >= max(finite) - (1e-9 * max(finite) + 1e-13)
 
 
 def _grid_maximum(setup, detector):
@@ -321,17 +313,6 @@ def test_maximizer_never_below_grid_maximizer():
         assert found >= grid - (1e-9 * abs(grid) + 1e-13), (setup, detector)
     assert feasible > 10_000
     assert max_delta > 1000.0
-
-
-@pytest.mark.parametrize("b_points", [1, 0, -5])
-def test_maximizer_rejects_fewer_than_two_grid_points(b92_setup, detector, b_points):
-    with pytest.raises(ValueError, match="b_points must be >= 2"):
-        maximize_eve_information(b92_setup, detector, b_points=b_points)
-    # Also where the b-interval is empty and no grid is laid.
-    empty = SetupConfig(protocol=Protocol.B92_SR, mu=0.05, t_db=40.0,
-                        length_km=50.0, pulse_rate_hz=5e6)
-    with pytest.raises(ValueError, match="b_points must be >= 2"):
-        maximize_eve_information(empty, detector, b_points=b_points)
 
 
 def test_beam_splitting_information_limits():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -171,21 +172,30 @@ def test_non_finite_value_exits_1(capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, name", [
-    pytest.param(["attack", "--b-points", value], "b_points", id=f"--b-points-{value}")
+@pytest.mark.parametrize("argv, error", [
+    # The scan's resolution is fixed: argparse rejects the flag.
+    pytest.param(["attack", "--b-points", value],
+                 f"srqkd: error: unrecognized arguments: --b-points {value}",
+                 id=f"--b-points-{value}")
     for value in ("0", "-5", "1", "1000000000000")
 ] + [
-    pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", value], "fixed_mu",
-                 id=f"--fixed-mu-{value}")
+    pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", value],
+                 "error: fixed_mu must be", id=f"--fixed-mu-{value}")
     for value in ("-1", "0", "nan")
+] + [
+    pytest.param([command, f"--{axis}-points", "1000000000000"],
+                 f"error: {axis} range needs at most 1000000 points",
+                 id=f"{command}--{axis}-points-1000000000000")
+    for command, axis in (("optimize-mu", "mu"), ("min-srp", "t"), ("sweep-mu-t", "mu"),
+                          ("rate-vs-t", "t"), ("rate-vs-distance", "l"))
 ])
-def test_bad_search_setting_exits_1(capsys, address_space_cap, argv, name):
-    # Under the cap, a b-grid of 10**12 lanes fails with MemoryError if it is
+def test_bad_search_setting_exits_1(address_space_cap, argv, error):
+    # Under the cap, a grid of 10**12 points fails with MemoryError if it is
     # not refused first.
-    code, out, err = _run(argv, capsys)
+    code, out, err = _run_captured(argv)
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: {name} must be")
+    assert err.splitlines()[-1].startswith(error)
 
 
 @pytest.mark.parametrize("protocols, names", [
@@ -334,14 +344,14 @@ def test_rate_vs_distance_stderr_crossover(capsys):
 
 def test_attack_trace_out(capsys, tmp_path):
     trace = tmp_path / "trace.csv"
-    code, out, _ = _run(["attack", "--b-points", "40", "--trace-out", str(trace)], capsys)
+    code, out, _ = _run(["attack", "--trace-out", str(trace)], capsys)
     assert code == 0
     header = out.strip().splitlines()[0].split(",")
     for needed in ("b", "p", "a", "i_e", "b_min", "b_max", "flags"):
         assert needed in header
     trace_lines = trace.read_text().strip().splitlines()
     assert trace_lines[0] == "b,i_e"
-    assert len(trace_lines) == 1 + 40
+    assert len(trace_lines) == 1 + 2000
 
 
 @pytest.mark.parametrize("fmt, empty", [("csv", "b,i_e\n"), ("json", "[]\n")])
@@ -353,6 +363,34 @@ def test_attack_trace_out_empty_interval(capsys, tmp_path, fmt, empty):
     assert code == 0, err
     assert "attack-infeasible" in out
     assert trace.read_text() == empty
+
+
+# SHA-256 of `attack --trace-out` files: every byte of the 2000-row scan, where
+# the corpus holds no trace and the benchmark samples every 100th row.
+_TRACE_SETUPS = {
+    "default": (),
+    "unitarity-bound": ("--mu", "0.509703", "--t-db", "40.9804", "--length-km", "5"),
+    "empty": ("--mu", "0.01", "--t-db", "40", "--length-km", "30"),
+}
+_TRACE_DIGESTS = {
+    ("default", "csv"): "5ec45fa75ea71cf394eda69536b60689de870b3d82315e310ad5fec478c24104",
+    ("default", "json"): "907f5c30aed23c974b3db64c016bca189f0994ae2510845e42b23b56b9a813d7",
+    ("unitarity-bound", "csv"):
+        "7c2e7ddfb8aeca4ed9001cde744c6c7270b8fad7e15105a814361f2931ddc7d2",
+    ("unitarity-bound", "json"):
+        "99bcdf949b50abb0a36a4fd329fbe080f866b464fbd21d723b7dc5f5b98e5c03",
+    ("empty", "csv"): "abcb1063946ae465867ad090f9c7fd9170d5398cc97250f2913f80ce95f52642",
+    ("empty", "json"): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+}
+
+
+@pytest.mark.parametrize("setup, fmt", sorted(_TRACE_DIGESTS), ids="-".join)
+def test_attack_trace_out_bytes(capsys, tmp_path, setup, fmt):
+    trace = tmp_path / f"trace.{fmt}"
+    code, _, err = _run(["attack", *_TRACE_SETUPS[setup], "--format", fmt,
+                         "--trace-out", str(trace)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == _TRACE_DIGESTS[setup, fmt]
 
 
 def test_povm_check_row(capsys):
@@ -450,6 +488,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                 for protocol in ("b92-sr", "bb84-sr", "bb84-standard", "bb84-decoy")
                 for length in ("0", "10", "37", "80")]
     commands += [(name,) + point for point in _CORPUS_POINTS for name in ("rate", "attack")]
+    # --b-points is no option: argparse rejects it.
     commands += [("attack", "--b-points", "1"), ("attack", "--b-points", "7"),
                  ("attack", "--b-points", "1000000000000")]
     commands += list(_DEEP_GREY)
@@ -483,6 +522,8 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                  ("rate-vs-distance", "--protocols", "b92-sr,b92-sr", "--l-points", "2",
                   "--mu-points", "5")]
     commands += [argv + ("--format", "json") for argv in commands]
+    # A grid too large to lay out, refused before any array is made.
+    commands += [("optimize-mu", "--mu-points", "1000000000000")]
     # argparse's own output: help, usage lines and usage errors.
     return commands + [
         ("-h",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),

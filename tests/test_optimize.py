@@ -75,7 +75,7 @@ def test_golden_max_swapped_bracket():
 def test_grid_then_golden_interior():
     f = lambda x: -(x - 0.41) ** 2
     xs = np.linspace(0.0, 1.0, 100)
-    x, v = grid_then_golden_max(f, xs, f(xs))
+    x, v = grid_then_golden_max(f, xs)
     assert x == pytest.approx(0.41, abs=5e-8)
     assert v == pytest.approx(0.0, abs=1e-14)
 
@@ -85,53 +85,44 @@ def test_grid_then_golden_endpoint_optimum():
     # returned exactly, not a refined near-boundary point.
     f = lambda x: x
     xs = np.linspace(0.0, 2.0, 50)
-    x, v = grid_then_golden_max(f, xs, xs)
+    x, v = grid_then_golden_max(f, xs)
     assert x == 2.0
     assert v == 2.0
 
 
 def test_grid_then_golden_log_spacing():
-    f = lambda x: -(np.log10(x) + 1.0) ** 2  # peak at x = 0.1
+    f = lambda x: -(math.log10(x) + 1.0) ** 2  # peak at x = 0.1
     xs = np.logspace(-3.0, 0.0, 200)
     xs[0], xs[-1] = 1e-3, 1.0
-    x, _ = grid_then_golden_max(lambda s: float(f(s)), xs, f(xs))
+    x, _ = grid_then_golden_max(f, xs)
     assert x == pytest.approx(0.1, rel=1e-6)
 
 
 def test_grid_then_golden_degenerate_interval():
     f = lambda x: -(x - 0.3) ** 2
     xs = np.linspace(0.7, 0.7, 100)
-    x, v = grid_then_golden_max(f, xs, f(xs))
+    x, v = grid_then_golden_max(f, xs)
     assert (x, v) == (0.7, f(0.7))
     xs = np.linspace(1.0, 0.0, 10)
     with pytest.raises(ValueError, match="empty"):
-        grid_then_golden_max(f, xs, f(xs))
+        grid_then_golden_max(f, xs)
 
 
 def test_grid_then_golden_no_finite_cell():
-    calls = []
-
-    def f_scalar(x):
-        calls.append(x)
-        return 0.0
-
-    x, v = grid_then_golden_max(f_scalar, np.linspace(0.2, 1.0, 11), np.full(11, np.nan))
+    f, calls = _counted(lambda x: math.nan)
+    xs = np.linspace(0.2, 1.0, 11)
+    x, v = grid_then_golden_max(f, xs)
     assert (x, v) == (0.2, -math.inf)
-    assert calls == []  # no golden search, no endpoint scoring
+    assert calls == list(xs)  # each grid point once: no golden search, no edge rescoring
 
 
 def test_grid_then_golden_skips_invalid_cells():
     # -inf marks infeasible points; the scan must land on the feasible peak.
-    def f_grid(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = -(xs - 0.8) ** 2
-        return np.where(xs < 0.5, -np.inf, out)
-
-    def f_scalar(x):
+    def f(x):
         return -math.inf if x < 0.5 else -(x - 0.8) ** 2
 
     xs = np.linspace(0.0, 1.0, 101)
-    x, v = grid_then_golden_max(f_scalar, xs, f_grid(xs))
+    x, v = grid_then_golden_max(f, xs)
     assert x == pytest.approx(0.8, abs=5e-8)
     assert v == pytest.approx(0.0, abs=1e-14)
 

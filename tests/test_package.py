@@ -2,6 +2,7 @@
 and the import graph keeps its layers."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -71,6 +72,11 @@ def test_physics_and_rates_are_the_scalar_layers():
     assert {m for m in rates if m.startswith((".", "srqkd"))} == {".physics"}
 
 
+def test_optimize_is_plain_math():
+    optimize = [m for m, _ in _imports(SOURCES[0].parent / "optimize.py")]
+    assert not [m for m in optimize if m.split(".")[0] == "numpy"]
+
+
 def test_moved_functions_still_resolve():
     from srqkd import physics, sweeps
 
@@ -88,3 +94,6 @@ def test_attack_maximizer_decides_without_the_grid():
     names = {node.id for node in ast.walk(maximizer) if isinstance(node, ast.Name)}
     assert "golden_max" in names
     assert not names & {"_information_curve", "grid_then_golden_max"}
+    # The scan is its own call: the maximizer takes no knob of it.
+    assert list(inspect.signature(srqkd.maximize_eve_information).parameters) == [
+        "setup", "detector"]

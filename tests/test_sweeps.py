@@ -51,6 +51,9 @@ def test_grid_spec_validation():
         GridSpec(t_range_db=(90.0, 40.0, 101))
     with pytest.raises(ValueError, match="at least 2"):
         GridSpec(l_range_km=(0.0, 120.0, 1))
+    GridSpec(t_range_db=(40.0, 90.0, 10**6))
+    with pytest.raises(ValueError, match="at most 1000000 points"):
+        GridSpec(t_range_db=(40.0, 90.0, 10**6 + 1))
 
 
 def test_sweep_row_flag_invariant():
@@ -127,7 +130,7 @@ def test_optimize_mu_floor_above_range(detector):
     assert opt.r_sec_hz == 0.0
 
 
-def test_optimize_mu_rejects_bad_mu_range(detector):
+def test_optimize_mu_rejects_bad_mu_range(detector, address_space_cap):
     with pytest.raises(ValueError, match="lo > 0"):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0, 10, "log"))
     with pytest.raises(ValueError, match="scale"):
@@ -136,6 +139,9 @@ def test_optimize_mu_rejects_bad_mu_range(detector):
     for scale in ("log", "linear"):
         with pytest.raises(ValueError, match="at least 2 points"):
             optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 1, scale))
+        # Nor is one too large to lay out: refused, not a MemoryError.
+        with pytest.raises(ValueError, match="at most 1000000 points"):
+            optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 10**12, scale))
 
 
 def test_optimize_mu_hopeless_detector():
