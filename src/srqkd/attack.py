@@ -37,7 +37,6 @@ from .physics import (
     SetupConfig,
     derive_channel,
     holevo_chi,
-    monitoring_unacceptable,
 )
 
 # Holevo arguments this far below zero are treated as rounding at an exact
@@ -93,7 +92,6 @@ class AttackSolution:
     b_max: float
     delta: float
     interval_empty: bool = False
-    monitoring_unacceptable: bool = False
 
 
 def success_probability(eta: float, mu_prime: float, delta: float) -> float:
@@ -341,6 +339,4 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     best = (_beam_splitting_point(setup, detector, delta, mu_prime) if empty
             else _filtering_point(b_best, i_best, mu, eta, mu_prime, delta))
     return AttackSolution(
-        best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty,
-        monitoring_unacceptable=monitoring_unacceptable(delta),
-    )
+        best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty)

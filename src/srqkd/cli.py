@@ -52,8 +52,7 @@ CONFIG_ENV_VAR = "SRQKD_CONFIG"
 
 _DETECTOR = DetectorConfig()
 _GRID = GridSpec()
-# At a unit signal the decoy intensities equal their ratios to it.
-_DECOY = DecoyConfig.from_signal(1.0)
+_DECOY = DecoyConfig()
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ class RunConfig:
     lambda_m: float = _DETECTOR.lambda_m
     f_ec: float = _DETECTOR.f_ec
     # decoy-state baseline
-    nu1_ratio: float = _DECOY.nu1
-    nu2_ratio: float = _DECOY.nu2
+    nu1_ratio: float = _DECOY.nu1_ratio
+    nu2_ratio: float = _DECOY.nu2_ratio
     p_mu: float = _DECOY.p_mu
     # sweep grids
     mu_lo: float = _GRID.mu_range[0]
@@ -111,9 +110,8 @@ class RunConfig:
                         t_range_db=(self.t_lo, self.t_hi, self.t_points),
                         l_range_km=(self.l_lo, self.l_hi, self.l_points))
 
-    def decoy(self, mu_sig: float) -> DecoyConfig:
-        return DecoyConfig.from_signal(mu_sig, nu1_ratio=self.nu1_ratio,
-                                       nu2_ratio=self.nu2_ratio, p_mu=self.p_mu)
+    def decoy(self) -> DecoyConfig:
+        return DecoyConfig(nu1_ratio=self.nu1_ratio, nu2_ratio=self.nu2_ratio, p_mu=self.p_mu)
 
     def validate(self) -> "RunConfig":
         """Re-run every domain validation on the merged values."""
@@ -124,7 +122,7 @@ class RunConfig:
         self.setup()
         self.detector()
         self.grid()
-        self.decoy(self.mu)
+        self.decoy()
         AttackKind(self.attack)
         SimConfig(n_pulses=self.n_pulses, seed=self.seed, double_click=self.double_click)
         if self.format not in ("csv", "json"):
@@ -232,8 +230,7 @@ def _cmd_rate(config: RunConfig, args) -> list[dict]:
     setup, detector = config.setup(), config.detector()
     if setup.protocol.uses_reference_pulse:
         return [_record(evaluate_sr_point(setup, detector))]
-    decoy = config.decoy(setup.mu) if setup.protocol is Protocol.BB84_DECOY else None
-    return [_record(rate_row(setup, bb84_secret_rate(setup, detector, decoy=decoy)))]
+    return [_record(rate_row(setup, bb84_secret_rate(setup, detector, config.decoy())))]
 
 
 def _cmd_attack(config: RunConfig, args) -> list[dict]:
@@ -258,7 +255,7 @@ def _cmd_optimize_mu(config: RunConfig, args) -> list[dict]:
     return [_record(optimize_mu(config.length_km, config.t_db, config.detector(),
                                 protocol=Protocol(config.protocol),
                                 pulse_rate_hz=config.pulse_rate_hz,
-                                mu_range=config.grid().mu_range, decoy=config.decoy))]
+                                mu_range=config.grid().mu_range, decoy=config.decoy()))]
 
 
 def _cmd_rate_vs_t(config: RunConfig, args) -> list[dict]:
@@ -275,7 +272,7 @@ def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
     comparison = rate_vs_distance(protocols, config.detector(),
                                   config.grid().l_values(), t_db=config.t_db,
                                   pulse_rate_hz=config.pulse_rate_hz,
-                                  mu_range=config.grid().mu_range, decoy=config.decoy)
+                                  mu_range=config.grid().mu_range, decoy=config.decoy())
     print(f"crossover_km = {comparison.crossover_km}", file=sys.stderr)
     return [_record(r) for r in comparison.rows]
 
@@ -283,8 +280,7 @@ def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
 def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
     return [_record(min_srp_photons(config.length_km, config.detector(),
                                     t_grid=config.grid().t_values(),
-                                    mu_policy=args.mu_policy, fixed_mu=args.fixed_mu,
-                                    criterion=args.criterion,
+                                    fixed_mu=args.fixed_mu, criterion=args.criterion,
                                     protocol=Protocol(config.protocol),
                                     pulse_rate_hz=config.pulse_rate_hz,
                                     mu_range=config.grid().mu_range))]
@@ -399,9 +395,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         elif name == "min-srp":
             p.add_argument("--criterion", default="positive-rate",
                            choices=("positive-rate", "0.99-of-max"))
-            p.add_argument("--mu-policy", default="optimized-per-t",
-                           choices=("optimized-per-t", "fixed"))
-            p.add_argument("--fixed-mu", type=float, default=None)
+            p.add_argument("--fixed-mu", type=float, default=None,
+                           help="hold mu at this value (default: optimize mu at each t)")
         elif name == "train-capacity":
             p.add_argument("--storage-km", type=float, required=True,
                            help="storage-line fiber length in km")

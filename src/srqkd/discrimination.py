@@ -98,7 +98,7 @@ def fock_dimension(mu: float) -> int:
         n += 1
         weight *= mu / n
         total += weight
-    return n + 1
+    return max(n + 1, 2)  # two distinct signal states span two dimensions
 
 
 def coherent_state_fock(alpha: float, dim: int) -> np.ndarray:

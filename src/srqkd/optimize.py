@@ -95,7 +95,8 @@ def grid_then_golden_max(f: Callable[[float], float],
                          xs: Sequence[float]) -> tuple[float, float]:
     """Best cell of the increasing grid xs, then a Brent refinement of it.
 
-    f scores each grid point once, then the points the refinement adds.
+    f scores each grid point once, then the points the refinement adds; a
+    grid collapsed to one point (xs[0] == xs[-1]) is scored once.
     The search interval is [xs[0], xs[-1]]. The best of {grid optimum,
     refined optimum, both interval endpoints} is returned, so exact
     endpoint optima are never lost to the local search. Ties keep the
@@ -104,9 +105,9 @@ def grid_then_golden_max(f: Callable[[float], float],
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
         raise ValueError("empty search interval")
-    values = [f(float(x)) for x in xs]
     if hi == lo:
-        return lo, values[0]
+        return lo, f(lo)
+    values = [f(float(x)) for x in xs]
     # Non-finite values mark invalid points: they score -inf.
     scores = [v if math.isfinite(v) else -math.inf for v in values]
     k = scores.index(max(scores))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .physics import (
     DetectorConfig,
@@ -60,26 +59,19 @@ class RateBreakdown:
 
 @dataclass(frozen=True)
 class DecoyConfig:
-    """Two-decoy configuration: signal, weak decoy and vacuum-like decoy."""
+    """Two-decoy intensities as ratios of the signal mu; defaults give nu2:nu1:mu = 1:25:100."""
 
-    mu_sig: float
-    nu1: float
-    nu2: float
+    nu1_ratio: float = 0.25
+    nu2_ratio: float = 0.01
     p_mu: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.nu2 < self.nu1 < self.mu_sig:
-            raise ValueError("intensities must satisfy 0 <= nu2 < nu1 < mu_sig")
-        if self.nu1 + self.nu2 >= self.mu_sig:
-            raise ValueError("need nu1 + nu2 < mu_sig")
+        if not 0.0 <= self.nu2_ratio < self.nu1_ratio:
+            raise ValueError("ratios must satisfy 0 <= nu2_ratio < nu1_ratio")
+        if self.nu1_ratio + self.nu2_ratio >= 1.0:
+            raise ValueError("need nu1_ratio + nu2_ratio < 1")
         if not 0.0 < self.p_mu <= 1.0:
             raise ValueError(f"p_mu must be in (0, 1], got {self.p_mu}")
-
-    @classmethod
-    def from_signal(cls, mu_sig: float, nu1_ratio: float = 0.25,
-                    nu2_ratio: float = 0.01, p_mu: float = 0.5) -> "DecoyConfig":
-        """Scale decoy intensities off the signal; defaults give nu2:nu1:mu = 1:25:100."""
-        return cls(mu_sig=mu_sig, nu1=nu1_ratio * mu_sig, nu2=nu2_ratio * mu_sig, p_mu=p_mu)
 
 
 @dataclass(frozen=True)
@@ -168,15 +160,15 @@ def bb84_pns_bounds(setup: SetupConfig, detector: DetectorConfig) -> Bb84Yields:
                       q1_lower=q1, e1_upper=e1)
 
 
-def decoy_bounds(decoy: DecoyConfig, detector: DetectorConfig,
+def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
                  length_km: float) -> Bb84Yields:
-    """Two-decoy experimental bounds on (Y0, Q1, E1).
+    """Two-decoy experimental bounds on (Y0, Q1, E1) at signal intensity mu.
 
-    The observable gains/errors at the three intensities come from the
-    no-eavesdropping model; the bounds are the standard weak+vacuum decoy
-    estimates built from them.
+    The decoys are decoy's ratios times mu. The observable gains/errors at
+    the three intensities come from the no-eavesdropping model; the bounds
+    are the standard weak+vacuum decoy estimates built from them.
     """
-    mu, nu1, nu2 = decoy.mu_sig, decoy.nu1, decoy.nu2
+    nu1, nu2 = decoy.nu1_ratio * mu, decoy.nu2_ratio * mu
     q_mu, e_mu = bb84_gain_error(mu, detector, length_km)
     q_n1, e_n1 = bb84_gain_error(nu1, detector, length_km)
     q_n2, e_n2 = bb84_gain_error(nu2, detector, length_km)
@@ -197,23 +189,20 @@ def decoy_bounds(decoy: DecoyConfig, detector: DetectorConfig,
 
 
 def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
-                     decoy: Optional[DecoyConfig] = None) -> RateBreakdown:
+                     decoy: DecoyConfig = DecoyConfig()) -> RateBreakdown:
     """GLLP secret rate for a BB84 baseline (standard or decoy-state).
 
     The decomposition fields are defined so r_sec = r_raw*(i_ab - i_e)
     holds exactly: r_raw = (1/2)*f*p_mu*Q_mu (p_mu = 1 for standard BB84),
     i_ab = 1 - f_ec*H(E_mu), and i_e = 1 - (Q1/Q_mu)*(1 - H(E1)) is the
-    sifted-bit fraction conceded under the single-photon bounds.
+    sifted-bit fraction conceded under the single-photon bounds. Standard
+    BB84 ignores decoy.
     """
     if setup.protocol is Protocol.BB84_STANDARD:
         yields = bb84_pns_bounds(setup, detector)
         p_mu = 1.0
     elif setup.protocol is Protocol.BB84_DECOY:
-        if decoy is None:
-            decoy = DecoyConfig.from_signal(setup.mu)
-        if decoy.mu_sig != setup.mu:
-            raise ValueError("decoy.mu_sig must match setup.mu")
-        yields = decoy_bounds(decoy, detector, setup.length_km)
+        yields = decoy_bounds(setup.mu, decoy, detector, setup.length_km)
         p_mu = decoy.p_mu
     else:
         raise ValueError(f"bb84_secret_rate needs a BB84 baseline, got {setup.protocol.value}")

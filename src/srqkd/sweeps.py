@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .physics import (
     Protocol,
     SetupConfig,
     grey_region_mu_floor,
+    monitoring_unacceptable,
 )
 from .rates import DecoyConfig, RateBreakdown, bb84_secret_rate, sr_secret_rate
 
@@ -170,7 +171,7 @@ def row_flags(solution: Optional[AttackSolution], clamped: bool) -> tuple[str, .
 
     solution is the attack behind the row; BB84 baselines have none.
     """
-    flags = ((FLAG_GREY, solution is not None and solution.monitoring_unacceptable),
+    flags = ((FLAG_GREY, solution is not None and monitoring_unacceptable(solution.delta)),
              (FLAG_CLAMPED, clamped),
              (FLAG_INFEASIBLE, solution is not None and solution.interval_empty))
     return tuple(name for name, raised in flags if raised)
@@ -195,12 +196,12 @@ def evaluate_sr_point(setup: SetupConfig, detector: DetectorConfig) -> SweepRow:
 
 
 def secret_rate(setup: SetupConfig, detector: DetectorConfig,
-                decoy: Optional[DecoyConfig] = None) -> RateBreakdown:
+                decoy: DecoyConfig = DecoyConfig()) -> RateBreakdown:
     """Rate of any protocol: SR setups under the optimal attack, BB84 by GLLP."""
     if setup.protocol.uses_reference_pulse:
         i_e = maximize_eve_information(setup, detector).best.i_e
         return sr_secret_rate(setup, detector, i_e)
-    return bb84_secret_rate(setup, detector, decoy=decoy)
+    return bb84_secret_rate(setup, detector, decoy)
 
 
 def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
@@ -222,17 +223,15 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
                 mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
                 mu_floor: Optional[float] = None,
-                decoy: Callable[[float], DecoyConfig] = DecoyConfig.from_signal,
-                ) -> MuOptimum:
+                decoy: DecoyConfig = DecoyConfig()) -> MuOptimum:
     """Maximize r_sec over mu at fixed (t, L): coarse log grid, then Brent refinement.
 
     Each mu is rated once: the refinement takes the best grid cell's and
     both edges' rates from the grid pass. Serves every protocol; the BB84
-    baselines ignore t_db, and decoy maps a signal mu to the decoy-BB84
-    intensities. mu_floor restricts the
-    search from below (used to stay out of the grey-monitoring region); a
-    floor above the whole range, or an all-zero rate, is reported with
-    found=False and an undefined mu_opt.
+    baselines ignore t_db, and decoy-BB84 sets its decoys by decoy's ratios
+    to each mu. mu_floor restricts the search from below (used to stay out
+    of the grey-monitoring region); a floor above the whole range, or an
+    all-zero rate, is reported with found=False and an undefined mu_opt.
     """
     lo, hi, points, scale = mu_range
     if mu_floor is not None:
@@ -244,8 +243,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     def objective(mu: float) -> float:
         setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-        decoy_at = decoy(mu) if setup.protocol is Protocol.BB84_DECOY else None
-        return secret_rate(setup, detector, decoy=decoy_at).r_sec
+        return secret_rate(setup, detector, decoy=decoy).r_sec
 
     mu_best, r_best = grid_then_golden_max(objective, _mu_grid(lo, hi, points, scale))
     if r_best <= 0.0:
@@ -288,12 +286,11 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
                      l_grid: Sequence[float], t_db: float = DEFAULT_T_DB,
                      pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
                      mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
-                     decoy: Callable[[float], DecoyConfig] = DecoyConfig.from_signal,
-                     ) -> DistanceComparison:
+                     decoy: DecoyConfig = DecoyConfig()) -> DistanceComparison:
     """Per-protocol rate curves vs distance, mu optimized at every point.
 
     SR protocols run at the given SRP attenuation; BB84 baselines have no
-    reference pulse, and decoy-BB84 takes its intensities from decoy. The
+    reference pulse, and decoy-BB84 takes its decoy ratios from decoy. The
     crossover is where the B92-SR and decoy-BB84 curves intersect,
     interpolated linearly in log-rate between grid points. protocols must
     be non-empty and hold each protocol at most once.
@@ -345,7 +342,6 @@ def crossover_distance(lengths: Sequence[float], rates_a: Sequence[float],
 
 def min_srp_photons(length_km: float, detector: DetectorConfig,
                     t_grid: Optional[Sequence[float]] = None,
-                    mu_policy: str = "optimized-per-t",
                     fixed_mu: Optional[float] = None,
                     criterion: str = "positive-rate",
                     protocol: Protocol = Protocol.B92_SR,
@@ -359,16 +355,14 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     cannot vouch for the reference pulse at all, so such operating points
     do not count as secure even if the rate formula stays positive.
 
+    With fixed_mu every point runs at that mu (policy "fixed"); without it
+    mu is optimized above the grey floor at each t ("optimized-per-t").
     criterion "positive-rate" returns the smallest nu with r_sec > 0;
     "0.99-of-max" the smallest nu whose rate is within 1% of the scan
     maximum (the intensity needed to stop paying rate for dimming the SRP).
     """
-    if mu_policy not in ("optimized-per-t", "fixed"):
-        raise ValueError(f"unknown mu_policy {mu_policy!r}")
     if criterion not in ("positive-rate", "0.99-of-max"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    if (mu_policy == "fixed") != (fixed_mu is not None):
-        raise ValueError("fixed_mu is required for the fixed policy and only then")
     if fixed_mu is not None and not (math.isfinite(fixed_mu) and fixed_mu > 0.0):
         raise ValueError(f"fixed_mu must be finite and > 0, got {fixed_mu}")
     protocol = _sr_protocol(protocol, "min_srp_photons")
@@ -378,7 +372,7 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     candidates = []  # (nu, mu, t_db, r_sec)
     for t_db in np.asarray(t_grid, dtype=float):
         floor = grey_region_mu_floor(length_km, float(t_db), detector)
-        if mu_policy == "fixed":
+        if fixed_mu is not None:
             if fixed_mu < floor:
                 continue
             setup = SetupConfig(protocol=protocol, mu=fixed_mu, t_db=float(t_db),
@@ -402,7 +396,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         r_max = max(c[3] for c in candidates)
         candidates = [c for c in candidates if c[3] >= 0.99 * r_max]
     nu, mu_at, t_at, rate = min(candidates, key=lambda c: c[0])
-    return MinSrpResult(length_km=length_km, criterion=criterion, mu_policy=mu_policy,
+    return MinSrpResult(length_km=length_km, criterion=criterion,
+                        mu_policy="optimized-per-t" if fixed_mu is None else "fixed",
                         nu_threshold=nu, mu_at=mu_at, t_db_at=t_at, r_sec_hz=rate)
 
 

@@ -187,7 +187,7 @@ def test_criterion_08_decoy_sandwich(detector):
     for _ in range(100):
         mu = rng.uniform(0.05, 1.0)
         length = rng.uniform(0.0, 60.0)
-        y = decoy_bounds(DecoyConfig.from_signal(mu), detector, length)
+        y = decoy_bounds(mu, DecoyConfig(), detector, length)
         t = transmittance(length)
         y1_true = 2.0 * detector.p_dc + detector.eta * t
         q1_true = mu * math.exp(-mu) * y1_true

@@ -18,6 +18,7 @@ from srqkd import (
     beam_splitting_information,
     derive_channel,
     maximize_eve_information,
+    monitoring_unacceptable,
     rate_residual,
     success_probability,
     unitarity_residual,
@@ -190,7 +191,7 @@ def test_frozen_reference_point(b92_setup, detector):
     assert sol.best.i_e == pytest.approx(I_E_REF, rel=1e-9)
     assert sol.best.b == pytest.approx(B_BEST_REF, abs=1e-6)
     assert not sol.interval_empty
-    assert not sol.monitoring_unacceptable
+    assert not monitoring_unacceptable(sol.delta)
 
 
 def test_maximizer_reproducible_and_bounded(b92_setup, detector):
@@ -222,7 +223,7 @@ def test_empty_interval_falls_back_to_beam_splitting(detector):
                         length_km=50.0, pulse_rate_hz=5e6)
     sol = maximize_eve_information(setup, detector)
     assert sol.interval_empty
-    assert sol.monitoring_unacceptable
+    assert monitoring_unacceptable(sol.delta)
     assert sol.best.b == 1.0 and sol.best.a == 1.0
     mu_prime = derive_channel(setup, detector).mu_prime
     assert sol.best.i_e == beam_splitting_information(setup.mu, mu_prime)
@@ -333,7 +334,7 @@ def test_maximizer_deep_grey_points(detector, mu, t_db, length_km):
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db,
                         length_km=length_km, pulse_rate_hz=5e6)
     sol = maximize_eve_information(setup, detector)
-    assert sol.monitoring_unacceptable
+    assert monitoring_unacceptable(sol.delta)
     assert sol.b_min <= sol.best.b <= sol.b_max
     assert sol.best.a >= 1.0
     assert 0.0 <= sol.best.i_e <= 1.0

@@ -116,8 +116,7 @@ def test_run_config_defaults_are_the_library_defaults():
     assert config.detector() == DetectorConfig()
     assert config.grid() == GridSpec()
     assert (config.pulse_rate_hz, config.t_db) == (DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB)
-    for mu in (0.3, 0.77):
-        assert config.decoy(mu) == DecoyConfig.from_signal(mu)
+    assert config.decoy() == DecoyConfig()
 
 
 def test_unknown_config_key_is_named(capsys, tmp_path):
@@ -179,7 +178,12 @@ def test_non_finite_value_exits_1(capsys, argv):
                  id=f"--b-points-{value}")
     for value in ("0", "-5", "1", "1000000000000")
 ] + [
-    pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", value],
+    # --fixed-mu alone sets the mu policy: argparse rejects --mu-policy.
+    pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3"],
+                 "srqkd: error: unrecognized arguments: --mu-policy fixed",
+                 id="--mu-policy-fixed")
+] + [
+    pytest.param(["min-srp", "--fixed-mu", value],
                  "error: fixed_mu must be", id=f"--fixed-mu-{value}")
     for value in ("-1", "0", "nan")
 ] + [
@@ -394,14 +398,22 @@ def test_attack_trace_out_bytes(capsys, tmp_path, setup, fmt):
 
 
 def test_povm_check_row(capsys):
-    code, out, _ = _run(["povm-check", "--mu", "0.25"], capsys)
-    assert code == 0
-    header, row = out.strip().splitlines()
-    values = dict(zip(header.split(","), row.split(",")))
-    assert abs(float(values["completeness_residual"])) < 1e-12
-    cg = math.exp(-0.5)
-    assert float(values["p_ok_0"]) == pytest.approx(1.0 - cg, rel=1e-10)
-    assert float(values["fock_p_ok_0"]) == pytest.approx(1.0 - cg, abs=1e-9)
+    # At mu = 1e-12 the Fock tail bound alone would keep a single dimension.
+    for mu in ("0.25", "1e-12"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = _run(["povm-check", "--mu", mu], capsys)
+        assert code == 0
+        assert caught == []
+        header, row = out.strip().splitlines()
+        values = {k: float(v) for k, v in zip(header.split(","), row.split(","))}
+        assert abs(values["completeness_residual"]) < 1e-12
+        if mu == "0.25":
+            assert values["p_ok_0"] == pytest.approx(1.0 - math.exp(-0.5), rel=1e-10)
+        for outcome in ("ok", "cross", "inc"):
+            fock = values[f"fock_p_{outcome}_0"]
+            assert math.isfinite(fock)
+            assert fock == pytest.approx(values[f"p_{outcome}_0"], abs=1e-9)
 
 
 def test_train_capacity_stdout_and_csv(capsys, tmp_path):
@@ -515,8 +527,8 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     ]
     commands += [("min-srp", "--criterion", criterion) + policy + _MIN_SRP_GRID
                  for criterion in ("positive-rate", "0.99-of-max")
-                 for policy in ((), ("--mu-policy", "fixed", "--fixed-mu", "0.3"))]
-    commands += [("min-srp", "--mu-policy", "fixed", "--fixed-mu", "-1")]
+                 for policy in ((), ("--fixed-mu", "0.3"))]
+    commands += [("min-srp", "--fixed-mu", "-1")]
     commands += [(name, "--mu", mu) for mu in ("1000", "1e300") for name in ("rate", "attack")]
     commands += [("rate-vs-distance", "--protocols", ","),
                  ("rate-vs-distance", "--protocols", "b92-sr,b92-sr", "--l-points", "2",
@@ -524,6 +536,10 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     commands += [argv + ("--format", "json") for argv in commands]
     # A grid too large to lay out, refused before any array is made.
     commands += [("optimize-mu", "--mu-points", "1000000000000")]
+    # The config format; the Fock cross-check at a mu whose tail bound keeps one
+    # dimension; and --mu-policy, which is no option (--fixed-mu sets the policy).
+    commands += [("rate", "--dump-config"), ("povm-check", "--mu", "1e-12"),
+                 ("min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3")]
     # argparse's own output: help, usage lines and usage errors.
     return commands + [
         ("-h",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),
@@ -577,17 +593,26 @@ def _corpus_change(old: list, new: list) -> str:
 
 
 def write_golden_corpus() -> None:
-    """Rewrite the corpus and print how each entry that changed moved."""
+    """Rewrite the corpus and print how each entry that changed moved.
+
+    A new key whose entry equals a removed key's is reported as a rename.
+    """
     os.environ.pop("SRQKD_CONFIG", None)
     old = (json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
            if GOLDEN_CORPUS.exists() else {})
     corpus = {" ".join(argv): _run_captured(argv) for argv in _corpus_commands()}
+    removed = sorted(old.keys() - corpus.keys())
     for key, entry in corpus.items():
         if key not in old:
-            print(f"{key}: new")
+            renamed = next((k for k in removed if old[k] == entry), None)
+            if renamed is None:
+                print(f"{key}: new")
+            else:
+                removed.remove(renamed)
+                print(f"{renamed} -> {key}: same bytes")
         elif entry != old[key]:
             print(f"{key}: {_corpus_change(old[key], entry)}")
-    for key in old.keys() - corpus.keys():
+    for key in removed:
         print(f"{key}: removed")
     GOLDEN_CORPUS.parent.mkdir(exist_ok=True)
     GOLDEN_CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")

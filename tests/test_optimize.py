@@ -99,10 +99,10 @@ def test_grid_then_golden_log_spacing():
 
 
 def test_grid_then_golden_degenerate_interval():
-    f = lambda x: -(x - 0.3) ** 2
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
     xs = np.linspace(0.7, 0.7, 100)
-    x, v = grid_then_golden_max(f, xs)
-    assert (x, v) == (0.7, f(0.7))
+    assert grid_then_golden_max(f, xs) == (0.7, -(0.7 - 0.3) ** 2)
+    assert calls == [0.7]  # a collapsed grid is scored once
     xs = np.linspace(1.0, 0.0, 10)
     with pytest.raises(ValueError, match="empty"):
         grid_then_golden_max(f, xs)
@@ -242,7 +242,7 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
     scored = []
     secret_rate = sweeps.secret_rate
 
-    def recording(setup, detector, decoy=None):
+    def recording(setup, detector, decoy):
         scored.append(setup.mu)
         return secret_rate(setup, detector, decoy=decoy)
 
@@ -254,3 +254,7 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
         assert opt.found
         assert len(scored) == len(set(scored)) > 21
         assert opt.mu_opt in scored
+    # A grey floor at the top of the mu range leaves a single mu to rate.
+    scored.clear()
+    opt = optimize_mu(10.0, 65.0, detector, mu_floor=1.0)
+    assert scored == [1.0] and opt.mu_opt == 1.0

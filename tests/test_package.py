@@ -2,6 +2,7 @@
 and the import graph keeps its layers."""
 
 import ast
+import dataclasses
 import inspect
 import types
 from pathlib import Path
@@ -97,3 +98,13 @@ def test_attack_maximizer_decides_without_the_grid():
     # The scan is its own call: the maximizer takes no knob of it.
     assert list(inspect.signature(srqkd.maximize_eve_information).parameters) == [
         "setup", "detector"]
+
+
+def test_each_input_has_one_source():
+    # Decoys are ratios of the setup's mu, --fixed-mu alone picks min-srp's
+    # mu policy, and the grey flag is read from the solution's delta.
+    assert [f.name for f in dataclasses.fields(srqkd.DecoyConfig)] == [
+        "nu1_ratio", "nu2_ratio", "p_mu"]
+    assert "mu_policy" not in inspect.signature(srqkd.min_srp_photons).parameters
+    assert [f.name for f in dataclasses.fields(srqkd.attack.AttackSolution)] == [
+        "best", "b_min", "b_max", "delta", "interval_empty"]

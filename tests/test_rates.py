@@ -96,8 +96,7 @@ def test_decoy_sandwich(detector):
     """Decoy bounds bracket the true single-photon yield and error."""
     rng = np.random.default_rng(10)
     for mu, length in _random_mu_lengths(40, rng, mu_lo=0.1, mu_hi=0.8):
-        decoy = DecoyConfig.from_signal(mu)
-        y = decoy_bounds(decoy, detector, length)
+        y = decoy_bounds(mu, DecoyConfig(), detector, length)
         t = transmittance(length)
         y1_true = 2.0 * detector.p_dc + detector.eta * t
         q1_true = mu * math.exp(-mu) * y1_true
@@ -108,17 +107,18 @@ def test_decoy_sandwich(detector):
 
 
 def test_decoy_config_validation():
-    cfg = DecoyConfig.from_signal(0.5)
-    assert (cfg.nu2, cfg.nu1, cfg.mu_sig) == pytest.approx((0.005, 0.125, 0.5))
-    assert cfg.p_mu == 0.5
+    cfg = DecoyConfig()
+    assert (cfg.nu2_ratio, cfg.nu1_ratio, cfg.p_mu) == (0.01, 0.25, 0.5)
     with pytest.raises(ValueError):
-        DecoyConfig(mu_sig=0.5, nu1=0.6, nu2=0.005)
+        DecoyConfig(nu1_ratio=1.2)
     with pytest.raises(ValueError):
-        DecoyConfig(mu_sig=0.5, nu1=0.005, nu2=0.125)
+        DecoyConfig(nu1_ratio=0.01, nu2_ratio=0.25)
     with pytest.raises(ValueError):
-        DecoyConfig(mu_sig=0.5, nu1=0.3, nu2=0.25)  # nu1 + nu2 >= mu
+        DecoyConfig(nu2_ratio=-0.01)
     with pytest.raises(ValueError):
-        DecoyConfig(mu_sig=0.5, nu1=0.125, nu2=0.005, p_mu=0.0)
+        DecoyConfig(nu1_ratio=0.6, nu2_ratio=0.5)  # nu1 + nu2 >= mu
+    with pytest.raises(ValueError):
+        DecoyConfig(p_mu=0.0)
 
 
 def test_sr_breakdown_identities(b92_setup, detector):
@@ -165,13 +165,6 @@ def test_bb84_yields_validation():
         Bb84Yields(q_mu=0.1, e_mu=0.02, y0=0.0, q1_lower=0.2, e1_upper=0.02)
     with pytest.raises(ValueError):
         Bb84Yields(q_mu=0.1, e_mu=0.02, y0=0.0, q1_lower=0.05, e1_upper=0.6)
-
-
-def test_bb84_decoy_requires_matching_signal(detector):
-    setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=0.3, t_db=65.0,
-                        length_km=10.0, pulse_rate_hz=5e6)
-    with pytest.raises(ValueError, match="mu_sig"):
-        bb84_secret_rate(setup, detector, decoy=DecoyConfig.from_signal(0.4))
 
 
 def test_bb84_decomposition_identity(detector):

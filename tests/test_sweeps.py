@@ -181,15 +181,13 @@ def test_rate_vs_distance_rows_and_crossover(detector):
 
 
 def test_rate_vs_distance_honours_decoy_config(detector):
-    def decoy(mu):
-        return DecoyConfig.from_signal(mu, nu1_ratio=0.1, p_mu=0.9)
-
+    decoy = DecoyConfig(nu1_ratio=0.1, p_mu=0.9)
     comp = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
                             mu_range=(0.01, 1.0, 11, "log"), decoy=decoy)
     (row,) = comp.rows
     setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=row.mu, t_db=0.0,
                         length_km=20.0, pulse_rate_hz=5e6)
-    assert row.r_sec_hz == bb84_secret_rate(setup, detector, decoy=decoy(row.mu)).r_sec
+    assert row.r_sec_hz == bb84_secret_rate(setup, detector, decoy=decoy).r_sec
     default = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
                                mu_range=(0.01, 1.0, 11, "log"))
     assert default.rows[0].r_sec_hz != row.r_sec_hz
@@ -254,32 +252,25 @@ def test_min_srp_monotone_in_distance(detector):
 
 def test_min_srp_fixed_policy(detector):
     res = min_srp_photons(10.0, detector, t_grid=np.linspace(40.0, 90.0, 11),
-                          mu_policy="fixed", fixed_mu=0.3)
-    assert res.mu_at == 0.3
+                          fixed_mu=0.3)
+    assert (res.mu_policy, res.mu_at) == ("fixed", 0.3)
     # The scan never uses a t whose grey floor exceeds the fixed mu.
     assert grey_region_mu_floor(10.0, res.t_db_at, detector) <= 0.3
     assert res.nu_threshold == pytest.approx(0.3 * 10 ** (res.t_db_at / 10.0), rel=1e-12)
 
 
 def test_min_srp_validation(detector):
-    with pytest.raises(ValueError, match="mu_policy"):
-        min_srp_photons(10.0, detector, mu_policy="adaptive")
     with pytest.raises(ValueError, match="criterion"):
         min_srp_photons(10.0, detector, criterion="half-max")
-    with pytest.raises(ValueError, match="fixed_mu"):
-        min_srp_photons(10.0, detector, mu_policy="fixed")
-    with pytest.raises(ValueError, match="fixed_mu"):
-        min_srp_photons(10.0, detector, fixed_mu=0.3)
     # A fixed mu must be a usable intensity, not a point skipped at every t.
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="fixed_mu must be finite and > 0"):
-            min_srp_photons(10.0, detector, mu_policy="fixed", fixed_mu=bad)
+            min_srp_photons(10.0, detector, fixed_mu=bad)
     # Checked before any rate is computed: a BB84 baseline has no SRP.
-    for policy, mu in (("optimized-per-t", None), ("fixed", 0.3)):
+    for mu in (None, 0.3):
         with pytest.raises(ValueError, match="min_srp_photons needs an SR protocol, "
                                              "got bb84-decoy"):
-            min_srp_photons(10.0, detector, mu_policy=policy, fixed_mu=mu,
-                            protocol=Protocol.BB84_DECOY)
+            min_srp_photons(10.0, detector, fixed_mu=mu, protocol=Protocol.BB84_DECOY)
 
 
 @pytest.mark.parametrize("protocol", [Protocol.BB84_DECOY, Protocol.BB84_STANDARD])
