@@ -4,7 +4,8 @@ Configuration is a flat ``key = value`` file (``#`` starts a comment) whose
 keys match the RunConfig fields below; command-line flags override file
 values, which override the library's defaults (DetectorConfig, GridSpec,
 the sweeps' pulse rate and attenuation). The SRQKD_CONFIG environment
-variable names a default config file.
+variable names a default config file. A file may hold any key; a subcommand
+takes unabbreviated flags for exactly the keys it reads (_COMMANDS).
 
 Each row is the record the library returns (SweepRow, MuOptimum,
 DistancePoint, MinSrpResult; the attack row spreads AttackPoint), written
@@ -54,6 +55,18 @@ _DETECTOR = DetectorConfig()
 _GRID = GridSpec()
 _DECOY = DecoyConfig()
 
+# RunConfig keys by what reads them: the only record of which key feeds which command.
+_SETUP_KEYS = ("protocol", "mu", "t_db", "length_km", "pulse_rate_hz")
+_MONITOR_KEYS = ("nep", "tau_s", "lambda_m")  # the SRP monitor's photon uncertainty
+_DETECTOR_KEYS = ("eta", "p_dc", "p_opt", *_MONITOR_KEYS, "f_ec")
+_DECOY_KEYS = ("nu1_ratio", "nu2_ratio", "p_mu")
+_MU_AXIS = ("mu_lo", "mu_hi", "mu_points", "mu_scale")
+_T_AXIS = ("t_lo", "t_hi", "t_points")
+_L_AXIS = ("l_lo", "l_hi", "l_points")
+_SIMULATOR_KEYS = ("n_pulses", "seed", "attack", "double_click")
+_CHANNEL_KEYS = ("mu", "t_db", "length_km", "eta", *_MONITOR_KEYS)  # fix mu' and delta
+_SWEEP_KEYS = ("protocol", "length_km", "pulse_rate_hz", *_DETECTOR_KEYS)  # rates at one L
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,14 +109,14 @@ class RunConfig:
     # output
     format: str = "csv"
 
+    def _values(self, keys) -> dict:
+        return {key: getattr(self, key) for key in keys}
+
     def setup(self) -> SetupConfig:
-        return SetupConfig(protocol=self.protocol, mu=self.mu, t_db=self.t_db,
-                           length_km=self.length_km, pulse_rate_hz=self.pulse_rate_hz)
+        return SetupConfig(**self._values(_SETUP_KEYS))
 
     def detector(self) -> DetectorConfig:
-        return DetectorConfig(eta=self.eta, p_dc=self.p_dc, p_opt=self.p_opt,
-                              nep=self.nep, tau_s=self.tau_s,
-                              lambda_m=self.lambda_m, f_ec=self.f_ec)
+        return DetectorConfig(**self._values(_DETECTOR_KEYS))
 
     def grid(self) -> GridSpec:
         return GridSpec(mu_range=(self.mu_lo, self.mu_hi, self.mu_points, self.mu_scale),
@@ -111,7 +124,7 @@ class RunConfig:
                         l_range_km=(self.l_lo, self.l_hi, self.l_points))
 
     def decoy(self) -> DecoyConfig:
-        return DecoyConfig(nu1_ratio=self.nu1_ratio, nu2_ratio=self.nu2_ratio, p_mu=self.p_mu)
+        return DecoyConfig(**self._values(_DECOY_KEYS))
 
     def validate(self) -> "RunConfig":
         """Re-run every domain validation on the merged values."""
@@ -136,7 +149,7 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 def _convert(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     if kind == "int":
-        return int(float(raw))
+        return int(raw)
     if kind == "float":
         return float(raw)
     return raw
@@ -157,7 +170,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _convert(key, raw)
-        except (ValueError, OverflowError):  # int(float("inf")) overflows
+        except ValueError:
             raise ValueError(f"{source}:{lineno}: bad value for {key!r}: {raw!r}") from None
     return values
 
@@ -327,23 +340,24 @@ def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
 
 
 def _cmd_train_capacity(config: RunConfig, args) -> list[dict]:
-    rate_hz = args.rate_hz if args.rate_hz is not None else config.pulse_rate_hz
-    count = train_capacity(args.storage_km, rate_hz, n_fib=args.n_fib)
-    return [{"storage_km": args.storage_km, "pulse_rate_hz": rate_hz,
+    count = train_capacity(args.storage_km, config.pulse_rate_hz, n_fib=args.n_fib)
+    return [{"storage_km": args.storage_km, "pulse_rate_hz": config.pulse_rate_hz,
              "n_fib": args.n_fib, "capacity": count}]
 
 
+# Each command's handler and the RunConfig keys it reads, which are its flags.
 _COMMANDS = {
-    "rate": _cmd_rate,
-    "attack": _cmd_attack,
-    "sweep-mu-t": _cmd_sweep_mu_t,
-    "optimize-mu": _cmd_optimize_mu,
-    "rate-vs-t": _cmd_rate_vs_t,
-    "rate-vs-distance": _cmd_rate_vs_distance,
-    "min-srp": _cmd_min_srp,
-    "simulate": _cmd_simulate,
-    "povm-check": _cmd_povm_check,
-    "train-capacity": _cmd_train_capacity,
+    "rate": (_cmd_rate, _SETUP_KEYS + _DETECTOR_KEYS + _DECOY_KEYS),
+    "attack": (_cmd_attack, _CHANNEL_KEYS),
+    "sweep-mu-t": (_cmd_sweep_mu_t, _SWEEP_KEYS + _MU_AXIS + _T_AXIS),
+    "optimize-mu": (_cmd_optimize_mu, _SWEEP_KEYS + ("t_db",) + _DECOY_KEYS + _MU_AXIS),
+    "rate-vs-t": (_cmd_rate_vs_t, _SWEEP_KEYS + ("mu",) + _T_AXIS),
+    "rate-vs-distance": (_cmd_rate_vs_distance, ("t_db", "pulse_rate_hz") + _DETECTOR_KEYS
+                         + _DECOY_KEYS + _MU_AXIS + _L_AXIS),
+    "min-srp": (_cmd_min_srp, _SWEEP_KEYS + _MU_AXIS + _T_AXIS),
+    "simulate": (_cmd_simulate, _CHANNEL_KEYS + ("p_dc", "p_opt") + _SIMULATOR_KEYS),
+    "povm-check": (_cmd_povm_check, ("mu",)),
+    "train-capacity": (_cmd_train_capacity, ()),  # pulse_rate_hz, spelled --rate-hz
 }
 
 
@@ -355,19 +369,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_override_flags(parser: argparse.ArgumentParser):
+def _add_override_flags(parser: argparse.ArgumentParser, keys: Sequence[str]):
+    """--config, --out, --dump-config, --format and one flag per key, in RunConfig order."""
     parser.add_argument("--config", help="config file path (default: $SRQKD_CONFIG)")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the merged configuration and exit")
-    for field in dataclasses.fields(RunConfig):
-        flag = "--" + field.name.replace("_", "-")
-        if field.type == "int":
-            parser.add_argument(flag, dest=field.name, type=int, default=None)
-        elif field.type == "float":
-            parser.add_argument(flag, dest=field.name, type=float, default=None)
-        else:
-            parser.add_argument(flag, dest=field.name, default=None)
+    for key, kind in _FIELD_TYPES.items():
+        if key in keys or key == "format":
+            parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                                type={"int": int, "float": float}.get(kind))
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -385,8 +396,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                                 metavar=metavar)
 
     for name in names:
-        p = sub.add_parser(name)
-        _add_override_flags(p)
+        p = sub.add_parser(name, allow_abbrev=False)  # one spelling per flag
+        _add_override_flags(p, _COMMANDS[name][1])
         if name == "attack":
             p.add_argument("--trace-out", help="write the (b, i_e) scan to this file")
         elif name == "rate-vs-distance":
@@ -400,8 +411,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         elif name == "train-capacity":
             p.add_argument("--storage-km", type=float, required=True,
                            help="storage-line fiber length in km")
-            p.add_argument("--rate-hz", type=float, default=None,
-                           help="pulse repetition rate (default: pulse_rate_hz)")
+            p.add_argument("--rate-hz", dest="pulse_rate_hz", type=float, metavar="RATE_HZ",
+                           help="pulse repetition rate in Hz (config key pulse_rate_hz)")
             p.add_argument("--n-fib", type=float, default=DEFAULT_FIBER_INDEX,
                            help="fiber group refractive index")
     return parser
@@ -418,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.dump_config:
             _emit(dump_config(config), args.out)
             return 0
-        rows = _COMMANDS[args.command](config, args)
+        rows = _COMMANDS[args.command][0](config, args)
         for row in rows:
             for value in row.values():
                 if isinstance(value, float) and math.isinf(value):

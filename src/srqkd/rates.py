@@ -164,24 +164,25 @@ def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
                  length_km: float) -> Bb84Yields:
     """Two-decoy experimental bounds on (Y0, Q1, E1) at signal intensity mu.
 
-    The decoys are decoy's ratios times mu. The observable gains/errors at
-    the three intensities come from the no-eavesdropping model; the bounds
-    are the standard weak+vacuum decoy estimates built from them.
+    The decoys are decoy's ratios r1, r2 times mu. The observable gains/errors
+    at the three intensities come from the no-eavesdropping model; the standard
+    weak+vacuum decoy estimates are written in r1, r2, so no power of mu underflows.
     """
-    nu1, nu2 = decoy.nu1_ratio * mu, decoy.nu2_ratio * mu
+    r1, r2 = decoy.nu1_ratio, decoy.nu2_ratio
+    nu1, nu2 = r1 * mu, r2 * mu
     q_mu, e_mu = bb84_gain_error(mu, detector, length_km)
     q_n1, e_n1 = bb84_gain_error(nu1, detector, length_km)
     q_n2, e_n2 = bb84_gain_error(nu2, detector, length_km)
 
-    y0 = max((nu1 * q_n2 * math.exp(nu2) - nu2 * q_n1 * math.exp(nu1)) / (nu1 - nu2), 0.0)
-    q1 = (mu ** 2 * math.exp(-mu) / ((nu1 - nu2) * (mu - nu1 - nu2))) * (
+    y0 = max((r1 * q_n2 * math.exp(nu2) - r2 * q_n1 * math.exp(nu1)) / (r1 - r2), 0.0)
+    q1 = (math.exp(-mu) / ((r1 - r2) * (1.0 - r1 - r2))) * (
         q_n1 * math.exp(nu1) - q_n2 * math.exp(nu2)
-        - (nu1 ** 2 - nu2 ** 2) / mu ** 2 * (q_mu * math.exp(mu) - y0)
+        - (r1 ** 2 - r2 ** 2) * (q_mu * math.exp(mu) - y0)
     )
     q1 = min(max(q1, 0.0), q_mu)
     if q1 > 0.0:
         e1 = ((e_n1 * q_n1 * math.exp(nu1) - e_n2 * q_n2 * math.exp(nu2))
-              * mu * math.exp(-mu) / ((nu1 - nu2) * q1))
+              * math.exp(-mu) / ((r1 - r2) * q1))
         e1 = min(max(e1, 0.0), 0.5)
     else:
         e1 = 0.5

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -135,10 +136,88 @@ def test_config_comments_and_bad_values(tmp_path):
         parse_config_text("mu = lots\n")
     with pytest.raises(ValueError, match="bad value"):
         parse_config_text("mu_points = inf\n")
+    with pytest.raises(ValueError, match="bad value"):
+        parse_config_text("mu_points = 5.9\n")  # as --mu-points 5.9 is refused
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("mu 0.3\n")
     cfg = load_run_config(None, {"mu": 0.5, "t_db": None})
     assert cfg.mu == 0.5 and cfg.t_db == RunConfig().t_db
+
+
+def test_config_seed_is_exact(capsys, tmp_path):
+    # A seed past 2**53 reads from a file as it does through --seed.
+    seed = "12345678901234567891"
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text(f"seed = {seed}\n")
+    assert parse_config_text(cfg_file.read_text()) == {"seed": int(seed)}
+    from_file = _run(["simulate", "--config", str(cfg_file), "--dump-config"], capsys)
+    assert from_file == _run(["simulate", "--seed", seed, "--dump-config"], capsys)
+    assert f"seed = {seed}\n" in from_file[1]
+
+
+# One valid value other than the default for each RunConfig key; a base config
+# on small grids keeps each run short. Each command runs from one or two base
+# configs: a key it reads changes its output on at least one of them.
+_KEY_BASE = {"mu_points": "4", "t_lo": "40", "t_hi": "80", "t_points": "2",
+             "l_hi": "40", "l_points": "2", "n_pulses": "1000000000",
+             "format": "json"}
+_KEY_OTHER = {
+    "protocol": "bb84-sr", "mu": "0.35", "t_db": "60", "length_km": "20",
+    "pulse_rate_hz": "1e7", "eta": "0.25", "p_dc": "3e-5", "p_opt": "0.03", "nep": "3e-11",
+    "tau_s": "4e-9", "lambda_m": "1.3e-6", "f_ec": "1.1", "nu1_ratio": "0.2",
+    "nu2_ratio": "0.02", "p_mu": "0.6", "mu_lo": "0.05", "mu_hi": "0.8", "mu_points": "5",
+    "mu_scale": "linear", "t_lo": "55", "t_hi": "85", "t_points": "3", "l_lo": "5",
+    "l_hi": "30", "l_points": "3", "n_pulses": "2000000000", "seed": "7", "attack": "beam-split",
+    "double_click": "random-bit", "format": "csv",
+}
+_KEY_RUNS = {
+    "rate": ((), ({"protocol": "b92-sr"}, {"protocol": "bb84-decoy"})),
+    "attack": ((), ({},)),
+    "sweep-mu-t": ((), ({},)),
+    "optimize-mu": ((), ({"protocol": "b92-sr"}, {"protocol": "bb84-decoy"})),
+    "rate-vs-t": ((), ({},)),
+    "rate-vs-distance": (("--protocols", "b92-sr,bb84-decoy"), ({},)),
+    "min-srp": ((), ({},)),
+    "simulate": ((), ({"attack": "soft-filter"}, {"attack": "none"})),
+    "povm-check": ((), ({},)),
+    "train-capacity": (("--storage-km", "10"), ({},)),
+}
+
+
+def _key_flags(command):
+    """The RunConfig keys that command takes as flags, with their spellings."""
+    from srqkd import cli
+
+    (sub,) = [a for a in cli.build_parser(command)._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {action.dest: action.option_strings for action in sub.choices[command]._actions
+            if action.dest in _KEY_OTHER}
+
+
+@pytest.mark.parametrize("command", sorted(_KEY_RUNS))
+def test_flags_are_the_keys_each_command_reads(tmp_path, command):
+    assert sorted(_KEY_OTHER) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    argv, bases = _KEY_RUNS[command]
+    cfg_file = tmp_path / "run.cfg"
+
+    def run(values):
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        return _run_captured([command, "--config", str(cfg_file), *argv])
+
+    read = set()
+    for base in bases:
+        base = {**_KEY_BASE, **base}
+        before = run(base)
+        assert before[0] == 0, before
+        for key, other in _KEY_OTHER.items():
+            if base.get(key) == "bb84-decoy":
+                other = "bb84-standard"  # the other BB84 baseline
+            if run({**base, key: other}) != before:
+                read.add(key)
+    flags = _key_flags(command)
+    assert set(flags) == read
+    spelled = {"pulse_rate_hz": ["--rate-hz"]} if command == "train-capacity" else {}
+    assert flags == {key: spelled.get(key, ["--" + key.replace("_", "-")]) for key in flags}
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -182,6 +261,11 @@ def test_non_finite_value_exits_1(capsys, argv):
     pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3"],
                  "srqkd: error: unrecognized arguments: --mu-policy fixed",
                  id="--mu-policy-fixed")
+] + [
+    # No flag is abbreviated: --m is not --mu, nor --len --length-km.
+    pytest.param([command, flag, value], f"srqkd: error: unrecognized arguments: {flag} {value}",
+                 id=f"{command}{flag}-{value}")
+    for command, flag, value in (("rate", "--m", "0.2"), ("attack", "--len", "20"))
 ] + [
     pytest.param(["min-srp", "--fixed-mu", value],
                  "error: fixed_mu must be", id=f"--fixed-mu-{value}")
@@ -297,7 +381,7 @@ def test_min_srp_row_schema(capsys):
 
 
 def test_optimize_mu_json(capsys):
-    code, out, _ = _run(["optimize-mu", "--format", "json"] + FAST_GRID, capsys)
+    code, out, _ = _run(["optimize-mu", "--format", "json"] + FAST_GRID[:6], capsys)
     assert code == 0
     payload = json.loads(out)
     assert len(payload) == 1
@@ -533,9 +617,15 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     commands += [("rate-vs-distance", "--protocols", ","),
                  ("rate-vs-distance", "--protocols", "b92-sr,b92-sr", "--l-points", "2",
                   "--mu-points", "5")]
+    # Decoy bounds at a mu whose square underflows.
+    commands += [("rate", "--protocol", "bb84-decoy", "--mu", "1e-300"),
+                 ("optimize-mu", "--protocol", "bb84-decoy", "--mu-lo", "1e-200",
+                  "--mu-points", "5")]
     commands += [argv + ("--format", "json") for argv in commands]
-    # A grid too large to lay out, refused before any array is made.
-    commands += [("optimize-mu", "--mu-points", "1000000000000")]
+    # A grid too large to lay out, refused before any array is made; a grid
+    # too small and an f_ec below 1, refused by validation.
+    commands += [("optimize-mu", "--mu-points", "1000000000000"),
+                 ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
     # The config format; the Fock cross-check at a mu whose tail bound keeps one
     # dimension; and --mu-policy, which is no option (--fixed-mu sets the policy).
     commands += [("rate", "--dump-config"), ("povm-check", "--mu", "1e-12"),
@@ -545,6 +635,9 @@ def _corpus_commands() -> list[tuple[str, ...]]:
         ("-h",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),
         ("rate", "--bogus", "1"), ("rate", "0.3"), ("rate", "--mu", "x"),
         ("min-srp", "--criterion", "z"), ("train-capacity",), ("rate", "--m", "0.2"),
+        # No abbreviations, and no flag for a key the command does not read.
+        ("attack", "--len", "20"), ("povm-check", "--eta", "0.9"),
+        ("train-capacity", "--storage-km", "10", "--pulse-rate-hz", "1e7"),
     ]
 
 

@@ -106,6 +106,42 @@ def test_decoy_sandwich(detector):
         assert y.y0 <= 2.0 * detector.p_dc * (1.0 + 1e-9)
 
 
+def _textbook_decoy_bounds(mu, decoy, detector, length):
+    # Ma et al.'s weak+vacuum estimates written in the decoy intensities nu1, nu2.
+    nu1, nu2 = decoy.nu1_ratio * mu, decoy.nu2_ratio * mu
+    q_mu, _ = bb84_gain_error(mu, detector, length)
+    (q_n1, e_n1), (q_n2, e_n2) = (bb84_gain_error(nu, detector, length) for nu in (nu1, nu2))
+    y0 = max((nu1 * q_n2 * math.exp(nu2) - nu2 * q_n1 * math.exp(nu1)) / (nu1 - nu2), 0.0)
+    q1 = mu ** 2 * math.exp(-mu) / ((nu1 - nu2) * (mu - nu1 - nu2)) * (
+        q_n1 * math.exp(nu1) - q_n2 * math.exp(nu2)
+        - (nu1 ** 2 - nu2 ** 2) / mu ** 2 * (q_mu * math.exp(mu) - y0))
+    e1 = ((e_n1 * q_n1 * math.exp(nu1) - e_n2 * q_n2 * math.exp(nu2))
+          * mu * math.exp(-mu) / ((nu1 - nu2) * q1))
+    return y0, q1, e1
+
+
+def test_decoy_bounds_match_textbook_form(detector):
+    rng = np.random.default_rng(11)
+    for decoy in (DecoyConfig(), DecoyConfig(nu1_ratio=0.1, nu2_ratio=0.0, p_mu=0.9)):
+        for mu, length in _random_mu_lengths(40, rng, mu_lo=0.05, mu_hi=0.9):
+            y = decoy_bounds(mu, decoy, detector, length)
+            y0, q1, e1 = _textbook_decoy_bounds(mu, decoy, detector, length)
+            assert y.y0 == pytest.approx(y0, rel=1e-12, abs=1e-20)
+            assert y.q1_lower == pytest.approx(q1, rel=1e-9)
+            assert y.e1_upper == pytest.approx(min(e1, 0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1e-161, 1e-200, 1e-300, 5e-324])
+def test_decoy_bounds_tiny_mu(detector, mu):
+    # mu**2 underflows to 0 here; in the ratios of mu nothing divides by it.
+    setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=mu, t_db=65.0, length_km=10.0,
+                        pulse_rate_hz=5e6)
+    y = decoy_bounds(mu, DecoyConfig(), detector, 10.0)
+    assert 0.0 <= y.q1_lower <= y.q_mu
+    rate = bb84_secret_rate(setup, detector)
+    assert rate.r_sec == 0.0 and rate.r_sec_unclamped < 0.0
+
+
 def test_decoy_config_validation():
     cfg = DecoyConfig()
     assert (cfg.nu2_ratio, cfg.nu1_ratio, cfg.p_mu) == (0.01, 0.25, 0.5)
