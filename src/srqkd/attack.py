@@ -149,6 +149,8 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, flo
 
 def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
     mu_prime, delta = channel.mu_prime, channel.delta
+    if delta == math.inf:
+        raise ValueError(f"delta overflows at mu={mu}: it grows as 1/mu and with fiber loss")
     x = 2.0 * eta * mu_prime * delta
     c = _expm1(2.0 * (mu - mu_prime * (1.0 + delta)))
     if x <= _MAX_EXP_ARG:
@@ -310,10 +312,12 @@ def scan_information(setup: SetupConfig,
 def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> AttackSolution:
     """Maximize Eve's information over the feasible attenuation interval.
 
-    One Brent search over the whole interval, and both edges scored ahead
-    of its result, so that endpoint optima are returned exactly. Every
-    candidate is scored by the scalar objective, whose feasibility test
-    matches :func:`amplification` bit for bit.
+    One Brent search over the whole interval, and both edges scored, so
+    that endpoint optima are returned exactly. Every candidate is scored by
+    the scalar objective, whose feasibility test matches
+    :func:`amplification` bit for bit. Ties (an I_E = 1 plateau) go to
+    b_min, then b_max, then the search's point: an edge on the plateau is
+    returned whatever path the search took.
     """
     channel = derive_channel(setup, detector)
     mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
@@ -322,18 +326,9 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     def information(b: float) -> float:
         return _information(b, mu, eta, mu_prime, delta)
 
-    candidates = []
-    if b_lo < b_hi:
-        candidates.append((b_lo, information(b_lo)))
-        if candidates[0][1] == -math.inf:
-            # b_lo is the unitarity bound (a -> inf). I_E can peak in a sliver
-            # next to it that the search never samples (it takes no step on an
-            # interval narrower than GOLDEN_TOL), so close in on b_lo geometrically.
-            candidates += [(b, information(b))
-                           for b in (b_lo + (b_hi - b_lo) * 0.5 ** k for k in range(30, 0, -1))]
-        # Scored ahead of the search's result and in order of b, so that a
-        # tie (an I_E = 1 plateau) goes to the lowest b.
-        candidates += [(b_hi, information(b_hi)), golden_max(information, b_lo, b_hi)]
+    # max() keeps the first of equal scores: the tie order above.
+    candidates = [(b_lo, information(b_lo)), (b_hi, information(b_hi)),
+                  golden_max(information, b_lo, b_hi)] if b_lo < b_hi else []
     b_best, i_best = max(candidates, key=lambda pair: pair[1], default=(1.0, -math.inf))
     empty = i_best == -math.inf
     best = (_beam_splitting_point(setup, detector, delta, mu_prime) if empty

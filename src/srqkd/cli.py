@@ -322,6 +322,8 @@ def _cmd_simulate(config: RunConfig, args) -> list[dict]:
 def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
     mu = config.mu
     cos_gamma = overlap(mu)
+    if cos_gamma == 1.0:
+        raise ValueError(f"mu={mu} is too small: the overlap exp(-2*mu) rounds to 1")
     povm = build_povm(cos_gamma)
     psi0, psi1 = span_states(cos_gamma)
     p0 = outcome_probabilities(povm, psi0)

@@ -12,9 +12,10 @@ from typing import Callable, Sequence
 
 # Fraction of the larger bracket part that a golden-section step covers.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-# The search stops once its bracket is this narrow (absolute, in x), or
-# after this many steps.
-GOLDEN_TOL = 1e-10
+# The search stops once its bracket is this fraction of the first (about
+# sqrt(eps), below which a smooth maximum is flat to rounding), or after
+# this many steps.
+GOLDEN_REL = 1e-8
 GOLDEN_MAX_ITER = 200
 
 
@@ -25,10 +26,10 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     without Derivatives, 1973, ch. 5): each step fits a parabola through the
     three best points and falls back to a golden-section step whenever that
     fit is not trusted. It stops once the bracket around the best point is
-    at most GOLDEN_TOL wide, or after GOLDEN_MAX_ITER steps; a bracket that
-    is already that narrow returns its midpoint. The search starts at the
-    midpoint; when f is finite there and -inf (infeasible) on either side
-    of some interval around it, the result is the maximum on that interval.
+    at most GOLDEN_REL of the first bracket (or 4 ulp of its ends, if more),
+    or after GOLDEN_MAX_ITER steps. The search starts at the midpoint; when
+    f is finite there and -inf (infeasible) on either side of some interval
+    around it, the result is the maximum on that interval.
 
     Assumes f is unimodal on the bracket; on multimodal functions it
     converges to some local maximum. Returns (x, f(x)) for the best x
@@ -36,12 +37,9 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     """
     if b < a:
         a, b = b, a
-    if b - a <= GOLDEN_TOL:
-        x = (a + b) / 2.0
-        return x, f(x)
-    # No step is shorter than tol, and the search ends once the best point
-    # lies within 2*tol of both bracket ends: a bracket of at most GOLDEN_TOL.
-    tol = GOLDEN_TOL / 4.0
+    # No step is shorter than tol (1 ulp at least, so every step moves x), and
+    # the search ends once the best point lies within 2*tol of both bracket ends.
+    tol = max(GOLDEN_REL * (b - a) / 4.0, math.ulp(max(abs(a), abs(b))))
     # Brent starts at a golden-section point. The middle is feasible for both
     # callers, and from a finite best point an infeasible (-inf) one only
     # cuts the bracket.

@@ -268,6 +268,29 @@ def test_scan_never_beats_maximizer(detector, mu, t_db, length_km):
     assert sol.best.i_e >= max(finite) - (1e-9 * max(finite) + 1e-13)
 
 
+@pytest.mark.parametrize("mu, t_db, length_km, b_best", [
+    (1000.0, 65.0, 10.0, 1.0),                  # b_max lies on the plateau
+    (0.509703, 40.9804, 5.0, 0.0882087674263),  # only the search's point does
+])
+def test_plateau_tie_rule(detector, mu, t_db, length_km, b_best):
+    # I_E clamps at 1 on a plateau whose b_min (the unitarity bound) is
+    # infeasible. Ties go to b_min, then b_max, then the search's point.
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db, length_km=length_km,
+                        pulse_rate_hz=5e6)
+    sol = maximize_eve_information(setup, detector)
+    channel = derive_channel(setup, detector)
+
+    def f(b):
+        return _information(b, mu, detector.eta, channel.mu_prime, channel.delta)
+
+    candidates = [(sol.b_min, f(sol.b_min)), (sol.b_max, f(sol.b_max)),
+                  golden_max(f, sol.b_min, sol.b_max)]
+    assert candidates[0][1] == -math.inf
+    assert sol.best.i_e == 1.0
+    assert sol.best.b == next(b for b, v in candidates if v == 1.0)
+    assert sol.best.b == pytest.approx(b_best, rel=1e-9, abs=0.0)
+
+
 def _grid_maximum(setup, detector):
     # I_E of the maximizer that the whole-interval search replaced: the best
     # cell of a 2000-point _information_curve scan, refined by golden_max

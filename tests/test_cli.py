@@ -557,6 +557,21 @@ def test_installed_console_script():
     _assert_prints_245(proc)
 
 
+@pytest.mark.parametrize("argv, edge, reason", [
+    # exp(-2*mu) rounds to 1 below about 2.776e-17.
+    (("povm-check", "--mu", "2e-17"), ("povm-check", "--mu", "2.78e-17"), "rounds to 1"),
+    # delta = delta(mu=1)/mu overflows; 1e-310 still gives a row.
+    (("rate", "--mu", "1e-320"), ("rate", "--mu", "1e-310"), "delta overflows"),
+    (("attack", "--mu", "1e-320"), ("attack", "--mu", "1e-310"), "delta overflows"),
+], ids=["povm-check", "rate", "attack"])
+def test_tiny_mu_refusal_names_mu(capsys, argv, edge, reason):
+    code, out, err = _run(list(argv), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"mu={argv[-1]}" in err and reason in err
+    code, out, _ = _run(list(edge), capsys)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # Golden CLI corpus: exit code, stdout and stderr of a fixed set of runs,
 # compared byte for byte. A change that shifts numbers on purpose
@@ -626,6 +641,10 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     # too small and an f_ec below 1, refused by validation.
     commands += [("optimize-mu", "--mu-points", "1000000000000"),
                  ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
+    # A mu too small for the command, refused by name, and the nearest that is not.
+    commands += [("povm-check", "--mu", "2e-17"), ("povm-check", "--mu", "2.78e-17"),
+                 ("rate", "--mu", "1e-320"), ("rate", "--mu", "1e-310"),
+                 ("attack", "--mu", "1e-320"), ("attack", "--mu", "1e-310")]
     # The config format; the Fock cross-check at a mu whose tail bound keeps one
     # dimension; and --mu-policy, which is no option (--fixed-mu sets the policy).
     commands += [("rate", "--dump-config"), ("povm-check", "--mu", "1e-12"),
@@ -667,22 +686,57 @@ def test_golden_cli_corpus(address_space_cap):
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+_JSON_KEY = re.compile(r'"([^"]+)":')
+
+
+def _field_at(lines: list[str], row: int, pos: int) -> str:
+    """The field of the number at lines[row][pos]: its JSON key, its CSV
+    header cell, or else the text before it on its line."""
+    before = lines[row][:pos]
+    keys = _JSON_KEY.findall(before)
+    if keys:
+        return keys[-1]
+    header = lines[0].split(",")
+    if row > 0 and len(header) > 1:
+        return header[min(before.count(","), len(header) - 1)]
+    return before.strip(" =:") or f"line {row + 1}"
+
+
 def _corpus_change(old: list, new: list) -> str:
-    """How a corpus entry moved: its largest relative numeric shift, or a flag.
+    """How a corpus entry moved: its largest relative numeric shift and the
+    field it is in, or a flag.
 
     An exit code that differs, or stdout/stderr that differ anywhere but in
     their numbers, is flagged instead of measured.
     """
     if old[0] != new[0]:
         return f"EXIT CODE {old[0]} -> {new[0]}"
-    shift = 0.0
+    shift, field = 0.0, None
     for before, after in zip(old[1:], new[1:]):
         if _NUMBER.split(before) != _NUMBER.split(after):
             return "TEXT CHANGED"
-        for x, y in zip(map(float, _NUMBER.findall(before)), map(float, _NUMBER.findall(after))):
-            if x != y:
-                shift = max(shift, abs(x - y) / max(abs(x), abs(y)))
-    return f"max rel shift {shift:.3g}"
+        lines = after.splitlines()
+        for row, (line_x, line_y) in enumerate(zip(before.splitlines(), lines)):
+            for x, y in zip(_NUMBER.finditer(line_x), _NUMBER.finditer(line_y)):
+                a, b = float(x.group()), float(y.group())
+                if a != b and abs(a - b) / max(abs(a), abs(b)) > shift:
+                    shift = abs(a - b) / max(abs(a), abs(b))
+                    field = _field_at(lines, row, y.start())
+    return f"max rel shift {shift:.3g}" + (f" in {field}" if field else "")
+
+
+def test_corpus_change_names_the_field():
+    csv = "mu,b,i_e\n0.3,{},1\n"
+    assert _corpus_change([0, csv.format(0.5), ""], [0, csv.format(0.9), ""]) == \
+        "max rel shift 0.444 in b"
+    doc = '[\n  {{\n    "b": 0.5,\n    "i_e": {}\n  }}\n]\n'
+    assert _corpus_change([0, doc.format(0.25), ""], [0, doc.format(0.5), ""]) == \
+        "max rel shift 0.5 in i_e"
+    assert _corpus_change([0, "", "crossover_km = 68.4\n"], [0, "", "crossover_km = 70\n"]) \
+        == "max rel shift 0.0229 in crossover_km"
+    assert _corpus_change([0, "mu\n0.30\n", ""], [0, "mu\n0.3\n", ""]) == "max rel shift 0"
+    assert _corpus_change([0, "a 1\n", ""], [0, "b 1\n", ""]) == "TEXT CHANGED"
+    assert _corpus_change([0, "", ""], [1, "", ""]) == "EXIT CODE 0 -> 1"
 
 
 def write_golden_corpus() -> None:

@@ -1,0 +1,76 @@
+"""Metamorphic relations of the SR rate model where the SRP monitor is trusted.
+
+Each relation compares two evaluations whose inputs differ in one way, and
+whose outputs must then move in a known direction:
+
+- I_E does not fall when the monitor's NEP rises by 1%;
+- r_sec does not rise with p_dc, p_opt or f_ec;
+- at L + 0.5 km, I_E does not fall and r_sec does not rise;
+- at t + 0.5 dB, r_sec does not fall;
+- B92-SR's r_sec is exactly twice BB84-SR's.
+
+Both points of each pair have delta <= 0.5, the grey-region bound. Beyond
+it the model is not monotone, and nothing here asserts it there: past
+delta = 1 the fail-branch intensity mu'(1 - delta) goes negative, and I_E
+can fall as NEP rises (by up to about 0.2 bits in random draws, each such
+maximum confirmed by a dense scan); r_sec can fall as t grows, and rise as
+L grows, once either point is grey.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+
+from srqkd import DetectorConfig, Protocol, SetupConfig, monitoring_unacceptable
+from srqkd.sweeps import evaluate_sr_point
+
+
+def _no_less(low, high):
+    # high >= low, up to rounding: rel 1e-9 plus abs 1e-13.
+    return high >= low - (1e-9 * abs(low) + 1e-13)
+
+
+def test_metamorphic_relations():
+    rng = np.random.default_rng(20261019)
+    checks = dict.fromkeys(("nep", "p_dc", "p_opt", "f_ec", "length", "t", "b92_bb84"), 0)
+    for _ in range(2000):
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, -2.0),
+                                  p_opt=rng.uniform(0.0, 0.1),
+                                  nep=rng.uniform(1e-12, 100e-12))
+        setup = SetupConfig(protocol=Protocol.B92_SR,
+                            mu=10.0 ** rng.uniform(math.log10(0.003), math.log10(2.0)),
+                            t_db=rng.uniform(40.0, 90.0), length_km=rng.uniform(0.0, 100.0),
+                            pulse_rate_hz=5e6)
+        base = evaluate_sr_point(setup, detector)
+        if monitoring_unacceptable(base.delta):
+            continue
+
+        def at(setup=setup, **changes):
+            row = evaluate_sr_point(setup, dataclasses.replace(detector, **changes))
+            return None if monitoring_unacceptable(row.delta) else row
+
+        row = at(nep=detector.nep * 1.01)
+        if row:
+            checks["nep"] += 1
+            assert _no_less(base.i_e, row.i_e), (setup, detector)
+        for key, value in (("p_dc", detector.p_dc * 1.1),
+                           ("p_opt", detector.p_opt + 0.005),
+                           ("f_ec", detector.f_ec + 0.05)):
+            checks[key] += 1
+            assert _no_less(at(**{key: value}).r_sec_per_pulse, base.r_sec_per_pulse), (
+                key, setup, detector)
+        row = at(dataclasses.replace(setup, length_km=setup.length_km + 0.5))
+        if row:
+            checks["length"] += 1
+            assert _no_less(base.i_e, row.i_e), (setup, detector)
+            assert _no_less(row.r_sec_per_pulse, base.r_sec_per_pulse), (setup, detector)
+        row = at(dataclasses.replace(setup, t_db=setup.t_db + 0.5))
+        if row:
+            checks["t"] += 1
+            assert _no_less(base.r_sec_per_pulse, row.r_sec_per_pulse), (setup, detector)
+        bb84 = at(dataclasses.replace(setup, protocol=Protocol.BB84_SR))
+        checks["b92_bb84"] += 1
+        assert base.r_sec_per_pulse == 2.0 * bb84.r_sec_per_pulse, (setup, detector)
+    assert min(checks.values()) > 700, checks

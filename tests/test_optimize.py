@@ -17,9 +17,14 @@ from srqkd import (
     optimize_mu,
     sweeps,
 )
-from srqkd.optimize import GOLDEN_MAX_ITER, GOLDEN_TOL, golden_max, grid_then_golden_max
+from srqkd.optimize import GOLDEN_MAX_ITER, GOLDEN_REL, golden_max, grid_then_golden_max
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _stop_width(a, b):
+    # The narrowest final bracket golden_max asks for on [a, b].
+    return max(GOLDEN_REL * abs(b - a), 4.0 * math.ulp(max(abs(a), abs(b))))
 
 
 def _golden_section_max(f, a, b):
@@ -27,11 +32,12 @@ def _golden_section_max(f, a, b):
     # with the same stop rule and the bracket midpoint as its result.
     if b < a:
         a, b = b, a
+    stop = _stop_width(a, b)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(GOLDEN_MAX_ITER):
-        if b - a <= GOLDEN_TOL:
+        if b - a <= stop:
             break
         if fc > fd:
             b, d, fd = d, c, fc
@@ -190,30 +196,43 @@ def test_brent_evaluation_budget():
     f, calls = _counted(lambda x: -(x - 0.3) ** 2)
     x, _ = golden_max(f, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=5e-8)
-    assert len(calls) <= 15
+    assert len(calls) <= 10
     # The golden-section oracle needs more than three times as many.
     f_old, calls_old = _counted(lambda x: -(x - 0.3) ** 2)
     _golden_section_max(f_old, 0.0, 1.0)
-    assert len(calls_old) > 3 * 15
+    assert len(calls_old) > 3 * 10
 
 
 def test_brent_final_bracket_within_tolerance():
     # Every point tried after the best one brackets it: the last evaluations
-    # on both sides of x lie at most GOLDEN_TOL apart.
+    # on both sides of x lie at most GOLDEN_REL of the first bracket apart.
     f, calls = _counted(lambda x: -(x - 0.41) ** 2 + 0.1 * (x - 0.41) ** 3)
     x, v = golden_max(f, 0.2, 0.9)
     assert v == f(x)
     left = max(c for c in calls if c < x)
     right = min(c for c in calls if c > x)
-    assert right - left <= GOLDEN_TOL
+    assert right - left <= GOLDEN_REL * (0.9 - 0.2)
 
 
-def test_brent_degenerate_bracket_returns_midpoint():
+def test_brent_zero_width_bracket():
     f, calls = _counted(lambda x: -(x - 0.3) ** 2)
-    a, b = 0.75, 0.75 + 0.5 * GOLDEN_TOL
+    x, v = golden_max(f, 0.75, 0.75)
+    assert calls == [0.75]
+    assert (x, v) == (0.75, -(0.75 - 0.3) ** 2)
+
+
+@pytest.mark.parametrize("width", [5e-11, 1e-13, 1e-15])
+def test_brent_searches_narrow_bracket(width):
+    # However narrow the bracket, the search steps inside it and finds a
+    # peak away from its middle: the stop is relative to the bracket,
+    # floored at 4 ulp of its ends.
+    a, b = 0.75, 0.75 + width
+    peak = a + 0.85 * (b - a)
+    f, calls = _counted(lambda x: -(x - peak) ** 2)
     x, v = golden_max(f, a, b)
-    assert calls == [x]
-    assert x == (a + b) / 2.0
+    assert len(calls) > 1
+    assert a <= min(calls) and max(calls) <= b
+    assert abs(x - peak) <= max(0.01 * (b - a), _stop_width(a, b))
     assert v == f(x)
     assert golden_max(f, b, a) == (x, v)
 
