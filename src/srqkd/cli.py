@@ -60,7 +60,7 @@ _SETUP_KEYS = ("protocol", "mu", "t_db", "length_km", "pulse_rate_hz")
 _MONITOR_KEYS = ("nep", "tau_s", "lambda_m")  # the SRP monitor's photon uncertainty
 _DETECTOR_KEYS = ("eta", "p_dc", "p_opt", *_MONITOR_KEYS, "f_ec")
 _DECOY_KEYS = ("nu1_ratio", "nu2_ratio", "p_mu")
-_MU_AXIS = ("mu_lo", "mu_hi", "mu_points", "mu_scale")
+_MU_AXIS = ("mu_lo", "mu_hi", "mu_points")
 _T_AXIS = ("t_lo", "t_hi", "t_points")
 _L_AXIS = ("l_lo", "l_hi", "l_points")
 _SIMULATOR_KEYS = ("n_pulses", "seed", "attack", "double_click")
@@ -94,7 +94,6 @@ class RunConfig:
     mu_lo: float = _GRID.mu_range[0]
     mu_hi: float = _GRID.mu_range[1]
     mu_points: int = _GRID.mu_range[2]
-    mu_scale: str = _GRID.mu_range[3]
     t_lo: float = _GRID.t_range_db[0]
     t_hi: float = _GRID.t_range_db[1]
     t_points: int = _GRID.t_range_db[2]
@@ -119,7 +118,7 @@ class RunConfig:
         return DetectorConfig(**self._values(_DETECTOR_KEYS))
 
     def grid(self) -> GridSpec:
-        return GridSpec(mu_range=(self.mu_lo, self.mu_hi, self.mu_points, self.mu_scale),
+        return GridSpec(mu_range=(self.mu_lo, self.mu_hi, self.mu_points),
                         t_range_db=(self.t_lo, self.t_hi, self.t_points),
                         l_range_km=(self.l_lo, self.l_hi, self.l_points))
 

@@ -168,9 +168,17 @@ def transmittance(length_km: float) -> float:
     return 10.0 ** (-FIBER_LOSS_DB_PER_KM * length_km / 10.0)
 
 
-def _delta_at_unit_mu(t_db: float, trans: float, detector: DetectorConfig) -> float:
-    # SRP intensity at Bob for mu = 1: 10**(t/10) * T(L).
-    return detector.monitor_photon_uncertainty / (10.0 ** (t_db / 10.0) * trans)
+def _delta_at_unit_mu(t_db: float, length_km: float, detector: DetectorConfig) -> float:
+    # SRP intensity at Bob for mu = 1: 10**(t/10) * T(L). The power overflows
+    # past about 3083 dB, and T(L) underflows to 0 past about 16 200 km.
+    try:
+        srp_at_bob = 10.0 ** (t_db / 10.0) * transmittance(length_km)
+    except OverflowError:
+        srp_at_bob = math.inf
+    if not 0.0 < srp_at_bob < math.inf:
+        raise ValueError(f"the reference pulse at Bob, 10**(t_db/10)*T(L), is out of float "
+                         f"range at t_db={t_db}, length_km={length_km}")
+    return detector.monitor_photon_uncertainty / srp_at_bob
 
 
 def monitoring_unacceptable(delta: float) -> bool:
@@ -181,7 +189,7 @@ def monitoring_unacceptable(delta: float) -> bool:
 def grey_region_mu_floor(length_km: float, t_db: float,
                          detector: DetectorConfig) -> float:
     """Smallest mu with acceptable monitoring (delta <= 0.5) at this (t, L)."""
-    return _delta_at_unit_mu(t_db, transmittance(length_km), detector) / GREY_REGION_DELTA
+    return _delta_at_unit_mu(t_db, length_km, detector) / GREY_REGION_DELTA
 
 
 def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
@@ -233,6 +241,6 @@ def derive_channel(setup: SetupConfig, detector: DetectorConfig) -> ChannelDeriv
     return ChannelDerived(
         transmittance=trans,
         mu_prime=mu_prime,
-        delta=_delta_at_unit_mu(setup.t_db, trans, detector) / setup.mu,
+        delta=_delta_at_unit_mu(setup.t_db, setup.length_km, detector) / setup.mu,
         qber=qber_from_received(mu_prime, detector),
     )

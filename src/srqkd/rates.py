@@ -16,6 +16,7 @@ are clamped at zero; the unclamped value is kept for diagnostics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .physics import (
@@ -28,6 +29,8 @@ from .physics import (
 )
 
 _TOL = 1e-9
+# Largest argument of math.exp that does not overflow.
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,15 @@ def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
     The decoys are decoy's ratios r1, r2 times mu. The observable gains/errors
     at the three intensities come from the no-eavesdropping model; the standard
     weak+vacuum decoy estimates are written in r1, r2, so no power of mu underflows.
+    Past exp's range (mu > 709.78) the single-photon gain mu*exp(-mu) is below
+    4e-306 and the estimates already clamp Q1 to 0: the trivial bounds
+    Y0 = 0, Q1 = 0, E1 = 1/2 are returned.
     """
     r1, r2 = decoy.nu1_ratio, decoy.nu2_ratio
     nu1, nu2 = r1 * mu, r2 * mu
     q_mu, e_mu = bb84_gain_error(mu, detector, length_km)
+    if mu > _EXP_MAX:
+        return Bb84Yields(q_mu=q_mu, e_mu=e_mu, y0=0.0, q1_lower=0.0, e1_upper=0.5)
     q_n1, e_n1 = bb84_gain_error(nu1, detector, length_km)
     q_n2, e_n2 = bb84_gain_error(nu2, detector, length_km)
 

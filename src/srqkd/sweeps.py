@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .attack import AttackSolution, maximize_eve_information
 from .optimize import grid_then_golden_max
 from .physics import (
@@ -36,61 +34,59 @@ DEFAULT_FIBER_INDEX = 1.47
 FLAG_GREY = "grey-region"
 FLAG_CLAMPED = "clamped"
 FLAG_INFEASIBLE = "attack-infeasible"
-# Most points on any sweep axis: a larger one is refused before NumPy fails to
-# allocate it with a MemoryError.
+# Most points on any sweep axis: a larger one is refused before laying it out
+# fails with a MemoryError.
 MAX_GRID_POINTS = 10**6
 
 
-def _check_mu_scale(lo: float, scale: str) -> None:
-    if scale not in ("linear", "log"):
-        raise ValueError(f"mu scale must be linear or log, got {scale!r}")
-    if scale == "log" and lo <= 0:
-        raise ValueError("log-spaced mu grid needs lo > 0")
-
-
-def _mu_grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
-    # A log grid keeps lo and hi exact: they are the search's interval edges.
-    _check_mu_scale(lo, scale)
+def _check_axis(name: str, lo: float, points: int, log: bool) -> None:
+    # Builds no list: RunConfig.validate runs this on every CLI call.
     if points < 2:
-        raise ValueError(f"mu grid needs at least 2 points, got {points}")
+        raise ValueError(f"{name} range needs at least 2 points")
     if points > MAX_GRID_POINTS:
-        raise ValueError(f"mu grid needs at most {MAX_GRID_POINTS} points, got {points}")
-    if scale == "linear":
-        return np.linspace(lo, hi, points)
-    xs = np.logspace(math.log10(lo), math.log10(hi), points)
-    xs[0], xs[-1] = lo, hi
-    return xs
+        raise ValueError(f"{name} range needs at most {MAX_GRID_POINTS} points")
+    if log and not lo > 0:
+        raise ValueError(f"{name} range needs lo > 0 on its log scale")
+
+
+def _axis(name: str, lo: float, hi: float, points: int, log: bool = False) -> list[float]:
+    """points values from lo to hi, evenly spaced (in log10 when log), both ends exact.
+
+    The linear points are np.linspace's bit for bit; the log points lie
+    within 1 ulp of np.logspace's.
+    """
+    _check_axis(name, lo, points, log)
+    if log:
+        ys = _axis(name, math.log10(lo), math.log10(hi), points)
+        return [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
+    step = (hi - lo) / (points - 1)
+    return [i * step + lo for i in range(points - 1)] + [hi]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep axes; mu is log-spaced by default because rates span decades."""
+    """Sweep axes as (lo, hi, points); mu is log-spaced because rates span decades."""
 
-    mu_range: tuple[float, float, int, str] = (0.01, 1.0, 81, "log")
+    mu_range: tuple[float, float, int] = (0.01, 1.0, 81)
     t_range_db: tuple[float, float, int] = (40.0, 90.0, 101)
     l_range_km: tuple[float, float, int] = (0.0, 120.0, 61)
 
     def __post_init__(self):
-        lo, hi, points, scale = self.mu_range
-        _check_mu_scale(lo, scale)
-        for name, (a, b, n) in (("mu", (lo, hi, points)),
-                                ("t", self.t_range_db),
-                                ("l", self.l_range_km)):
-            if not a < b:
+        for name, (lo, hi, points), log in (("mu", self.mu_range, True),
+                                            ("t", self.t_range_db, False),
+                                            ("l", self.l_range_km, False)):
+            if not lo < hi:
                 raise ValueError(f"{name} range needs lo < hi")
-            if n < 2:
-                raise ValueError(f"{name} range needs at least 2 points")
-            if n > MAX_GRID_POINTS:
-                raise ValueError(f"{name} range needs at most {MAX_GRID_POINTS} points")
+            _check_axis(name, lo, points, log)
 
-    def mu_values(self) -> np.ndarray:
-        return _mu_grid(*self.mu_range)
+    def mu_values(self) -> list[float]:
+        return _axis("mu", *self.mu_range, log=True)
 
-    def t_values(self) -> np.ndarray:
-        return np.linspace(*self.t_range_db)
+    def t_values(self) -> list[float]:
+        return _axis("t", *self.t_range_db)
 
-    def l_values(self) -> np.ndarray:
-        return np.linspace(*self.l_range_km)
+    def l_values(self) -> list[float]:
+        return _axis("l", *self.l_range_km)
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
     rows = []
     for mu in grid.mu_values():
         for t_db in grid.t_values():
-            setup = SetupConfig(protocol=protocol, mu=float(mu), t_db=float(t_db),
+            setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                                 length_km=length_km, pulse_rate_hz=pulse_rate_hz)
             rows.append(evaluate_sr_point(setup, detector))
     return rows
@@ -221,7 +217,7 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
 def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 protocol: Protocol = Protocol.B92_SR,
                 pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
-                mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
+                mu_range: tuple[float, float, int] = GridSpec().mu_range,
                 mu_floor: Optional[float] = None,
                 decoy: DecoyConfig = DecoyConfig()) -> MuOptimum:
     """Maximize r_sec over mu at fixed (t, L): coarse log grid, then Brent refinement.
@@ -233,7 +229,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     of the grey-monitoring region); a floor above the whole range, or an
     all-zero rate, is reported with found=False and an undefined mu_opt.
     """
-    lo, hi, points, scale = mu_range
+    lo, hi, points = mu_range
     if mu_floor is not None:
         lo = max(lo, mu_floor)
     if lo > hi:
@@ -245,7 +241,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
         return secret_rate(setup, detector, decoy=decoy).r_sec
 
-    mu_best, r_best = grid_then_golden_max(objective, _mu_grid(lo, hi, points, scale))
+    mu_best, r_best = grid_then_golden_max(objective, _axis("mu", lo, hi, points, log=True))
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
@@ -268,8 +264,8 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
     """
     protocol = _sr_protocol(protocol, "rate_vs_t")
     rows = []
-    for t_db in np.asarray(t_grid, dtype=float):
-        setup = SetupConfig(protocol=protocol, mu=mu, t_db=float(t_db),
+    for t_db in map(float, t_grid):
+        setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
         rows.append(evaluate_sr_point(setup, detector))
 
@@ -285,7 +281,7 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
 def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
                      l_grid: Sequence[float], t_db: float = DEFAULT_T_DB,
                      pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
-                     mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
+                     mu_range: tuple[float, float, int] = GridSpec().mu_range,
                      decoy: DecoyConfig = DecoyConfig()) -> DistanceComparison:
     """Per-protocol rate curves vs distance, mu optimized at every point.
 
@@ -301,11 +297,11 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
                          f"{[p.value for p in protocols]}")
     rows = []
     by_protocol: dict[Protocol, list[float]] = {p: [] for p in protocols}
-    for length_km in np.asarray(l_grid, dtype=float):
+    for length_km in map(float, l_grid):
         for protocol in protocols:
-            opt = optimize_mu(float(length_km), t_db, detector, protocol=protocol,
+            opt = optimize_mu(length_km, t_db, detector, protocol=protocol,
                               pulse_rate_hz=pulse_rate_hz, mu_range=mu_range, decoy=decoy)
-            rows.append(DistancePoint(protocol=protocol.value, length_km=float(length_km),
+            rows.append(DistancePoint(protocol=protocol.value, length_km=length_km,
                                       mu=opt.mu_opt, r_sec_hz=opt.r_sec_hz,
                                       per_pulse=opt.per_pulse))
             by_protocol[protocol].append(opt.r_sec_hz)
@@ -346,7 +342,7 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
                     criterion: str = "positive-rate",
                     protocol: Protocol = Protocol.B92_SR,
                     pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
-                    mu_range: tuple[float, float, int, str] = GridSpec().mu_range,
+                    mu_range: tuple[float, float, int] = GridSpec().mu_range,
                     ) -> MinSrpResult:
     """Smallest usable reference-pulse intensity nu = mu*10^(t/10).
 
@@ -370,25 +366,24 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         t_grid = GridSpec().t_values()
 
     candidates = []  # (nu, mu, t_db, r_sec)
-    for t_db in np.asarray(t_grid, dtype=float):
-        floor = grey_region_mu_floor(length_km, float(t_db), detector)
+    for t_db in map(float, t_grid):
+        floor = grey_region_mu_floor(length_km, t_db, detector)
         if fixed_mu is not None:
             if fixed_mu < floor:
                 continue
-            setup = SetupConfig(protocol=protocol, mu=fixed_mu, t_db=float(t_db),
+            setup = SetupConfig(protocol=protocol, mu=fixed_mu, t_db=t_db,
                                 length_km=length_km, pulse_rate_hz=pulse_rate_hz)
             rate = secret_rate(setup, detector).r_sec
             mu_at = fixed_mu
         else:
-            opt = optimize_mu(length_km, float(t_db), detector, protocol=protocol,
+            opt = optimize_mu(length_km, t_db, detector, protocol=protocol,
                               pulse_rate_hz=pulse_rate_hz, mu_range=mu_range,
                               mu_floor=floor)
             if not opt.found:
                 continue
             rate, mu_at = opt.r_sec_hz, opt.mu_opt
         if rate > 0.0:
-            candidates.append((mu_at * 10.0 ** (float(t_db) / 10.0),
-                               mu_at, float(t_db), rate))
+            candidates.append((mu_at * 10.0 ** (t_db / 10.0), mu_at, t_db, rate))
 
     if not candidates:
         raise RuntimeError("no positive secret rate anywhere in the scan")

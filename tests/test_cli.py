@@ -122,11 +122,12 @@ def test_run_config_defaults_are_the_library_defaults():
 
 def test_unknown_config_key_is_named(capsys, tmp_path):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("mu = 0.3\nbogus = 7\n")
-    code, _, err = _run(["rate", "--config", str(cfg_file)], capsys)
-    assert code == 1
-    assert "bogus" in err
-    assert f"{cfg_file}:2" in err
+    # mu_scale is no key: the mu axis is always log-spaced.
+    for command, key in (("rate", "bogus"), ("optimize-mu", "mu_scale")):
+        cfg_file.write_text(f"mu = 0.3\n{key} = 7\n")
+        code, _, err = _run([command, "--config", str(cfg_file)], capsys)
+        assert code == 1
+        assert err == f"error: {cfg_file}:2: unknown config key {key!r}\n"
 
 
 def test_config_comments_and_bad_values(tmp_path):
@@ -166,7 +167,7 @@ _KEY_OTHER = {
     "pulse_rate_hz": "1e7", "eta": "0.25", "p_dc": "3e-5", "p_opt": "0.03", "nep": "3e-11",
     "tau_s": "4e-9", "lambda_m": "1.3e-6", "f_ec": "1.1", "nu1_ratio": "0.2",
     "nu2_ratio": "0.02", "p_mu": "0.6", "mu_lo": "0.05", "mu_hi": "0.8", "mu_points": "5",
-    "mu_scale": "linear", "t_lo": "55", "t_hi": "85", "t_points": "3", "l_lo": "5",
+    "t_lo": "55", "t_hi": "85", "t_points": "3", "l_lo": "5",
     "l_hi": "30", "l_points": "3", "n_pulses": "2000000000", "seed": "7", "attack": "beam-split",
     "double_click": "random-bit", "format": "csv",
 }
@@ -260,7 +261,11 @@ def test_non_finite_value_exits_1(capsys, argv):
     # --fixed-mu alone sets the mu policy: argparse rejects --mu-policy.
     pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3"],
                  "srqkd: error: unrecognized arguments: --mu-policy fixed",
-                 id="--mu-policy-fixed")
+                 id="--mu-policy-fixed"),
+    # The mu axis is always log-spaced: argparse rejects --mu-scale.
+    pytest.param(["optimize-mu", "--mu-scale", "linear"],
+                 "srqkd: error: unrecognized arguments: --mu-scale linear",
+                 id="--mu-scale-linear"),
 ] + [
     # No flag is abbreviated: --m is not --mu, nor --len --length-km.
     pytest.param([command, flag, value], f"srqkd: error: unrecognized arguments: {flag} {value}",
@@ -361,6 +366,21 @@ def test_sr_sweep_of_bb84_exits_1(capsys, command, protocol):
     assert code == 1
     assert out == ""
     assert f"needs an SR protocol, got {protocol}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--length-km", "16300"),
+    ("rate", "--t-db", "4000"),
+    ("attack", "--t-db", "4000"),
+    ("simulate", "--length-km", "16300"),
+    ("min-srp", "--t-hi", "4000", "--t-points", "3"),
+    ("rate-vs-distance", "--l-hi", "1e6", "--l-points", "3", "--mu-points", "5"),
+], ids=" ".join)
+def test_reference_pulse_out_of_range_exits_1(capsys, argv):
+    # The SRP at Bob leaves float range: T(L) underflows, or 10**(t/10) overflows.
+    code, out, err = _run(list(argv), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the reference pulse at Bob") and "length_km=" in err
 
 
 def test_min_srp_without_positive_rate_exits_2(capsys):
@@ -645,6 +665,16 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     commands += [("povm-check", "--mu", "2e-17"), ("povm-check", "--mu", "2.78e-17"),
                  ("rate", "--mu", "1e-320"), ("rate", "--mu", "1e-310"),
                  ("attack", "--mu", "1e-320"), ("attack", "--mu", "1e-310")]
+    # The reference pulse at Bob out of float range, refused by name, and a
+    # BB84 row there, which has no reference pulse; decoy bounds past exp's
+    # range; and --mu-scale, which is no option (mu is always log-spaced).
+    commands += [("rate", "--length-km", "16300"), ("rate", "--t-db", "4000"),
+                 ("rate", "--protocol", "bb84-decoy", "--length-km", "20000"),
+                 ("min-srp", "--t-hi", "4000", "--t-points", "3"),
+                 ("rate", "--protocol", "bb84-decoy", "--mu", "710"),
+                 ("optimize-mu", "--protocol", "bb84-decoy", "--mu-hi", "1000",
+                  "--mu-points", "5"),
+                 ("optimize-mu", "--mu-scale", "linear")]
     # The config format; the Fock cross-check at a mu whose tail bound keeps one
     # dimension; and --mu-policy, which is no option (--fixed-mu sets the policy).
     commands += [("rate", "--dump-config"), ("povm-check", "--mu", "1e-12"),

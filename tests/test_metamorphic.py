@@ -7,14 +7,15 @@ whose outputs must then move in a known direction:
 - r_sec does not rise with p_dc, p_opt or f_ec;
 - at L + 0.5 km, I_E does not fall and r_sec does not rise;
 - at t + 0.5 dB, r_sec does not fall;
-- B92-SR's r_sec is exactly twice BB84-SR's.
+- B92-SR's r_sec is exactly twice BB84-SR's;
+- optimize_mu's rate is no less than the rate at any point of its mu grid.
 
-Both points of each pair have delta <= 0.5, the grey-region bound. Beyond
-it the model is not monotone, and nothing here asserts it there: past
-delta = 1 the fail-branch intensity mu'(1 - delta) goes negative, and I_E
-can fall as NEP rises (by up to about 0.2 bits in random draws, each such
-maximum confirmed by a dense scan); r_sec can fall as t grows, and rise as
-L grows, once either point is grey.
+In the first five relations both points of each pair have delta <= 0.5,
+the grey-region bound. Beyond it the model is not monotone, and nothing
+here asserts it there: past delta = 1 the fail-branch intensity
+mu'(1 - delta) goes negative, and I_E can fall as NEP rises (by up to about
+0.2 bits in random draws, each such maximum confirmed by a dense scan);
+r_sec can fall as t grows, and rise as L grows, once either point is grey.
 """
 
 import dataclasses
@@ -22,8 +23,9 @@ import math
 
 import numpy as np
 
-from srqkd import DetectorConfig, Protocol, SetupConfig, monitoring_unacceptable
-from srqkd.sweeps import evaluate_sr_point
+from srqkd import (DetectorConfig, Protocol, SetupConfig, grey_region_mu_floor,
+                   monitoring_unacceptable, sweeps)
+from srqkd.sweeps import evaluate_sr_point, optimize_mu, secret_rate
 
 
 def _no_less(low, high):
@@ -74,3 +76,32 @@ def test_metamorphic_relations():
         checks["b92_bb84"] += 1
         assert base.r_sec_per_pulse == 2.0 * bb84.r_sec_per_pulse, (setup, detector)
     assert min(checks.values()) > 700, checks
+
+
+def test_optimize_mu_beats_its_grid(monkeypatch):
+    # The grid is the one optimize_mu searched; each of its rates is recomputed.
+    grids, search = [], sweeps.grid_then_golden_max
+
+    def recording(f, xs):
+        grids.append(xs)
+        return search(f, xs)
+
+    monkeypatch.setattr(sweeps, "grid_then_golden_max", recording)
+    rng = np.random.default_rng(20261020)
+    checks = {False: 0, True: 0}  # by whether the search had a floor
+    for protocol in list(Protocol) * 15:
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, -3.0),
+                                  p_opt=rng.uniform(0.0, 0.05))
+        length, t_db = rng.uniform(0.0, 120.0), rng.uniform(40.0, 90.0)
+        floor = grey_region_mu_floor(length, t_db, detector) if rng.random() < 0.5 else None
+        grids.clear()
+        opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor,
+                          mu_range=(0.01, 1.0, int(rng.choice((11, 21, 81)))))
+        for mu in grids[0] if grids else ():
+            setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length,
+                                pulse_rate_hz=5e6)
+            checks[floor is not None] += 1
+            assert _no_less(secret_rate(setup, detector).r_sec, opt.r_sec_hz), (
+                protocol, length, t_db, floor, mu)
+    assert min(checks.values()) > 500, checks

@@ -181,7 +181,7 @@ def test_brent_matches_golden_section_on_mu(monkeypatch, protocol):
     rng = np.random.default_rng(9)
     points = [(float(rng.choice([0.0, 10.0, 25.0, 40.0])), rng.uniform(55.0, 85.0))
               for _ in range(3)]
-    mu_range = (0.01, 1.0, 21, "log")
+    mu_range = (0.01, 1.0, 21)
     brent = [optimize_mu(l, t, detector, protocol=protocol, mu_range=mu_range)
              for l, t in points]
     monkeypatch.setattr(optimize, "golden_max", _golden_section_max)
@@ -269,7 +269,7 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
     for protocol in (Protocol.B92_SR, Protocol.BB84_DECOY):
         scored.clear()
         opt = optimize_mu(10.0, 65.0, detector, protocol=protocol,
-                          mu_range=(0.01, 1.0, 21, "log"))
+                          mu_range=(0.01, 1.0, 21))
         assert opt.found
         assert len(scored) == len(set(scored)) > 21
         assert opt.mu_opt in scored

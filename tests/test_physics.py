@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from srqkd import (
     coherent_state_fock,
     derive_channel,
     fock_dimension,
+    grey_region_mu_floor,
     holevo_chi,
     monitoring_unacceptable,
     overlap,
@@ -107,6 +109,20 @@ def test_delta_scalings(detector):
     s_l = SetupConfig(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=60.0,
                       pulse_rate_hz=5e6)
     assert derive_channel(s_l, detector).delta == pytest.approx(10 * d0, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_db, length_km", [(65.0, 16300.0), (4000.0, 10.0),
+                                              (4000.0, 20000.0)])
+def test_reference_pulse_out_of_float_range(detector, t_db, length_km):
+    # T(L) underflows to 0 past about 16 200 km; 10**(t/10) overflows past
+    # about 3083 dB. Both refusals name the two inputs.
+    setup = SetupConfig(protocol="b92-sr", mu=0.3, t_db=t_db, length_km=length_km,
+                        pulse_rate_hz=5e6)
+    named = re.escape(f"t_db={t_db}, length_km={length_km}")
+    with pytest.raises(ValueError, match=named):
+        derive_channel(setup, detector)
+    with pytest.raises(ValueError, match=named):
+        grey_region_mu_floor(length_km, t_db, detector)
 
 
 def test_grey_region_predicate():

@@ -142,6 +142,17 @@ def test_decoy_bounds_tiny_mu(detector, mu):
     assert rate.r_sec == 0.0 and rate.r_sec_unclamped < 0.0
 
 
+@pytest.mark.parametrize("mu", [709.0, 709.8, 710.0, 1e4, 1e300])
+def test_decoy_bounds_past_exp_range(detector, mu):
+    # exp(mu) overflows past mu = 709.78. On both sides the bounds are the
+    # trivial pair: the estimates clamp Q1 to 0 well before.
+    y = decoy_bounds(mu, DecoyConfig(), detector, 10.0)
+    assert (y.y0, y.q1_lower, y.e1_upper) == (0.0, 0.0, 0.5)
+    setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=mu, t_db=65.0, length_km=10.0,
+                        pulse_rate_hz=5e6)
+    assert bb84_secret_rate(setup, detector).r_sec == 0.0
+
+
 def test_decoy_config_validation():
     cfg = DecoyConfig()
     assert (cfg.nu2_ratio, cfg.nu1_ratio, cfg.p_mu) == (0.01, 0.25, 0.5)

@@ -28,7 +28,7 @@ from srqkd import (
     train_capacity,
 )
 
-COARSE_MU = (0.01, 1.0, 21, "log")
+COARSE_MU = (0.01, 1.0, 21)
 
 
 def test_grid_spec_defaults_and_values():
@@ -40,13 +40,39 @@ def test_grid_spec_defaults_and_values():
     assert (t[0], t[-1], len(t)) == (40.0, 90.0, 101)
     l = grid.l_values()
     assert (l[0], l[-1], len(l)) == (0.0, 120.0, 61)
+    assert all(type(x) is float for x in mu + t + l)
+
+
+def test_axes_match_numpy():
+    # NumPy is the oracle only: the linear axis is np.linspace bit for bit,
+    # the log axis keeps its ends exact and stays within 1 ulp of np.logspace.
+    rng = np.random.default_rng(17)
+    draws = [(0.01, 1.0, 81), (40.0, 90.0, 101), (0.0, 120.0, 61)]
+    for _ in range(2000):
+        lo = float(rng.uniform(-100.0, 100.0))
+        draws.append((lo, lo + float(10.0 ** rng.uniform(-12.0, 3.0)),
+                      int(rng.integers(2, 3000))))
+    for lo, hi, n in draws:
+        assert sweeps._axis("x", lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+    draws = [(0.01, 1.0, 81), (0.01, 1.0, 601)]
+    for _ in range(500):
+        lo = float(10.0 ** rng.uniform(-300.0, 2.0))
+        draws.append((lo, lo * float(10.0 ** rng.uniform(1e-6, 5.0)),
+                      int(rng.integers(3, 3000))))
+    for lo, hi, n in draws:
+        mu = sweeps._axis("mu", lo, hi, n, log=True)
+        assert (mu[0], mu[-1], len(mu)) == (lo, hi, n)
+        ref = np.logspace(math.log10(lo), math.log10(hi), n)
+        ulps = np.abs(np.array(mu).view(np.int64) - ref.view(np.int64))
+        assert ulps[1:-1].max() <= 1, (lo, hi, n)  # the ends are exact
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError, match="scale"):
-        GridSpec(mu_range=(0.01, 1.0, 81, "cubic"))
     with pytest.raises(ValueError, match="lo > 0"):
-        GridSpec(mu_range=(0.0, 1.0, 81, "log"))
+        GridSpec(mu_range=(0.0, 1.0, 81))
+    with pytest.raises(ValueError, match="lo > 0"):
+        GridSpec(mu_range=(-1.0, 1.0, 81))
+    GridSpec(t_range_db=(-10.0, 90.0, 101))  # only the mu axis is log-spaced
     with pytest.raises(ValueError, match="lo < hi"):
         GridSpec(t_range_db=(90.0, 40.0, 101))
     with pytest.raises(ValueError, match="at least 2"):
@@ -67,14 +93,14 @@ def test_sweep_row_flag_invariant():
 
 
 def test_sweep_grid_order_and_reproducibility(detector):
-    grid = GridSpec(mu_range=(0.1, 0.5, 3, "linear"), t_range_db=(55.0, 75.0, 3))
+    grid = GridSpec(mu_range=(0.1, 0.5, 3), t_range_db=(55.0, 75.0, 3))
     rows = sweep_mu_t(10.0, grid, detector)
     assert len(rows) == 9
     # mu-major ordering, t fastest.
     assert [r.mu for r in rows[:3]] == [pytest.approx(0.1)] * 3
     assert [r.t_db for r in rows[:3]] == [55.0, 65.0, 75.0]
     # Each row is exactly what a direct evaluation of that point returns.
-    mu_mid = float(grid.mu_values()[1])
+    mu_mid = grid.mu_values()[1]
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu_mid, t_db=65.0,
                         length_km=10.0, pulse_rate_hz=5e6)
     assert rows[4] == evaluate_sr_point(setup, detector)
@@ -82,7 +108,7 @@ def test_sweep_grid_order_and_reproducibility(detector):
 
 def test_delta_separates_over_grid(detector):
     # delta = (per-(t,L) constant)/mu, bit-exactly, by construction.
-    grid = GridSpec(mu_range=(0.05, 0.8, 4, "log"), t_range_db=(50.0, 80.0, 3))
+    grid = GridSpec(mu_range=(0.05, 0.8, 4), t_range_db=(50.0, 80.0, 3))
     rows = sweep_mu_t(25.0, grid, detector)
     for row in rows:
         unit = 0.5 * grey_region_mu_floor(25.0, row.t_db, detector)
@@ -132,22 +158,19 @@ def test_optimize_mu_floor_above_range(detector):
 
 def test_optimize_mu_rejects_bad_mu_range(detector, address_space_cap):
     with pytest.raises(ValueError, match="lo > 0"):
-        optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0, 10, "log"))
-    with pytest.raises(ValueError, match="scale"):
-        optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 10, "cubic"))
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0, 10))
     # A one-point grid is no search.
-    for scale in ("log", "linear"):
-        with pytest.raises(ValueError, match="at least 2 points"):
-            optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 1, scale))
-        # Nor is one too large to lay out: refused, not a MemoryError.
-        with pytest.raises(ValueError, match="at most 1000000 points"):
-            optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 10**12, scale))
+    with pytest.raises(ValueError, match="at least 2 points"):
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 1))
+    # Nor is one too large to lay out: refused, not a MemoryError.
+    with pytest.raises(ValueError, match="at most 1000000 points"):
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 10**12))
 
 
 def test_optimize_mu_hopeless_detector():
     # p_opt = 1/2: every conclusive bit is a coin toss, no key anywhere.
     bad = DetectorConfig(p_opt=0.5)
-    opt = optimize_mu(10.0, 65.0, bad, mu_range=(0.05, 0.8, 7, "log"))
+    opt = optimize_mu(10.0, 65.0, bad, mu_range=(0.05, 0.8, 7))
     assert not opt.found
     assert math.isnan(opt.mu_opt)
 
@@ -183,13 +206,13 @@ def test_rate_vs_distance_rows_and_crossover(detector):
 def test_rate_vs_distance_honours_decoy_config(detector):
     decoy = DecoyConfig(nu1_ratio=0.1, p_mu=0.9)
     comp = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
-                            mu_range=(0.01, 1.0, 11, "log"), decoy=decoy)
+                            mu_range=(0.01, 1.0, 11), decoy=decoy)
     (row,) = comp.rows
     setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=row.mu, t_db=0.0,
                         length_km=20.0, pulse_rate_hz=5e6)
     assert row.r_sec_hz == bb84_secret_rate(setup, detector, decoy=decoy).r_sec
     default = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
-                               mu_range=(0.01, 1.0, 11, "log"))
+                               mu_range=(0.01, 1.0, 11))
     assert default.rows[0].r_sec_hz != row.r_sec_hz
 
 
@@ -283,7 +306,7 @@ def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol
         return maximize(*args, **kwargs)
 
     monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
-    grid = GridSpec(mu_range=(0.1, 0.5, 2, "log"), t_range_db=(60.0, 70.0, 2))
+    grid = GridSpec(mu_range=(0.1, 0.5, 2), t_range_db=(60.0, 70.0, 2))
     with pytest.raises(ValueError, match=f"sweep_mu_t needs an SR protocol, got {protocol.value}"):
         sweep_mu_t(10.0, grid, detector, protocol=protocol)
     with pytest.raises(ValueError, match=f"rate_vs_t needs an SR protocol, got {protocol.value}"):
@@ -294,7 +317,7 @@ def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol
 def test_min_srp_no_positive_rate():
     bad = DetectorConfig(p_opt=0.5)
     with pytest.raises(RuntimeError, match="no positive secret rate"):
-        min_srp_photons(10.0, bad, t_grid=[60.0, 70.0], mu_range=(0.1, 0.5, 5, "log"))
+        min_srp_photons(10.0, bad, t_grid=[60.0, 70.0], mu_range=(0.1, 0.5, 5))
 
 
 def test_train_capacity_values():
