@@ -25,13 +25,11 @@ over the single free parameter b.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .optimize import golden_max
 from .physics import (
+    MAX_EXP_ARG,
     ChannelDerived,
     DetectorConfig,
     SetupConfig,
@@ -45,9 +43,6 @@ _EPS_CLAMP = 1e-12
 
 # Points of the traced scan over the feasible interval.
 SCAN_POINTS = 2000
-
-# Largest x with a finite math.exp(x) and math.expm1(x).
-_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 _LN2 = math.log(2.0)
 
@@ -103,7 +98,7 @@ def success_probability(eta: float, mu_prime: float, delta: float) -> float:
 
 def _expm1(x: float) -> float:
     """math.expm1, with +inf where it would overflow."""
-    return math.expm1(x) if x <= _MAX_EXP_ARG else math.inf
+    return math.expm1(x) if x <= MAX_EXP_ARG else math.inf
 
 
 def amplification(b: float, mu: float, eta: float, mu_prime: float, delta: float) -> float:
@@ -153,7 +148,7 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
         raise ValueError(f"delta overflows at mu={mu}: it grows as 1/mu and with fiber loss")
     x = 2.0 * eta * mu_prime * delta
     c = _expm1(2.0 * (mu - mu_prime * (1.0 + delta)))
-    if x <= _MAX_EXP_ARG:
+    if x <= MAX_EXP_ARG:
         log_lo = math.log1p(math.exp(x))
         log_arg = 1.0 - math.exp(x) * c
         log_hi = math.log(log_arg) if log_arg > 0.0 else None
@@ -167,8 +162,10 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
     return b_lo, b_hi
 
 
-def _chi_curve(intensity: np.ndarray) -> np.ndarray:
+def _chi_curve(intensity):
     """holevo_chi of every lane: H((1 - exp(-2*intensity))/2), clipped to [0, 1]."""
+    import numpy as np
+
     x = -np.expm1(-2.0 * intensity) / 2.0
     inner = (x > 0.0) & (x < 1.0)
     y = np.where(inner, x, 0.5)
@@ -176,13 +173,15 @@ def _chi_curve(intensity: np.ndarray) -> np.ndarray:
     return np.clip(h, 0.0, 1.0)
 
 
-def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float) -> np.ndarray:
+def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float):
     """Eve's information at each b of a traced scan; -inf marks infeasible points."""
+    import numpy as np
+
     b = np.atleast_1d(np.asarray(b, dtype=float))
     q = math.exp(-2.0 * eta * mu_prime * delta)
     p = 1.0 / (1.0 + q)
 
-    # np.expm1 is +inf past _MAX_EXP_ARG, as _expm1 is: an infeasible b.
+    # np.expm1 is +inf past MAX_EXP_ARG, as _expm1 is: an infeasible b.
     log_arg = 1.0 - q * np.expm1(2.0 * mu * (1.0 - b))
     valid = log_arg > 0.0
     a = np.where(valid, 1.0 - np.log(np.where(valid, log_arg, 1.0)) / (2.0 * mu), np.nan)
@@ -300,6 +299,8 @@ def scan_information(setup: SetupConfig,
     scan only draws the curve: :func:`maximize_eve_information` decides
     the optimum without it.
     """
+    import numpy as np
+
     channel = derive_channel(setup, detector)
     b_lo, b_hi = _b_bounds(setup.mu, detector.eta, channel)
     if b_lo >= b_hi:

@@ -143,15 +143,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+_PARSE = {"int": int, "float": float}  # a field's type -> its parser; str otherwise
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -168,7 +160,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key not in _FIELD_TYPES:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _convert(key, raw)
+            values[key] = _PARSE.get(_FIELD_TYPES[key], str)(raw)
         except ValueError:
             raise ValueError(f"{source}:{lineno}: bad value for {key!r}: {raw!r}") from None
     return values
@@ -324,11 +316,9 @@ def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
     if cos_gamma == 1.0:
         raise ValueError(f"mu={mu} is too small: the overlap exp(-2*mu) rounds to 1")
     povm = build_povm(cos_gamma)
-    psi0, psi1 = span_states(cos_gamma)
-    p0 = outcome_probabilities(povm, psi0)
-    p1 = outcome_probabilities(povm, psi1)
+    p0, p1 = (outcome_probabilities(povm, psi) for psi in span_states(cos_gamma))
     fock = povm_probabilities_fock(mu)
-    row = {
+    return [{
         "mu": mu, "cos_gamma": cos_gamma,
         "completeness_residual": povm.completeness_residual(),
         "min_eigenvalue": povm.min_eigenvalue(),
@@ -336,8 +326,7 @@ def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
         "p_ok_1": p1[1], "p_cross_1": p1[0], "p_inc_1": p1[2],
         "fock_p_ok_0": fock["ok"], "fock_p_cross_0": fock["cross"],
         "fock_p_inc_0": fock["inc"],
-    }
-    return [row]
+    }]
 
 
 def _cmd_train_capacity(config: RunConfig, args) -> list[dict]:
@@ -379,7 +368,7 @@ def _add_override_flags(parser: argparse.ArgumentParser, keys: Sequence[str]):
     for key, kind in _FIELD_TYPES.items():
         if key in keys or key == "format":
             parser.add_argument("--" + key.replace("_", "-"), dest=key,
-                                type={"int": int, "float": float}.get(kind))
+                                type=_PARSE.get(kind))
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:

@@ -4,8 +4,9 @@ The receiver in a B92-style protocol distinguishes |alpha> from |-alpha>
 with a three-outcome POVM {M0, M1, M?}: M0/M1 announce the bit with
 certainty, M? is inconclusive. The POVM acts on the 2-dimensional span of
 the two signal states, so it is built directly in an orthonormal basis of
-that span; a truncated Fock-basis construction is also provided as an
-independent cross-check of the outcome probabilities.
+that span, as three 2x2 real matrices in plain ``math``; a truncated
+Fock-basis construction is also provided as an independent cross-check of
+the outcome probabilities.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+Matrix = tuple[tuple[float, float], tuple[float, float]]  # rows ((a, b), (c, d))
 
 
 @dataclass(frozen=True)
@@ -25,17 +26,20 @@ class PovmSet:
     span, with |psi0> = (1, 0) and |psi1> = (cos_gamma, sin_gamma).
     """
 
-    m0: np.ndarray
-    m1: np.ndarray
-    m_inc: np.ndarray
+    m0: Matrix
+    m1: Matrix
+    m_inc: Matrix
 
     def completeness_residual(self) -> float:
         """Max-norm deviation of M0 + M1 + M? from the identity."""
-        return float(np.max(np.abs(self.m0 + self.m1 + self.m_inc - np.eye(2))))
+        return max(abs(self.m0[i][j] + self.m1[i][j] + self.m_inc[i][j] - (i == j))
+                   for i in range(2) for j in range(2))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue over all three operators (>= -1e-10 when valid)."""
-        return float(min(np.linalg.eigvalsh(m).min() for m in (self.m0, self.m1, self.m_inc)))
+        # The smaller eigenvalue of a symmetric ((a, b), (b, d)), in closed form.
+        return min((a + d) / 2.0 - math.hypot((a - d) / 2.0, b)
+                   for (a, b), (_, d) in (self.m0, self.m1, self.m_inc))
 
 
 def overlap(mu: float) -> float:
@@ -45,11 +49,9 @@ def overlap(mu: float) -> float:
     return math.exp(-2.0 * mu)
 
 
-def span_states(cos_gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def span_states(cos_gamma: float) -> tuple[tuple[float, float], tuple[float, float]]:
     sin_gamma = math.sqrt((1.0 - cos_gamma) * (1.0 + cos_gamma))
-    psi0 = np.array([1.0, 0.0])
-    psi1 = np.array([cos_gamma, sin_gamma])
-    return psi0, psi1
+    return (1.0, 0.0), (cos_gamma, sin_gamma)
 
 
 def build_povm(cos_gamma: float) -> PovmSet:
@@ -62,17 +64,21 @@ def build_povm(cos_gamma: float) -> PovmSet:
     if not 0 <= cos_gamma < 1:
         raise ValueError(f"cos_gamma must be in [0, 1), got {cos_gamma}")
     psi0, psi1 = span_states(cos_gamma)
-    eye = np.eye(2)
-    m0 = (eye - np.outer(psi1, psi1)) / (1.0 + cos_gamma)
-    m1 = (eye - np.outer(psi0, psi0)) / (1.0 + cos_gamma)
-    m_inc = eye - m0 - m1
+
+    def complement(psi) -> Matrix:
+        return tuple(tuple(((i == j) - psi[i] * psi[j]) / (1.0 + cos_gamma) for j in range(2))
+                     for i in range(2))
+
+    m0, m1 = complement(psi1), complement(psi0)
+    m_inc = tuple(tuple((i == j) - m0[i][j] - m1[i][j] for j in range(2)) for i in range(2))
     return PovmSet(m0=m0, m1=m1, m_inc=m_inc)
 
 
-def outcome_probabilities(povm: PovmSet, state: np.ndarray) -> tuple[float, float, float]:
-    """(p0, p1, p?) for a pure state vector in the POVM's basis."""
-    state = np.asarray(state, dtype=float)
-    return tuple(float(state @ m @ state) for m in (povm.m0, povm.m1, povm.m_inc))
+def outcome_probabilities(povm: PovmSet, state) -> tuple[float, float, float]:
+    """(p0, p1, p?) for a pure state (x, y) in the POVM's basis."""
+    x, y = map(float, state)
+    return tuple((x * m[0][0] + y * m[1][0]) * x + (x * m[0][1] + y * m[1][1]) * y
+                 for m in (povm.m0, povm.m1, povm.m_inc))
 
 
 # -- Fock-basis cross-check ------------------------------------------------
@@ -101,17 +107,19 @@ def fock_dimension(mu: float) -> int:
     return max(n + 1, 2)  # two distinct signal states span two dimensions
 
 
-def coherent_state_fock(alpha: float, dim: int) -> np.ndarray:
+def coherent_state_fock(alpha: float, dim: int) -> list[float]:
     """Amplitudes of |alpha> (real alpha) on the first ``dim`` Fock states, renormalized."""
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    n = np.arange(dim)
-    if alpha == 0.0:
-        return (n == 0).astype(float)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
-    log_mag = -alpha * alpha / 2.0 + n * math.log(abs(alpha)) - log_fact / 2.0
-    vec = np.sign(alpha) ** n * np.exp(log_mag)
-    return vec / np.linalg.norm(vec)
+    amplitudes = [math.exp(-alpha * alpha / 2.0)]  # <n|alpha> = <n-1|alpha> * alpha/sqrt(n)
+    for n in range(1, dim):
+        amplitudes.append(amplitudes[-1] * alpha / math.sqrt(n))
+    norm = math.hypot(*amplitudes)
+    return [c / norm for c in amplitudes]
+
+
+def _dot(u, v) -> float:
+    return math.fsum(x * y for x, y in zip(u, v))
 
 
 def povm_probabilities_fock(mu: float) -> dict[str, float]:
@@ -119,29 +127,27 @@ def povm_probabilities_fock(mu: float) -> dict[str, float]:
 
     Returns conditional probabilities for either input state: conclusive
     correct ('ok'), cross-click ('cross'), inconclusive ('inc'). The POVM
-    identity is the projector onto the span of the two truncated states.
+    identity is the projector P onto the span of the two truncated states, so
+    <psi|M0|psi> = (<psi|P|psi> - <psi|psi1>^2)/(1 + cos_gamma), M1 likewise
+    with psi0, and M? = P - M0 - M1: inner products, no matrices.
     """
     dim = fock_dimension(mu)
     alpha = math.sqrt(mu)
     psi0 = coherent_state_fock(alpha, dim)
     psi1 = coherent_state_fock(-alpha, dim)
-    cos_gamma = float(psi0 @ psi1)
+    cos_gamma = _dot(psi0, psi1)
+    # One Gram-Schmidt step: P = |psi0><psi0| + |e1><e1|/<e1|e1>.
+    e1 = [y - cos_gamma * x for x, y in zip(psi0, psi1)]
+    e1_sq = _dot(e1, e1)
 
-    # Orthonormal span basis via Gram-Schmidt, then the projector onto it.
-    e0 = psi0
-    e1 = psi1 - (psi1 @ e0) * e0
-    e1 /= np.linalg.norm(e1)
-    p_span = np.outer(e0, e0) + np.outer(e1, e1)
+    def outcomes(psi) -> tuple[float, float, float]:
+        on0, on1 = _dot(psi, psi0), _dot(psi, psi1)
+        in_span = on0 * on0 + _dot(psi, e1) ** 2 / e1_sq
+        p0 = (in_span - on1 * on1) / (1.0 + cos_gamma)
+        p1 = (in_span - on0 * on0) / (1.0 + cos_gamma)
+        return p0, p1, in_span - p0 - p1
 
-    m0 = (p_span - np.outer(psi1, psi1)) / (1.0 + cos_gamma)
-    m1 = (p_span - np.outer(psi0, psi0)) / (1.0 + cos_gamma)
-    m_inc = p_span - m0 - m1
-    return {
-        "ok": float(psi0 @ m0 @ psi0),
-        "cross": float(psi0 @ m1 @ psi0),
-        "inc": float(psi0 @ m_inc @ psi0),
-        "ok_1": float(psi1 @ m1 @ psi1),
-        "cross_1": float(psi1 @ m0 @ psi1),
-        "inc_1": float(psi1 @ m_inc @ psi1),
-        "cos_gamma": cos_gamma,
-    }
+    ok, cross, inc = outcomes(psi0)
+    cross_1, ok_1, inc_1 = outcomes(psi1)
+    return {"ok": ok, "cross": cross, "inc": inc, "ok_1": ok_1, "cross_1": cross_1,
+            "inc_1": inc_1, "cos_gamma": cos_gamma}

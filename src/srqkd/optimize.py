@@ -95,10 +95,9 @@ def grid_then_golden_max(f: Callable[[float], float],
 
     f scores each grid point once, then the points the refinement adds; a
     grid collapsed to one point (xs[0] == xs[-1]) is scored once.
-    The search interval is [xs[0], xs[-1]]. The best of {grid optimum,
-    refined optimum, both interval endpoints} is returned, so exact
-    endpoint optima are never lost to the local search. Ties keep the
-    first; with no finite grid value the result is (xs[0], -inf).
+    The search interval is [xs[0], xs[-1]]. The better of the grid optimum
+    and the refined optimum is returned. Ties keep the first; with no
+    finite grid value the result is (xs[0], -inf).
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
@@ -112,5 +111,5 @@ def grid_then_golden_max(f: Callable[[float], float],
     if scores[k] == -math.inf:
         return lo, -math.inf
     x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]))
-    candidates = [(float(xs[k]), values[k]), (x_ref, v_ref), (lo, values[0]), (hi, values[-1])]
+    candidates = [(float(xs[k]), values[k]), (x_ref, v_ref)]
     return max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)

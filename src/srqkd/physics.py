@@ -15,6 +15,7 @@ function mutates shared state, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +30,9 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # SRP monitoring counts as unusable once its relative precision is worse
 # than 50% (the "grey region" rule in contour scans).
 GREY_REGION_DELTA = 0.5
+
+# Largest x with a finite math.exp(x) and math.expm1(x).
+MAX_EXP_ARG = math.log(sys.float_info.max)
 
 _LN2 = math.log(2.0)
 
@@ -170,7 +174,8 @@ def transmittance(length_km: float) -> float:
 
 def _delta_at_unit_mu(t_db: float, length_km: float, detector: DetectorConfig) -> float:
     # SRP intensity at Bob for mu = 1: 10**(t/10) * T(L). The power overflows
-    # past about 3083 dB, and T(L) underflows to 0 past about 16 200 km.
+    # past about 3083 dB, and T(L) underflows to 0 past about 16 200 km; from
+    # about 15 550 km the pulse is still a float but delta(1) overflows.
     try:
         srp_at_bob = 10.0 ** (t_db / 10.0) * transmittance(length_km)
     except OverflowError:
@@ -178,7 +183,11 @@ def _delta_at_unit_mu(t_db: float, length_km: float, detector: DetectorConfig) -
     if not 0.0 < srp_at_bob < math.inf:
         raise ValueError(f"the reference pulse at Bob, 10**(t_db/10)*T(L), is out of float "
                          f"range at t_db={t_db}, length_km={length_km}")
-    return detector.monitor_photon_uncertainty / srp_at_bob
+    delta = detector.monitor_photon_uncertainty / srp_at_bob
+    if delta == math.inf:
+        raise ValueError(f"delta at mu=1 overflows: the reference pulse at Bob is too weak "
+                         f"at t_db={t_db}, length_km={length_km}")
+    return delta
 
 
 def monitoring_unacceptable(delta: float) -> bool:

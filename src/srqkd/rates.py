@@ -16,10 +16,10 @@ are clamped at zero; the unclamped value is kept for diagnostics.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .physics import (
+    MAX_EXP_ARG,
     DetectorConfig,
     Protocol,
     SetupConfig,
@@ -29,8 +29,6 @@ from .physics import (
 )
 
 _TOL = 1e-9
-# Largest argument of math.exp that does not overflow.
-_EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
     r1, r2 = decoy.nu1_ratio, decoy.nu2_ratio
     nu1, nu2 = r1 * mu, r2 * mu
     q_mu, e_mu = bb84_gain_error(mu, detector, length_km)
-    if mu > _EXP_MAX:
+    if mu > MAX_EXP_ARG:
         return Bb84Yields(q_mu=q_mu, e_mu=e_mu, y0=0.0, q1_lower=0.0, e1_upper=0.5)
     q_n1, e_n1 = bb84_gain_error(nu1, detector, length_km)
     q_n2, e_n2 = bb84_gain_error(nu2, detector, length_km)

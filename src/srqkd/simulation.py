@@ -25,8 +25,6 @@ from enum import Enum
 from itertools import compress
 from typing import Optional
 
-import numpy as np
-
 from .attack import AttackPoint
 from .physics import DetectorConfig, SetupConfig, derive_channel
 
@@ -92,8 +90,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 # A pulse's four independent events, in the bit order of a pattern number
 # 0..15: signal click, optical error, dark count on the correct detector,
-# dark count on the wrong one. The tables are built without NumPy, so
-# importing the module runs none of its kernels.
+# dark count on the wrong one. The tables are built without NumPy, which
+# only simulate() imports.
 _EVENTS = [tuple(bool(pattern >> k & 1) for k in range(4)) for pattern in range(16)]
 
 
@@ -111,7 +109,7 @@ def _outcome(sig: bool, wrong: bool, dark_correct: bool,
 _OUTCOMES = tuple(zip(*(_outcome(*events) for events in _EVENTS)))
 
 
-def _sample_branch(rng: np.random.Generator, n: int, intensity: float,
+def _sample_branch(rng, n: int, intensity: float,
                    detector: DetectorConfig) -> tuple[int, ...]:
     """Sample n pulses at one intensity; returns (singles, single errors, doubles)."""
     p_click = -math.expm1(-2.0 * detector.eta * max(intensity, 0.0))
@@ -124,6 +122,8 @@ def _sample_branch(rng: np.random.Generator, n: int, intensity: float,
 
 def simulate(setup: SetupConfig, detector: DetectorConfig, config: SimConfig) -> SimResult:
     """Run the Monte-Carlo model and aggregate counts with Wilson intervals."""
+    import numpy as np
+
     channel = derive_channel(setup, detector)
     rng = np.random.default_rng(config.seed)
     n = config.n_pulses

@@ -222,8 +222,8 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 decoy: DecoyConfig = DecoyConfig()) -> MuOptimum:
     """Maximize r_sec over mu at fixed (t, L): coarse log grid, then Brent refinement.
 
-    Each mu is rated once: the refinement takes the best grid cell's and
-    both edges' rates from the grid pass. Serves every protocol; the BB84
+    Each mu is rated once: the refinement takes the best grid cell's rate
+    from the grid pass. Serves every protocol; the BB84
     baselines ignore t_db, and decoy-BB84 sets its decoys by decoy's ratios
     to each mu. mu_floor restricts the search from below (used to stay out
     of the grey-monitoring region); a floor above the whole range, or an
@@ -232,16 +232,14 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     lo, hi, points = mu_range
     if mu_floor is not None:
         lo = max(lo, mu_floor)
-    if lo > hi:
-        return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
-                         r_sec_hz=0.0, per_pulse=0.0, found=False)
 
     def objective(mu: float) -> float:
         setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
         return secret_rate(setup, detector, decoy=decoy).r_sec
 
-    mu_best, r_best = grid_then_golden_max(objective, _axis("mu", lo, hi, points, log=True))
+    mu_best, r_best = ((math.nan, 0.0) if lo > hi else
+                       grid_then_golden_max(objective, _axis("mu", lo, hi, points, log=True)))
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)

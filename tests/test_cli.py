@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schemas, config handling, determinism."""
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -17,9 +18,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import srqkd
-from srqkd import DecoyConfig, DetectorConfig, GridSpec
+from srqkd import DecoyConfig, DetectorConfig, GridSpec, cli
 from srqkd.cli import RunConfig, dump_config, load_run_config, main, parse_config_text
 from srqkd.sweeps import DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB
 
@@ -383,6 +386,25 @@ def test_reference_pulse_out_of_range_exits_1(capsys, argv):
     assert err.startswith("error: the reference pulse at Bob") and "length_km=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rate", "--length-km", "15600"),
+    ("optimize-mu", "--length-km", "15600"),
+    ("rate-vs-t", "--length-km", "15600", "--t-points", "3"),
+    ("min-srp", "--length-km", "15600", "--t-points", "11"),
+], ids=" ".join)
+def test_delta_overflow_at_unit_mu_names_t_and_l(capsys, argv):
+    # From about 15 550 km the SRP at Bob is still a float, but delta(mu=1)
+    # overflows: the fiber is the cause, so the refusal names t_db and
+    # length_km, not mu.
+    code, out, err = _run(list(argv), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: delta at mu=1 overflows") and "length_km=15600.0" in err
+    # Where delta(1) is finite the grey row still prints.
+    code, out, err = _run(["rate", "--length-km", "15600", "--t-db", "90", "--mu", "1"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1].endswith(",grey-region;clamped")
+
+
 def test_min_srp_without_positive_rate_exits_2(capsys):
     code, _, err = _run(["min-srp", "--p-opt", "0.5"] + FAST_GRID, capsys)
     assert code == 2
@@ -571,6 +593,44 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# Every command but simulate, each with small grids; attack without --trace-out.
+_PLAIN_PYTHON_ARGV = [
+    ["rate"], ["rate", "--protocol", "bb84-decoy"], ["attack"], ["povm-check"],
+    ["sweep-mu-t", "--mu-points", "2", "--t-points", "2"],
+    ["optimize-mu", "--mu-points", "5"], ["rate-vs-t", "--t-points", "3"],
+    ["rate-vs-distance", "--l-points", "2", "--mu-points", "5"],
+    ["min-srp", "--t-points", "3", "--mu-points", "5"],
+    ["train-capacity", "--storage-km", "10"],
+]
+
+
+def _numpy_loaded_after(argvs) -> list[bool]:
+    """Whether numpy is in sys.modules after each run, in one fresh interpreter."""
+    script = f"""
+import contextlib, io, sys
+import srqkd, srqkd.cli
+loaded = ["numpy" in sys.modules]
+for argv in {list(argvs)!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert srqkd.cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_numpy_loads_only_for_simulate_and_the_trace(tmp_path):
+    # Importing the package and running any other command leaves NumPy
+    # unloaded; simulate and attack --trace-out load it.
+    assert _numpy_loaded_after(_PLAIN_PYTHON_ARGV) == [False] * (1 + len(_PLAIN_PYTHON_ARGV))
+    assert _numpy_loaded_after([["simulate", "--n-pulses", "1000"]]) == [False, True]
+    trace = ["attack", "--trace-out", str(tmp_path / "trace.csv")]
+    assert _numpy_loaded_after([trace]) == [False, True]
+
+
 @pytest.mark.skipif(shutil.which("srqkd") is None, reason="no srqkd script on PATH")
 def test_installed_console_script():
     proc = subprocess.run(["srqkd", *TRAIN_CAPACITY_ARGV], capture_output=True, text=True)
@@ -590,6 +650,59 @@ def test_tiny_mu_refusal_names_mu(capsys, argv, edge, reason):
     assert err.startswith("error: ") and f"mu={argv[-1]}" in err and reason in err
     code, out, _ = _run(list(edge), capsys)
     assert code == 0 and len(out.splitlines()) == 2
+
+
+# ---------------------------------------------------------------------------
+# Contract fuzz: whatever values a command's own flags get, it exits 0, 1 or
+# 2, writes no traceback, and repeats byte for byte.
+
+# Every axis of a command cut to 3 points; drawn flags come later and win.
+_FUZZ_BASE = {name: [f"--{key.replace('_', '-')}=3" for key in ("mu_points", "t_points",
+                                                                 "l_points") if key in keys]
+              for name, (_, keys) in cli._COMMANDS.items()}
+_FUZZ_BASE["train-capacity"] = ["--storage-km=10"]
+# Flags of a command that are no RunConfig key; they take floats.
+_FUZZ_EXTRA = {"min-srp": ("fixed_mu",), "train-capacity": ("storage_km", "n_fib")}
+_FUZZ_WORDS = {"protocol": [p.value for p in srqkd.Protocol],
+               "attack": [a.value for a in srqkd.AttackKind],
+               "double_click": [d.value for d in srqkd.DoubleClickPolicy],
+               "format": ["csv", "json"]}
+# Huge, zero, negative, the smallest subnormal, nan, inf and non-numeric.
+_FUZZ_ODD = ("1e300", "0", "-1", "5e-324", "nan", "inf", "x")
+
+
+def _fuzz_value(key: str):
+    if key in _FUZZ_WORDS:
+        usual = st.sampled_from(_FUZZ_WORDS[key])
+    elif key.endswith("_points"):
+        usual = st.integers(-1, 5).map(str)  # at most 5 points on any axis
+    elif key == "n_pulses":
+        usual = st.integers(-1, 10**6).map(str)
+    elif key == "seed":
+        usual = st.integers(-1, 2**64).map(str)
+    else:
+        usual = st.floats(0.0, 100.0, exclude_min=True).map(repr)
+    return usual | st.sampled_from(_FUZZ_ODD)
+
+
+@st.composite
+def _fuzz_argv(draw) -> list[str]:
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    keys = cli._COMMANDS[name][1] + ("format",) + _FUZZ_EXTRA.get(name, ())
+    argv = [name, *_FUZZ_BASE[name]]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        argv.append(f"--{key.replace('_', '-')}={draw(_fuzz_value(key))}")
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzz_argv())
+def test_cli_contract_fuzz(address_space_cap, argv):
+    first = _run_captured(argv)
+    assert first[0] in (0, 1, 2), (argv, first)
+    assert "Traceback" not in first[2], (argv, first)
+    assert _run_captured(argv) == first, argv
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +780,17 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                  ("attack", "--mu", "1e-320"), ("attack", "--mu", "1e-310")]
     # The reference pulse at Bob out of float range, refused by name, and a
     # BB84 row there, which has no reference pulse; decoy bounds past exp's
-    # range; and --mu-scale, which is no option (mu is always log-spaced).
+    # range; delta(mu=1) overflowing at 15 600 km, refused by name, and a grey
+    # row there where it is finite; and --mu-scale, which is no option (mu is
+    # always log-spaced).
     commands += [("rate", "--length-km", "16300"), ("rate", "--t-db", "4000"),
                  ("rate", "--protocol", "bb84-decoy", "--length-km", "20000"),
                  ("min-srp", "--t-hi", "4000", "--t-points", "3"),
                  ("rate", "--protocol", "bb84-decoy", "--mu", "710"),
+                 ("rate", "--length-km", "15600"), ("optimize-mu", "--length-km", "15600"),
+                 ("rate-vs-t", "--length-km", "15600", "--t-points", "3"),
+                 ("min-srp", "--length-km", "15600", "--t-points", "11"),
+                 ("rate", "--length-km", "15600", "--t-db", "90", "--mu", "1"),
                  ("optimize-mu", "--protocol", "bb84-decoy", "--mu-hi", "1000",
                   "--mu-points", "5"),
                  ("optimize-mu", "--mu-scale", "linear")]

@@ -44,6 +44,9 @@ def test_povm_operator_identities_random_mu():
         povm = build_povm(overlap(mu))
         assert povm.completeness_residual() < 1e-12
         assert povm.min_eigenvalue() > -1e-12
+        # The closed form agrees with a numerical eigensolver.
+        eigs = [np.linalg.eigvalsh(m).min() for m in (povm.m0, povm.m1, povm.m_inc)]
+        assert povm.min_eigenvalue() == pytest.approx(min(eigs), abs=1e-15)
 
 
 def test_povm_outcome_probabilities():

@@ -8,7 +8,8 @@ whose outputs must then move in a known direction:
 - at L + 0.5 km, I_E does not fall and r_sec does not rise;
 - at t + 0.5 dB, r_sec does not fall;
 - B92-SR's r_sec is exactly twice BB84-SR's;
-- optimize_mu's rate is no less than the rate at any point of its mu grid.
+- optimize_mu's rate is no less than the rate at any point of its mu grid;
+- optimize_mu's rate does not rise from L to L + 0.5 km.
 
 In the first five relations both points of each pair have delta <= 0.5,
 the grey-region bound. Beyond it the model is not monotone, and nothing
@@ -105,3 +106,18 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
             assert _no_less(secret_rate(setup, detector).r_sec, opt.r_sec_hz), (
                 protocol, length, t_db, floor, mu)
     assert min(checks.values()) > 500, checks
+
+
+def test_optimized_rate_does_not_rise_with_distance():
+    # The mu-optimized curve of rate_vs_distance, grey optima included: a
+    # longer fiber loses light at every mu, so its best mu does no better.
+    rng = np.random.default_rng(20261021)
+    detector = DetectorConfig()
+    checks = dict.fromkeys(Protocol, 0)  # pairs with a positive rate at L + 0.5 km
+    for protocol in list(Protocol) * 18:
+        length, t_db = rng.uniform(0.0, 120.0), rng.uniform(40.0, 90.0)
+        near, far = (optimize_mu(l, t_db, detector, protocol=protocol, mu_range=(0.01, 1.0, 21))
+                     for l in (length, length + 0.5))
+        checks[protocol] += far.r_sec_hz > 0.0
+        assert _no_less(far.r_sec_hz, near.r_sec_hz), (protocol, length, t_db)
+    assert min(checks.values()) > 5, checks

@@ -4,6 +4,8 @@ and the import graph keeps its layers."""
 import ast
 import dataclasses
 import inspect
+import re
+import sys
 import types
 from pathlib import Path
 
@@ -44,10 +46,14 @@ def test_all_lists_the_public_namespace():
 
 
 
-def _imports(path: Path) -> list[tuple[str, str]]:
-    """(module, name) for every name a source file imports; '' for whole-module imports."""
+def _imports(path: Path, module_level: bool = False) -> list[tuple[str, str]]:
+    """(module, name) for every name a source file imports; '' for whole-module imports.
+
+    With module_level, only the imports a plain ``import`` of the module runs.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     out = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for node in tree.body if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             out += [(alias.name, "") for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -71,12 +77,30 @@ def test_physics_and_rates_are_the_scalar_layers():
     assert {m for m in rates if m.startswith((".", "srqkd"))} == {".physics"}
 
 
+def _numpy_users(module_level: bool = False) -> set[str]:
+    return {path.name for path in SOURCES
+            if any(m.split(".")[0] == "numpy" for m, _ in _imports(path, module_level))}
+
+
 def test_numpy_only_where_it_earns_its_place():
-    # The simulator's RNG, the --trace-out scan and the POVM matrices; every
-    # other module, the sweeps' grids included, is plain Python.
-    users = {path.name for path in SOURCES
-             if any(m.split(".")[0] == "numpy" for m, _ in _imports(path))}
-    assert users == {"attack.py", "simulation.py", "discrimination.py"}
+    # The simulator's RNG and the --trace-out scan, each imported inside the
+    # function that needs it; every other module, discrimination's POVM and
+    # the sweeps' grids included, is plain Python.
+    assert _numpy_users() == {"attack.py", "simulation.py"}
+    assert _numpy_users(module_level=True) == set()
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    # Both ways: every import outside the standard library and the package is
+    # a listed dependency, and every listed dependency is imported.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    listed = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9._-]+", dep).group().lower().replace("-", "_")
+             for dep in listed}
+    imported = {m.split(".")[0] for path in SOURCES for m, _ in _imports(path)
+                if not m.startswith(".")}
+    assert imported - set(sys.stdlib_module_names) - {"srqkd"} == names == {"numpy"}
 
 
 def test_moved_functions_still_resolve():

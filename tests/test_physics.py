@@ -112,10 +112,11 @@ def test_delta_scalings(detector):
 
 
 @pytest.mark.parametrize("t_db, length_km", [(65.0, 16300.0), (4000.0, 10.0),
-                                              (4000.0, 20000.0)])
+                                              (4000.0, 20000.0), (65.0, 15600.0)])
 def test_reference_pulse_out_of_float_range(detector, t_db, length_km):
     # T(L) underflows to 0 past about 16 200 km; 10**(t/10) overflows past
-    # about 3083 dB. Both refusals name the two inputs.
+    # about 3083 dB; from about 15 550 km delta(mu=1) overflows. Each refusal
+    # names the two inputs.
     setup = SetupConfig(protocol="b92-sr", mu=0.3, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
     named = re.escape(f"t_db={t_db}, length_km={length_km}")
