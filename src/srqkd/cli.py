@@ -287,7 +287,7 @@ def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
                                     fixed_mu=args.fixed_mu, criterion=args.criterion,
                                     protocol=Protocol(config.protocol),
                                     pulse_rate_hz=config.pulse_rate_hz,
-                                    mu_range=config.grid().mu_range))]
+                                    mu_bounds=(config.mu_lo, config.mu_hi)))]
 
 
 def _cmd_simulate(config: RunConfig, args) -> list[dict]:
@@ -344,7 +344,8 @@ _COMMANDS = {
     "rate-vs-t": (_cmd_rate_vs_t, _SWEEP_KEYS + ("mu",) + _T_AXIS),
     "rate-vs-distance": (_cmd_rate_vs_distance, ("t_db", "pulse_rate_hz") + _DETECTOR_KEYS
                          + _DECOY_KEYS + _MU_AXIS + _L_AXIS),
-    "min-srp": (_cmd_min_srp, _SWEEP_KEYS + _MU_AXIS + _T_AXIS),
+    # The floored mu search of min-srp reads only the ends of the mu axis.
+    "min-srp": (_cmd_min_srp, _SWEEP_KEYS + ("mu_lo", "mu_hi") + _T_AXIS),
     "simulate": (_cmd_simulate, _CHANNEL_KEYS + ("p_dc", "p_opt") + _SIMULATOR_KEYS),
     "povm-check": (_cmd_povm_check, ("mu",)),
     "train-capacity": (_cmd_train_capacity, ()),  # pulse_rate_hz, spelled --rate-hz

@@ -1,8 +1,10 @@
 """Scalar maximization shared by the attack and sweep modules.
 
-Brent's parabolic-golden search is the attack's search over b. The mu
-search first scans its grid for the best cell, which the same search then
-refines.
+Brent's parabolic-golden search runs behind two maximizers. On an interval
+where the objective has one peak (the attack's search over b, and the mu
+search above the grey floor) it runs once, with both ends scored as well.
+The unfloored mu search, whose objective can have two peaks, first scans
+its grid for the best cell, which the same search then refines.
 """
 
 from __future__ import annotations
@@ -113,3 +115,18 @@ def grid_then_golden_max(f: Callable[[float], float],
     x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]))
     candidates = [(float(xs[k]), values[k]), (x_ref, v_ref)]
     return max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)
+
+
+def edges_then_golden_max(f: Callable[[float], float], a: float,
+                          b: float) -> tuple[float, float]:
+    """Both ends of [a, b] scored, then one Brent search over it; the best of the three.
+
+    For f unimodal on [a, b], so that an optimum at an end is returned
+    exactly. Ties go to a, then b, then the search's point: an end on a
+    plateau is returned whatever path the search took. A collapsed interval
+    (a == b) is scored once. Needs a <= b.
+    """
+    if a == b:
+        return a, f(a)
+    # max() keeps the first of equal scores: the tie order above.
+    return max([(a, f(a)), (b, f(b)), golden_max(f, a, b)], key=lambda pair: pair[1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .attack import AttackSolution, maximize_eve_information
-from .optimize import grid_then_golden_max
+from .optimize import edges_then_golden_max, grid_then_golden_max
 from .physics import (
     GREY_REGION_DELTA,
     SPEED_OF_LIGHT,
@@ -217,20 +217,29 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
 def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 protocol: Protocol = Protocol.B92_SR,
                 pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
-                mu_range: tuple[float, float, int] = GridSpec().mu_range,
+                mu_range: tuple[float, ...] = GridSpec().mu_range,
                 mu_floor: Optional[float] = None,
                 decoy: DecoyConfig = DecoyConfig()) -> MuOptimum:
-    """Maximize r_sec over mu at fixed (t, L): coarse log grid, then Brent refinement.
+    """Maximize r_sec over mu at fixed (t, L).
 
-    Each mu is rated once: the refinement takes the best grid cell's rate
-    from the grid pass. Serves every protocol; the BB84
-    baselines ignore t_db, and decoy-BB84 sets its decoys by decoy's ratios
-    to each mu. mu_floor restricts the search from below (used to stay out
-    of the grey-monitoring region); a floor above the whole range, or an
-    all-zero rate, is reported with found=False and an undefined mu_opt.
+    Serves every protocol; the BB84 baselines ignore t_db, and decoy-BB84
+    sets its decoys by decoy's ratios to each mu. Without mu_floor the
+    search scans the log grid mu_range = (lo, hi, points), then refines its
+    best cell by Brent's search, rating each mu once: below the grey floor
+    r_sec can have two peaks, which the grid tells apart.
+
+    mu_floor restricts the search from below, to stay out of the
+    grey-monitoring region. Above the floor r_sec has one peak, so a
+    floored search reads only the range's ends (lo, hi), and mu_range may
+    be that pair: it rates max(lo, mu_floor) and hi exactly, then runs one
+    Brent search in log10 mu between them. A floor above the whole range,
+    or an all-zero rate, is reported with found=False and an undefined
+    mu_opt. A nan floor is refused.
     """
-    lo, hi, points = mu_range
+    lo, hi = mu_range[0], mu_range[1]
     if mu_floor is not None:
+        if math.isnan(mu_floor):
+            raise ValueError("mu_floor must not be nan")
         lo = max(lo, mu_floor)
 
     def objective(mu: float) -> float:
@@ -238,13 +247,32 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
         return secret_rate(setup, detector, decoy=decoy).r_sec
 
-    mu_best, r_best = ((math.nan, 0.0) if lo > hi else
-                       grid_then_golden_max(objective, _axis("mu", lo, hi, points, log=True)))
+    if lo > hi:
+        mu_best, r_best = math.nan, 0.0
+    elif mu_floor is None:
+        mu_best, r_best = grid_then_golden_max(
+            objective, _axis("mu", lo, hi, mu_range[2], log=True))
+    else:
+        mu_best, r_best = _log_mu_search(objective, lo, hi)
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
     return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=mu_best,
                      r_sec_hz=r_best, per_pulse=r_best / pulse_rate_hz, found=True)
+
+
+def _log_mu_search(objective, lo: float, hi: float) -> tuple[float, float]:
+    """edges_then_golden_max in log10 mu over [lo, hi], with lo and hi rated exactly."""
+    if not lo > 0:
+        raise ValueError("mu range needs lo > 0 on its log scale")
+    ends = {math.log10(lo): lo, math.log10(hi): hi}
+
+    def mu_at(y: float) -> float:
+        return ends.get(y, 10.0 ** y)
+
+    y, rate = edges_then_golden_max(lambda y: objective(mu_at(y)),
+                                    math.log10(lo), math.log10(hi))
+    return mu_at(y), rate
 
 
 def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
@@ -340,7 +368,7 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
                     criterion: str = "positive-rate",
                     protocol: Protocol = Protocol.B92_SR,
                     pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
-                    mu_range: tuple[float, float, int] = GridSpec().mu_range,
+                    mu_bounds: tuple[float, float] = GridSpec().mu_range[:2],
                     ) -> MinSrpResult:
     """Smallest usable reference-pulse intensity nu = mu*10^(t/10).
 
@@ -350,7 +378,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     do not count as secure even if the rate formula stays positive.
 
     With fixed_mu every point runs at that mu (policy "fixed"); without it
-    mu is optimized above the grey floor at each t ("optimized-per-t").
+    mu is optimized within mu_bounds = (lo, hi) and above the grey floor at
+    each t ("optimized-per-t").
     criterion "positive-rate" returns the smallest nu with r_sec > 0;
     "0.99-of-max" the smallest nu whose rate is within 1% of the scan
     maximum (the intensity needed to stop paying rate for dimming the SRP).
@@ -375,7 +404,7 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
             mu_at = fixed_mu
         else:
             opt = optimize_mu(length_km, t_db, detector, protocol=protocol,
-                              pulse_rate_hz=pulse_rate_hz, mu_range=mu_range,
+                              pulse_rate_hz=pulse_rate_hz, mu_range=mu_bounds,
                               mu_floor=floor)
             if not opt.found:
                 continue

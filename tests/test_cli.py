@@ -29,8 +29,9 @@ from srqkd.sweeps import DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB
 SWEEP_HEADER = "mu,t_db,length_km,delta,qber,i_e,r_sec_per_pulse,r_sec_hz,flags"
 
 # Small grids so CLI round-trips stay fast; values don't matter, shapes do.
-FAST_GRID = ["--mu-lo", "0.1", "--mu-hi", "0.6", "--mu-points", "7",
-             "--t-lo", "55", "--t-hi", "75", "--t-points", "3"]
+# min-srp reads only the ends of the mu axis.
+FAST_MU = ["--mu-lo", "0.1", "--mu-hi", "0.6"]
+FAST_T = ["--t-lo", "55", "--t-hi", "75", "--t-points", "3"]
 
 
 @pytest.fixture(autouse=True)
@@ -406,13 +407,13 @@ def test_delta_overflow_at_unit_mu_names_t_and_l(capsys, argv):
 
 
 def test_min_srp_without_positive_rate_exits_2(capsys):
-    code, _, err = _run(["min-srp", "--p-opt", "0.5"] + FAST_GRID, capsys)
+    code, _, err = _run(["min-srp", "--p-opt", "0.5"] + FAST_MU + FAST_T, capsys)
     assert code == 2
     assert "no positive secret rate" in err
 
 
 def test_min_srp_row_schema(capsys):
-    code, out, _ = _run(["min-srp"] + FAST_GRID, capsys)
+    code, out, _ = _run(["min-srp"] + FAST_MU + FAST_T, capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "length_km,criterion,mu_policy,nu_threshold,mu_at,t_db_at,r_sec_hz"
@@ -423,7 +424,8 @@ def test_min_srp_row_schema(capsys):
 
 
 def test_optimize_mu_json(capsys):
-    code, out, _ = _run(["optimize-mu", "--format", "json"] + FAST_GRID[:6], capsys)
+    code, out, _ = _run(["optimize-mu", "--format", "json"] + FAST_MU + ["--mu-points", "7"],
+                        capsys)
     assert code == 0
     payload = json.loads(out)
     assert len(payload) == 1
@@ -599,7 +601,7 @@ _PLAIN_PYTHON_ARGV = [
     ["sweep-mu-t", "--mu-points", "2", "--t-points", "2"],
     ["optimize-mu", "--mu-points", "5"], ["rate-vs-t", "--t-points", "3"],
     ["rate-vs-distance", "--l-points", "2", "--mu-points", "5"],
-    ["min-srp", "--t-points", "3", "--mu-points", "5"],
+    ["min-srp", "--t-points", "3"],
     ["train-capacity", "--storage-km", "10"],
 ]
 
@@ -724,7 +726,7 @@ _CORPUS_POINTS = (
 _DEEP_GREY = (("rate", "--t-db", "20"), ("attack", "--t-db", "20"),
               ("rate", "--t-db", "5"), ("attack", "--t-db", "5"))
 _DECOY_KEYS = ("--nu1-ratio", "0.1", "--p-mu", "0.9")
-_MIN_SRP_GRID = ("--t-lo", "50", "--t-hi", "80", "--t-points", "6", "--mu-points", "21")
+_MIN_SRP_GRID = ("--t-lo", "50", "--t-hi", "80", "--t-points", "6")
 
 
 def _corpus_commands() -> list[tuple[str, ...]]:
@@ -805,6 +807,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
         ("min-srp", "--criterion", "z"), ("train-capacity",), ("rate", "--m", "0.2"),
         # No abbreviations, and no flag for a key the command does not read.
         ("attack", "--len", "20"), ("povm-check", "--eta", "0.9"),
+        ("min-srp", "--mu-points", "21"),
         ("train-capacity", "--storage-km", "10", "--pulse-rate-hz", "1e7"),
     ]
 

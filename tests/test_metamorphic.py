@@ -80,7 +80,9 @@ def test_metamorphic_relations():
 
 
 def test_optimize_mu_beats_its_grid(monkeypatch):
-    # The grid is the one optimize_mu searched; each of its rates is recomputed.
+    # Unfloored, the grid is the one optimize_mu searched. A floored search
+    # lays out no grid, so it is held to the grid it would have searched:
+    # the log grid from max(lo, floor) to hi. Each grid rate is recomputed.
     grids, search = [], sweeps.grid_then_golden_max
 
     def recording(f, xs):
@@ -96,10 +98,16 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
                                   p_opt=rng.uniform(0.0, 0.05))
         length, t_db = rng.uniform(0.0, 120.0), rng.uniform(40.0, 90.0)
         floor = grey_region_mu_floor(length, t_db, detector) if rng.random() < 0.5 else None
+        lo, hi, points = 0.01, 1.0, int(rng.choice((11, 21, 81)))
         grids.clear()
         opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor,
-                          mu_range=(0.01, 1.0, int(rng.choice((11, 21, 81)))))
-        for mu in grids[0] if grids else ():
+                          mu_range=(lo, hi, points))
+        if floor is None:
+            grid = grids[0]
+        else:
+            assert not grids
+            grid = sweeps._axis("mu", max(lo, floor), hi, points, log=True) if floor <= hi else []
+        for mu in grid:
             setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length,
                                 pulse_rate_hz=5e6)
             checks[floor is not None] += 1

@@ -1,4 +1,4 @@
-"""Brent's parabolic-golden search and the grid-then-refine maximizer."""
+"""Brent's parabolic-golden search and the two maximizers built on it."""
 
 import math
 
@@ -9,15 +9,21 @@ from srqkd import (
     DetectorConfig,
     Protocol,
     SetupConfig,
-    attack,
     b_interval,
     derive_channel,
+    grey_region_mu_floor,
     maximize_eve_information,
     optimize,
     optimize_mu,
     sweeps,
 )
-from srqkd.optimize import GOLDEN_MAX_ITER, GOLDEN_REL, golden_max, grid_then_golden_max
+from srqkd.optimize import (
+    GOLDEN_MAX_ITER,
+    GOLDEN_REL,
+    edges_then_golden_max,
+    golden_max,
+    grid_then_golden_max,
+)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -155,15 +161,16 @@ def test_brent_matches_golden_section_on_attack(monkeypatch, information_roundin
     detector = DetectorConfig()
     setups = _seeded_attack_setups(200, np.random.default_rng(8))
     brent = [maximize_eve_information(s, detector).best for s in setups]
-    # The attack binds golden_max by name: patch that binding, and check
-    # that the oracle ran for every setup.
+    # The attack searches through optimize.edges_then_golden_max, which
+    # calls optimize's golden_max: patch that binding, and check that the
+    # oracle ran for every setup.
     oracle_runs = []
 
     def oracle(f, a, b):
         oracle_runs.append((a, b))
         return _golden_section_max(f, a, b)
 
-    monkeypatch.setattr(attack, "golden_max", oracle)
+    monkeypatch.setattr(optimize, "golden_max", oracle)
     for setup, new in zip(setups, brent):
         old = maximize_eve_information(setup, detector).best
         channel = derive_channel(setup, detector)
@@ -273,7 +280,31 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
         assert opt.found
         assert len(scored) == len(set(scored)) > 21
         assert opt.mu_opt in scored
+    # A floored search lays out no grid: one Brent search between the two
+    # ends, each rated exactly.
+    floor = grey_region_mu_floor(10.0, 65.0, detector)
+    scored.clear()
+    opt = optimize_mu(10.0, 65.0, detector, mu_floor=floor)
+    assert opt.found
+    assert {max(0.01, floor), 1.0} <= set(scored)
+    assert len(scored) == len(set(scored)) <= 40
+    assert opt.mu_opt in scored
     # A grey floor at the top of the mu range leaves a single mu to rate.
     scored.clear()
     opt = optimize_mu(10.0, 65.0, detector, mu_floor=1.0)
     assert scored == [1.0] and opt.mu_opt == 1.0
+
+
+def test_edges_then_golden_max():
+    # An end optimum is returned exactly, an interior one by the search.
+    assert edges_then_golden_max(lambda x: x, 0.2, 0.9) == (0.9, 0.9)
+    assert edges_then_golden_max(lambda x: -x, 0.2, 0.9) == (0.2, -0.2)
+    x, v = edges_then_golden_max(lambda x: -(x - 0.41) ** 2, 0.2, 0.9)
+    assert x == pytest.approx(0.41, abs=5e-8) and v == pytest.approx(0.0, abs=1e-14)
+    # Ties go to a, then b, then the search's point.
+    assert edges_then_golden_max(lambda x: 1.0, 0.2, 0.9) == (0.2, 1.0)
+    assert edges_then_golden_max(lambda x: min(x, 0.5), 0.2, 0.9) == (0.9, 0.5)
+    # A collapsed interval is scored once.
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    assert edges_then_golden_max(f, 0.75, 0.75) == (0.75, -(0.75 - 0.3) ** 2)
+    assert calls == [0.75]

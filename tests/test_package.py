@@ -111,18 +111,40 @@ def test_moved_functions_still_resolve():
         is physics.grey_region_mu_floor
 
 
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (node,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def test_attack_maximizer_decides_without_the_grid():
     # One Brent search decides Eve's optimum; the array objective only
     # draws the --trace-out scan.
-    tree = ast.parse((SOURCES[0].parent / "attack.py").read_text(encoding="utf-8"))
-    (maximizer,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                    and node.name == "maximize_eve_information"]
-    names = {node.id for node in ast.walk(maximizer) if isinstance(node, ast.Name)}
-    assert "golden_max" in names
+    names = _names(_function(SOURCES[0].parent / "attack.py", "maximize_eve_information"))
+    assert "edges_then_golden_max" in names
     assert not names & {"_information_curve", "grid_then_golden_max"}
     # The scan is its own call: the maximizer takes no knob of it.
     assert list(inspect.signature(srqkd.maximize_eve_information).parameters) == [
         "setup", "detector"]
+
+
+def test_one_rule_for_unimodal_searches():
+    # Brent's search runs only inside optimize: the attack and the floored
+    # mu search both score their two ends and break ties through
+    # edges_then_golden_max, and no other module copies that rule.
+    callers = {path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and "golden_max" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"optimize.py"}
+    src = SOURCES[0].parent
+    assert "edges_then_golden_max" in _names(_function(src / "sweeps.py", "_log_mu_search"))
+    assert "_log_mu_search" in _names(_function(src / "sweeps.py", "optimize_mu"))
 
 
 def test_each_input_has_one_source():

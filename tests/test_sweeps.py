@@ -156,9 +156,51 @@ def test_optimize_mu_floor_above_range(detector):
     assert opt.r_sec_hz == 0.0
 
 
+def test_floored_optimize_mu_matches_dense_scan():
+    # Above the grey floor r_sec has one peak, so one Brent search between
+    # the two ends finds it: no point of a dense log scan (both ends exact)
+    # beats it by more than rel 1e-9, and the scan rises to its top, then
+    # falls. A draw with a second peak fails; none is left out.
+    rng = np.random.default_rng(20261022)
+    draws = 0
+    while draws < 13:
+        detector = DetectorConfig(eta=0.2 * rng.uniform(0.5, 1.5),
+                                  p_dc=2e-5 * 10.0 ** rng.uniform(-1.0, 1.0),
+                                  p_opt=rng.uniform(0.0, 0.04),
+                                  nep=25e-12 * rng.uniform(0.5, 1.5))
+        protocol = (Protocol.B92_SR, Protocol.BB84_SR)[draws % 2]
+        length, t_db = rng.uniform(0.0, 120.0), rng.uniform(40.0, 90.0)
+        floor = grey_region_mu_floor(length, t_db, detector)
+        if floor >= 1.0:
+            continue
+        draws += 1
+        opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor)
+        rates = [sweeps.secret_rate(SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
+                                                length_km=length, pulse_rate_hz=5e6),
+                                    detector).r_sec
+                 for mu in sweeps._axis("mu", max(0.01, floor), 1.0, 2001, log=True)]
+        top = max(rates)
+        case = (protocol, length, t_db, detector)
+        assert opt.r_sec_hz >= top - 1e-9 * top, case
+        k, noise = rates.index(top), 1e-12 * top
+        assert all(b >= a - noise for a, b in zip(rates[:k], rates[1:k + 1])), case
+        assert all(b <= a + noise for a, b in zip(rates[k:], rates[k + 1:])), case
+
+
+def test_optimize_mu_refuses_nan_floor(detector):
+    # max(lo, nan) is lo: a nan floor would quietly run the unfloored
+    # search, whose optimum can be grey.
+    with pytest.raises(ValueError, match="mu_floor"):
+        optimize_mu(10.0, 65.0, detector, mu_range=COARSE_MU, mu_floor=math.nan)
+    # An infinite floor lies above every range.
+    assert not optimize_mu(10.0, 65.0, detector, mu_floor=math.inf).found
+
+
 def test_optimize_mu_rejects_bad_mu_range(detector, address_space_cap):
     with pytest.raises(ValueError, match="lo > 0"):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0, 10))
+    with pytest.raises(ValueError, match="lo > 0"):
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0), mu_floor=0.0)
     # A one-point grid is no search.
     with pytest.raises(ValueError, match="at least 2 points"):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 1))
@@ -263,8 +305,8 @@ def test_crossover_rejects_length_mismatch(lengths):
 
 def test_min_srp_monotone_in_distance(detector):
     t_grid = np.linspace(40.0, 90.0, 11)
-    near = min_srp_photons(0.0, detector, t_grid=t_grid, mu_range=COARSE_MU)
-    far = min_srp_photons(10.0, detector, t_grid=t_grid, mu_range=COARSE_MU)
+    near = min_srp_photons(0.0, detector, t_grid=t_grid)
+    far = min_srp_photons(10.0, detector, t_grid=t_grid)
     assert near.nu_threshold < far.nu_threshold
     for res in (near, far):
         assert res.nu_threshold == pytest.approx(
@@ -317,7 +359,7 @@ def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol
 def test_min_srp_no_positive_rate():
     bad = DetectorConfig(p_opt=0.5)
     with pytest.raises(RuntimeError, match="no positive secret rate"):
-        min_srp_photons(10.0, bad, t_grid=[60.0, 70.0], mu_range=(0.1, 0.5, 5))
+        min_srp_photons(10.0, bad, t_grid=[60.0, 70.0], mu_bounds=(0.1, 0.5))
 
 
 def test_train_capacity_values():
