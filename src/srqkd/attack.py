@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optimize import edges_then_golden_max
+from .optimize import grid_then_golden_max
 from .physics import (
     MAX_EXP_ARG,
     ChannelDerived,
@@ -313,10 +313,11 @@ def scan_information(setup: SetupConfig,
 def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> AttackSolution:
     """Maximize Eve's information over the feasible attenuation interval.
 
-    One Brent search over the whole interval, and both edges scored
-    (:func:`~srqkd.optimize.edges_then_golden_max`), so that endpoint
-    optima are returned exactly. Every candidate is scored by
-    the scalar objective, whose feasibility test matches
+    Both edges scored, then one Brent search over the whole interval
+    (:func:`~srqkd.optimize.grid_then_golden_max` on the two-point grid
+    (b_min, b_max)), so that endpoint optima are returned exactly, and an
+    optimum between two infeasible edges is still found. Every candidate is
+    scored by the scalar objective, whose feasibility test matches
     :func:`amplification` bit for bit. Ties (an I_E = 1 plateau) go to
     b_min, then b_max, then the search's point: an edge on the plateau is
     returned whatever path the search took.
@@ -328,7 +329,7 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     def information(b: float) -> float:
         return _information(b, mu, eta, mu_prime, delta)
 
-    b_best, i_best = (edges_then_golden_max(information, b_lo, b_hi) if b_lo < b_hi
+    b_best, i_best = (grid_then_golden_max(information, (b_lo, b_hi)) if b_lo < b_hi
                       else (1.0, -math.inf))
     empty = i_best == -math.inf
     best = (_beam_splitting_point(setup, detector, delta, mu_prime) if empty

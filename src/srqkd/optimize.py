@@ -1,16 +1,16 @@
 """Scalar maximization shared by the attack and sweep modules.
 
-Brent's parabolic-golden search runs behind two maximizers. On an interval
-where the objective has one peak (the attack's search over b, and the mu
-search above the grey floor) it runs once, with both ends scored as well.
-The unfloored mu search, whose objective can have two peaks, first scans
-its grid for the best cell, which the same search then refines.
+Brent's parabolic-golden search runs behind one maximizer, which scores a
+grid and then searches around its best point. Where the objective has one
+peak (the attack's search over b, and the mu search above the grey floor)
+the grid is the interval's two ends; the unfloored mu search, whose
+objective can have two peaks, hands it a log grid in mu.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 # Fraction of the larger bracket part that a golden-section step covers.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -21,7 +21,8 @@ GOLDEN_REL = 1e-8
 GOLDEN_MAX_ITER = 200
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def golden_max(f: Callable[[float], float], a: float, b: float,
+               start: Optional[tuple[float, float]] = None) -> tuple[float, float]:
     """Brent's parabolic-golden search for the maximum of f on [a, b].
 
     The maximizing form of Brent's ``localmin`` (Algorithms for Minimization
@@ -29,9 +30,11 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     three best points and falls back to a golden-section step whenever that
     fit is not trusted. It stops once the bracket around the best point is
     at most GOLDEN_REL of the first bracket (or 4 ulp of its ends, if more),
-    or after GOLDEN_MAX_ITER steps. The search starts at the midpoint; when
-    f is finite there and -inf (infeasible) on either side of some interval
-    around it, the result is the maximum on that interval.
+    or after GOLDEN_MAX_ITER steps. The search starts at the midpoint, or
+    at start = (x, f(x)), a point of the bracket whose value is known and
+    so not scored again; when f is finite there and -inf (infeasible) on
+    either side of some interval around it, the result is the maximum on
+    that interval.
 
     Assumes f is unimodal on the bracket; on multimodal functions it
     converges to some local maximum. Returns (x, f(x)) for the best x
@@ -42,11 +45,14 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
     # No step is shorter than tol (1 ulp at least, so every step moves x), and
     # the search ends once the best point lies within 2*tol of both bracket ends.
     tol = max(GOLDEN_REL * (b - a) / 4.0, math.ulp(max(abs(a), abs(b))))
-    # Brent starts at a golden-section point. The middle is feasible for both
-    # callers, and from a finite best point an infeasible (-inf) one only
+    # Brent starts at a golden-section point; any point of the bracket serves
+    # as well, and from a finite best point an infeasible (-inf) one only
     # cuts the bracket.
-    x = w = v = (a + b) / 2.0
-    fx = fw = fv = f(x)
+    if start is None:
+        mid = (a + b) / 2.0
+        start = mid, f(mid)
+    x = w = v = start[0]
+    fx = fw = fv = start[1]
     d = e = 0.0
     for _ in range(GOLDEN_MAX_ITER):
         m = (a + b) / 2.0
@@ -93,40 +99,32 @@ def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, 
 
 def grid_then_golden_max(f: Callable[[float], float],
                          xs: Sequence[float]) -> tuple[float, float]:
-    """Best cell of the increasing grid xs, then a Brent refinement of it.
+    """Best point of the increasing grid xs, then one Brent search around it.
 
-    f scores each grid point once, then the points the refinement adds; a
-    grid collapsed to one point (xs[0] == xs[-1]) is scored once.
-    The search interval is [xs[0], xs[-1]]. The better of the grid optimum
-    and the refined optimum is returned. Ties keep the first; with no
-    finite grid value the result is (xs[0], -inf).
+    f scores each grid point once; a non-finite value scores -inf. The
+    search runs between the neighbours of the first best point, starting
+    from it, so it is not scored again and a flat stretch (a zero rate) in
+    the middle of a wide cell does not lead it away from the peak (a
+    two-point grid's search starts in the middle). It runs even when no grid value is finite: the peak may
+    lie between infeasible grid points. The better of the grid point and
+    the search's point is returned, and a tie goes to the grid point. So a
+    two-point grid (a, b) returns a, then b, then the search's point: an
+    optimum at an end, or an end on a plateau, comes back exactly. A grid
+    collapsed to one point (xs[0] == xs[-1]) is scored once.
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
         raise ValueError("empty search interval")
+
+    def score(v: float) -> float:
+        return v if math.isfinite(v) else -math.inf
+
     if hi == lo:
-        return lo, f(lo)
-    values = [f(float(x)) for x in xs]
-    # Non-finite values mark invalid points: they score -inf.
-    scores = [v if math.isfinite(v) else -math.inf for v in values]
+        return lo, score(f(lo))
+    scores = [score(f(float(x))) for x in xs]
     k = scores.index(max(scores))
-    if scores[k] == -math.inf:
-        return lo, -math.inf
-    x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]))
-    candidates = [(float(xs[k]), values[k]), (x_ref, v_ref)]
-    return max(candidates, key=lambda pair: pair[1] if math.isfinite(pair[1]) else -math.inf)
-
-
-def edges_then_golden_max(f: Callable[[float], float], a: float,
-                          b: float) -> tuple[float, float]:
-    """Both ends of [a, b] scored, then one Brent search over it; the best of the three.
-
-    For f unimodal on [a, b], so that an optimum at an end is returned
-    exactly. Ties go to a, then b, then the search's point: an end on a
-    plateau is returned whatever path the search took. A collapsed interval
-    (a == b) is scored once. Needs a <= b.
-    """
-    if a == b:
-        return a, f(a)
-    # max() keeps the first of equal scores: the tie order above.
-    return max([(a, f(a)), (b, f(b)), golden_max(f, a, b)], key=lambda pair: pair[1])
+    grid_best = float(xs[k]), scores[k]
+    # Two ends tell the search nothing of the inside: it starts in the middle.
+    x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]),
+                              start=grid_best if len(xs) > 2 else None)
+    return (x_ref, v_ref) if score(v_ref) > grid_best[1] else grid_best

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .attack import AttackSolution, maximize_eve_information
-from .optimize import edges_then_golden_max, grid_then_golden_max
+from .optimize import grid_then_golden_max
 from .physics import (
     GREY_REGION_DELTA,
     SPEED_OF_LIGHT,
@@ -49,16 +49,28 @@ def _check_axis(name: str, lo: float, points: int, log: bool) -> None:
         raise ValueError(f"{name} range needs lo > 0 on its log scale")
 
 
+def _log_axis(name: str, lo: float, hi: float,
+              points: int) -> tuple[list[float], Callable[[float], float]]:
+    """The log10 axis from lo to hi, and its map back from log10, both ends exact."""
+    _check_axis(name, lo, points, log=True)
+    ys = _axis(name, math.log10(lo), math.log10(hi), points)
+
+    def value_at(y: float) -> float:
+        return lo if y == ys[0] else hi if y == ys[-1] else 10.0 ** y
+
+    return ys, value_at
+
+
 def _axis(name: str, lo: float, hi: float, points: int, log: bool = False) -> list[float]:
     """points values from lo to hi, evenly spaced (in log10 when log), both ends exact.
 
     The linear points are np.linspace's bit for bit; the log points lie
     within 1 ulp of np.logspace's.
     """
-    _check_axis(name, lo, points, log)
     if log:
-        ys = _axis(name, math.log10(lo), math.log10(hi), points)
-        return [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
+        ys, value_at = _log_axis(name, lo, hi, points)
+        return [value_at(y) for y in ys]
+    _check_axis(name, lo, points, log=False)
     step = (hi - lo) / (points - 1)
     return [i * step + lo for i in range(points - 1)] + [hi]
 
@@ -217,62 +229,53 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
 def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 protocol: Protocol = Protocol.B92_SR,
                 pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
-                mu_range: tuple[float, ...] = GridSpec().mu_range,
+                mu_range: tuple[float, float] | tuple[float, float, int] = GridSpec().mu_range,
                 mu_floor: Optional[float] = None,
                 decoy: DecoyConfig = DecoyConfig()) -> MuOptimum:
     """Maximize r_sec over mu at fixed (t, L).
 
     Serves every protocol; the BB84 baselines ignore t_db, and decoy-BB84
-    sets its decoys by decoy's ratios to each mu. Without mu_floor the
-    search scans the log grid mu_range = (lo, hi, points), then refines its
-    best cell by Brent's search, rating each mu once: below the grey floor
-    r_sec can have two peaks, which the grid tells apart.
+    sets its decoys by decoy's ratios to each mu. The search runs in
+    y = log10 mu: it rates a grid, then one Brent search refines its best
+    point (optimize.grid_then_golden_max), rating each grid mu once and the
+    range's ends exactly. Without mu_floor the grid is the log grid of
+    mu_range = (lo, hi, points): below the grey floor r_sec can have two
+    peaks, which the grid tells apart.
 
     mu_floor restricts the search from below, to stay out of the
-    grey-monitoring region. Above the floor r_sec has one peak, so a
-    floored search reads only the range's ends (lo, hi), and mu_range may
-    be that pair: it rates max(lo, mu_floor) and hi exactly, then runs one
-    Brent search in log10 mu between them. A floor above the whole range,
-    or an all-zero rate, is reported with found=False and an undefined
-    mu_opt. A nan floor is refused.
+    grey-monitoring region. Above the floor r_sec has one peak, so the
+    grid of a floored search is its two ends, max(lo, mu_floor) and hi, and
+    mu_range may be the pair (lo, hi). lo == hi rates that one mu. A floor
+    above the whole range, or an all-zero rate, is reported with
+    found=False and an undefined mu_opt. lo > hi and a nan floor are
+    refused.
     """
     lo, hi = mu_range[0], mu_range[1]
-    if mu_floor is not None:
-        if math.isnan(mu_floor):
-            raise ValueError("mu_floor must not be nan")
+    if not lo <= hi:
+        raise ValueError(f"mu range needs lo <= hi, got ({lo}, {hi})")
+    points = 2
+    if mu_floor is None:
+        points = mu_range[2]
+    elif math.isnan(mu_floor):
+        raise ValueError("mu_floor must not be nan")
+    else:
         lo = max(lo, mu_floor)
 
-    def objective(mu: float) -> float:
-        setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
-                            length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-        return secret_rate(setup, detector, decoy=decoy).r_sec
+    r_best = 0.0  # a floor above the range leaves nothing to rate
+    if lo <= hi:
+        ys, mu_at = _log_axis("mu", lo, hi, points)
 
-    if lo > hi:
-        mu_best, r_best = math.nan, 0.0
-    elif mu_floor is None:
-        mu_best, r_best = grid_then_golden_max(
-            objective, _axis("mu", lo, hi, mu_range[2], log=True))
-    else:
-        mu_best, r_best = _log_mu_search(objective, lo, hi)
+        def objective(y: float) -> float:
+            setup = SetupConfig(protocol=protocol, mu=mu_at(y), t_db=t_db,
+                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
+            return secret_rate(setup, detector, decoy=decoy).r_sec
+
+        y_best, r_best = grid_then_golden_max(objective, ys)
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
-    return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=mu_best,
+    return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=mu_at(y_best),
                      r_sec_hz=r_best, per_pulse=r_best / pulse_rate_hz, found=True)
-
-
-def _log_mu_search(objective, lo: float, hi: float) -> tuple[float, float]:
-    """edges_then_golden_max in log10 mu over [lo, hi], with lo and hi rated exactly."""
-    if not lo > 0:
-        raise ValueError("mu range needs lo > 0 on its log scale")
-    ends = {math.log10(lo): lo, math.log10(hi): hi}
-
-    def mu_at(y: float) -> float:
-        return ends.get(y, 10.0 ** y)
-
-    y, rate = edges_then_golden_max(lambda y: objective(mu_at(y)),
-                                    math.log10(lo), math.log10(hi))
-    return mu_at(y), rate
 
 
 def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
@@ -377,9 +380,10 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     cannot vouch for the reference pulse at all, so such operating points
     do not count as secure even if the rate formula stays positive.
 
-    With fixed_mu every point runs at that mu (policy "fixed"); without it
-    mu is optimized within mu_bounds = (lo, hi) and above the grey floor at
-    each t ("optimized-per-t").
+    At each t the rate comes from optimize_mu, floored at the grey floor:
+    mu is optimized within mu_bounds = (lo, hi) ("optimized-per-t"), or,
+    with fixed_mu, the range collapses to (fixed_mu, fixed_mu) (policy
+    "fixed"), so a t whose floor lies above fixed_mu is skipped.
     criterion "positive-rate" returns the smallest nu with r_sec > 0;
     "0.99-of-max" the smallest nu whose rate is within 1% of the scan
     maximum (the intensity needed to stop paying rate for dimming the SRP).
@@ -391,26 +395,17 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     protocol = _sr_protocol(protocol, "min_srp_photons")
     if t_grid is None:
         t_grid = GridSpec().t_values()
+    if fixed_mu is not None:
+        mu_bounds = (fixed_mu, fixed_mu)
 
     candidates = []  # (nu, mu, t_db, r_sec)
     for t_db in map(float, t_grid):
-        floor = grey_region_mu_floor(length_km, t_db, detector)
-        if fixed_mu is not None:
-            if fixed_mu < floor:
-                continue
-            setup = SetupConfig(protocol=protocol, mu=fixed_mu, t_db=t_db,
-                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-            rate = secret_rate(setup, detector).r_sec
-            mu_at = fixed_mu
-        else:
-            opt = optimize_mu(length_km, t_db, detector, protocol=protocol,
-                              pulse_rate_hz=pulse_rate_hz, mu_range=mu_bounds,
-                              mu_floor=floor)
-            if not opt.found:
-                continue
-            rate, mu_at = opt.r_sec_hz, opt.mu_opt
-        if rate > 0.0:
-            candidates.append((mu_at * 10.0 ** (t_db / 10.0), mu_at, t_db, rate))
+        opt = optimize_mu(length_km, t_db, detector, protocol=protocol,
+                          pulse_rate_hz=pulse_rate_hz, mu_range=mu_bounds,
+                          mu_floor=grey_region_mu_floor(length_km, t_db, detector))
+        if opt.r_sec_hz > 0.0:
+            candidates.append((opt.mu_opt * 10.0 ** (t_db / 10.0), opt.mu_opt, t_db,
+                               opt.r_sec_hz))
 
     if not candidates:
         raise RuntimeError("no positive secret rate anywhere in the scan")

@@ -80,9 +80,11 @@ def test_metamorphic_relations():
 
 
 def test_optimize_mu_beats_its_grid(monkeypatch):
-    # Unfloored, the grid is the one optimize_mu searched. A floored search
-    # lays out no grid, so it is held to the grid it would have searched:
-    # the log grid from max(lo, floor) to hi. Each grid rate is recomputed.
+    # optimize_mu searches in log10 mu. Unfloored, the grid is the one it
+    # searched, mapped back to mu with both ends exact. A floored search's
+    # grid is its two ends, so it is held to the grid it would have
+    # searched: the log grid from max(lo, floor) to hi. Each grid rate is
+    # recomputed.
     grids, search = [], sweeps.grid_then_golden_max
 
     def recording(f, xs):
@@ -103,10 +105,15 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
         opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor,
                           mu_range=(lo, hi, points))
         if floor is None:
-            grid = grids[0]
+            (ys,) = grids
+            grid = [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
+            assert grid == sweeps._axis("mu", lo, hi, points, log=True)
+        elif floor <= hi:
+            assert grids == [[math.log10(max(lo, floor)), math.log10(hi)]]
+            grid = sweeps._axis("mu", max(lo, floor), hi, points, log=True)
         else:
             assert not grids
-            grid = sweeps._axis("mu", max(lo, floor), hi, points, log=True) if floor <= hi else []
+            grid = []
         for mu in grid:
             setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length,
                                 pulse_rate_hz=5e6)

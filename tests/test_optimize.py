@@ -1,4 +1,4 @@
-"""Brent's parabolic-golden search and the two maximizers built on it."""
+"""Brent's parabolic-golden search, the one helper built on it, and its callers."""
 
 import math
 
@@ -20,7 +20,6 @@ from srqkd import (
 from srqkd.optimize import (
     GOLDEN_MAX_ITER,
     GOLDEN_REL,
-    edges_then_golden_max,
     golden_max,
     grid_then_golden_max,
 )
@@ -33,9 +32,10 @@ def _stop_width(a, b):
     return max(GOLDEN_REL * abs(b - a), 4.0 * math.ulp(max(abs(a), abs(b))))
 
 
-def _golden_section_max(f, a, b):
+def _golden_section_max(f, a, b, start=None):
     # Oracle: the plain golden-section loop that Brent's search replaced,
-    # with the same stop rule and the bracket midpoint as its result.
+    # with the same stop rule and the bracket midpoint as its result. It
+    # takes golden_max's start point and ignores it.
     if b < a:
         a, b = b, a
     stop = _stop_width(a, b)
@@ -121,11 +121,27 @@ def test_grid_then_golden_degenerate_interval():
 
 
 def test_grid_then_golden_no_finite_cell():
+    # No finite grid value: the search still runs, between the first grid
+    # point's neighbours, and with nothing finite there either the first
+    # grid point is returned at -inf.
     f, calls = _counted(lambda x: math.nan)
     xs = np.linspace(0.2, 1.0, 11)
     x, v = grid_then_golden_max(f, xs)
     assert (x, v) == (0.2, -math.inf)
-    assert calls == list(xs)  # each grid point once: no golden search, no edge rescoring
+    assert calls[:len(xs)] == list(xs)  # each grid point once, then the search
+    assert len(calls) > len(xs)
+    assert all(xs[0] <= c <= xs[1] for c in calls[len(xs):])
+
+
+def test_grid_then_golden_finds_peak_between_infeasible_ends():
+    # Both ends infeasible, the interior finite: only the search finds the
+    # peak (as for an attack interval whose two edges are both infeasible).
+    def f(x):
+        return -(x - 0.45) ** 2 if 0.3 <= x <= 0.6 else -math.inf
+
+    x, v = grid_then_golden_max(f, (0.0, 1.0))
+    assert x == pytest.approx(0.45, abs=5e-8)
+    assert v == f(x) and math.isfinite(v)
 
 
 def test_grid_then_golden_skips_invalid_cells():
@@ -161,12 +177,12 @@ def test_brent_matches_golden_section_on_attack(monkeypatch, information_roundin
     detector = DetectorConfig()
     setups = _seeded_attack_setups(200, np.random.default_rng(8))
     brent = [maximize_eve_information(s, detector).best for s in setups]
-    # The attack searches through optimize.edges_then_golden_max, which
+    # The attack searches through optimize.grid_then_golden_max, which
     # calls optimize's golden_max: patch that binding, and check that the
     # oracle ran for every setup.
     oracle_runs = []
 
-    def oracle(f, a, b):
+    def oracle(f, a, b, start=None):
         oracle_runs.append((a, b))
         return _golden_section_max(f, a, b)
 
@@ -219,6 +235,14 @@ def test_brent_final_bracket_within_tolerance():
     left = max(c for c in calls if c < x)
     right = min(c for c in calls if c > x)
     assert right - left <= GOLDEN_REL * (0.9 - 0.2)
+
+
+def test_brent_known_start_is_not_rescored():
+    # A start point with its value replaces the midpoint and is not scored again.
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    x, v = golden_max(f, 0.0, 1.0, start=(0.4, -(0.4 - 0.3) ** 2))
+    assert x == pytest.approx(0.3, abs=5e-8) and v == f(x)
+    assert 0.4 not in calls and 0.5 not in calls
 
 
 def test_brent_zero_width_bracket():
@@ -295,16 +319,17 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
     assert scored == [1.0] and opt.mu_opt == 1.0
 
 
-def test_edges_then_golden_max():
-    # An end optimum is returned exactly, an interior one by the search.
-    assert edges_then_golden_max(lambda x: x, 0.2, 0.9) == (0.9, 0.9)
-    assert edges_then_golden_max(lambda x: -x, 0.2, 0.9) == (0.2, -0.2)
-    x, v = edges_then_golden_max(lambda x: -(x - 0.41) ** 2, 0.2, 0.9)
+def test_grid_then_golden_two_point_grid():
+    # On the grid (a, b) an end optimum is returned exactly, an interior
+    # one by the search.
+    assert grid_then_golden_max(lambda x: x, (0.2, 0.9)) == (0.9, 0.9)
+    assert grid_then_golden_max(lambda x: -x, (0.2, 0.9)) == (0.2, -0.2)
+    x, v = grid_then_golden_max(lambda x: -(x - 0.41) ** 2, (0.2, 0.9))
     assert x == pytest.approx(0.41, abs=5e-8) and v == pytest.approx(0.0, abs=1e-14)
     # Ties go to a, then b, then the search's point.
-    assert edges_then_golden_max(lambda x: 1.0, 0.2, 0.9) == (0.2, 1.0)
-    assert edges_then_golden_max(lambda x: min(x, 0.5), 0.2, 0.9) == (0.9, 0.5)
+    assert grid_then_golden_max(lambda x: 1.0, (0.2, 0.9)) == (0.2, 1.0)
+    assert grid_then_golden_max(lambda x: min(x, 0.5), (0.2, 0.9)) == (0.9, 0.5)
     # A collapsed interval is scored once.
     f, calls = _counted(lambda x: -(x - 0.3) ** 2)
-    assert edges_then_golden_max(f, 0.75, 0.75) == (0.75, -(0.75 - 0.3) ** 2)
+    assert grid_then_golden_max(f, (0.75, 0.75)) == (0.75, -(0.75 - 0.3) ** 2)
     assert calls == [0.75]

@@ -122,29 +122,38 @@ def _names(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _calls(node: ast.AST, name: str) -> list[ast.Call]:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
 def test_attack_maximizer_decides_without_the_grid():
-    # One Brent search decides Eve's optimum; the array objective only
-    # draws the --trace-out scan.
-    names = _names(_function(SOURCES[0].parent / "attack.py", "maximize_eve_information"))
-    assert "edges_then_golden_max" in names
-    assert not names & {"_information_curve", "grid_then_golden_max"}
+    # One Brent search between the two scored edges decides Eve's optimum;
+    # the array objective only draws the --trace-out scan.
+    node = _function(SOURCES[0].parent / "attack.py", "maximize_eve_information")
+    assert "_information_curve" not in _names(node)
+    (call,) = _calls(node, "grid_then_golden_max")
+    assert isinstance(call.args[1], ast.Tuple) and len(call.args[1].elts) == 2
     # The scan is its own call: the maximizer takes no knob of it.
     assert list(inspect.signature(srqkd.maximize_eve_information).parameters) == [
         "setup", "detector"]
 
 
 def test_one_rule_for_unimodal_searches():
-    # Brent's search runs only inside optimize: the attack and the floored
-    # mu search both score their two ends and break ties through
-    # edges_then_golden_max, and no other module copies that rule.
-    callers = {path.name for path in SOURCES
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.Call) and "golden_max" in (
-                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
-    assert callers == {"optimize.py"}
+    # One helper, optimize.grid_then_golden_max, serves every maximizer:
+    # Brent's search runs only inside optimize, optimize_mu calls the helper
+    # once for both mu policies, and min-srp's fixed mu goes through
+    # optimize_mu as well.
     src = SOURCES[0].parent
-    assert "edges_then_golden_max" in _names(_function(src / "sweeps.py", "_log_mu_search"))
-    assert "_log_mu_search" in _names(_function(src / "sweeps.py", "optimize_mu"))
+    tree = ast.parse((src / "optimize.py").read_text(encoding="utf-8"))
+    assert [n.name for n in tree.body if isinstance(n, ast.FunctionDef)] == [
+        "golden_max", "grid_then_golden_max"]
+    callers = {path.name for path in SOURCES
+               if _calls(ast.parse(path.read_text(encoding="utf-8")), "golden_max")}
+    assert callers == {"optimize.py"}
+    assert len(_calls(_function(src / "sweeps.py", "optimize_mu"), "grid_then_golden_max")) == 1
+    names = _names(_function(src / "sweeps.py", "min_srp_photons"))
+    assert "optimize_mu" in names and "secret_rate" not in names
 
 
 def test_each_input_has_one_source():

@@ -209,6 +209,22 @@ def test_optimize_mu_rejects_bad_mu_range(detector, address_space_cap):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 10**12))
 
 
+def test_optimize_mu_refuses_inverted_range(detector):
+    # An inverted range is an input error, not a range with no key in it,
+    # and it is refused before the floor is applied.
+    for floor in (None, 0.001, 2.0):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            optimize_mu(10.0, 65.0, detector, mu_range=(1.0, 0.01, 21), mu_floor=floor)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        rate_vs_distance([Protocol.B92_SR], detector, [10.0], mu_range=(1.0, 0.01, 21))
+    # A collapsed range rates its one mu, floored or not, unless the floor
+    # lies above it.
+    for floor in (None, 0.001):
+        opt = optimize_mu(10.0, 65.0, detector, mu_range=(0.3, 0.3, 21), mu_floor=floor)
+        assert opt.found and opt.mu_opt == 0.3
+    assert not optimize_mu(10.0, 65.0, detector, mu_range=(0.3, 0.3), mu_floor=2.0).found
+
+
 def test_optimize_mu_hopeless_detector():
     # p_opt = 1/2: every conclusive bit is a coin toss, no key anywhere.
     bad = DetectorConfig(p_opt=0.5)
