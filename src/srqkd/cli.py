@@ -283,8 +283,7 @@ def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
 
 def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
     return [_record(min_srp_photons(config.length_km, config.detector(),
-                                    t_grid=config.grid().t_values(),
-                                    fixed_mu=args.fixed_mu, criterion=args.criterion,
+                                    t_grid=config.grid().t_values(), criterion=args.criterion,
                                     protocol=Protocol(config.protocol),
                                     pulse_rate_hz=config.pulse_rate_hz,
                                     mu_bounds=(config.mu_lo, config.mu_hi)))]
@@ -397,8 +396,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         elif name == "min-srp":
             p.add_argument("--criterion", default="positive-rate",
                            choices=("positive-rate", "0.99-of-max"))
-            p.add_argument("--fixed-mu", type=float, default=None,
-                           help="hold mu at this value (default: optimize mu at each t)")
         elif name == "train-capacity":
             p.add_argument("--storage-km", type=float, required=True,
                            help="storage-line fiber length in km")

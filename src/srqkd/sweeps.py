@@ -159,7 +159,6 @@ class DistanceComparison:
 class MinSrpResult:
     length_km: float
     criterion: str
-    mu_policy: str
     nu_threshold: float
     mu_at: float
     t_db_at: float
@@ -245,20 +244,30 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     mu_floor restricts the search from below, to stay out of the
     grey-monitoring region. Above the floor r_sec has one peak, so the
     grid of a floored search is its two ends, max(lo, mu_floor) and hi, and
-    mu_range may be the pair (lo, hi). lo == hi rates that one mu. A floor
-    above the whole range, or an all-zero rate, is reported with
-    found=False and an undefined mu_opt. lo > hi and a nan floor are
-    refused.
+    mu_range may be the pair (lo, hi). Where that search finds no positive
+    rate, a log grid of 40 points per decade (2 to 401 points) over the
+    same ends is searched once more: on a stretch of zero rates every
+    comparison is a tie, and Brent's search can walk away from a positive
+    stretch that lies between its grid points. lo == hi rates that one mu.
+    A floor above the whole range, or an all-zero rate, is reported with
+    found=False and an undefined mu_opt. A range with non-finite ends,
+    lo > hi, lo <= 0, an unfloored range without points, and a nan floor
+    are refused before the floor is applied.
     """
     lo, hi = mu_range[0], mu_range[1]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"mu range needs finite ends, got ({lo}, {hi})")
     if not lo <= hi:
         raise ValueError(f"mu range needs lo <= hi, got ({lo}, {hi})")
     points = 2
     if mu_floor is None:
+        if len(mu_range) != 3:
+            raise ValueError("an unfloored mu search needs mu_range = (lo, hi, points)")
         points = mu_range[2]
     elif math.isnan(mu_floor):
         raise ValueError("mu_floor must not be nan")
-    else:
+    _check_axis("mu", lo, points, log=True)
+    if mu_floor is not None:
         lo = max(lo, mu_floor)
 
     r_best = 0.0  # a floor above the range leaves nothing to rate
@@ -271,6 +280,10 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
             return secret_rate(setup, detector, decoy=decoy).r_sec
 
         y_best, r_best = grid_then_golden_max(objective, ys)
+        if r_best <= 0.0 and mu_floor is not None and lo < hi:
+            points = min(401, max(2, math.ceil(40.0 * (ys[-1] - ys[0])) + 1))
+            ys, mu_at = _log_axis("mu", lo, hi, points)  # objective reads this mu_at
+            y_best, r_best = grid_then_golden_max(objective, ys)
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
@@ -281,15 +294,15 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
 def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
               detector: DetectorConfig, protocol: Protocol = Protocol.B92_SR,
               pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ) -> TSaturation:
-    """Rate versus SRP attenuation at fixed mu.
+    """Rate versus SRP attenuation at fixed mu, with its reference-pulse thresholds.
 
-    Reports the saturation onset (smallest t whose rate is within 1% of the
-    rate at the top of the grid) and the positive-rate onset with its
-    reference-pulse intensity nu = mu*10^(t/10). Both onsets are computed
-    over rows with acceptable monitoring only: in the grey region the rate
-    formula can stay positive (the attack degenerates to beam splitting),
-    but the monitor cannot vouch for the reference pulse there, so those
-    rows are returned flagged and skipped for the scalar summaries.
+    Reports the saturation onset t_sat_db (smallest t whose rate is within
+    1% of the rate at the top of the grid; there nu = mu*10^(t_sat_db/10))
+    and the positive-rate onset with its intensity onset_nu = mu*10^(t/10).
+    Both are computed over rows with acceptable monitoring only: in the
+    grey region the rate formula can stay positive (the attack degenerates
+    to beam splitting), but the monitor cannot vouch for the reference pulse
+    there, so those rows are returned flagged and skipped for the summaries.
     """
     protocol = _sr_protocol(protocol, "rate_vs_t")
     rows = []
@@ -367,7 +380,6 @@ def crossover_distance(lengths: Sequence[float], rates_a: Sequence[float],
 
 def min_srp_photons(length_km: float, detector: DetectorConfig,
                     t_grid: Optional[Sequence[float]] = None,
-                    fixed_mu: Optional[float] = None,
                     criterion: str = "positive-rate",
                     protocol: Protocol = Protocol.B92_SR,
                     pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ,
@@ -380,23 +392,18 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     cannot vouch for the reference pulse at all, so such operating points
     do not count as secure even if the rate formula stays positive.
 
-    At each t the rate comes from optimize_mu, floored at the grey floor:
-    mu is optimized within mu_bounds = (lo, hi) ("optimized-per-t"), or,
-    with fixed_mu, the range collapses to (fixed_mu, fixed_mu) (policy
-    "fixed"), so a t whose floor lies above fixed_mu is skipped.
-    criterion "positive-rate" returns the smallest nu with r_sec > 0;
-    "0.99-of-max" the smallest nu whose rate is within 1% of the scan
-    maximum (the intensity needed to stop paying rate for dimming the SRP).
+    At each t mu is optimized within mu_bounds = (lo, hi) above the grey
+    floor (optimize_mu with mu_floor), so a t whose floor lies above hi is
+    skipped. criterion "positive-rate" returns the smallest nu with
+    r_sec > 0; "0.99-of-max" the smallest nu whose rate is within 1% of the
+    scan maximum (the intensity needed to stop paying rate for dimming the
+    SRP). The thresholds at a fixed mu come from rate_vs_t.
     """
     if criterion not in ("positive-rate", "0.99-of-max"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    if fixed_mu is not None and not (math.isfinite(fixed_mu) and fixed_mu > 0.0):
-        raise ValueError(f"fixed_mu must be finite and > 0, got {fixed_mu}")
     protocol = _sr_protocol(protocol, "min_srp_photons")
     if t_grid is None:
         t_grid = GridSpec().t_values()
-    if fixed_mu is not None:
-        mu_bounds = (fixed_mu, fixed_mu)
 
     candidates = []  # (nu, mu, t_db, r_sec)
     for t_db in map(float, t_grid):
@@ -413,9 +420,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
         r_max = max(c[3] for c in candidates)
         candidates = [c for c in candidates if c[3] >= 0.99 * r_max]
     nu, mu_at, t_at, rate = min(candidates, key=lambda c: c[0])
-    return MinSrpResult(length_km=length_km, criterion=criterion,
-                        mu_policy="optimized-per-t" if fixed_mu is None else "fixed",
-                        nu_threshold=nu, mu_at=mu_at, t_db_at=t_at, r_sec_hz=rate)
+    return MinSrpResult(length_km=length_km, criterion=criterion, nu_threshold=nu,
+                        mu_at=mu_at, t_db_at=t_at, r_sec_hz=rate)
 
 
 def train_capacity(storage_km: float, pulse_rate_hz: float,

@@ -262,9 +262,10 @@ def test_non_finite_value_exits_1(capsys, argv):
                  id=f"--b-points-{value}")
     for value in ("0", "-5", "1", "1000000000000")
 ] + [
-    # --fixed-mu alone sets the mu policy: argparse rejects --mu-policy.
+    # min-srp has one mu policy, optimized at each t: argparse rejects
+    # --mu-policy and --fixed-mu (a fixed mu's thresholds come from rate-vs-t).
     pytest.param(["min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3"],
-                 "srqkd: error: unrecognized arguments: --mu-policy fixed",
+                 "srqkd: error: unrecognized arguments: --mu-policy fixed --fixed-mu 0.3",
                  id="--mu-policy-fixed"),
     # The mu axis is always log-spaced: argparse rejects --mu-scale.
     pytest.param(["optimize-mu", "--mu-scale", "linear"],
@@ -277,7 +278,8 @@ def test_non_finite_value_exits_1(capsys, argv):
     for command, flag, value in (("rate", "--m", "0.2"), ("attack", "--len", "20"))
 ] + [
     pytest.param(["min-srp", "--fixed-mu", value],
-                 "error: fixed_mu must be", id=f"--fixed-mu-{value}")
+                 f"srqkd: error: unrecognized arguments: --fixed-mu {value}",
+                 id=f"--fixed-mu-{value}")
     for value in ("-1", "0", "nan")
 ] + [
     pytest.param([command, f"--{axis}-points", "1000000000000"],
@@ -416,10 +418,10 @@ def test_min_srp_row_schema(capsys):
     code, out, _ = _run(["min-srp"] + FAST_MU + FAST_T, capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "length_km,criterion,mu_policy,nu_threshold,mu_at,t_db_at,r_sec_hz"
+    assert lines[0] == "length_km,criterion,nu_threshold,mu_at,t_db_at,r_sec_hz"
     cells = lines[1].split(",")
     assert cells[1] == "positive-rate"
-    nu, mu_at, t_at = float(cells[3]), float(cells[4]), float(cells[5])
+    nu, mu_at, t_at = float(cells[2]), float(cells[3]), float(cells[4])
     assert nu == pytest.approx(mu_at * 10 ** (t_at / 10.0), rel=1e-10)
 
 
@@ -664,7 +666,7 @@ _FUZZ_BASE = {name: [f"--{key.replace('_', '-')}=3" for key in ("mu_points", "t_
               for name, (_, keys) in cli._COMMANDS.items()}
 _FUZZ_BASE["train-capacity"] = ["--storage-km=10"]
 # Flags of a command that are no RunConfig key; they take floats.
-_FUZZ_EXTRA = {"min-srp": ("fixed_mu",), "train-capacity": ("storage_km", "n_fib")}
+_FUZZ_EXTRA = {"train-capacity": ("storage_km", "n_fib")}
 _FUZZ_WORDS = {"protocol": [p.value for p in srqkd.Protocol],
                "attack": [a.value for a in srqkd.AttackKind],
                "double_click": [d.value for d in srqkd.DoubleClickPolicy],
@@ -759,10 +761,10 @@ def _corpus_commands() -> list[tuple[str, ...]]:
         ("train-capacity", "--storage-km", "10"),
         ("min-srp", "--p-opt", "0.5") + _MIN_SRP_GRID,
     ]
-    commands += [("min-srp", "--criterion", criterion) + policy + _MIN_SRP_GRID
-                 for criterion in ("positive-rate", "0.99-of-max")
-                 for policy in ((), ("--fixed-mu", "0.3"))]
-    commands += [("min-srp", "--fixed-mu", "-1")]
+    commands += [("min-srp", "--criterion", criterion) + _MIN_SRP_GRID
+                 for criterion in ("positive-rate", "0.99-of-max")]
+    # The thresholds at a fixed mu: onset_nu, and mu*10^(t_sat_db/10).
+    commands += [("rate-vs-t", "--mu", "0.3") + _MIN_SRP_GRID]
     commands += [(name, "--mu", mu) for mu in ("1000", "1e300") for name in ("rate", "attack")]
     commands += [("rate-vs-distance", "--protocols", ","),
                  ("rate-vs-distance", "--protocols", "b92-sr,b92-sr", "--l-points", "2",
@@ -797,9 +799,11 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                   "--mu-points", "5"),
                  ("optimize-mu", "--mu-scale", "linear")]
     # The config format; the Fock cross-check at a mu whose tail bound keeps one
-    # dimension; and --mu-policy, which is no option (--fixed-mu sets the policy).
+    # dimension; and --mu-policy and --fixed-mu, which are no options (min-srp
+    # optimizes mu at each t; rate-vs-t holds it fixed).
     commands += [("rate", "--dump-config"), ("povm-check", "--mu", "1e-12"),
-                 ("min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3")]
+                 ("min-srp", "--mu-policy", "fixed", "--fixed-mu", "0.3"),
+                 ("min-srp", "--fixed-mu", "0.3")]
     # argparse's own output: help, usage lines and usage errors.
     return commands + [
         ("-h",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),

@@ -83,7 +83,9 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
     # optimize_mu searches in log10 mu. Unfloored, the grid is the one it
     # searched, mapped back to mu with both ends exact. A floored search's
     # grid is its two ends, so it is held to the grid it would have
-    # searched: the log grid from max(lo, floor) to hi. Each grid rate is
+    # searched: the log grid from max(lo, floor) to hi. A floored search
+    # that finds no positive rate searches once more on its fallback grid
+    # (40 points per decade), which is held to as well. Each grid rate is
     # recomputed.
     grids, search = [], sweeps.grid_then_golden_max
 
@@ -109,8 +111,16 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
             grid = [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
             assert grid == sweeps._axis("mu", lo, hi, points, log=True)
         elif floor <= hi:
-            assert grids == [[math.log10(max(lo, floor)), math.log10(hi)]]
+            ends = [math.log10(max(lo, floor)), math.log10(hi)]
+            assert grids[0] == ends
             grid = sweeps._axis("mu", max(lo, floor), hi, points, log=True)
+            if len(grids) == 2:
+                assert not opt.found and floor < hi
+                ys = grids[1]
+                assert ys[0] == ends[0] and ys[-1] == ends[1] and 2 <= len(ys) <= 401
+                grid += [max(lo, floor)] + [10.0 ** y for y in ys[1:-1]] + [hi]
+            else:
+                assert len(grids) == 1 and (opt.found or floor == hi)
         else:
             assert not grids
             grid = []

@@ -141,9 +141,9 @@ def test_attack_maximizer_decides_without_the_grid():
 
 def test_one_rule_for_unimodal_searches():
     # One helper, optimize.grid_then_golden_max, serves every maximizer:
-    # Brent's search runs only inside optimize, optimize_mu calls the helper
-    # once for both mu policies, and min-srp's fixed mu goes through
-    # optimize_mu as well.
+    # Brent's search runs only inside optimize, and optimize_mu calls the
+    # helper twice: once for both mu policies, and once more on the
+    # fallback grid of a floored search that found no positive rate.
     src = SOURCES[0].parent
     tree = ast.parse((src / "optimize.py").read_text(encoding="utf-8"))
     assert [n.name for n in tree.body if isinstance(n, ast.FunctionDef)] == [
@@ -151,16 +151,20 @@ def test_one_rule_for_unimodal_searches():
     callers = {path.name for path in SOURCES
                if _calls(ast.parse(path.read_text(encoding="utf-8")), "golden_max")}
     assert callers == {"optimize.py"}
-    assert len(_calls(_function(src / "sweeps.py", "optimize_mu"), "grid_then_golden_max")) == 1
+    assert len(_calls(_function(src / "sweeps.py", "optimize_mu"), "grid_then_golden_max")) == 2
     names = _names(_function(src / "sweeps.py", "min_srp_photons"))
     assert "optimize_mu" in names and "secret_rate" not in names
 
 
 def test_each_input_has_one_source():
-    # Decoys are ratios of the setup's mu, --fixed-mu alone picks min-srp's
-    # mu policy, and the grey flag is read from the solution's delta.
+    # Decoys are ratios of the setup's mu, min-srp has one mu policy
+    # (optimized at each t within mu_bounds; rate-vs-t holds mu fixed), and
+    # the grey flag is read from the solution's delta.
     assert [f.name for f in dataclasses.fields(srqkd.DecoyConfig)] == [
         "nu1_ratio", "nu2_ratio", "p_mu"]
-    assert "mu_policy" not in inspect.signature(srqkd.min_srp_photons).parameters
+    params = inspect.signature(srqkd.min_srp_photons).parameters
+    assert "mu_policy" not in params and "fixed_mu" not in params
+    assert [f.name for f in dataclasses.fields(srqkd.sweeps.MinSrpResult)] == [
+        "length_km", "criterion", "nu_threshold", "mu_at", "t_db_at", "r_sec_hz"]
     assert [f.name for f in dataclasses.fields(srqkd.attack.AttackSolution)] == [
         "best", "b_min", "b_max", "delta", "interval_empty"]

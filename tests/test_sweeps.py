@@ -187,6 +187,48 @@ def test_floored_optimize_mu_matches_dense_scan():
         assert all(b <= a + noise for a, b in zip(rates[k:], rates[k + 1:])), case
 
 
+def test_floored_optimize_mu_finds_a_stretch_between_zero_rates():
+    # r_sec > 0 only for mu in about 0.045-0.5: the floor (0.0015), hi and
+    # the first search point (0.039) all rate 0, and Brent's search on a
+    # flat zero walks to an end. The fallback grid finds the stretch.
+    detector = DetectorConfig(eta=0.0923, p_dc=7.9e-4, p_opt=5.0e-4)
+    floor = grey_region_mu_floor(23.52, 77.31, detector)
+    opt = optimize_mu(23.52, 77.31, detector, mu_range=(1e-6, 1.0), mu_floor=floor)
+    assert opt.found
+    assert opt.r_sec_hz == pytest.approx(6749.92, rel=1e-6)
+    assert opt.mu_opt == pytest.approx(0.2435, rel=1e-3)
+
+
+def test_floored_optimize_mu_matches_dense_scan_wide_detectors():
+    # Noisy detectors and low range ends leave r_sec > 0 only on a stretch
+    # flanked by zero rates. No point of a 401-point log scan of
+    # [max(lo, floor), 1] beats the floored search by more than rel 1e-9,
+    # and a draw with a positive point is found.
+    rng = np.random.default_rng(20261023)
+    draws = positive = 0
+    while draws < 30:
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, -2.0),
+                                  p_opt=rng.uniform(0.0, 0.1))
+        protocol = (Protocol.B92_SR, Protocol.BB84_SR)[draws % 2]
+        length, t_db = rng.uniform(0.0, 120.0), rng.uniform(40.0, 90.0)
+        lo = 10.0 ** rng.uniform(-6.0, -2.0)
+        floor = grey_region_mu_floor(length, t_db, detector)
+        if floor >= 1.0:
+            continue
+        draws += 1
+        opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor,
+                          mu_range=(lo, 1.0))
+        top = max(sweeps.secret_rate(SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
+                                                 length_km=length, pulse_rate_hz=5e6),
+                                     detector).r_sec
+                  for mu in sweeps._axis("mu", max(lo, floor), 1.0, 401, log=True))
+        positive += top > 0.0
+        case = (protocol, length, t_db, lo, detector)
+        assert opt.r_sec_hz >= top - 1e-9 * top, case
+    assert positive >= 12, positive
+
+
 def test_optimize_mu_refuses_nan_floor(detector):
     # max(lo, nan) is lo: a nan floor would quietly run the unfloored
     # search, whose optimum can be grey.
@@ -201,6 +243,17 @@ def test_optimize_mu_rejects_bad_mu_range(detector, address_space_cap):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0, 10))
     with pytest.raises(ValueError, match="lo > 0"):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.0, 1.0), mu_floor=0.0)
+    # Refused before the floor is applied: a floor above lo does not hide
+    # lo <= 0, nor a pair the unfloored grid cannot lay out, nor an
+    # infinite end.
+    with pytest.raises(ValueError, match="lo > 0 on its log scale"):
+        optimize_mu(10.0, 65.0, detector, mu_range=(-1.0, 0.5), mu_floor=0.01)
+    with pytest.raises(ValueError, match=re.escape("needs mu_range = (lo, hi, points)")):
+        optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0))
+    for bad in ((0.01, math.inf), (0.01, math.nan), (-math.inf, 1.0)):
+        for floor in (None, 0.01):
+            with pytest.raises(ValueError, match="mu range needs finite ends"):
+                optimize_mu(10.0, 65.0, detector, mu_range=bad + (21,), mu_floor=floor)
     # A one-point grid is no search.
     with pytest.raises(ValueError, match="at least 2 points"):
         optimize_mu(10.0, 65.0, detector, mu_range=(0.01, 1.0, 1))
@@ -238,7 +291,11 @@ def test_rate_vs_t_saturation(detector):
     assert len(sat.rows) == 26
     assert sat.onset_t_db is not None and sat.t_sat_db is not None
     assert sat.onset_t_db <= sat.t_sat_db
-    assert sat.onset_nu == pytest.approx(0.3 * 10 ** (sat.onset_t_db / 10.0), rel=1e-12)
+    # The reference-pulse threshold at a fixed mu: the onset row is not
+    # grey, and onset_nu is mu*10^(t/10) at it, bit for bit.
+    (onset,) = [r for r in sat.rows if r.t_db == sat.onset_t_db]
+    assert "grey-region" not in onset.flags and onset.r_sec_hz > 0.0
+    assert sat.onset_nu == 0.3 * 10.0 ** (onset.t_db / 10.0)
     # The universal operating point t=65 sits in the saturated region.
     top = [r for r in sat.rows if r.t_db == 90.0][0].r_sec_hz
     at_65 = [r for r in sat.rows if abs(r.t_db - 66.0) < 1.5][0].r_sec_hz
@@ -332,26 +389,63 @@ def test_min_srp_monotone_in_distance(detector):
 
 
 def test_min_srp_fixed_policy(detector):
-    res = min_srp_photons(10.0, detector, t_grid=np.linspace(40.0, 90.0, 11),
-                          fixed_mu=0.3)
-    assert (res.mu_policy, res.mu_at) == ("fixed", 0.3)
-    # The scan never uses a t whose grey floor exceeds the fixed mu.
-    assert grey_region_mu_floor(10.0, res.t_db_at, detector) <= 0.3
-    assert res.nu_threshold == pytest.approx(0.3 * 10 ** (res.t_db_at / 10.0), rel=1e-12)
+    # The threshold at a fixed mu comes from rate_vs_t: its onset t has a
+    # grey floor at or below mu, and onset_nu is mu*10^(t/10). min-srp's
+    # one policy optimizes mu within bounds that hold the fixed mu, so at
+    # that t it rates at least what the fixed mu does.
+    t_grid = np.linspace(40.0, 90.0, 11)
+    sat = rate_vs_t(10.0, 0.3, t_grid, detector)
+    assert sat.onset_t_db is not None
+    assert grey_region_mu_floor(10.0, sat.onset_t_db, detector) <= 0.3
+    assert sat.onset_nu == pytest.approx(0.3 * 10 ** (sat.onset_t_db / 10.0), rel=1e-12)
+    (onset,) = [r for r in sat.rows if r.t_db == sat.onset_t_db]
+    res = min_srp_photons(10.0, detector, t_grid=[sat.onset_t_db], mu_bounds=(0.01, 1.0))
+    assert res.t_db_at == sat.onset_t_db
+    assert res.r_sec_hz >= onset.r_sec_hz * (1.0 - 1e-9)
+
+
+def test_rate_vs_t_thresholds_read_the_top_rows():
+    # The non-grey rows are a suffix of the t grid, and the saturation
+    # point taken against the top row is the one taken against the best
+    # non-grey row: the rate at a fixed mu does not fall with t there.
+    rng = np.random.default_rng(20261024)
+    saturated = 0
+    for protocol in (Protocol.B92_SR, Protocol.BB84_SR) * 60:
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, -3.0),
+                                  p_opt=rng.uniform(0.0, 0.08),
+                                  nep=rng.uniform(5e-12, 60e-12))
+        length, mu = rng.uniform(0.0, 100.0), 10.0 ** rng.uniform(-2.0, math.log10(2.0))
+        t_lo = rng.uniform(40.0, 80.0)
+        t_grid = np.linspace(t_lo, t_lo + rng.uniform(5.0, 30.0), int(rng.integers(6, 32)))
+        sat = rate_vs_t(length, mu, t_grid, detector, protocol=protocol)
+        grey = ["grey-region" in row.flags for row in sat.rows]
+        case = (protocol, length, mu, t_grid[0], t_grid[-1], detector)
+        assert grey == sorted(grey, reverse=True), case
+        ok = [row.r_sec_hz for row in sat.rows if "grey-region" not in row.flags]
+        t_ok = [row.t_db for row in sat.rows if "grey-region" not in row.flags]
+        best = max(ok, default=0.0)
+        t_best = None
+        if best > 0.0:
+            t_best = next(t for t, r in zip(t_ok, ok) if r >= 0.99 * best)
+            saturated += 1
+        assert sat.t_sat_db == t_best, case
+    assert saturated >= 30, saturated
 
 
 def test_min_srp_validation(detector):
     with pytest.raises(ValueError, match="criterion"):
         min_srp_photons(10.0, detector, criterion="half-max")
-    # A fixed mu must be a usable intensity, not a point skipped at every t.
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="fixed_mu must be finite and > 0"):
-            min_srp_photons(10.0, detector, fixed_mu=bad)
+    # The mu bounds must be usable on mu's log scale; the grey floor lies
+    # above lo <= 0 and does not hide it.
+    for bad, message in ((-1.0, "lo > 0 on its log scale"), (0.0, "lo > 0 on its log scale"),
+                         (math.nan, "finite ends"), (math.inf, "finite ends")):
+        with pytest.raises(ValueError, match=message):
+            min_srp_photons(10.0, detector, mu_bounds=(bad, 0.5))
     # Checked before any rate is computed: a BB84 baseline has no SRP.
-    for mu in (None, 0.3):
-        with pytest.raises(ValueError, match="min_srp_photons needs an SR protocol, "
-                                             "got bb84-decoy"):
-            min_srp_photons(10.0, detector, fixed_mu=mu, protocol=Protocol.BB84_DECOY)
+    with pytest.raises(ValueError, match="min_srp_photons needs an SR protocol, "
+                                         "got bb84-decoy"):
+        min_srp_photons(10.0, detector, protocol=Protocol.BB84_DECOY)
 
 
 @pytest.mark.parametrize("protocol", [Protocol.BB84_DECOY, Protocol.BB84_STANDARD])
