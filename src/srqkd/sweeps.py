@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 from .attack import AttackSolution, maximize_eve_information
 from .optimize import grid_then_golden_max
 from .physics import (
-    GREY_REGION_DELTA,
     SPEED_OF_LIGHT,
     DetectorConfig,
     Protocol,
@@ -39,8 +38,13 @@ FLAG_INFEASIBLE = "attack-infeasible"
 MAX_GRID_POINTS = 10**6
 
 
-def _check_axis(name: str, lo: float, points: int, log: bool) -> None:
-    # Builds no list: RunConfig.validate runs this on every CLI call.
+def _check_axis(name: str, lo: float, hi: float, points: int, log: bool) -> None:
+    # The one range rule, run where a range enters: GridSpec and optimize_mu.
+    # It builds no list: RunConfig.validate runs it on every CLI call.
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} range needs finite ends, got ({lo}, {hi})")
+    if not lo < hi:
+        raise ValueError(f"{name} range needs lo < hi")
     if points < 2:
         raise ValueError(f"{name} range needs at least 2 points")
     if points > MAX_GRID_POINTS:
@@ -49,11 +53,10 @@ def _check_axis(name: str, lo: float, points: int, log: bool) -> None:
         raise ValueError(f"{name} range needs lo > 0 on its log scale")
 
 
-def _log_axis(name: str, lo: float, hi: float,
+def _log_axis(lo: float, hi: float,
               points: int) -> tuple[list[float], Callable[[float], float]]:
     """The log10 axis from lo to hi, and its map back from log10, both ends exact."""
-    _check_axis(name, lo, points, log=True)
-    ys = _axis(name, math.log10(lo), math.log10(hi), points)
+    ys = _axis(math.log10(lo), math.log10(hi), points)
 
     def value_at(y: float) -> float:
         return lo if y == ys[0] else hi if y == ys[-1] else 10.0 ** y
@@ -61,16 +64,15 @@ def _log_axis(name: str, lo: float, hi: float,
     return ys, value_at
 
 
-def _axis(name: str, lo: float, hi: float, points: int, log: bool = False) -> list[float]:
+def _axis(lo: float, hi: float, points: int, log: bool = False) -> list[float]:
     """points values from lo to hi, evenly spaced (in log10 when log), both ends exact.
 
-    The linear points are np.linspace's bit for bit; the log points lie
-    within 1 ulp of np.logspace's.
+    The range was checked where it entered; the linear points are
+    np.linspace's bit for bit, the log points within 1 ulp of np.logspace's.
     """
     if log:
-        ys, value_at = _log_axis(name, lo, hi, points)
+        ys, value_at = _log_axis(lo, hi, points)
         return [value_at(y) for y in ys]
-    _check_axis(name, lo, points, log=False)
     step = (hi - lo) / (points - 1)
     return [i * step + lo for i in range(points - 1)] + [hi]
 
@@ -84,21 +86,18 @@ class GridSpec:
     l_range_km: tuple[float, float, int] = (0.0, 120.0, 61)
 
     def __post_init__(self):
-        for name, (lo, hi, points), log in (("mu", self.mu_range, True),
-                                            ("t", self.t_range_db, False),
-                                            ("l", self.l_range_km, False)):
-            if not lo < hi:
-                raise ValueError(f"{name} range needs lo < hi")
-            _check_axis(name, lo, points, log)
+        for name, axis, log in (("mu", self.mu_range, True), ("t", self.t_range_db, False),
+                                ("l", self.l_range_km, False)):
+            _check_axis(name, *axis, log)
 
     def mu_values(self) -> list[float]:
-        return _axis("mu", *self.mu_range, log=True)
+        return _axis(*self.mu_range, log=True)
 
     def t_values(self) -> list[float]:
-        return _axis("t", *self.t_range_db)
+        return _axis(*self.t_range_db)
 
     def l_values(self) -> list[float]:
-        return _axis("l", *self.l_range_km)
+        return _axis(*self.l_range_km)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class SweepRow:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if (FLAG_GREY in self.flags) != (self.delta > GREY_REGION_DELTA):
+        if (FLAG_GREY in self.flags) != monitoring_unacceptable(self.delta):
             raise ValueError("grey-region flag inconsistent with delta")
 
 
@@ -216,13 +215,9 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
                pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ) -> list[SweepRow]:
     """Rate grid over (mu, t) at fixed distance; row order is mu-major."""
     protocol = _sr_protocol(protocol, "sweep_mu_t")
-    rows = []
-    for mu in grid.mu_values():
-        for t_db in grid.t_values():
-            setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
-                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-            rows.append(evaluate_sr_point(setup, detector))
-    return rows
+    t_grid = grid.t_values()
+    return [row for mu in grid.mu_values() for row in
+            rate_vs_t(length_km, mu, t_grid, detector, protocol, pulse_rate_hz).rows]
 
 
 def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
@@ -248,17 +243,12 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     rate, a log grid of 40 points per decade (2 to 401 points) over the
     same ends is searched once more: on a stretch of zero rates every
     comparison is a tie, and Brent's search can walk away from a positive
-    stretch that lies between its grid points. lo == hi rates that one mu.
-    A floor above the whole range, or an all-zero rate, is reported with
-    found=False and an undefined mu_opt. A range with non-finite ends,
-    lo > hi, lo <= 0, an unfloored range without points, and a nan floor
-    are refused before the floor is applied.
+    stretch that lies between its grid points. A floor at hi rates that
+    one mu; a floor above the range, or an all-zero rate, gives
+    found=False and an undefined mu_opt. _check_axis checks the range
+    before the floor is applied; a nan floor is refused.
     """
     lo, hi = mu_range[0], mu_range[1]
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"mu range needs finite ends, got ({lo}, {hi})")
-    if not lo <= hi:
-        raise ValueError(f"mu range needs lo <= hi, got ({lo}, {hi})")
     points = 2
     if mu_floor is None:
         if len(mu_range) != 3:
@@ -266,13 +256,13 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
         points = mu_range[2]
     elif math.isnan(mu_floor):
         raise ValueError("mu_floor must not be nan")
-    _check_axis("mu", lo, points, log=True)
+    _check_axis("mu", lo, hi, points, log=True)
     if mu_floor is not None:
         lo = max(lo, mu_floor)
 
     r_best = 0.0  # a floor above the range leaves nothing to rate
     if lo <= hi:
-        ys, mu_at = _log_axis("mu", lo, hi, points)
+        ys, mu_at = _log_axis(lo, hi, points)
 
         def objective(y: float) -> float:
             setup = SetupConfig(protocol=protocol, mu=mu_at(y), t_db=t_db,
@@ -282,7 +272,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
         y_best, r_best = grid_then_golden_max(objective, ys)
         if r_best <= 0.0 and mu_floor is not None and lo < hi:
             points = min(401, max(2, math.ceil(40.0 * (ys[-1] - ys[0])) + 1))
-            ys, mu_at = _log_axis("mu", lo, hi, points)  # objective reads this mu_at
+            ys = _log_axis(lo, hi, points)[0]  # same ends, so the same mu_at
             y_best, r_best = grid_then_golden_max(objective, ys)
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,

@@ -835,8 +835,11 @@ def test_golden_cli_corpus(address_space_cap):
     corpus = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
     keys = [" ".join(argv) for argv in _corpus_commands()]
     assert sorted(corpus) == sorted(keys)
-    changed = [key for key in keys if _run_captured(key.split(" ")) != corpus[key]]
-    assert not changed, f"{len(changed)} runs differ from {GOLDEN_CORPUS.name}: {changed}"
+    runs = {key: _run_captured(key.split(" ")) for key in keys}
+    changed = [f"{key}: {_corpus_change(corpus[key], run)}"
+               for key, run in runs.items() if run != corpus[key]]
+    assert not changed, (f"{len(changed)} runs differ from {GOLDEN_CORPUS.name}:\n"
+                         + "\n".join(changed))
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

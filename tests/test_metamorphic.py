@@ -109,11 +109,11 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
         if floor is None:
             (ys,) = grids
             grid = [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
-            assert grid == sweeps._axis("mu", lo, hi, points, log=True)
+            assert grid == sweeps._axis(lo, hi, points, log=True)
         elif floor <= hi:
             ends = [math.log10(max(lo, floor)), math.log10(hi)]
             assert grids[0] == ends
-            grid = sweeps._axis("mu", max(lo, floor), hi, points, log=True)
+            grid = sweeps._axis(max(lo, floor), hi, points, log=True)
             if len(grids) == 2:
                 assert not opt.found and floor < hi
                 ys = grids[1]

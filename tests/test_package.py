@@ -168,3 +168,28 @@ def test_each_input_has_one_source():
         "length_km", "criterion", "nu_threshold", "mu_at", "t_db_at", "r_sec_hz"]
     assert [f.name for f in dataclasses.fields(srqkd.attack.AttackSolution)] == [
         "best", "b_min", "b_max", "delta", "interval_empty"]
+
+
+def test_sweeps_state_each_rule_once():
+    # One range rule, run where a range enters: no other function in sweeps
+    # raises a "range needs" error, and the axis builders only lay out
+    # checked ranges. sweep_mu_t is rate_vs_t over mu, and the grey bound
+    # is read only where physics defines its rule.
+    src = SOURCES[0].parent
+    tree = ast.parse((src / "sweeps.py").read_text(encoding="utf-8"))
+
+    def range_errors(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Constant) and "range needs" in str(n.value)
+                   for r in ast.walk(node) if isinstance(r, ast.Raise) for n in ast.walk(r))
+
+    assert {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and range_errors(node)} == {"_check_axis"}
+    for name in ("_axis", "_log_axis"):
+        assert not [n for n in ast.walk(_function(src / "sweeps.py", name))
+                    if isinstance(n, ast.Raise)]
+    names = _names(_function(src / "sweeps.py", "sweep_mu_t"))
+    assert "rate_vs_t" in names and "evaluate_sr_point" not in names
+    readers = {path.name for path in SOURCES
+               if "GREY_REGION_DELTA" in _names(ast.parse(path.read_text(encoding="utf-8")))
+               | {n for _, n in _imports(path)}}
+    assert readers == {"physics.py"}

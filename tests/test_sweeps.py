@@ -53,14 +53,14 @@ def test_axes_match_numpy():
         draws.append((lo, lo + float(10.0 ** rng.uniform(-12.0, 3.0)),
                       int(rng.integers(2, 3000))))
     for lo, hi, n in draws:
-        assert sweeps._axis("x", lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+        assert sweeps._axis(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
     draws = [(0.01, 1.0, 81), (0.01, 1.0, 601)]
     for _ in range(500):
         lo = float(10.0 ** rng.uniform(-300.0, 2.0))
         draws.append((lo, lo * float(10.0 ** rng.uniform(1e-6, 5.0)),
                       int(rng.integers(3, 3000))))
     for lo, hi, n in draws:
-        mu = sweeps._axis("mu", lo, hi, n, log=True)
+        mu = sweeps._axis(lo, hi, n, log=True)
         assert (mu[0], mu[-1], len(mu)) == (lo, hi, n)
         ref = np.logspace(math.log10(lo), math.log10(hi), n)
         ulps = np.abs(np.array(mu).view(np.int64) - ref.view(np.int64))
@@ -80,6 +80,14 @@ def test_grid_spec_validation():
     GridSpec(t_range_db=(40.0, 90.0, 10**6))
     with pytest.raises(ValueError, match="at most 1000000 points"):
         GridSpec(t_range_db=(40.0, 90.0, 10**6 + 1))
+    # A non-finite end is refused by name, not laid out as nan and inf.
+    for name, field, (lo, hi) in (("mu", "mu_range", (0.01, 1.0)),
+                                  ("t", "t_range_db", (40.0, 90.0)),
+                                  ("l", "l_range_km", (0.0, 120.0))):
+        for bad in (math.inf, -math.inf, math.nan):
+            for axis in ((bad, hi, 5), (lo, bad, 5)):
+                with pytest.raises(ValueError, match=f"^{name} range needs finite ends"):
+                    GridSpec(**{field: axis})
 
 
 def test_sweep_row_flag_invariant():
@@ -178,7 +186,7 @@ def test_floored_optimize_mu_matches_dense_scan():
         rates = [sweeps.secret_rate(SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                                                 length_km=length, pulse_rate_hz=5e6),
                                     detector).r_sec
-                 for mu in sweeps._axis("mu", max(0.01, floor), 1.0, 2001, log=True)]
+                 for mu in sweeps._axis(max(0.01, floor), 1.0, 2001, log=True)]
         top = max(rates)
         case = (protocol, length, t_db, detector)
         assert opt.r_sec_hz >= top - 1e-9 * top, case
@@ -222,7 +230,7 @@ def test_floored_optimize_mu_matches_dense_scan_wide_detectors():
         top = max(sweeps.secret_rate(SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                                                  length_km=length, pulse_rate_hz=5e6),
                                      detector).r_sec
-                  for mu in sweeps._axis("mu", max(lo, floor), 1.0, 401, log=True))
+                  for mu in sweeps._axis(max(lo, floor), 1.0, 401, log=True))
         positive += top > 0.0
         case = (protocol, length, t_db, lo, detector)
         assert opt.r_sec_hz >= top - 1e-9 * top, case
@@ -263,19 +271,17 @@ def test_optimize_mu_rejects_bad_mu_range(detector, address_space_cap):
 
 
 def test_optimize_mu_refuses_inverted_range(detector):
-    # An inverted range is an input error, not a range with no key in it,
-    # and it is refused before the floor is applied.
-    for floor in (None, 0.001, 2.0):
-        with pytest.raises(ValueError, match="lo <= hi"):
-            optimize_mu(10.0, 65.0, detector, mu_range=(1.0, 0.01, 21), mu_floor=floor)
-    with pytest.raises(ValueError, match="lo <= hi"):
-        rate_vs_distance([Protocol.B92_SR], detector, [10.0], mu_range=(1.0, 0.01, 21))
-    # A collapsed range rates its one mu, floored or not, unless the floor
-    # lies above it.
-    for floor in (None, 0.001):
-        opt = optimize_mu(10.0, 65.0, detector, mu_range=(0.3, 0.3, 21), mu_floor=floor)
-        assert opt.found and opt.mu_opt == 0.3
-    assert not optimize_mu(10.0, 65.0, detector, mu_range=(0.3, 0.3), mu_floor=2.0).found
+    # An inverted or collapsed range is an input error, not a range with no
+    # key in it, and it is refused before the floor is applied; a fixed mu
+    # is rate_vs_t's question.
+    for mu_range in ((1.0, 0.01, 21), (0.3, 0.3, 21)):
+        for floor in (None, 0.001, 2.0):
+            with pytest.raises(ValueError, match="lo < hi"):
+                optimize_mu(10.0, 65.0, detector, mu_range=mu_range, mu_floor=floor)
+        with pytest.raises(ValueError, match="lo < hi"):
+            rate_vs_distance([Protocol.B92_SR], detector, [10.0], mu_range=mu_range)
+        with pytest.raises(ValueError, match="lo < hi"):
+            min_srp_photons(10.0, detector, t_grid=[60.0], mu_bounds=mu_range[:2])
 
 
 def test_optimize_mu_hopeless_detector():
