@@ -25,6 +25,7 @@ over the single free parameter b.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .optimize import grid_then_golden_max
@@ -53,8 +54,10 @@ class AttackPoint:
 
     beta_*_sq are the intensities forwarded to Bob on success/fail,
     eps_*_sq the intensities Eve retains. In the nonphysical grey-monitoring
-    regime (delta >= 1) beta_f_sq goes negative; such points are only ever
-    produced flagged as unacceptable.
+    regime (delta >= 1) beta_f_sq goes negative. The rows of ``SweepRow``
+    and of the ``attack`` command flag every delta > GREY_REGION_DELTA as
+    ``grey-region``; ``MuOptimum`` and ``DistancePoint`` carry no flags yet,
+    so a mu optimum there can be such a point unflagged.
     """
 
     b: float
@@ -138,8 +141,8 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, flo
     exceeds 1 and the unitarity limit b_max = 1 applies. An empty interval
     (b_min >= b_max) means the attack degenerates to beam splitting.
     """
-    channel = derive_channel(setup, detector)
-    return _b_bounds(setup.mu, detector.eta, channel)
+    terms = _setup_terms(setup, detector)
+    return terms.b_min, terms.b_max
 
 
 def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
@@ -162,6 +165,33 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
     return b_lo, b_hi
 
 
+# Every b-independent term of one setup's attack: the b-interval, q =
+# exp(-2*eta*mu'*delta), p = 1/(1 + q), the intensities mu_max and mu_min =
+# mu'(1 +/- delta) forwarded on success and fail (mu_min < 0 once delta > 1),
+# Bob's conclusive probability, and the click weights success = p*w_s and
+# fail = (1-p)*w_f, so that success*chi is p*w_s*chi bit for bit.
+_Terms = namedtuple("_Terms", "mu eta mu_prime delta b_min b_max q p mu_max mu_min "
+                              "conclusive success fail")
+
+
+def _terms(mu: float, eta: float, channel: ChannelDerived) -> _Terms:
+    mu_prime, delta = channel.mu_prime, channel.delta
+    b_min, b_max = _b_bounds(mu, eta, channel)
+    q = math.exp(-2.0 * eta * mu_prime * delta)
+    p = 1.0 / (1.0 + q)
+    mu_max, mu_min = mu_prime * (1.0 + delta), mu_prime * (1.0 - delta)
+    # w_f = -expm1(x_f) overflows only where p rounds to 1: 1 - p is 0 there.
+    x_f = -2.0 * eta * mu_min
+    fail = 0.0 if x_f > MAX_EXP_ARG else (1.0 - p) * -math.expm1(x_f)
+    return _Terms(mu, eta, mu_prime, delta, b_min, b_max, q, p, mu_max, mu_min,
+                  conclusive=-math.expm1(-2.0 * eta * mu_prime),
+                  success=p * -math.expm1(-2.0 * eta * mu_max), fail=fail)
+
+
+def _setup_terms(setup: SetupConfig, detector: DetectorConfig) -> _Terms:
+    return _terms(setup.mu, detector.eta, derive_channel(setup, detector))
+
+
 def _chi_curve(intensity):
     """holevo_chi of every lane: H((1 - exp(-2*intensity))/2), clipped to [0, 1]."""
     import numpy as np
@@ -173,40 +203,30 @@ def _chi_curve(intensity):
     return np.clip(h, 0.0, 1.0)
 
 
-def _information_curve(b, mu: float, eta: float, mu_prime: float, delta: float):
+def _information_curve(b, terms: _Terms):
     """Eve's information at each b of a traced scan; -inf marks infeasible points."""
     import numpy as np
 
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    q = math.exp(-2.0 * eta * mu_prime * delta)
-    p = 1.0 / (1.0 + q)
-
+    mu = terms.mu
     # np.expm1 is +inf past MAX_EXP_ARG, as _expm1 is: an infeasible b.
-    log_arg = 1.0 - q * np.expm1(2.0 * mu * (1.0 - b))
+    log_arg = 1.0 - terms.q * np.expm1(2.0 * mu * (1.0 - b))
     valid = log_arg > 0.0
     a = np.where(valid, 1.0 - np.log(np.where(valid, log_arg, 1.0)) / (2.0 * mu), np.nan)
 
-    mu_max = mu_prime * (1.0 + delta)
-    mu_min = mu_prime * (1.0 - delta)
-    eps_s = a * mu - mu_max
-    eps_f = b * mu - mu_min
+    eps_s = a * mu - terms.mu_max
+    eps_f = b * mu - terms.mu_min
     valid &= (eps_s >= -_EPS_CLAMP) & (eps_f >= -_EPS_CLAMP)
-    eps_s = np.clip(eps_s, 0.0, None)
-    eps_f = np.clip(eps_f, 0.0, None)
-
-    conclusive = -math.expm1(-2.0 * eta * mu_prime)
-    if conclusive <= 0.0:
+    if terms.conclusive <= 0.0:
         return np.where(valid, 0.0, -np.inf)
 
-    w_s = -np.expm1(-2.0 * eta * mu_max)
-    w_f = -np.expm1(-2.0 * eta * mu_min)  # negative once delta > 1 (flagged regime)
-    info = (p * w_s * _chi_curve(np.where(valid, eps_s, 0.0))
-            + (1.0 - p) * w_f * _chi_curve(np.where(valid, eps_f, 0.0))) / conclusive
-    info = np.clip(info, 0.0, 1.0)
-    return np.where(valid, info, -np.inf)
+    info = (terms.success * _chi_curve(np.where(valid, np.clip(eps_s, 0.0, None), 0.0))
+            + terms.fail * _chi_curve(np.where(valid, np.clip(eps_f, 0.0, None), 0.0))
+            ) / terms.conclusive
+    return np.where(valid, np.clip(info, 0.0, 1.0), -np.inf)
 
 
-def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float) -> float:
+def _information(b: float, terms: _Terms) -> float:
     """Scalar twin of :func:`_information_curve`, written with ``math``.
 
     Same formula, clamps and feasibility test, and ``a`` comes from the
@@ -215,11 +235,9 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
     Brent step, every candidate the maximizer can return, and
     :func:`attack_point`, which so reproduces the maximizer's optimum.
     """
-    q = math.exp(-2.0 * eta * mu_prime * delta)
-    p = 1.0 / (1.0 + q)
-
+    mu = terms.mu
     try:
-        log_arg = 1.0 - q * math.expm1(2.0 * mu * (1.0 - b))
+        log_arg = 1.0 - terms.q * math.expm1(2.0 * mu * (1.0 - b))
     except OverflowError:
         # _expm1 would give +inf: an infeasible b. Inline, to spare the hot
         # path a call.
@@ -228,21 +246,15 @@ def _information(b: float, mu: float, eta: float, mu_prime: float, delta: float)
         return -math.inf
     a = 1.0 - math.log(log_arg) / (2.0 * mu)
 
-    mu_max = mu_prime * (1.0 + delta)
-    mu_min = mu_prime * (1.0 - delta)
-    eps_s = a * mu - mu_max
-    eps_f = b * mu - mu_min
+    eps_s = a * mu - terms.mu_max
+    eps_f = b * mu - terms.mu_min
     if not (eps_s >= -_EPS_CLAMP and eps_f >= -_EPS_CLAMP):
         return -math.inf
-
-    conclusive = -math.expm1(-2.0 * eta * mu_prime)
-    if conclusive <= 0.0:
+    if terms.conclusive <= 0.0:
         return 0.0
 
-    w_s = -math.expm1(-2.0 * eta * mu_max)
-    w_f = -math.expm1(-2.0 * eta * mu_min)  # negative once delta > 1 (flagged regime)
-    info = (p * w_s * holevo_chi(max(eps_s, 0.0))
-            + (1.0 - p) * w_f * holevo_chi(max(eps_f, 0.0))) / conclusive
+    info = (terms.success * holevo_chi(max(eps_s, 0.0))
+            + terms.fail * holevo_chi(max(eps_f, 0.0))) / terms.conclusive
     return min(max(info, 0.0), 1.0)
 
 
@@ -253,41 +265,32 @@ def beam_splitting_information(mu: float, mu_prime: float) -> float:
 
 def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig) -> AttackPoint:
     """The full parameter set (p, a, intensities, information I_E in bits) at b."""
-    channel = derive_channel(setup, detector)
-    mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
-    b_lo, b_hi = _b_bounds(mu, eta, channel)
-    if not b_lo - 1e-12 <= b <= b_hi + 1e-12:
-        raise ValueError(f"b={b} outside feasible interval [{b_lo}, {b_hi}]")
-    i_e = _information(b, mu, eta, mu_prime, delta)
+    terms = _setup_terms(setup, detector)
+    if not terms.b_min - 1e-12 <= b <= terms.b_max + 1e-12:
+        raise ValueError(f"b={b} outside feasible interval [{terms.b_min}, {terms.b_max}]")
+    i_e = _information(b, terms)
     if not math.isfinite(i_e):
         raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
-    return _filtering_point(b, i_e, mu, eta, mu_prime, delta)
+    return _filtering_point(b, i_e, terms)
 
 
-def _filtering_point(b: float, i_e: float, mu: float, eta: float, mu_prime: float,
-                     delta: float) -> AttackPoint:
-    p = success_probability(eta, mu_prime, delta)
-    a = amplification(b, mu, eta, mu_prime, delta)
-    beta_s_sq = mu_prime * (1.0 + delta)
-    beta_f_sq = mu_prime * (1.0 - delta)
+def _filtering_point(b: float, i_e: float, terms: _Terms) -> AttackPoint:
+    a = amplification(b, terms.mu, terms.eta, terms.mu_prime, terms.delta)
     return AttackPoint(
-        b=b, p=p, a=a,
-        beta_s_sq=beta_s_sq, beta_f_sq=beta_f_sq,
-        eps_s_sq=a * mu - beta_s_sq, eps_f_sq=b * mu - beta_f_sq,
+        b=b, p=terms.p, a=a,
+        beta_s_sq=terms.mu_max, beta_f_sq=terms.mu_min,
+        eps_s_sq=a * terms.mu - terms.mu_max, eps_f_sq=b * terms.mu - terms.mu_min,
         i_e=i_e,
     )
 
 
-def _beam_splitting_point(setup: SetupConfig, detector: DetectorConfig,
-                          delta: float, mu_prime: float) -> AttackPoint:
+def _beam_splitting_point(terms: _Terms) -> AttackPoint:
     # b = a = 1: no filtering; Eve taps mu - mu' from every pulse.
-    p = success_probability(detector.eta, mu_prime, delta)
-    i_e = beam_splitting_information(setup.mu, mu_prime)
+    tap = terms.mu - terms.mu_prime
     return AttackPoint(
-        b=1.0, p=p, a=1.0,
-        beta_s_sq=mu_prime, beta_f_sq=mu_prime,
-        eps_s_sq=setup.mu - mu_prime, eps_f_sq=setup.mu - mu_prime,
-        i_e=i_e,
+        b=1.0, p=terms.p, a=1.0,
+        beta_s_sq=terms.mu_prime, beta_f_sq=terms.mu_prime, eps_s_sq=tap, eps_f_sq=tap,
+        i_e=beam_splitting_information(terms.mu, terms.mu_prime),
     )
 
 
@@ -301,13 +304,12 @@ def scan_information(setup: SetupConfig,
     """
     import numpy as np
 
-    channel = derive_channel(setup, detector)
-    b_lo, b_hi = _b_bounds(setup.mu, detector.eta, channel)
-    if b_lo >= b_hi:
+    terms = _setup_terms(setup, detector)
+    if terms.b_min >= terms.b_max:
         return []
-    bs = np.linspace(b_lo, b_hi, SCAN_POINTS)
-    values = _information_curve(bs, setup.mu, detector.eta, channel.mu_prime, channel.delta)
-    return [(float(x), float(v) if math.isfinite(v) else math.nan) for x, v in zip(bs, values)]
+    bs = np.linspace(terms.b_min, terms.b_max, SCAN_POINTS)
+    return [(float(x), float(v) if math.isfinite(v) else math.nan)
+            for x, v in zip(bs, _information_curve(bs, terms))]
 
 
 def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> AttackSolution:
@@ -322,17 +324,14 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     b_min, then b_max, then the search's point: an edge on the plateau is
     returned whatever path the search took.
     """
-    channel = derive_channel(setup, detector)
-    mu, eta, mu_prime, delta = setup.mu, detector.eta, channel.mu_prime, channel.delta
-    b_lo, b_hi = _b_bounds(mu, eta, channel)
+    terms = _setup_terms(setup, detector)
 
     def information(b: float) -> float:
-        return _information(b, mu, eta, mu_prime, delta)
+        return _information(b, terms)
 
-    b_best, i_best = (grid_then_golden_max(information, (b_lo, b_hi)) if b_lo < b_hi
-                      else (1.0, -math.inf))
+    b_best, i_best = (grid_then_golden_max(information, (terms.b_min, terms.b_max))
+                      if terms.b_min < terms.b_max else (1.0, -math.inf))
     empty = i_best == -math.inf
-    best = (_beam_splitting_point(setup, detector, delta, mu_prime) if empty
-            else _filtering_point(b_best, i_best, mu, eta, mu_prime, delta))
-    return AttackSolution(
-        best=best, b_min=b_lo, b_max=b_hi, delta=delta, interval_empty=empty)
+    best = _beam_splitting_point(terms) if empty else _filtering_point(b_best, i_best, terms)
+    return AttackSolution(best=best, b_min=terms.b_min, b_max=terms.b_max,
+                          delta=terms.delta, interval_empty=empty)

@@ -101,16 +101,16 @@ def grid_then_golden_max(f: Callable[[float], float],
                          xs: Sequence[float]) -> tuple[float, float]:
     """Best point of the increasing grid xs, then one Brent search around it.
 
-    f scores each grid point once; a non-finite value scores -inf. The
-    search runs between the neighbours of the first best point, starting
-    from it, so it is not scored again and a flat stretch (a zero rate) in
-    the middle of a wide cell does not lead it away from the peak (a
-    two-point grid's search starts in the middle). It runs even when no grid value is finite: the peak may
-    lie between infeasible grid points. The better of the grid point and
-    the search's point is returned, and a tie goes to the grid point. So a
-    two-point grid (a, b) returns a, then b, then the search's point: an
-    optimum at an end, or an end on a plateau, comes back exactly. A grid
-    collapsed to one point (xs[0] == xs[-1]) is scored once.
+    f scores each grid point once; a non-finite value scores -inf. The search
+    runs between the neighbours of the first best point, starting from it, so it
+    is not scored again and a flat stretch (a zero rate) in the middle of a wide
+    cell does not lead it away from the peak (a two-point grid's search starts
+    in the middle). It runs even when no grid value is finite: the peak may lie
+    between infeasible grid points. The better of the grid point and the
+    search's point is returned, and a tie goes to the grid point. So a two-point
+    grid (a, b) returns a, then b, then the search's point: an optimum at an
+    end, or an end on a plateau, comes back exactly. A grid collapsed to one
+    point (xs[0] == xs[-1]) is scored once.
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:

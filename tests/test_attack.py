@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srqkd import (
+    ChannelDerived,
     DetectorConfig,
     Protocol,
     SetupConfig,
@@ -23,7 +24,14 @@ from srqkd import (
     success_probability,
     unitarity_residual,
 )
-from srqkd.attack import _expm1, _information, _information_curve, scan_information
+from srqkd.attack import (
+    _expm1,
+    _information,
+    _information_curve,
+    _setup_terms,
+    _terms,
+    scan_information,
+)
 from srqkd.optimize import golden_max
 
 # Frozen at the reference setup (mu=0.3, t=65dB, L=10km, default detector)
@@ -102,14 +110,17 @@ def test_expm1_overflow_reads_as_inf():
 def test_large_attenuation_argument_is_infeasible():
     # 2*mu*(1 - b) = 800 at b = 0: the unitarity log argument is -inf, so b is
     # infeasible, where math.expm1 used to raise OverflowError.
-    args = (400.0, 0.2, 0.63, 1e-5)
-    assert _information(0.0, *args) == -math.inf
+    mu, eta, mu_prime, delta = 400.0, 0.2, 0.63, 1e-5
+    channel = ChannelDerived(transmittance=mu_prime / mu, mu_prime=mu_prime, delta=delta,
+                             qber=0.0)
+    terms = _terms(mu, eta, channel)
+    assert _information(0.0, terms) == -math.inf
     with pytest.raises(ValueError, match="infeasible"):
-        amplification(0.0, *args)
+        amplification(0.0, mu, eta, mu_prime, delta)
     with np.errstate(over="ignore"):
-        curve = _information_curve(np.array([0.0, 1.0]), *args)
+        curve = _information_curve(np.array([0.0, 1.0]), terms)
     assert curve[0] == -math.inf
-    assert curve[1] == _information(1.0, *args)
+    assert curve[1] == _information(1.0, terms)
 
 
 @pytest.mark.parametrize("mu", [1000.0, 1e300])
@@ -183,11 +194,8 @@ def test_b_interval_reference(b92_setup, detector):
 
 
 def test_frozen_reference_point(b92_setup, detector):
-    channel = derive_channel(b92_setup, detector)
-    assert success_probability(detector.eta, channel.mu_prime, channel.delta) == pytest.approx(
-        P_SUCCESS_REF, rel=1e-12
-    )
     sol = maximize_eve_information(b92_setup, detector)
+    assert sol.best.p == pytest.approx(P_SUCCESS_REF, rel=1e-12)
     assert sol.best.i_e == pytest.approx(I_E_REF, rel=1e-9)
     assert sol.best.b == pytest.approx(B_BEST_REF, abs=1e-6)
     assert not sol.interval_empty
@@ -249,6 +257,39 @@ def test_attack_point_reproduces_maximizer_best(detector):
     assert checked > 200
 
 
+def test_point_p_and_a_are_the_reference_functions():
+    # The points read p from the per-setup terms, not from
+    # success_probability; both must still give the same float, and a is
+    # amplification's. The draws reach deep into the grey region, where p
+    # rounds to 1 and w_f = -expm1(-2*eta*mu'(1 - delta)) overflows.
+    rng = np.random.default_rng(20261019)
+    checked, saturated = 0, 0
+    for _ in range(400):
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0))
+        setup = SetupConfig(protocol=Protocol.B92_SR, mu=10.0 ** rng.uniform(-2.0, 4.5),
+                            t_db=rng.uniform(0.0, 90.0), length_km=rng.uniform(0.0, 120.0),
+                            pulse_rate_hz=5e6)
+        channel = derive_channel(setup, detector)
+        eta, mu_prime, delta = detector.eta, channel.mu_prime, channel.delta
+        sol = maximize_eve_information(setup, detector)
+        points = [sol.best]
+        if not sol.interval_empty:
+            checked += 1
+            saturated += sol.best.p == 1.0
+            b = sol.b_min + rng.uniform() * (sol.b_max - sol.b_min)
+            if math.isfinite(_information(b, _setup_terms(setup, detector))):
+                points.append(attack_point(b, setup, detector))
+        for pt in points:
+            assert pt.p == success_probability(eta, mu_prime, delta)
+            assert pt.a == (1.0 if sol.interval_empty
+                            else amplification(pt.b, setup.mu, eta, mu_prime, delta))
+    assert checked > 200 and saturated > 10
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=20000.0, t_db=0.0, length_km=100.0,
+                        pulse_rate_hz=5e6)
+    sol = maximize_eve_information(setup, DetectorConfig())
+    assert (sol.best.p, sol.best.i_e, sol.interval_empty) == (1.0, 1.0, False)
+
+
 @pytest.mark.parametrize("mu, t_db, length_km", [
     (0.3, 65.0, 10.0),
     (0.2, 86.0, 0.0),          # eps_s and eps_f cancel about 7 digits
@@ -278,10 +319,10 @@ def test_plateau_tie_rule(detector, mu, t_db, length_km, b_best):
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
     sol = maximize_eve_information(setup, detector)
-    channel = derive_channel(setup, detector)
+    terms = _setup_terms(setup, detector)
 
     def f(b):
-        return _information(b, mu, detector.eta, channel.mu_prime, channel.delta)
+        return _information(b, terms)
 
     candidates = [(sol.b_min, f(sol.b_min)), (sol.b_max, f(sol.b_max)),
                   golden_max(f, sol.b_min, sol.b_max)]
@@ -295,17 +336,16 @@ def _grid_maximum(setup, detector):
     # I_E of the maximizer that the whole-interval search replaced: the best
     # cell of a 2000-point _information_curve scan, refined by golden_max
     # between its neighbours and scored, with both edges, by _information.
-    channel = derive_channel(setup, detector)
-    args = (setup.mu, detector.eta, channel.mu_prime, channel.delta)
+    terms = _setup_terms(setup, detector)
     b_lo, b_hi = b_interval(setup, detector)
     bs = np.linspace(b_lo, b_hi, 2000)
-    values = _information_curve(bs, *args)
+    values = _information_curve(bs, terms)
     k = int(np.argmax(values))
     if values[k] == -math.inf:
         return -math.inf
 
     def f(b):
-        return _information(b, *args)
+        return _information(b, terms)
 
     _, refined = golden_max(f, float(bs[max(k - 1, 0)]), float(bs[min(k + 1, len(bs) - 1)]))
     return max(f(float(bs[k])), refined, f(b_lo), f(b_hi))
@@ -376,10 +416,10 @@ def test_scalar_objective_matches_curve(information_rounding, mu, t_db, length_k
     b_lo, b_hi = b_interval(setup, detector)
     assume(b_lo < b_hi)
     b = b_lo + u * (b_hi - b_lo)
-    channel = derive_channel(setup, detector)
-    args = (mu, detector.eta, channel.mu_prime, channel.delta)
-    scalar = _information(b, *args)
-    lane = float(_information_curve(b, *args)[0])
+    terms = _setup_terms(setup, detector)
+    args = (mu, detector.eta, terms.mu_prime, terms.delta)
+    scalar = _information(b, terms)
+    lane = float(_information_curve(b, terms)[0])
     if b != b_lo:
         assert math.isfinite(scalar) == math.isfinite(lane)
     if math.isfinite(scalar) and math.isfinite(lane):

@@ -365,6 +365,20 @@ def test_large_signal_intensity_exits_0(capsys, command):
     assert code in (0, 1), err
 
 
+@pytest.mark.parametrize("argv", [("rate",), ("attack",), ("rate", "--eta", "1"),
+                                  ("attack", "--eta", "1")], ids=" ".join)
+def test_overflowing_fail_weight_exits_0(capsys, argv):
+    # p rounds to 1, so the fail branch weighs 1 - p = 0, but its click weight
+    # w_f = -expm1(-2*eta*mu'(1 - delta)) overflowed ("math range error", exit 2).
+    code, out, err = _run([*argv, "--mu", "20000", "--length-km", "100", "--t-db", "0"],
+                          capsys)
+    assert code == 0, err
+    header, row = out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["i_e"] == "1"
+    assert cells["flags"] == {"rate": "grey-region;clamped", "attack": "grey-region"}[argv[0]]
+
+
 @pytest.mark.parametrize("protocol", ["bb84-decoy", "bb84-standard"])
 @pytest.mark.parametrize("command", ["sweep-mu-t", "rate-vs-t"])
 def test_sr_sweep_of_bb84_exits_1(capsys, command, protocol):

@@ -13,7 +13,8 @@ import pytest
 
 import srqkd
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "srqkd").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "srqkd").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -36,6 +37,14 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_no_line_exceeds_99_characters():
+    paths = [*SOURCES, *sorted((ROOT / "tests").glob("*.py"))]
+    long_lines = [f"{path.name}:{i}" for path in paths
+                  for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                  if len(line) > 99]
+    assert long_lines == []
 
 
 def test_all_lists_the_public_namespace():
@@ -94,7 +103,7 @@ def test_runtime_dependencies_are_the_third_party_imports():
     # Both ways: every import outside the standard library and the package is
     # a listed dependency, and every listed dependency is imported.
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     listed = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9._-]+", dep).group().lower().replace("-", "_")
              for dep in listed}
@@ -137,6 +146,15 @@ def test_attack_maximizer_decides_without_the_grid():
     # The scan is its own call: the maximizer takes no knob of it.
     assert list(inspect.signature(srqkd.maximize_eve_information).parameters) == [
         "setup", "detector"]
+
+
+def test_attack_terms_are_worked_out_once():
+    # One function derives a setup's channel and one lays out its b-interval;
+    # every entry point reads them from the per-setup terms.
+    tree = ast.parse((SOURCES[0].parent / "attack.py").read_text(encoding="utf-8"))
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for name in ("derive_channel", "_b_bounds"):
+        assert len([f.name for f in functions if _calls(f, name)]) == 1, name
 
 
 def test_one_rule_for_unimodal_searches():
