@@ -66,6 +66,8 @@ _L_AXIS = ("l_lo", "l_hi", "l_points")
 _SIMULATOR_KEYS = ("n_pulses", "seed", "attack", "double_click")
 _CHANNEL_KEYS = ("mu", "t_db", "length_km", "eta", *_MONITOR_KEYS)  # fix mu' and delta
 _SWEEP_KEYS = ("protocol", "length_km", "pulse_rate_hz", *_DETECTOR_KEYS)  # rates at one L
+# simulate reads these only under the soft-filter attack, whose optimum depends on delta.
+_SOFT_FILTER_KEYS = ("t_db", *_MONITOR_KEYS)
 
 
 @dataclass(frozen=True)
@@ -290,8 +292,13 @@ def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
 
 
 def _cmd_simulate(config: RunConfig, args) -> list[dict]:
-    setup, detector = config.setup(), config.detector()
     kind = AttackKind(config.attack)
+    unread = ["--" + key.replace("_", "-") for key in _SOFT_FILTER_KEYS
+              if getattr(args, key) is not None]
+    if kind is not AttackKind.SOFT_FILTER and unread:
+        raise ValueError(f"{' '.join(unread)}: no effect with attack {kind.value},"
+                         f" only with {AttackKind.SOFT_FILTER.value}")
+    setup, detector = config.setup(), config.detector()
     point = None
     if kind is AttackKind.SOFT_FILTER:
         point = maximize_eve_information(setup, detector).best

@@ -18,6 +18,7 @@ from srqkd import (
     b_interval,
     beam_splitting_information,
     derive_channel,
+    holevo_chi,
     maximize_eve_information,
     monitoring_unacceptable,
     rate_residual,
@@ -26,6 +27,7 @@ from srqkd import (
 )
 from srqkd.attack import (
     _expm1,
+    _Terms,
     _information,
     _information_curve,
     _setup_terms,
@@ -181,6 +183,71 @@ def test_information_literal_reimplementation():
                  + (1.0 - p) * w_f * _chi(max(b * mu - mu_prime * (1.0 - delta), 0.0))
                  ) / conclusive
         assert pt.i_e == pytest.approx(min(max(i_lit, 0.0), 1.0), rel=1e-9, abs=1e-12)
+
+
+def _information_by_holevo_chi(b, terms):
+    # The objective composed from its reference functions: amplification's
+    # feasibility test and a, and holevo_chi on each clamped branch.
+    try:
+        a = amplification(b, terms.mu, terms.eta, terms.mu_prime, terms.delta)
+    except ValueError:
+        return -math.inf
+    eps_s = a * terms.mu - terms.mu_max
+    eps_f = b * terms.mu - terms.mu_min
+    if not (eps_s >= -1e-12 and eps_f >= -1e-12):
+        return -math.inf
+    if terms.conclusive <= 0.0:
+        return 0.0
+    info = (terms.success * holevo_chi(max(eps_s, 0.0))
+            + terms.fail * holevo_chi(max(eps_f, 0.0))) / terms.conclusive
+    return min(max(info, 0.0), 1.0)
+
+
+def test_objective_is_the_holevo_chi_composition():
+    # _information writes holevo_chi out inline. It must return the composed
+    # float bit for bit: at both edges, inside, and at the maximizer's optimum,
+    # on wide draws that reach the grey region (delta > 1, where
+    # mu'(1 - delta) < 0 and the fail weight is negative).
+    rng = np.random.default_rng(20261020)
+    feasible, grey, finite = 0, 0, 0
+    for _ in range(1500):
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, -2.0))
+        setup = SetupConfig(protocol=Protocol.B92_SR, mu=10.0 ** rng.uniform(-3.0, 0.477),
+                            t_db=rng.uniform(30.0, 95.0), length_km=rng.uniform(0.0, 150.0),
+                            pulse_rate_hz=5e6)
+        terms = _setup_terms(setup, detector)
+        if terms.b_min >= terms.b_max:
+            continue
+        feasible += 1
+        grey += terms.mu_min < 0.0
+        inside = terms.b_min + rng.uniform(size=3) * (terms.b_max - terms.b_min)
+        best = maximize_eve_information(setup, detector).best.b
+        for b in (terms.b_min, terms.b_max, *map(float, inside), best):
+            value = _information(b, terms)
+            assert repr(value) == repr(_information_by_holevo_chi(b, terms)), (setup, b)
+            finite += math.isfinite(value)
+    assert feasible > 300 and grey > 50 and finite > 5 * feasible
+
+
+def test_inline_chi_is_holevo_chi_at_edge_intensities():
+    # q = 0 makes a = 1 exactly. With mu = 1 and mu_min = 0, eps_f is b itself
+    # and eps_s = mu - mu_max = 0, so the fail branch alone scores b.
+    fail_only = _Terms(mu=1.0, eta=1.0, mu_prime=0.0, delta=0.0, b_min=0.0, b_max=1.0, q=0.0,
+                       p=1.0, mu_max=1.0, mu_min=0.0, conclusive=1.0, success=0.0, fail=1.0)
+    # From eps = 19 on, x = (1 - exp(-2*eps))/2 rounds to 1/2; at 18.5 it does not.
+    assert [-math.expm1(-2.0 * eps) / 2.0 for eps in (18.5, 19.0)] == [
+        0.49999999999999994, 0.5]
+    for eps in (0.0, -0.0, 5e-324, 1e-300, 1e-17, 0.3, 18.5, 19.0, 1e3):
+        assert repr(_information(eps, fail_only)) == repr(holevo_chi(max(eps, 0.0))), eps
+        if eps > 0.0:
+            # mu = eps and mu_max = 0 give eps_s = eps; b = 1 gives eps_f = 0.
+            success_only = fail_only._replace(mu=eps, mu_max=0.0, mu_min=eps,
+                                              success=1.0, fail=0.0)
+            assert repr(_information(1.0, success_only)) == repr(holevo_chi(eps)), eps
+    # holevo_chi's refusal of a non-finite intensity stays.
+    with pytest.raises(ValueError, match="intensity must be finite and >= 0, got inf"):
+        _information(math.inf, fail_only)
 
 
 def test_b_interval_reference(b92_setup, detector):
@@ -403,7 +470,7 @@ def test_maximizer_deep_grey_points(detector, mu, t_db, length_km):
     assert 0.0 <= sol.best.i_e <= 1.0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(mu=st.floats(0.01, 1.0), t_db=st.floats(40.0, 90.0),
        length_km=st.floats(0.0, 60.0), u=st.floats(0.0, 1.0))
 # delta = 1.55: eps_s cancels, and the two forms differ by 1.1e-12 relative.

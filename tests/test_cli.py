@@ -225,6 +225,26 @@ def test_flags_are_the_keys_each_command_reads(tmp_path, command):
     assert flags == {key: spelled.get(key, ["--" + key.replace("_", "-")]) for key in flags}
 
 
+@pytest.mark.parametrize("attack", ["none", "beam-split"])
+def test_simulate_refuses_flags_its_attack_does_not_read(capsys, tmp_path, attack):
+    # t_db and the monitor keys fix delta, which only the soft-filter optimum
+    # reads: from a config file they leave the output as it is, and as flags
+    # they are refused by name.
+    base = ["simulate", "--attack", attack, "--n-pulses", "100000"]
+    code, out, err = _run(base, capsys)
+    assert (code, err) == (0, "")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("t_db = 50\nnep = 1e-11\ntau_s = 1e-9\nlambda_m = 1.3e-6\n")
+    assert _run(base + ["--config", str(cfg_file)], capsys) == (0, out, "")
+    for flag, value in (("--t-db", "50"), ("--nep", "1e-11"), ("--tau-s", "1e-9"),
+                        ("--lambda-m", "1.3e-6")):
+        assert _run(base + [flag, value], capsys) == (
+            1, "", f"error: {flag}: no effect with attack {attack}, only with soft-filter\n")
+    code, out, err = _run(["simulate", "--attack", "soft-filter", "--n-pulses", "100000",
+                           "--t-db", "50", "--nep", "1e-11"], capsys)
+    assert (code, err) == (0, "") and out
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["rate", "--does-not-exist", "1"])
@@ -792,6 +812,11 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     # too small and an f_ec below 1, refused by validation.
     commands += [("optimize-mu", "--mu-points", "1000000000000"),
                  ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
+    # simulate reads t_db and the monitor keys only under the soft-filter
+    # attack; the other attacks refuse them as flags.
+    commands += [("simulate", "--attack", "none", "--t-db", "50", "--nep", "1e-11"),
+                 ("simulate", "--attack", "beam-split", "--tau-s", "1e-9",
+                  "--lambda-m", "1.3e-6")]
     # A mu too small for the command, refused by name, and the nearest that is not.
     commands += [("povm-check", "--mu", "2e-17"), ("povm-check", "--mu", "2.78e-17"),
                  ("rate", "--mu", "1e-320"), ("rate", "--mu", "1e-310"),

@@ -157,6 +157,15 @@ def test_attack_terms_are_worked_out_once():
         assert len([f.name for f in functions if _calls(f, name)]) == 1, name
 
 
+def test_attack_objective_makes_no_python_call_per_b():
+    # The scalar objective runs about 23 times per maximizer call, so it
+    # computes chi inline: every call in it is a math function, or the
+    # ValueError it raises for an infinite intensity.
+    node = _function(SOURCES[0].parent / "attack.py", "_information")
+    calls = [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+    assert calls and [c for c in calls if not c.startswith("math.") and c != "ValueError"] == []
+
+
 def test_one_rule_for_unimodal_searches():
     # One helper, optimize.grid_then_golden_max, serves every maximizer:
     # Brent's search runs only inside optimize, and optimize_mu calls the
