@@ -207,23 +207,24 @@ def _information_curve(b, terms: _Terms):
     """Eve's information at each b of a traced scan; -inf marks infeasible points."""
     import numpy as np
 
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    mu = terms.mu
-    # np.expm1 is +inf past MAX_EXP_ARG, as _expm1 is: an infeasible b.
-    log_arg = 1.0 - terms.q * np.expm1(2.0 * mu * (1.0 - b))
-    valid = log_arg > 0.0
-    a = np.where(valid, 1.0 - np.log(np.where(valid, log_arg, 1.0)) / (2.0 * mu), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        mu = terms.mu
+        # Past MAX_EXP_ARG np.expm1 is +inf (as _expm1 is), q*inf nan: infeasible b.
+        log_arg = 1.0 - terms.q * np.expm1(2.0 * mu * (1.0 - b))
+        valid = log_arg > 0.0
+        a = np.where(valid, 1.0 - np.log(np.where(valid, log_arg, 1.0)) / (2.0 * mu), np.nan)
 
-    eps_s = a * mu - terms.mu_max
-    eps_f = b * mu - terms.mu_min
-    valid &= (eps_s >= -_EPS_CLAMP) & (eps_f >= -_EPS_CLAMP)
-    if terms.conclusive <= 0.0:
-        return np.where(valid, 0.0, -np.inf)
+        eps_s = a * mu - terms.mu_max
+        eps_f = b * mu - terms.mu_min
+        valid &= (eps_s >= -_EPS_CLAMP) & (eps_f >= -_EPS_CLAMP)
+        if terms.conclusive <= 0.0:
+            return np.where(valid, 0.0, -np.inf)
 
-    info = (terms.success * _chi_curve(np.where(valid, np.clip(eps_s, 0.0, None), 0.0))
-            + terms.fail * _chi_curve(np.where(valid, np.clip(eps_f, 0.0, None), 0.0))
-            ) / terms.conclusive
-    return np.where(valid, np.clip(info, 0.0, 1.0), -np.inf)
+        info = (terms.success * _chi_curve(np.where(valid, np.clip(eps_s, 0.0, None), 0.0))
+                + terms.fail * _chi_curve(np.where(valid, np.clip(eps_f, 0.0, None), 0.0))
+                ) / terms.conclusive
+        return np.where(valid, np.clip(info, 0.0, 1.0), -np.inf)
 
 
 def _information(b: float, terms: _Terms) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -215,11 +214,9 @@ def qber_from_received(mu_prime: float, detector: DetectorConfig) -> float:
     if denom == 0.0:
         return 0.5
     value = (detector.p_dc + detector.p_opt * click) / denom
-    if value > 0.5:
-        # Possible only outside the validated parameter ranges.
-        warnings.warn(f"QBER model value {value:.4g} > 0.5 capped; nonphysical regime")
-        return 0.5
-    return value
+    # p_opt <= 1/2 keeps the model at or below 1/2: only rounding (halving a
+    # subnormal click) reaches the cap.
+    return value if value <= 0.5 else 0.5
 
 
 def binary_entropy(x: float) -> float:

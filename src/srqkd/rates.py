@@ -50,8 +50,8 @@ class RateBreakdown:
     r_sec_unclamped: float
 
     def __post_init__(self):
-        if self.r_sec < 0.0:
-            raise ValueError("r_sec must be clamped at 0")
+        if math.copysign(1.0, self.r_sec) < 0.0:
+            raise ValueError("r_sec must be clamped at 0 (+0.0)")
         if self.r_sec > self.r_raw * (1.0 + _TOL) + _TOL:
             raise ValueError("r_sec cannot exceed r_raw")
         if (self.r_sec == 0.0) != (self.i_ab <= self.i_e or self.r_raw == 0.0):
@@ -97,7 +97,8 @@ class Bb84Yields:
 def _breakdown(r_raw: float, qber: float, i_ab: float, i_e: float,
                pulse_rate_hz: float) -> RateBreakdown:
     unclamped = r_raw * (i_ab - i_e)
-    r_sec = max(unclamped, 0.0)
+    # 0 * (i_ab - i_e) can be -0.0, which max(-0.0, 0.0) would keep.
+    r_sec = unclamped if unclamped > 0.0 else 0.0
     return RateBreakdown(
         r_raw=r_raw, qber=qber, i_ab=i_ab, i_e=i_e,
         r_sec=r_sec, per_pulse=r_sec / pulse_rate_hz, r_sec_unclamped=unclamped,
@@ -216,8 +217,6 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
 
     r_raw = 0.5 * setup.pulse_rate_hz * p_mu * yields.q_mu
     i_ab = 1.0 - detector.f_ec * binary_entropy(yields.e_mu)
-    if yields.q_mu > 0.0:
-        i_e = 1.0 - yields.q1_lower / yields.q_mu * (1.0 - binary_entropy(yields.e1_upper))
-    else:
-        i_e = 1.0
+    i_e = (1.0 - yields.q1_lower / yields.q_mu * (1.0 - binary_entropy(yields.e1_upper))
+           if yields.q_mu > 0.0 else 1.0)
     return _breakdown(r_raw, yields.e_mu, i_ab, i_e, setup.pulse_rate_hz)

@@ -85,7 +85,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    # Cancellation can put center -/+ half beside p_hat; both bounds contain it.
+    return max(min(center - half, p_hat), 0.0), min(max(center + half, p_hat), 1.0)
 
 
 # A pulse's four independent events, in the bit order of a pattern number

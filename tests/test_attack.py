@@ -26,6 +26,7 @@ from srqkd import (
     unitarity_residual,
 )
 from srqkd.attack import (
+    AttackPoint,
     _expm1,
     _Terms,
     _information,
@@ -322,6 +323,22 @@ def test_attack_point_reproduces_maximizer_best(detector):
         checked += 1
         assert attack_point(sol.best.b, setup, detector) == sol.best
     assert checked > 200
+
+
+_VALID_POINT = dict(b=0.5, p=0.5, a=1.5, beta_s_sq=0.1, beta_f_sq=0.05, eps_s_sq=0.2,
+                    eps_f_sq=0.1, i_e=0.3)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("p", 0.0, "p must be"), ("p", 1.0 + 1e-9, "p must be"),
+    ("b", -1e-300, "b must be"), ("b", 1.0 + 1e-9, "b must be"),
+    ("a", 1.0 - 1e-9, "a must be"),
+    ("eps_s_sq", -1e-9, "non-negative"), ("eps_f_sq", -1e-9, "non-negative"),
+])
+def test_attack_point_refuses_out_of_range_fields(field, value, message):
+    AttackPoint(**_VALID_POINT)
+    with pytest.raises(ValueError, match=message):
+        AttackPoint(**{**_VALID_POINT, field: value})
 
 
 def test_point_p_and_a_are_the_reference_functions():

@@ -86,17 +86,23 @@ def test_physics_and_rates_are_the_scalar_layers():
     assert {m for m in rates if m.startswith((".", "srqkd"))} == {".physics"}
 
 
-def _numpy_users(module_level: bool = False) -> set[str]:
+def _importers(package: str, module_level: bool = False) -> set[str]:
     return {path.name for path in SOURCES
-            if any(m.split(".")[0] == "numpy" for m, _ in _imports(path, module_level))}
+            if any(m.split(".")[0] == package for m, _ in _imports(path, module_level))}
 
 
 def test_numpy_only_where_it_earns_its_place():
     # The simulator's RNG and the --trace-out scan, each imported inside the
     # function that needs it; every other module, discrimination's POVM and
     # the sweeps' grids included, is plain Python.
-    assert _numpy_users() == {"attack.py", "simulation.py"}
-    assert _numpy_users(module_level=True) == set()
+    assert _importers("numpy") == {"attack.py", "simulation.py"}
+    assert _importers("numpy", module_level=True) == set()
+
+
+def test_no_module_issues_python_warnings():
+    # A suspect value is a row flag or a refusal. A warning would print once
+    # per process and write the shared warnings registry.
+    assert _importers("warnings") == set()
 
 
 def test_runtime_dependencies_are_the_third_party_imports():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,12 @@ def test_qber_limits(detector):
     half = DetectorConfig(p_opt=0.5, p_dc=0.0)
     for mu_prime in (0.01, 0.2, 2.0):
         assert qber_from_received(mu_prime, half) == pytest.approx(0.5, rel=1e-12)
+    # Halving a subnormal click rounds up (0.5 * 1.5e-323 = 1e-323), so the
+    # model reads 2/3; the cap returns 1/2 without a warning.
+    subnormal = DetectorConfig(p_opt=0.5, p_dc=0.0, eta=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qber_from_received(1.5e-323, subnormal) == 0.5
 
 
 def test_qber_monotone_in_distance(detector):

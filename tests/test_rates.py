@@ -205,13 +205,41 @@ def test_rate_breakdown_validation():
     with pytest.raises(ValueError, match="vanish exactly"):
         RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.5, i_e=0.6,
                       r_sec=0.1, per_pulse=0.1, r_sec_unclamped=-0.1)
+    with pytest.raises(ValueError, match="clamped at 0"):
+        RateBreakdown(r_raw=0.0, qber=0.5, i_ab=0.0, i_e=1.0,
+                      r_sec=-0.0, per_pulse=0.0, r_sec_unclamped=-0.0)
 
 
 def test_bb84_yields_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q1_lower"):
         Bb84Yields(q_mu=0.1, e_mu=0.02, y0=0.0, q1_lower=0.2, e1_upper=0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="e1_upper"):
         Bb84Yields(q_mu=0.1, e_mu=0.02, y0=0.0, q1_lower=0.05, e1_upper=0.6)
+    with pytest.raises(ValueError, match="y0"):
+        Bb84Yields(q_mu=0.1, e_mu=0.02, y0=-1e-9, q1_lower=0.05, e1_upper=0.02)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.BB84_STANDARD, Protocol.BB84_DECOY])
+def test_zero_gain_rate_is_positive_zero(protocol):
+    # Q_mu = 0 makes r_raw = 0, and 0 * (i_ab - i_e) is -0.0 when i_e > i_ab.
+    detector = DetectorConfig(p_dc=0.0)
+    assert bb84_gain_error(5e-324, detector, 10.0) == (0.0, 0.5)
+    setup = SetupConfig(protocol=protocol, mu=5e-324, t_db=65.0, length_km=10.0,
+                        pulse_rate_hz=5e6)
+    out = bb84_secret_rate(setup, detector)
+    assert (out.r_raw, out.i_e) == (0.0, 1.0)
+    assert math.copysign(1.0, out.r_sec_unclamped) == -1.0
+    for value in (out.r_sec, out.per_pulse):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_bb84_rate_refusals(b92_setup, detector):
+    with pytest.raises(ValueError, match="BB84 baseline"):
+        bb84_secret_rate(b92_setup, detector)
+    setup = SetupConfig(protocol=Protocol.BB84_STANDARD, mu=0.3, t_db=65.0,
+                        length_km=10.0, pulse_rate_hz=5e6)
+    with pytest.raises(ValueError, match="0 < eta < 1"):
+        bb84_pns_bounds(setup, DetectorConfig(eta=1.0))
 
 
 def test_bb84_decomposition_identity(detector):

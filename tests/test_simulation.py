@@ -106,6 +106,20 @@ def test_wilson_interval_basics():
     assert hi2 - lo2 < hi - lo
 
 
+def test_wilson_interval_contains_its_estimate():
+    # center -/+ half cancelled to 2.2e-19 at (0, 1000) and to 1 - 1.1e-16 at
+    # (10, 10): an interval beside its own estimate.
+    for n in [*range(1, 2001), 10**12]:
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+    rng = np.random.default_rng(25)
+    for n in np.unique((10.0 ** rng.uniform(0.0, 15.0, size=2000)).astype(np.int64)):
+        n = int(n)
+        for s in (0, n, int(rng.integers(0, n, endpoint=True))):
+            lo, hi = wilson_interval(s, n)
+            assert 0.0 <= lo <= s / n <= hi <= 1.0
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_pulses=0, seed=1)

@@ -374,6 +374,8 @@ def test_crossover_interpolation_properties():
     # No crossing, or dead segments, give None.
     assert crossover_distance(lengths, a, [x * 2 for x in a]) is None
     assert crossover_distance(lengths, [1.0, 0.0, 1.0], [2.0, 0.0, 0.5]) is None
+    # An exact tie at the last point is a crossing there.
+    assert crossover_distance([0, 1, 2], [1, 2, 3], [2, 3, 3]) == 2.0
 
 
 @pytest.mark.parametrize("lengths", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
