@@ -10,9 +10,10 @@ takes unabbreviated flags for exactly the keys it reads (_COMMANDS).
 Each row is the record the library returns (SweepRow, MuOptimum,
 DistancePoint, MinSrpResult; the attack row spreads AttackPoint), written
 as CSV (default; lowercase-e scientific notation) or JSON (an array of row
-objects with the same field names). Output for a given config and seed is
-byte-identical between runs. Exit codes: 0 on success, 1 on validation
-errors, 2 on numerical failure.
+objects with the same field names, in ``json.dumps(indent=2)``'s layout,
+written directly). Output for a given config and seed is byte-identical
+between runs, and help is wrapped at 80 columns whatever the terminal.
+Exit codes: 0 on success, 1 on validation errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -200,20 +201,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_cell(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _json_cell(value, nested: bool = False) -> str:
+    """A row value as ``json.dumps(indent=2)`` writes it, but nan and ±inf as
+    null; a tuple is a list of scalars, one level deeper."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, (tuple, list)) and not nested:
+        items = ",\n      ".join([_json_cell(v, nested=True) for v in value])
+        return f"[\n      {items}\n    ]" if value else "[]"
+    return json.dumps(value)  # without indent, json stays in C and refuses what it cannot write
 
 
 def render_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str) -> str:
     if fmt == "json":
-        payload = [{k: _json_cell(row[k]) for k in fieldnames} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        if not rows:
+            return "[]\n"
+        prefixes = [(k, "\n    " + json.dumps(k) + ": ") for k in fieldnames]
+        objects = ("  {" + ",".join([prefix + _json_cell(row[k]) for k, prefix in prefixes])
+                   + "\n  }" for row in rows)
+        return "[\n" + ",\n".join(objects) + "\n]\n"
     lines = [",".join(fieldnames)]
-    lines.extend(",".join(_csv_cell(row[k]) for k in fieldnames) for row in rows)
+    # For an exact float, "%.12g" % v is format(v, ".12g"), only faster.
+    lines.extend(",".join(["%.12g" % v if type(v) is float else _csv_cell(v)
+                           for v in map(row.__getitem__, fieldnames)]) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -360,6 +370,10 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the contract wants 1."""
+
+    def _get_formatter(self):
+        # The width COLUMNS=80 gives, fixed: help and usage bytes do not depend on the terminal.
+        return self.formatter_class(prog=self.prog, width=78)
 
     def error(self, message):
         self.print_usage(sys.stderr)

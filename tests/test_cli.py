@@ -15,8 +15,8 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -556,13 +556,53 @@ _TRACE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("setup, fmt", sorted(_TRACE_DIGESTS), ids="-".join)
+@pytest.mark.parametrize("setup, fmt", sorted(_TRACE_DIGESTS), ids=str)
 def test_attack_trace_out_bytes(capsys, tmp_path, setup, fmt):
     trace = tmp_path / f"trace.{fmt}"
     code, _, err = _run(["attack", *_TRACE_SETUPS[setup], "--format", fmt,
                          "--trace-out", str(trace)], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == _TRACE_DIGESTS[setup, fmt]
+
+
+# The renderer against json.dumps(indent=2) and format(v, ".12g"), its oracles.
+_RENDER_FLOATS = (st.floats()
+                  | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+                  | st.floats().map(np.float64))
+_RENDER_TEXT = st.text(st.sampled_from('ab"\\\n\t/\x00éΔ€𝄞') | st.characters(), max_size=5)
+_RENDER_VALUES = (_RENDER_FLOATS | st.integers() | st.booleans() | _RENDER_TEXT
+                  | st.lists(_RENDER_TEXT, max_size=2).map(tuple))
+
+
+@st.composite
+def _render_rows(draw):
+    names = draw(st.lists(_RENDER_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: _RENDER_VALUES for k in names}),
+                         max_size=3))
+    return rows, names
+
+
+def _oracle_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return list(value) if isinstance(value, tuple) else value
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_render_rows())
+def test_render_rows_matches_its_oracles(case):
+    rows, names = case
+    payload = [{k: _oracle_cell(row[k]) for k in names} for row in rows]
+    assert cli.render_rows(rows, names, "json") == json.dumps(payload, indent=2) + "\n"
+    csv = [",".join(names)] + [",".join(cli._csv_cell(row[k]) for k in names) for row in rows]
+    assert cli.render_rows(rows, names, "csv") == "\n".join(csv) + "\n"
+    for value in (v for row in rows for v in row.values() if isinstance(v, float)):
+        assert "%.12g" % value == format(value, ".12g")
+
+
+def test_render_rows_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.render_rows([{"x": object()}], ("x",), "json")
 
 
 def test_povm_check_row(capsys):
@@ -866,10 +906,10 @@ def _corpus_commands() -> list[tuple[str, ...]]:
 
 
 def _run_captured(argv) -> list:
-    # argparse leaves main by SystemExit and wraps help to the terminal width.
+    # argparse leaves main by SystemExit.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             code = main(list(argv))
@@ -887,6 +927,15 @@ def test_golden_cli_corpus(address_space_cap):
                for key, run in runs.items() if run != corpus[key]]
     assert not changed, (f"{len(changed)} runs differ from {GOLDEN_CORPUS.name}:\n"
                          + "\n".join(changed))
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_does_not_depend_on_the_terminal(monkeypatch, columns):
+    # argparse wraps to $COLUMNS unless given a width; the corpus holds the bytes.
+    corpus = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _run_captured(["rate", "--help"]) == corpus["rate -h"]
+    assert _run_captured(["rate", "--bogus", "1"]) == corpus["rate --bogus 1"]
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

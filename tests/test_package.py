@@ -172,6 +172,15 @@ def test_attack_objective_makes_no_python_call_per_b():
     assert calls and [c for c in calls if not c.startswith("math.") and c != "ValueError"] == []
 
 
+def test_json_is_never_encoded_with_indent():
+    # json.dumps drops to its pure-Python encoder whenever indent is set;
+    # cli.render_rows writes that layout directly.
+    calls = [ast.unparse(call) for path in SOURCES
+             for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "dumps")
+             if any(keyword.arg == "indent" for keyword in call.keywords)]
+    assert calls == []
+
+
 def test_one_rule_for_unimodal_searches():
     # One helper, optimize.grid_then_golden_max, serves every maximizer:
     # Brent's search runs only inside optimize, and optimize_mu calls the
