@@ -325,6 +325,23 @@ def scan_information(setup: SetupConfig,
             for x, v in zip(bs, _information_curve(bs, terms))]
 
 
+def edge_information(setup: SetupConfig, detector: DetectorConfig) -> float:
+    """A lower bound on Eve's optimum from the two edges of the b-interval.
+
+    :func:`maximize_eve_information` scores both edges before its search and
+    never returns less than the better one, so that value bounds its I_E
+    from below bit for bit, at 2 evaluations of the objective instead of
+    about 24. With both edges infeasible the bound is 0.0 (every I_E is at
+    least 0); an empty interval gives the beam-splitting information, which
+    is the optimum itself.
+    """
+    terms = _setup_terms(setup, detector)
+    if not terms.b_min < terms.b_max:
+        return beam_splitting_information(terms.mu, terms.mu_prime)
+    i_e = max(_information(terms.b_min, terms), _information(terms.b_max, terms))
+    return i_e if i_e > -math.inf else 0.0
+
+
 def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> AttackSolution:
     """Maximize Eve's information over the feasible attenuation interval.
 

@@ -4,7 +4,8 @@ Brent's parabolic-golden search runs behind one maximizer, which scores a
 grid and then searches around its best point. Where the objective has one
 peak (the attack's search over b, and the mu search above the grey floor)
 the grid is the interval's two ends; the unfloored mu search, whose
-objective can have two peaks, hands it a log grid in mu.
+objective can have two peaks, hands it a log grid in mu, with a cheap upper
+bound at each grid point that spares the points that cannot win.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return x, fx
 
 
-def grid_then_golden_max(f: Callable[[float], float],
-                         xs: Sequence[float]) -> tuple[float, float]:
+def grid_then_golden_max(f: Callable[[float], float], xs: Sequence[float],
+                         bound: Optional[Callable[[float], float]] = None
+                         ) -> tuple[float, float]:
     """Best point of the increasing grid xs, then one Brent search around it.
 
     f scores each grid point once; a non-finite value scores -inf. The search
@@ -111,6 +113,14 @@ def grid_then_golden_max(f: Callable[[float], float],
     grid (a, b) returns a, then b, then the search's point: an optimum at an
     end, or an end on a plateau, comes back exactly. A grid collapsed to one
     point (xs[0] == xs[-1]) is scored once.
+
+    bound, when given, is an upper bound on f at each grid point (nan: no
+    bound), cheaper than f. Every grid point's bound is computed first; then
+    f scores the points from the highest bound down (ties by index) and stops
+    at the first bound strictly below the best score so far (Tuy's monotonic
+    branch and bound, SIAM J. Optim. 11, 2000, over a grid). A point left
+    unscored cannot beat that best, so the first best point, the search and
+    the result are those of the same call without bound.
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
@@ -121,7 +131,19 @@ def grid_then_golden_max(f: Callable[[float], float],
 
     if hi == lo:
         return lo, score(f(lo))
-    scores = [score(f(float(x))) for x in xs]
+    if bound is None:
+        scores = [score(f(float(x))) for x in xs]
+    else:
+        # -bound sorts the highest bound first; a nan bound sorts before all.
+        keys = [-v if v == v else -math.inf for v in (bound(float(x)) for x in xs)]
+        # An unscored point keeps -inf: its f is at most its bound, below best.
+        scores = [-math.inf] * len(xs)
+        best = -math.inf
+        for i in sorted(range(len(xs)), key=keys.__getitem__):
+            if -keys[i] < best:
+                break
+            scores[i] = score(f(float(xs[i])))
+            best = max(best, scores[i])
     k = scores.index(max(scores))
     grid_best = float(xs[k]), scores[k]
     # Two ends tell the search nothing of the inside: it starts in the middle.

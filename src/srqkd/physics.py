@@ -82,7 +82,8 @@ class SetupConfig:
     pulse_rate_hz: float
 
     def __post_init__(self):
-        if isinstance(self.protocol, str):
+        # A member is a str too (Protocol is a str Enum): coerce only the rest.
+        if not isinstance(self.protocol, Protocol):
             object.__setattr__(self, "protocol", Protocol(self.protocol))
         _require_finite(self, ("mu", "t_db", "length_km", "pulse_rate_hz"))
         if not self.mu > 0:

@@ -181,15 +181,17 @@ def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
     q_n1, e_n1 = bb84_gain_error(nu1, detector, length_km)
     q_n2, e_n2 = bb84_gain_error(nu2, detector, length_km)
 
-    y0 = max((r1 * q_n2 * math.exp(nu2) - r2 * q_n1 * math.exp(nu1)) / (r1 - r2), 0.0)
-    q1 = (math.exp(-mu) / ((r1 - r2) * (1.0 - r1 - r2))) * (
-        q_n1 * math.exp(nu1) - q_n2 * math.exp(nu2)
+    # The Poisson factors of Ma et al.'s bounds, each computed once.
+    exp_nu1, exp_nu2, exp_neg_mu = math.exp(nu1), math.exp(nu2), math.exp(-mu)
+    y0 = max((r1 * q_n2 * exp_nu2 - r2 * q_n1 * exp_nu1) / (r1 - r2), 0.0)
+    q1 = (exp_neg_mu / ((r1 - r2) * (1.0 - r1 - r2))) * (
+        q_n1 * exp_nu1 - q_n2 * exp_nu2
         - (r1 ** 2 - r2 ** 2) * (q_mu * math.exp(mu) - y0)
     )
     q1 = min(max(q1, 0.0), q_mu)
     if q1 > 0.0:
-        e1 = ((e_n1 * q_n1 * math.exp(nu1) - e_n2 * q_n2 * math.exp(nu2))
-              * math.exp(-mu) / ((r1 - r2) * q1))
+        e1 = ((e_n1 * q_n1 * exp_nu1 - e_n2 * q_n2 * exp_nu2)
+              * exp_neg_mu / ((r1 - r2) * q1))
         e1 = min(max(e1, 0.0), 0.5)
     else:
         e1 = 0.5

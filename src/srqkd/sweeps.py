@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .attack import AttackSolution, maximize_eve_information
+from .attack import AttackSolution, edge_information, maximize_eve_information
 from .optimize import grid_then_golden_max
 from .physics import (
     SPEED_OF_LIGHT,
@@ -231,10 +231,14 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     Serves every protocol; the BB84 baselines ignore t_db, and decoy-BB84
     sets its decoys by decoy's ratios to each mu. The search runs in
     y = log10 mu: it rates a grid, then one Brent search refines its best
-    point (optimize.grid_then_golden_max), rating each grid mu once and the
-    range's ends exactly. Without mu_floor the grid is the log grid of
-    mu_range = (lo, hi, points): below the grey floor r_sec can have two
-    peaks, which the grid tells apart.
+    point (optimize.grid_then_golden_max), rating each grid mu at most once
+    and the range's ends exactly. Without mu_floor the grid is the log grid
+    of mu_range = (lo, hi, points): below the grey floor r_sec can have two
+    peaks, which the grid tells apart. For an SR protocol each grid mu's
+    rate is first bounded from above by the rate at Eve's better b edge
+    (attack.edge_information, which her maximum never falls below), and a
+    mu whose bound is below the best rate so far is not rated: the result
+    is bit for bit that of rating every grid mu.
 
     mu_floor restricts the search from below, to stay out of the
     grey-monitoring region. Above the floor r_sec has one peak, so the
@@ -264,12 +268,21 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     if lo <= hi:
         ys, mu_at = _log_axis(lo, hi, points)
 
-        def objective(y: float) -> float:
-            setup = SetupConfig(protocol=protocol, mu=mu_at(y), t_db=t_db,
-                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
-            return secret_rate(setup, detector, decoy=decoy).r_sec
+        def setup_at(y: float) -> SetupConfig:
+            return SetupConfig(protocol=protocol, mu=mu_at(y), t_db=t_db,
+                               length_km=length_km, pulse_rate_hz=pulse_rate_hz)
 
-        y_best, r_best = grid_then_golden_max(objective, ys)
+        def objective(y: float) -> float:
+            return secret_rate(setup_at(y), detector, decoy=decoy).r_sec
+
+        def rate_bound(y: float) -> float:
+            setup = setup_at(y)
+            return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
+
+        # Only an unfloored SR grid is bounded: a floored grid is two points,
+        # and on the zero-rate fallback a bound never prunes.
+        bounded = mu_floor is None and Protocol(protocol).uses_reference_pulse
+        y_best, r_best = grid_then_golden_max(objective, ys, rate_bound if bounded else None)
         if r_best <= 0.0 and mu_floor is not None and lo < hi:
             points = min(401, max(2, math.ceil(40.0 * (ys[-1] - ys[0])) + 1))
             ys = _log_axis(lo, hi, points)[0]  # same ends, so the same mu_at

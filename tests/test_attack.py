@@ -27,6 +27,7 @@ from srqkd import (
 )
 from srqkd.attack import (
     AttackPoint,
+    edge_information,
     _expm1,
     _Terms,
     _information,
@@ -461,6 +462,34 @@ def test_maximizer_never_below_grid_maximizer():
         assert found >= grid - (1e-9 * abs(grid) + 1e-13), (setup, detector)
     assert feasible > 10_000
     assert max_delta > 1000.0
+
+
+def test_edge_information_bounds_the_optimum():
+    # The maximizer scores both b edges before its search and keeps the
+    # better, so the edges' value is a lower bound on its I_E with no
+    # tolerance, and equal to it where the optimum is an edge or beam
+    # splitting. Draws from the grid guard's ranges, and deep in the grey
+    # region, where p rounds to 1.
+    rng = np.random.default_rng(20261020)
+    strata = {"empty": 0, "edge": 0, "inside": 0, "deep grey": 0}
+    for k in range(1500):
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, math.log10(0.03)),
+                                  p_opt=rng.uniform(0.0, 0.3))
+        deep = k % 5 == 0
+        mu = 10.0 ** (rng.uniform(2.0, 4.5) if deep else rng.uniform(-2.5, 0.3))
+        setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu,
+                            t_db=rng.uniform(0.0, 30.0) if deep else rng.uniform(20.0, 95.0),
+                            length_km=rng.uniform(0.0, 120.0), pulse_rate_hz=5e6)
+        sol = maximize_eve_information(setup, detector)
+        bound = edge_information(setup, detector)
+        assert bound <= sol.best.i_e, (setup, detector)
+        at_edge = sol.interval_empty or sol.best.b in (sol.b_min, sol.b_max)
+        if at_edge:
+            assert bound == sol.best.i_e, (setup, detector)
+        strata["empty" if sol.interval_empty else "edge" if at_edge else "inside"] += 1
+        strata["deep grey"] += sol.best.p == 1.0
+    assert min(strata.values()) > 100, strata
 
 
 def test_beam_splitting_information_limits():

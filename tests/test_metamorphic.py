@@ -86,12 +86,14 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
     # searched: the log grid from max(lo, floor) to hi. A floored search
     # that finds no positive rate searches once more on its fallback grid
     # (40 points per decade), which is held to as well. Each grid rate is
-    # recomputed.
-    grids, search = [], sweeps.grid_then_golden_max
+    # recomputed, and on an unfloored SR grid it is at most the bound that
+    # let the search leave it unrated.
+    grids, bounds, search = [], [], sweeps.grid_then_golden_max
 
-    def recording(f, xs):
+    def recording(f, xs, bound=None):
         grids.append(xs)
-        return search(f, xs)
+        bounds.append(bound)
+        return search(f, xs, bound)
 
     monkeypatch.setattr(sweeps, "grid_then_golden_max", recording)
     rng = np.random.default_rng(20261020)
@@ -104,6 +106,7 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
         floor = grey_region_mu_floor(length, t_db, detector) if rng.random() < 0.5 else None
         lo, hi, points = 0.01, 1.0, int(rng.choice((11, 21, 81)))
         grids.clear()
+        bounds.clear()
         opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor,
                           mu_range=(lo, hi, points))
         if floor is None:
@@ -124,12 +127,17 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
         else:
             assert not grids
             grid = []
-        for mu in grid:
+        # Only an unfloored SR search is bounded, and only its one grid.
+        bounded = floor is None and protocol.uses_reference_pulse
+        assert [b is not None for b in bounds] == [bounded and k == 0 for k in range(len(bounds))]
+        for k, mu in enumerate(grid):
             setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length,
                                 pulse_rate_hz=5e6)
             checks[floor is not None] += 1
-            assert _no_less(secret_rate(setup, detector).r_sec, opt.r_sec_hz), (
-                protocol, length, t_db, floor, mu)
+            rate = secret_rate(setup, detector).r_sec
+            assert _no_less(rate, opt.r_sec_hz), (protocol, length, t_db, floor, mu)
+            if bounded:
+                assert rate <= bounds[0](grids[0][k]), (protocol, length, t_db, mu)
     assert min(checks.values()) > 500, checks
 
 

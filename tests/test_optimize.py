@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srqkd import (
     DetectorConfig,
@@ -15,8 +17,10 @@ from srqkd import (
     maximize_eve_information,
     optimize,
     optimize_mu,
+    sr_secret_rate,
     sweeps,
 )
+from srqkd.attack import edge_information
 from srqkd.optimize import (
     GOLDEN_MAX_ITER,
     GOLDEN_REL,
@@ -288,6 +292,13 @@ def test_brent_partly_infeasible_bracket(feasible, peak):
     assert x == pytest.approx(peak, abs=1e-6)
 
 
+def _rate_bound(protocol, mu, length_km, t_db, detector):
+    # The bound optimize_mu hands the helper on an unfloored SR grid.
+    setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length_km,
+                        pulse_rate_hz=5e6)
+    return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
+
+
 def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
     scored = []
     secret_rate = sweeps.secret_rate
@@ -297,13 +308,23 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
         return secret_rate(setup, detector, decoy=decoy)
 
     monkeypatch.setattr(sweeps, "secret_rate", recording)
+    grid = sweeps._axis(0.01, 1.0, 21, log=True)
     for protocol in (Protocol.B92_SR, Protocol.BB84_DECOY):
         scored.clear()
         opt = optimize_mu(10.0, 65.0, detector, protocol=protocol,
                           mu_range=(0.01, 1.0, 21))
         assert opt.found
-        assert len(scored) == len(set(scored)) > 21
+        assert len(scored) == len(set(scored))
         assert opt.mu_opt in scored
+        # A BB84 grid has no bound, so every grid mu is rated. An SR grid
+        # leaves a mu unrated only where its rate bound is below the result.
+        unrated = set(grid) - set(scored)
+        if protocol is Protocol.BB84_DECOY:
+            assert not unrated and len(scored) > 21
+        else:
+            assert len(unrated) > 10
+            for mu in unrated:
+                assert _rate_bound(protocol, mu, 10.0, 65.0, detector) < opt.r_sec_hz, mu
     # A floored search lays out no grid: one Brent search between the two
     # ends, each rated exactly.
     floor = grey_region_mu_floor(10.0, 65.0, detector)
@@ -333,3 +354,91 @@ def test_grid_then_golden_two_point_grid():
     f, calls = _counted(lambda x: -(x - 0.3) ** 2)
     assert grid_then_golden_max(f, (0.75, 0.75)) == (0.75, -(0.75 - 0.3) ** 2)
     assert calls == [0.75]
+
+
+@st.composite
+def _bounded_grids(draw):
+    # A grid's values (ties and -inf among them), a peak off the grid, and a
+    # bound per point: the value plus a slack (0 for an exact bound, inf),
+    # or nan, which means no bound.
+    n = draw(st.integers(3, 12))
+    value = st.one_of(st.sampled_from([-math.inf, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    slack = st.one_of(st.sampled_from([0.0, 0.0, 0.5, math.inf, math.nan]), st.floats(0.0, 2.0))
+    bounds = [v + s for v, s in zip(values, draw(st.lists(slack, min_size=n, max_size=n)))]
+    peak, height = draw(st.floats(0.0, 1.0)), draw(st.floats(-1.0, 2.0))
+    return values, bounds, peak, height
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_bounded_grids())
+def test_grid_bound_changes_nothing(case):
+    # A bound only spares grid points that cannot win: the result is the
+    # unbounded call's, bit for bit. No point is scored twice, and the grid
+    # is scored from the highest bound down, nan first and ties by index.
+    values, bounds, peak, height = case
+    xs = [i / (len(values) - 1) for i in range(len(values))]
+    at_grid, bound_at = dict(zip(xs, values)), dict(zip(xs, bounds))
+
+    def f(x):
+        return at_grid[x] if x in at_grid else height - (x - peak) ** 2
+
+    counted, calls = _counted(f)
+    assert grid_then_golden_max(counted, xs, bound_at.__getitem__) == grid_then_golden_max(f, xs)
+    on_grid = [x for x in calls if x in at_grid]
+    assert len(on_grid) == len(set(on_grid))
+    assert on_grid == sorted(on_grid, key=lambda x: (-bound_at[x] if bound_at[x] == bound_at[x]
+                                                      else -math.inf, x))
+
+
+def _unbounded(f, xs, bound=None):
+    # The helper as it runs without a bound.
+    return grid_then_golden_max(f, xs)
+
+
+def test_optimize_mu_bound_changes_nothing(monkeypatch):
+    # Seeded SR draws, from the sweep plane out to zero-rate and refused
+    # setups: the bounded search returns, or raises, what the unbounded one
+    # does.
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for _ in range(40):
+        detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
+                                  p_dc=10.0 ** rng.uniform(-7.0, math.log10(0.03)),
+                                  p_opt=rng.uniform(0.0, 0.3))
+        lo = 10.0 ** rng.uniform(-4.0, -1.0)
+        mu_range = (lo, lo * 10.0 ** rng.uniform(0.5, 3.0), int(rng.choice((11, 21, 81))))
+        cases.append((rng.uniform(0.0, 150.0), rng.uniform(20.0, 95.0), detector,
+                      Protocol.B92_SR if rng.random() < 0.5 else Protocol.BB84_SR, mu_range))
+    # delta overflows at mu = 1, and at the lowest grid mu.
+    cases += [(15600.0, 65.0, DetectorConfig(), Protocol.B92_SR, (0.01, 1.0, 21)),
+              (10.0, 65.0, DetectorConfig(), Protocol.BB84_SR, (1e-320, 1.0, 41))]
+
+    def run(length_km, t_db, detector, protocol, mu_range):
+        try:
+            return repr(optimize_mu(length_km, t_db, detector, protocol=protocol,
+                                    mu_range=mu_range))
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    bounded = [run(*case) for case in cases]
+    monkeypatch.setattr(sweeps, "grid_then_golden_max", _unbounded)
+    assert bounded == [run(*case) for case in cases]
+    found = sum("found=True" in out for out in bounded)
+    refused = sum(out.startswith("ValueError") for out in bounded)
+    assert found > 10 and len(cases) - found - refused > 5 and refused == 2
+
+
+def test_optimize_mu_maximizer_budget(monkeypatch, detector):
+    # The default unfloored B92-SR search rates 81 grid mu without a bound,
+    # about 100 maximizer calls; the bound leaves about 15.
+    calls = []
+    maximize = sweeps.maximize_eve_information
+
+    def counting(setup, detector):
+        calls.append(setup.mu)
+        return maximize(setup, detector)
+
+    monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
+    assert optimize_mu(10.0, 65.0, detector).found
+    assert len(calls) <= 30

@@ -53,7 +53,10 @@ def test_setup_validation_and_nu():
                     pulse_rate_hz=5e6)
     assert s.protocol is Protocol.B92_SR
     assert s.nu == pytest.approx(0.3 * 10 ** 6.5, rel=1e-15)
-    for bad in (dict(mu=0.0), dict(mu=-0.1), dict(t_db=-1.0),
+    member = Protocol.BB84_SR  # kept as it is: no Protocol() call per setup
+    assert SetupConfig(protocol=member, mu=0.3, t_db=65.0, length_km=10.0,
+                       pulse_rate_hz=5e6).protocol is member
+    for bad in (dict(protocol="b92"), dict(mu=0.0), dict(mu=-0.1), dict(t_db=-1.0),
                 dict(length_km=-5.0), dict(pulse_rate_hz=0.0),
                 dict(mu=math.inf), dict(t_db=math.nan), dict(length_km=math.inf)):
         kwargs = dict(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=10.0,
