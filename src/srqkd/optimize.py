@@ -4,8 +4,9 @@ Brent's parabolic-golden search runs behind one maximizer, which scores a
 grid and then searches around its best point. Where the objective has one
 peak (the attack's search over b, and the mu search above the grey floor)
 the grid is the interval's two ends; the unfloored mu search, whose
-objective can have two peaks, hands it a log grid in mu, with a cheap upper
-bound at each grid point that spares the points that cannot win.
+objective can have two peaks, hands it a log grid in mu. Every mu grid comes
+with a cheap upper bound at each point, which spares the points that cannot
+become the grid's first best.
 """
 
 from __future__ import annotations
@@ -117,10 +118,11 @@ def grid_then_golden_max(f: Callable[[float], float], xs: Sequence[float],
     bound, when given, is an upper bound on f at each grid point (nan: no
     bound), cheaper than f. Every grid point's bound is computed first; then
     f scores the points from the highest bound down (ties by index) and stops
-    at the first bound strictly below the best score so far (Tuy's monotonic
-    branch and bound, SIAM J. Optim. 11, 2000, over a grid). A point left
-    unscored cannot beat that best, so the first best point, the search and
-    the result are those of the same call without bound.
+    at the first bound below the best score so far, or equal to it at an index
+    after the first best point (Tuy's monotonic branch and bound, SIAM J.
+    Optim. 11, 2000, over a grid). No point left unscored can beat that best,
+    or tie it at an earlier index, so the first best point, the search and the
+    result are those of the same call without bound.
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
@@ -133,19 +135,22 @@ def grid_then_golden_max(f: Callable[[float], float], xs: Sequence[float],
         return lo, score(f(lo))
     if bound is None:
         scores = [score(f(float(x))) for x in xs]
+        k = scores.index(max(scores))
+        best = scores[k]
     else:
         # -bound sorts the highest bound first; a nan bound sorts before all.
         keys = [-v if v == v else -math.inf for v in (bound(float(x)) for x in xs)]
-        # An unscored point keeps -inf: its f is at most its bound, below best.
-        scores = [-math.inf] * len(xs)
-        best = -math.inf
+        # k is the first best index of the scores so far, an unscored point
+        # counting as -inf (its f is at most its bound, which is below best or
+        # ties it at a later index, so it cannot become the first best).
+        k, best = 0, -math.inf
         for i in sorted(range(len(xs)), key=keys.__getitem__):
-            if -keys[i] < best:
+            if -keys[i] < best or (-keys[i] == best and i > k):
                 break
-            scores[i] = score(f(float(xs[i])))
-            best = max(best, scores[i])
-    k = scores.index(max(scores))
-    grid_best = float(xs[k]), scores[k]
+            v = score(f(float(xs[i])))
+            if v > best or (v == best and i < k):
+                k, best = i, v
+    grid_best = float(xs[k]), best
     # Two ends tell the search nothing of the inside: it starts in the middle.
     x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]),
                               start=grid_best if len(xs) > 2 else None)

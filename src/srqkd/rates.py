@@ -54,7 +54,15 @@ class RateBreakdown:
             raise ValueError("r_sec must be clamped at 0 (+0.0)")
         if self.r_sec > self.r_raw * (1.0 + _TOL) + _TOL:
             raise ValueError("r_sec cannot exceed r_raw")
-        if (self.r_sec == 0.0) != (self.i_ab <= self.i_e or self.r_raw == 0.0):
+        # A subnormal r_raw can round the product to 0 while i_ab > i_e, so a
+        # zero r_sec is checked against the product, not against i_ab - i_e.
+        # Every comparison with a nan is False, so a nan is refused either way.
+        if self.r_sec > 0.0:
+            consistent = (self.i_ab > self.i_e and self.r_raw != 0.0
+                          and self.r_sec_unclamped > 0.0)
+        else:
+            consistent = self.r_sec == 0.0 and self.r_sec_unclamped <= 0.0
+        if not consistent:
             raise ValueError("r_sec must vanish exactly when i_ab <= i_e")
 
 
@@ -121,6 +129,23 @@ def sr_secret_rate(setup: SetupConfig, detector: DetectorConfig,
     return _breakdown(r_raw, channel.qber, i_ab, i_e, setup.pulse_rate_hz)
 
 
+def _check_intensity(intensity: float) -> None:
+    if not 0 <= intensity < math.inf:
+        raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
+
+
+def _gain_error(intensity: float, detector: DetectorConfig,
+                trans: float) -> tuple[float, float]:
+    # bb84_gain_error at a checked intensity and the fiber's transmittance.
+    y0 = 2.0 * detector.p_dc
+    detected = -math.expm1(-detector.eta * intensity * trans)
+    q = y0 + detected
+    if q <= 0.0:
+        return 0.0, 0.5
+    e = (0.5 * y0 + detector.p_opt * detected) / q
+    return q, e
+
+
 def bb84_gain_error(intensity: float, detector: DetectorConfig,
                     length_km: float) -> tuple[float, float]:
     """No-eavesdropping model (Q, E) for one BB84 intensity.
@@ -129,15 +154,24 @@ def bb84_gain_error(intensity: float, detector: DetectorConfig,
     with Y0 = 2*p_dc. A vacuum pulse clicks only through dark counts and
     carries a random bit, hence E = 1/2.
     """
-    if not 0 <= intensity < math.inf:
-        raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
-    y0 = 2.0 * detector.p_dc
-    detected = -math.expm1(-detector.eta * intensity * transmittance(length_km))
-    q = y0 + detected
-    if q <= 0.0:
-        return 0.0, 0.5
-    e = (0.5 * y0 + detector.p_opt * detected) / q
-    return q, e
+    _check_intensity(intensity)
+    return _gain_error(intensity, detector, transmittance(length_km))
+
+
+# The five floats of a Bb84Yields record: q_mu, e_mu, y0, q1_lower, e1_upper.
+_Yields = tuple[float, float, float, float, float]
+
+
+def _pns_yields(mu: float, detector: DetectorConfig, length_km: float) -> _Yields:
+    # bb84_pns_bounds' record as floats.
+    if not 0.0 < detector.eta < 1.0:
+        raise ValueError("photon-number-splitting bound requires 0 < eta < 1")
+    eta = detector.eta
+    q_mu, e_mu = bb84_gain_error(mu, detector, length_km)
+    q1 = q_mu - 1.0 + (math.exp(-eta * mu) - eta * math.exp(-mu)) / (1.0 - eta)
+    q1 = min(max(q1, 0.0), q_mu)
+    e1 = min(q_mu * e_mu / q1, 0.5) if q1 > 0.0 else 0.5
+    return q_mu, e_mu, 2.0 * detector.p_dc, q1, e1
 
 
 def bb84_pns_bounds(setup: SetupConfig, detector: DetectorConfig) -> Bb84Yields:
@@ -151,35 +185,22 @@ def bb84_pns_bounds(setup: SetupConfig, detector: DetectorConfig) -> Bb84Yields:
 
     A non-positive bound (long distance) floors at 0 and kills the rate.
     """
-    if not 0.0 < detector.eta < 1.0:
-        raise ValueError("photon-number-splitting bound requires 0 < eta < 1")
-    mu, eta = setup.mu, detector.eta
-    q_mu, e_mu = bb84_gain_error(mu, detector, setup.length_km)
-    q1 = q_mu - 1.0 + (math.exp(-eta * mu) - eta * math.exp(-mu)) / (1.0 - eta)
-    q1 = min(max(q1, 0.0), q_mu)
-    e1 = min(q_mu * e_mu / q1, 0.5) if q1 > 0.0 else 0.5
-    return Bb84Yields(q_mu=q_mu, e_mu=e_mu, y0=2.0 * detector.p_dc,
-                      q1_lower=q1, e1_upper=e1)
+    return Bb84Yields(*_pns_yields(setup.mu, detector, setup.length_km))
 
 
-def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
-                 length_km: float) -> Bb84Yields:
-    """Two-decoy experimental bounds on (Y0, Q1, E1) at signal intensity mu.
-
-    The decoys are decoy's ratios r1, r2 times mu. The observable gains/errors
-    at the three intensities come from the no-eavesdropping model; the standard
-    weak+vacuum decoy estimates are written in r1, r2, so no power of mu underflows.
-    Past exp's range (mu > 709.78) the single-photon gain mu*exp(-mu) is below
-    4e-306 and the estimates already clamp Q1 to 0: the trivial bounds
-    Y0 = 0, Q1 = 0, E1 = 1/2 are returned.
-    """
+def _decoy_yields(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
+                  length_km: float) -> _Yields:
+    # decoy_bounds' record as floats. The decoys' intensities r*mu are
+    # finite and >= 0 once mu is, and all three share one transmittance.
+    _check_intensity(mu)
+    trans = transmittance(length_km)
     r1, r2 = decoy.nu1_ratio, decoy.nu2_ratio
     nu1, nu2 = r1 * mu, r2 * mu
-    q_mu, e_mu = bb84_gain_error(mu, detector, length_km)
+    q_mu, e_mu = _gain_error(mu, detector, trans)
     if mu > MAX_EXP_ARG:
-        return Bb84Yields(q_mu=q_mu, e_mu=e_mu, y0=0.0, q1_lower=0.0, e1_upper=0.5)
-    q_n1, e_n1 = bb84_gain_error(nu1, detector, length_km)
-    q_n2, e_n2 = bb84_gain_error(nu2, detector, length_km)
+        return q_mu, e_mu, 0.0, 0.0, 0.5
+    q_n1, e_n1 = _gain_error(nu1, detector, trans)
+    q_n2, e_n2 = _gain_error(nu2, detector, trans)
 
     # The Poisson factors of Ma et al.'s bounds, each computed once.
     exp_nu1, exp_nu2, exp_neg_mu = math.exp(nu1), math.exp(nu2), math.exp(-mu)
@@ -195,7 +216,40 @@ def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
         e1 = min(max(e1, 0.0), 0.5)
     else:
         e1 = 0.5
-    return Bb84Yields(q_mu=q_mu, e_mu=e_mu, y0=y0, q1_lower=q1, e1_upper=e1)
+    return q_mu, e_mu, y0, q1, e1
+
+
+def decoy_bounds(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
+                 length_km: float) -> Bb84Yields:
+    """Two-decoy experimental bounds on (Y0, Q1, E1) at signal intensity mu.
+
+    The decoys are decoy's ratios r1, r2 times mu. The observable gains/errors
+    at the three intensities come from the no-eavesdropping model; the standard
+    weak+vacuum decoy estimates are written in r1, r2, so no power of mu underflows.
+    Past exp's range (mu > 709.78) the single-photon gain mu*exp(-mu) is below
+    4e-306 and the estimates already clamp Q1 to 0: the trivial bounds
+    Y0 = 0, Q1 = 0, E1 = 1/2 are returned.
+    """
+    return Bb84Yields(*_decoy_yields(mu, decoy, detector, length_km))
+
+
+def _bb84_yields(protocol: Protocol, mu: float, length_km: float, detector: DetectorConfig,
+                 decoy: DecoyConfig) -> tuple[_Yields, float]:
+    # A BB84 baseline's yield floats and its signal emission probability p_mu.
+    if protocol is Protocol.BB84_STANDARD:
+        return _pns_yields(mu, detector, length_km), 1.0
+    if protocol is Protocol.BB84_DECOY:
+        return _decoy_yields(mu, decoy, detector, length_km), decoy.p_mu
+    raise ValueError(f"bb84_secret_rate needs a BB84 baseline, got {protocol.value}")
+
+
+def _gllp(q_mu: float, e_mu: float, q1: float, secret_fraction: float, p_mu: float,
+          pulse_rate_hz: float, detector: DetectorConfig) -> tuple[float, float, float]:
+    # r_raw, i_ab and i_e of the GLLP rate, where secret_fraction = 1 - H(E1).
+    r_raw = 0.5 * pulse_rate_hz * p_mu * q_mu
+    i_ab = 1.0 - detector.f_ec * binary_entropy(e_mu)
+    i_e = 1.0 - q1 / q_mu * secret_fraction if q_mu > 0.0 else 1.0
+    return r_raw, i_ab, i_e
 
 
 def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
@@ -208,17 +262,28 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
     sifted-bit fraction conceded under the single-photon bounds. Standard
     BB84 ignores decoy.
     """
-    if setup.protocol is Protocol.BB84_STANDARD:
-        yields = bb84_pns_bounds(setup, detector)
-        p_mu = 1.0
-    elif setup.protocol is Protocol.BB84_DECOY:
-        yields = decoy_bounds(setup.mu, decoy, detector, setup.length_km)
-        p_mu = decoy.p_mu
-    else:
-        raise ValueError(f"bb84_secret_rate needs a BB84 baseline, got {setup.protocol.value}")
-
-    r_raw = 0.5 * setup.pulse_rate_hz * p_mu * yields.q_mu
-    i_ab = 1.0 - detector.f_ec * binary_entropy(yields.e_mu)
-    i_e = (1.0 - yields.q1_lower / yields.q_mu * (1.0 - binary_entropy(yields.e1_upper))
-           if yields.q_mu > 0.0 else 1.0)
+    floats, p_mu = _bb84_yields(setup.protocol, setup.mu, setup.length_km, detector, decoy)
+    yields = Bb84Yields(*floats)
+    r_raw, i_ab, i_e = _gllp(yields.q_mu, yields.e_mu, yields.q1_lower,
+                             1.0 - binary_entropy(yields.e1_upper), p_mu,
+                             setup.pulse_rate_hz, detector)
     return _breakdown(r_raw, yields.e_mu, i_ab, i_e, setup.pulse_rate_hz)
+
+
+def bb84_rate_bound(protocol: Protocol, mu: float, length_km: float, pulse_rate_hz: float,
+                    detector: DetectorConfig, decoy: DecoyConfig = DecoyConfig()) -> float:
+    """An upper bound on the BB84 baseline's r_sec: its rate if single photons had no errors.
+
+    The setup's fields come as scalars, already checked (a mu search checks
+    them once, in the SetupConfig of its lowest mu). The bound is
+    bb84_secret_rate's rate with H(E1) = 0, i.e. i_e' = 1 - Q1/Q_mu, from
+    the same floats and expressions. Rounding is monotone and
+    (Q1/Q_mu)*(1 - H(E1)) <= Q1/Q_mu, so i_e' <= i_e and the bound holds
+    bit for bit. It skips the second entropy and the records' checks, and
+    refuses a protocol or detector that bb84_secret_rate refuses, with its
+    message.
+    """
+    (q_mu, e_mu, _, q1, _), p_mu = _bb84_yields(protocol, mu, length_km, detector, decoy)
+    r_raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, pulse_rate_hz, detector)
+    unclamped = r_raw * (i_ab - i_e)
+    return unclamped if unclamped > 0.0 else 0.0  # +0.0, as _breakdown clamps

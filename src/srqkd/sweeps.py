@@ -24,7 +24,7 @@ from .physics import (
     grey_region_mu_floor,
     monitoring_unacceptable,
 )
-from .rates import DecoyConfig, RateBreakdown, bb84_secret_rate, sr_secret_rate
+from .rates import DecoyConfig, RateBreakdown, bb84_rate_bound, bb84_secret_rate, sr_secret_rate
 
 DEFAULT_PULSE_RATE_HZ = 5e6
 DEFAULT_T_DB = 65.0
@@ -234,11 +234,14 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     point (optimize.grid_then_golden_max), rating each grid mu at most once
     and the range's ends exactly. Without mu_floor the grid is the log grid
     of mu_range = (lo, hi, points): below the grey floor r_sec can have two
-    peaks, which the grid tells apart. For an SR protocol each grid mu's
-    rate is first bounded from above by the rate at Eve's better b edge
-    (attack.edge_information, which her maximum never falls below), and a
-    mu whose bound is below the best rate so far is not rated: the result
-    is bit for bit that of rating every grid mu.
+    peaks, which the grid tells apart. Every grid mu's rate is first bounded
+    from above: for an SR protocol by the rate at Eve's better b edge
+    (attack.edge_information, which her maximum never falls below), for a
+    BB84 baseline by its rate with error-free single photons
+    (rates.bb84_rate_bound). A mu whose bound is below the best rate so far,
+    or ties it above the best mu, is not rated: the result is bit for bit
+    that of rating every grid mu. Where every bound is 0, the grid's lowest
+    mu is the only grid mu rated.
 
     mu_floor restricts the search from below, to stay out of the
     grey-monitoring region. Above the floor r_sec has one peak, so the
@@ -267,6 +270,10 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     r_best = 0.0  # a floor above the range leaves nothing to rate
     if lo <= hi:
         ys, mu_at = _log_axis(lo, hi, points)
+        # Refuses a bad protocol, t_db, length_km or pulse_rate_hz before any
+        # bound reads them; every other mu of the search is a finite mu > 0.
+        protocol = SetupConfig(protocol=protocol, mu=lo, t_db=t_db, length_km=length_km,
+                               pulse_rate_hz=pulse_rate_hz).protocol
 
         def setup_at(y: float) -> SetupConfig:
             return SetupConfig(protocol=protocol, mu=mu_at(y), t_db=t_db,
@@ -276,17 +283,16 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
             return secret_rate(setup_at(y), detector, decoy=decoy).r_sec
 
         def rate_bound(y: float) -> float:
-            setup = setup_at(y)
-            return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
+            if protocol.uses_reference_pulse:
+                setup = setup_at(y)
+                return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
+            return bb84_rate_bound(protocol, mu_at(y), length_km, pulse_rate_hz, detector, decoy)
 
-        # Only an unfloored SR grid is bounded: a floored grid is two points,
-        # and on the zero-rate fallback a bound never prunes.
-        bounded = mu_floor is None and Protocol(protocol).uses_reference_pulse
-        y_best, r_best = grid_then_golden_max(objective, ys, rate_bound if bounded else None)
+        y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)
         if r_best <= 0.0 and mu_floor is not None and lo < hi:
             points = min(401, max(2, math.ceil(40.0 * (ys[-1] - ys[0])) + 1))
             ys = _log_axis(lo, hi, points)[0]  # same ends, so the same mu_at
-            y_best, r_best = grid_then_golden_max(objective, ys)
+            y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)
     if r_best <= 0.0:
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)

@@ -86,8 +86,8 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
     # searched: the log grid from max(lo, floor) to hi. A floored search
     # that finds no positive rate searches once more on its fallback grid
     # (40 points per decade), which is held to as well. Each grid rate is
-    # recomputed, and on an unfloored SR grid it is at most the bound that
-    # let the search leave it unrated.
+    # recomputed, and every grid the search scored is bounded: each of its
+    # mu has a rate at most the bound that let the search leave it unrated.
     grids, bounds, search = [], [], sweeps.grid_then_golden_max
 
     def recording(f, xs, bound=None):
@@ -98,6 +98,7 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
     monkeypatch.setattr(sweeps, "grid_then_golden_max", recording)
     rng = np.random.default_rng(20261020)
     checks = {False: 0, True: 0}  # by whether the search had a floor
+    bounded = {False: 0, True: 0}  # by whether the protocol is SR
     for protocol in list(Protocol) * 15:
         detector = DetectorConfig(eta=rng.uniform(0.05, 1.0),
                                   p_dc=10.0 ** rng.uniform(-7.0, -3.0),
@@ -109,35 +110,39 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
         bounds.clear()
         opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor,
                           mu_range=(lo, hi, points))
+        assert len(bounds) == len(grids) and None not in bounds
         if floor is None:
             (ys,) = grids
             grid = [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
             assert grid == sweeps._axis(lo, hi, points, log=True)
+            at = [(bounds[0], y) for y in ys]
         elif floor <= hi:
             ends = [math.log10(max(lo, floor)), math.log10(hi)]
             assert grids[0] == ends
             grid = sweeps._axis(max(lo, floor), hi, points, log=True)
+            at = [(bounds[0], ends[0])] + [None] * (len(grid) - 2) + [(bounds[0], ends[1])]
             if len(grids) == 2:
                 assert not opt.found and floor < hi
                 ys = grids[1]
                 assert ys[0] == ends[0] and ys[-1] == ends[1] and 2 <= len(ys) <= 401
                 grid += [max(lo, floor)] + [10.0 ** y for y in ys[1:-1]] + [hi]
+                at += [(bounds[1], y) for y in ys]
             else:
                 assert len(grids) == 1 and (opt.found or floor == hi)
         else:
             assert not grids
-            grid = []
-        # Only an unfloored SR search is bounded, and only its one grid.
-        bounded = floor is None and protocol.uses_reference_pulse
-        assert [b is not None for b in bounds] == [bounded and k == 0 for k in range(len(bounds))]
-        for k, mu in enumerate(grid):
+            grid = at = []
+        for mu, bound_at in zip(grid, at, strict=True):
             setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length,
                                 pulse_rate_hz=5e6)
             checks[floor is not None] += 1
             rate = secret_rate(setup, detector).r_sec
             assert _no_less(rate, opt.r_sec_hz), (protocol, length, t_db, floor, mu)
-            if bounded:
-                assert rate <= bounds[0](grids[0][k]), (protocol, length, t_db, mu)
+            if bound_at is not None:
+                bound, y = bound_at
+                bounded[protocol.uses_reference_pulse] += 1
+                assert rate <= bound(y), (protocol, length, t_db, floor, mu)
+    assert min(bounded.values()) > 400, bounded
     assert min(checks.values()) > 500, checks
 
 

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srqkd import (
+    DecoyConfig,
     DetectorConfig,
     Protocol,
     SetupConfig,
@@ -27,6 +28,7 @@ from srqkd.optimize import (
     golden_max,
     grid_then_golden_max,
 )
+from srqkd.rates import bb84_rate_bound
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -293,7 +295,9 @@ def test_brent_partly_infeasible_bracket(feasible, peak):
 
 
 def _rate_bound(protocol, mu, length_km, t_db, detector):
-    # The bound optimize_mu hands the helper on an unfloored SR grid.
+    # The bound optimize_mu hands the helper at a grid mu.
+    if not protocol.uses_reference_pulse:
+        return bb84_rate_bound(protocol, mu, length_km, 5e6, detector)
     setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
     return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
@@ -316,22 +320,20 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
         assert opt.found
         assert len(scored) == len(set(scored))
         assert opt.mu_opt in scored
-        # A BB84 grid has no bound, so every grid mu is rated. An SR grid
-        # leaves a mu unrated only where its rate bound is below the result.
+        # A grid mu is left unrated only where its rate bound is below the result.
         unrated = set(grid) - set(scored)
-        if protocol is Protocol.BB84_DECOY:
-            assert not unrated and len(scored) > 21
-        else:
-            assert len(unrated) > 10
-            for mu in unrated:
-                assert _rate_bound(protocol, mu, 10.0, 65.0, detector) < opt.r_sec_hz, mu
+        assert len(unrated) > 10
+        for mu in unrated:
+            assert _rate_bound(protocol, mu, 10.0, 65.0, detector) < opt.r_sec_hz, mu
     # A floored search lays out no grid: one Brent search between the two
-    # ends, each rated exactly.
+    # ends, each rated exactly unless its bound is below the result.
     floor = grey_region_mu_floor(10.0, 65.0, detector)
     scored.clear()
     opt = optimize_mu(10.0, 65.0, detector, mu_floor=floor)
     assert opt.found
-    assert {max(0.01, floor), 1.0} <= set(scored)
+    for mu in (max(0.01, floor), 1.0):
+        assert mu in scored or _rate_bound(Protocol.B92_SR, mu, 10.0, 65.0,
+                                           detector) < opt.r_sec_hz, mu
     assert len(scored) == len(set(scored)) <= 40
     assert opt.mu_opt in scored
     # A grey floor at the top of the mu range leaves a single mu to rate.
@@ -372,10 +374,20 @@ def _bounded_grids(draw):
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(case=_bounded_grids())
+# Ties of bound and value: before the first best (point 0 ties the best found
+# at point 1, so it must still be scored), after it (every bound ties the
+# best of point 0, so nothing more is scored), and both.
+@example(case=([1.0, 1.0, 0.0], [1.0, 2.0, 0.0], 0.5, 0.0))
+@example(case=([0.0] * 6, [0.0] * 6, 0.5, 0.0))
+@example(case=([0.5, 1.0, 0.5, 1.0, 1.0], [1.0] * 5, 0.5, 2.0))
+@example(case=([0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0], 0.2, -1.0))
 def test_grid_bound_changes_nothing(case):
     # A bound only spares grid points that cannot win: the result is the
     # unbounded call's, bit for bit. No point is scored twice, and the grid
     # is scored from the highest bound down, nan first and ties by index.
+    # Each grid point scored could still become the first best: its bound
+    # is above the best so far, or ties it at an index not after the first
+    # best (an unscored point counts as -inf).
     values, bounds, peak, height = case
     xs = [i / (len(values) - 1) for i in range(len(values))]
     at_grid, bound_at = dict(zip(xs, values)), dict(zip(xs, bounds))
@@ -389,6 +401,15 @@ def test_grid_bound_changes_nothing(case):
     assert len(on_grid) == len(set(on_grid))
     assert on_grid == sorted(on_grid, key=lambda x: (-bound_at[x] if bound_at[x] == bound_at[x]
                                                       else -math.inf, x))
+    best, first = -math.inf, 0
+    for x in calls:
+        if x not in at_grid:
+            break  # the search has begun
+        i, bound = xs.index(x), bound_at[x]
+        assert bound != bound or bound > best or (bound == best and i <= first), (x, calls)
+        value = f(x) if math.isfinite(f(x)) else -math.inf
+        if value > best or (value == best and i < first):
+            best, first = value, i
 
 
 def _unbounded(f, xs, bound=None):
@@ -397,9 +418,9 @@ def _unbounded(f, xs, bound=None):
 
 
 def test_optimize_mu_bound_changes_nothing(monkeypatch):
-    # Seeded SR draws, from the sweep plane out to zero-rate and refused
-    # setups: the bounded search returns, or raises, what the unbounded one
-    # does.
+    # Seeded draws of every protocol and both mu policies, from the sweep
+    # plane out to zero-rate and refused setups: the bounded search returns,
+    # or raises, what the unbounded one does.
     rng = np.random.default_rng(20261020)
     cases = []
     for _ in range(40):
@@ -409,15 +430,53 @@ def test_optimize_mu_bound_changes_nothing(monkeypatch):
         lo = 10.0 ** rng.uniform(-4.0, -1.0)
         mu_range = (lo, lo * 10.0 ** rng.uniform(0.5, 3.0), int(rng.choice((11, 21, 81))))
         cases.append((rng.uniform(0.0, 150.0), rng.uniform(20.0, 95.0), detector,
-                      Protocol.B92_SR if rng.random() < 0.5 else Protocol.BB84_SR, mu_range))
-    # delta overflows at mu = 1, and at the lowest grid mu.
-    cases += [(15600.0, 65.0, DetectorConfig(), Protocol.B92_SR, (0.01, 1.0, 21)),
-              (10.0, 65.0, DetectorConfig(), Protocol.BB84_SR, (1e-320, 1.0, 41))]
+                      Protocol.B92_SR if rng.random() < 0.5 else Protocol.BB84_SR,
+                      dict(mu_range=mu_range)))
+    # The BB84 baselines, many of them past standard BB84's cutoff, with
+    # any decoy ratios.
+    for _ in range(40):
+        detector = DetectorConfig(eta=rng.uniform(0.05, 0.99),
+                                  p_dc=10.0 ** rng.uniform(-8.0, math.log10(0.03)),
+                                  p_opt=rng.uniform(0.0, 0.1))
+        nu2_ratio = rng.uniform(0.0, 0.3)
+        decoy = DecoyConfig(nu1_ratio=rng.uniform(nu2_ratio, 1.0 - nu2_ratio),
+                            nu2_ratio=nu2_ratio, p_mu=rng.uniform(0.05, 1.0))
+        lo = 10.0 ** rng.uniform(-4.0, -0.5)
+        mu_range = (lo, lo * 10.0 ** rng.uniform(0.5, 4.0), int(rng.choice((11, 21, 81))))
+        length_km = rng.uniform(0.0, 40.0) if rng.random() < 0.5 else rng.uniform(40.0, 250.0)
+        cases.append((length_km, 65.0, detector,
+                      Protocol.BB84_STANDARD if rng.random() < 0.5 else Protocol.BB84_DECOY,
+                      dict(mu_range=mu_range, decoy=decoy)))
+    # Floored searches, each at the grey floor: with a positive rate, and
+    # with none, which searches the fallback grid too.
+    for length_km, t_db, p_opt in ((10.0, 65.0, 0.02), (30.0, 75.0, 0.02), (10.0, 65.0, 0.5),
+                                   (60.0, 60.0, 0.02), (5.0, 80.0, 0.3)):
+        detector = DetectorConfig(p_opt=p_opt)
+        floor = grey_region_mu_floor(length_km, t_db, detector)
+        for protocol in Protocol:
+            cases.append((length_km, t_db, detector, protocol,
+                          dict(mu_range=(0.01, 1.0), mu_floor=floor)))
+    default = DetectorConfig()
+    # SR searches whose rates are all 0.
+    cases += [(90.0, 65.0, default, Protocol.B92_SR, {}),
+              (120.0, 65.0, default, Protocol.BB84_SR, {}),
+              (10.0, 65.0, DetectorConfig(p_opt=0.5), Protocol.B92_SR, {})]
+    # A positive rate that underflows at a subnormal pulse rate.
+    cases += [(10.0, 65.0, default, protocol, dict(pulse_rate_hz=1e-322))
+              for protocol in Protocol]
+    # Refused: delta overflows at mu = 1, and at the lowest grid mu; standard
+    # BB84 with a lossless detector; and a bad length.
+    cases += [(15600.0, 65.0, default, Protocol.B92_SR, dict(mu_range=(0.01, 1.0, 21))),
+              (10.0, 65.0, default, Protocol.BB84_SR, dict(mu_range=(1e-320, 1.0, 41))),
+              (10.0, 65.0, DetectorConfig(eta=1.0), Protocol.BB84_STANDARD, {}),
+              (10.0, 65.0, DetectorConfig(eta=1.0), Protocol.BB84_STANDARD,
+               dict(mu_range=(0.01, 1.0), mu_floor=0.1))]
+    cases += [(length_km, 65.0, default, protocol, {})
+              for length_km in (-1.0, math.nan) for protocol in Protocol]
 
-    def run(length_km, t_db, detector, protocol, mu_range):
+    def run(length_km, t_db, detector, protocol, kwargs):
         try:
-            return repr(optimize_mu(length_km, t_db, detector, protocol=protocol,
-                                    mu_range=mu_range))
+            return repr(optimize_mu(length_km, t_db, detector, protocol=protocol, **kwargs))
         except ValueError as exc:
             return f"ValueError: {exc}"
 
@@ -426,7 +485,8 @@ def test_optimize_mu_bound_changes_nothing(monkeypatch):
     assert bounded == [run(*case) for case in cases]
     found = sum("found=True" in out for out in bounded)
     refused = sum(out.startswith("ValueError") for out in bounded)
-    assert found > 10 and len(cases) - found - refused > 5 and refused == 2
+    assert found > 35 and len(cases) - found - refused > 50 and refused == 12
+    assert sum("found=True" in out for out in bounded[40:80]) > 10  # BB84
 
 
 def test_optimize_mu_maximizer_budget(monkeypatch, detector):
@@ -442,3 +502,30 @@ def test_optimize_mu_maximizer_budget(monkeypatch, detector):
     monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
     assert optimize_mu(10.0, 65.0, detector).found
     assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("protocol, length_km, parent_cost", [
+    (Protocol.BB84_DECOY, 10.0, 105),
+    (Protocol.BB84_STANDARD, 100.0, 121),  # every rate is 0
+    (Protocol.B92_SR, 90.0, 121),  # every rate is 0
+])
+def test_optimize_mu_rating_budget(monkeypatch, detector, protocol, length_km, parent_cost):
+    # The default unfloored search (65 dB) rates about 40 mu: each BB84 grid
+    # mu is bounded too, and a bound that ties the best above the first best
+    # mu ends the grid. Rating every grid mu took parent_cost.
+    rated, maximized = [], []
+    secret_rate, maximize = sweeps.secret_rate, sweeps.maximize_eve_information
+
+    def rating(setup, detector, decoy):
+        rated.append(setup.mu)
+        return secret_rate(setup, detector, decoy=decoy)
+
+    def counting(setup, detector):
+        maximized.append(setup.mu)
+        return maximize(setup, detector)
+
+    monkeypatch.setattr(sweeps, "secret_rate", rating)
+    monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
+    optimize_mu(length_km, 65.0, detector, protocol=protocol)
+    assert len(rated) <= 50 < parent_cost
+    assert len(maximized) == (len(rated) if protocol.uses_reference_pulse else 0)

@@ -185,7 +185,8 @@ def test_one_rule_for_unimodal_searches():
     # One helper, optimize.grid_then_golden_max, serves every maximizer:
     # Brent's search runs only inside optimize, and optimize_mu calls the
     # helper twice: once for both mu policies, and once more on the
-    # fallback grid of a floored search that found no positive rate.
+    # fallback grid of a floored search that found no positive rate. Both
+    # calls pass the one rate bound, whatever the protocol or policy.
     src = SOURCES[0].parent
     tree = ast.parse((src / "optimize.py").read_text(encoding="utf-8"))
     assert [n.name for n in tree.body if isinstance(n, ast.FunctionDef)] == [
@@ -193,7 +194,15 @@ def test_one_rule_for_unimodal_searches():
     callers = {path.name for path in SOURCES
                if _calls(ast.parse(path.read_text(encoding="utf-8")), "golden_max")}
     assert callers == {"optimize.py"}
-    assert len(_calls(_function(src / "sweeps.py", "optimize_mu"), "grid_then_golden_max")) == 2
+    search = _function(src / "sweeps.py", "optimize_mu")
+    calls = _calls(search, "grid_then_golden_max")
+    assert len(calls) == 2
+    for call in calls:
+        assert [ast.unparse(arg) for arg in call.args] == ["objective", "ys", "rate_bound"]
+        assert not call.keywords
+    # rate_bound is its def alone: no assignment swaps it for None.
+    assert not [n for n in ast.walk(search) if isinstance(n, ast.Name)
+                and n.id == "rate_bound" and isinstance(n.ctx, ast.Store)]
     names = _names(_function(src / "sweeps.py", "min_srp_photons"))
     assert "optimize_mu" in names and "secret_rate" not in names
 

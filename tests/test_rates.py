@@ -18,10 +18,12 @@ from srqkd import (
     bb84_secret_rate,
     decoy_bounds,
     maximize_eve_information,
+    rates,
     secret_rate,
     sr_secret_rate,
     transmittance,
 )
+from srqkd.rates import bb84_rate_bound
 
 # Frozen against Y0 + 1 - exp(-eta*mu*T) evaluated by hand at mu=0.1, L=20km.
 Q_REF_01_20 = 0.007970529507673872
@@ -208,6 +210,108 @@ def test_rate_breakdown_validation():
     with pytest.raises(ValueError, match="clamped at 0"):
         RateBreakdown(r_raw=0.0, qber=0.5, i_ab=0.0, i_e=1.0,
                       r_sec=-0.0, per_pulse=0.0, r_sec_unclamped=-0.0)
+
+
+def test_underflowing_rate_is_zero_not_refused(detector):
+    # At a subnormal pulse rate r_raw*(i_ab - i_e) rounds to 0 although
+    # i_ab > i_e: the rate is +0.0, unflagged, and not refused.
+    for protocol, mu, pulse_rate_hz in ((Protocol.B92_SR, 0.3, 4e-323),
+                                        (Protocol.BB84_STANDARD, 0.45, 1e-322),
+                                        (Protocol.BB84_DECOY, 0.9, 1e-322)):
+        setup = SetupConfig(protocol=protocol, mu=mu, t_db=65.0, length_km=10.0,
+                            pulse_rate_hz=pulse_rate_hz)
+        out = secret_rate(setup, detector)
+        assert out.r_raw > 0.0 and out.i_ab > out.i_e, protocol
+        assert out.r_sec_unclamped == 0.0 and out.r_sec == 0.0 == out.per_pulse
+        assert math.copysign(1.0, out.r_sec) == 1.0
+    # The record still refuses a zero r_sec beside a positive product, and a
+    # positive r_sec with i_ab <= i_e.
+    with pytest.raises(ValueError, match="vanish exactly"):
+        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=0.5,
+                      r_sec=0.0, per_pulse=0.0, r_sec_unclamped=0.1)
+    with pytest.raises(ValueError, match="vanish exactly"):
+        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.5, i_e=0.5,
+                      r_sec=0.1, per_pulse=0.1, r_sec_unclamped=0.1)
+    with pytest.raises(ValueError, match="vanish exactly"):
+        RateBreakdown(r_raw=0.0, qber=0.1, i_ab=0.6, i_e=0.5,
+                      r_sec=1e-12, per_pulse=1e-12, r_sec_unclamped=1e-12)
+    # A nan i_e is refused, as it was before the underflow case passed.
+    with pytest.raises(ValueError, match="vanish exactly"):
+        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=math.nan,
+                      r_sec=0.0, per_pulse=0.0, r_sec_unclamped=math.nan)
+    with pytest.raises(ValueError, match="vanish exactly"):
+        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=math.nan,
+                      r_sec=0.1, per_pulse=0.1, r_sec_unclamped=0.1)
+    with pytest.raises(ValueError, match="vanish exactly"):
+        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=0.5,
+                      r_sec=math.nan, per_pulse=math.nan, r_sec_unclamped=math.nan)
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=0.3, t_db=65.0, length_km=10.0,
+                        pulse_rate_hz=5e6)
+    with pytest.raises(ValueError, match="vanish exactly when i_ab <= i_e"):
+        sr_secret_rate(setup, detector, math.nan)
+
+
+def _wide_bb84_draws(n, seed):
+    # Setups far outside the sweep plane: mu over seven decades, up to
+    # 400 km, noisy detectors, and any decoy ratios and p_mu.
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        detector = DetectorConfig(eta=rng.uniform(0.01, 0.999),
+                                  p_dc=10.0 ** rng.uniform(-8.0, math.log10(0.3)),
+                                  p_opt=rng.uniform(0.0, 0.5) if rng.random() < 0.3
+                                  else rng.uniform(0.0, 0.05))
+        nu2_ratio = rng.uniform(0.0, 0.45)
+        decoy = DecoyConfig(nu1_ratio=rng.uniform(nu2_ratio, 1.0 - nu2_ratio),
+                            nu2_ratio=nu2_ratio, p_mu=rng.uniform(0.01, 1.0))
+        protocol = Protocol.BB84_STANDARD if rng.random() < 0.5 else Protocol.BB84_DECOY
+        setup = SetupConfig(protocol=protocol, mu=10.0 ** rng.uniform(-4.0, 3.0), t_db=65.0,
+                            length_km=rng.uniform(0.0, 400.0) if rng.random() < 0.7
+                            else rng.uniform(0.0, 60.0),
+                            pulse_rate_hz=10.0 ** rng.uniform(0.0, 10.0))
+        yield setup, detector, decoy
+
+
+def test_bb84_rate_bound_is_the_rate_with_error_free_single_photons():
+    # The bound is bb84_secret_rate's rate with H(E1) = 0, bit for bit from
+    # the records' floats, so it is never below the rate.
+    positive = loose = 0
+    for setup, detector, decoy in _wide_bb84_draws(3000, 20261020):
+        out = bb84_secret_rate(setup, detector, decoy)
+        bound = bb84_rate_bound(setup.protocol, setup.mu, setup.length_km,
+                                setup.pulse_rate_hz, detector, decoy)
+        yields = (bb84_pns_bounds(setup, detector) if setup.protocol is Protocol.BB84_STANDARD
+                  else decoy_bounds(setup.mu, decoy, detector, setup.length_km))
+        i_e = 1.0 - yields.q1_lower / yields.q_mu if yields.q_mu > 0.0 else 1.0
+        unclamped = out.r_raw * (out.i_ab - i_e)
+        assert bound == (unclamped if unclamped > 0.0 else 0.0)
+        assert math.copysign(1.0, bound) == 1.0
+        assert bound >= out.r_sec, (setup, detector, decoy)
+        positive += out.r_sec > 0.0
+        loose += bound > out.r_sec
+    assert positive > 200 and loose > 200, (positive, loose)
+    # It refuses what the rate refuses.
+    setup = SetupConfig(protocol=Protocol.BB84_STANDARD, mu=0.3, t_db=65.0,
+                        length_km=10.0, pulse_rate_hz=5e6)
+    with pytest.raises(ValueError, match="0 < eta < 1"):
+        bb84_rate_bound(setup.protocol, 0.3, 10.0, 5e6, DetectorConfig(eta=1.0))
+    with pytest.raises(ValueError, match="BB84 baseline"):
+        bb84_rate_bound(Protocol.B92_SR, 0.3, 10.0, 5e6, DetectorConfig())
+
+
+def test_decoy_bounds_work_out_the_transmittance_once(monkeypatch, detector):
+    # The three intensities share one T(L); the floats are those of
+    # bb84_gain_error at each.
+    calls = []
+
+    def counting(length_km):
+        calls.append(length_km)
+        return transmittance(length_km)
+
+    monkeypatch.setattr(rates, "transmittance", counting)
+    decoy = DecoyConfig()
+    yields = decoy_bounds(0.4, decoy, detector, 30.0)
+    assert calls == [30.0]
+    assert (yields.q_mu, yields.e_mu) == bb84_gain_error(0.4, detector, 30.0)
 
 
 def test_bb84_yields_validation():
