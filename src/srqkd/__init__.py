@@ -10,12 +10,8 @@ that turns all of it into datasets.
 from .attack import (
     amplification,
     attack_point,
-    b_interval,
     beam_splitting_information,
     maximize_eve_information,
-    rate_residual,
-    success_probability,
-    unitarity_residual,
 )
 from .discrimination import (
     build_povm,
@@ -89,7 +85,6 @@ __all__ = [
     "SweepRow",
     "amplification",
     "attack_point",
-    "b_interval",
     "bb84_gain_error",
     "bb84_pns_bounds",
     "bb84_secret_rate",
@@ -112,17 +107,14 @@ __all__ = [
     "overlap",
     "povm_probabilities_fock",
     "qber_from_received",
-    "rate_residual",
     "rate_vs_distance",
     "rate_vs_t",
     "secret_rate",
     "simulate",
     "span_states",
     "sr_secret_rate",
-    "success_probability",
     "sweep_mu_t",
     "train_capacity",
     "transmittance",
-    "unitarity_residual",
     "wilson_interval",
 ]

@@ -92,13 +92,6 @@ class AttackSolution:
     interval_empty: bool = False
 
 
-def success_probability(eta: float, mu_prime: float, delta: float) -> float:
-    """Filtering success probability p = 1/(1 + exp(-2*eta*mu'*delta))."""
-    if not all(0 <= x < math.inf for x in (eta, mu_prime, delta)):
-        raise ValueError(f"arguments must be finite and >= 0, got {(eta, mu_prime, delta)}")
-    return 1.0 / (1.0 + math.exp(-2.0 * eta * mu_prime * delta))
-
-
 def _expm1(x: float) -> float:
     """math.expm1, with +inf where it would overflow."""
     return math.expm1(x) if x <= MAX_EXP_ARG else math.inf
@@ -112,26 +105,7 @@ def amplification(b: float, mu: float, eta: float, mu_prime: float, delta: float
     return 1.0 - math.log(log_arg) / (2.0 * mu)
 
 
-def unitarity_residual(p: float, a: float, b: float, mu: float) -> float:
-    """|p*exp(-2*a*mu) + (1-p)*exp(-2*b*mu) - exp(-2*mu)|."""
-    if not all(map(math.isfinite, (p, a, b, mu))):
-        raise ValueError(f"arguments must be finite, got {(p, a, b, mu)}")
-    return abs(p * math.exp(-2.0 * a * mu) + (1.0 - p) * math.exp(-2.0 * b * mu)
-               - math.exp(-2.0 * mu))
-
-
-def rate_residual(p: float, beta_s_sq: float, beta_f_sq: float,
-                  eta: float, mu_prime: float) -> float:
-    """Deviation of Bob's conclusive-click rate under attack from the expected one."""
-    args = (p, beta_s_sq, beta_f_sq, eta, mu_prime)
-    if not all(map(math.isfinite, args)):
-        raise ValueError(f"arguments must be finite, got {args}")
-    under_attack = (p * -math.expm1(-2.0 * eta * beta_s_sq)
-                    + (1.0 - p) * -math.expm1(-2.0 * eta * beta_f_sq))
-    return abs(under_attack - -math.expm1(-2.0 * eta * mu_prime))
-
-
-def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, float]:
+def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
     """Feasible attenuation interval (b_min, b_max).
 
     The lower bound combines solvability of the unitarity constraint with
@@ -141,11 +115,6 @@ def b_interval(setup: SetupConfig, detector: DetectorConfig) -> tuple[float, flo
     exceeds 1 and the unitarity limit b_max = 1 applies. An empty interval
     (b_min >= b_max) means the attack degenerates to beam splitting.
     """
-    terms = _setup_terms(setup, detector)
-    return terms.b_min, terms.b_max
-
-
-def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
     mu_prime, delta = channel.mu_prime, channel.delta
     if delta == math.inf:
         raise ValueError(f"delta overflows at mu={mu}: it grows as 1/mu and with fiber loss")

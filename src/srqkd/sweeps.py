@@ -444,4 +444,9 @@ def train_capacity(storage_km: float, pulse_rate_hz: float,
         raise ValueError(f"storage_km must be >= 0, got {storage_km}")
     if pulse_rate_hz <= 0 or n_fib <= 0:
         raise ValueError("pulse_rate_hz and n_fib must be > 0")
-    return math.floor(storage_km * 1e3 * n_fib * pulse_rate_hz / SPEED_OF_LIGHT)
+    capacity = storage_km * 1e3 * n_fib * pulse_rate_hz / SPEED_OF_LIGHT
+    if not math.isfinite(capacity):
+        raise ValueError(f"the capacity storage_km*1e3*n_fib*pulse_rate_hz/c overflows "
+                         f"a float at storage_km={storage_km}, "
+                         f"pulse_rate_hz={pulse_rate_hz}, n_fib={n_fib}")
+    return math.floor(capacity)

@@ -9,8 +9,9 @@ from srqkd import (
     SetupConfig,
     amplification,
     holevo_chi,
-    success_probability,
 )
+
+from oracles import success_probability
 
 
 @pytest.fixture

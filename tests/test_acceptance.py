@@ -4,8 +4,6 @@ import math
 import time
 
 import numpy as np
-import pytest
-from scipy import stats
 
 from srqkd import (
     AttackKind,
@@ -16,7 +14,6 @@ from srqkd import (
     SetupConfig,
     SimConfig,
     attack_point,
-    b_interval,
     beam_splitting_information,
     build_povm,
     decoy_bounds,
@@ -25,14 +22,14 @@ from srqkd import (
     min_srp_photons,
     optimize_mu,
     outcome_probabilities,
-    rate_residual,
     rate_vs_distance,
     simulate,
     span_states,
     train_capacity,
     transmittance,
-    unitarity_residual,
 )
+
+from oracles import b_interval, rate_residual, unitarity_residual
 
 
 def _verdict(n: int, ok: bool, detail: str) -> str:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import srqkd
 from srqkd import DecoyConfig, DetectorConfig, GridSpec, cli
-from srqkd.cli import RunConfig, dump_config, load_run_config, main, parse_config_text
+from srqkd.cli import RunConfig, load_run_config, main, parse_config_text
 from srqkd.sweeps import DEFAULT_PULSE_RATE_HZ, DEFAULT_T_DB
 
 SWEEP_HEADER = "mu,t_db,length_km,delta,qber,i_e,r_sec_per_pulse,r_sec_hz,flags"
@@ -872,6 +872,8 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     # too small and an f_ec below 1, refused by validation.
     commands += [("optimize-mu", "--mu-points", "1000000000000"),
                  ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
+    # Finite inputs whose train capacity overflows a float, refused by name.
+    commands += [("train-capacity", "--storage-km", "1e300", "--rate-hz", "1e10")]
     # simulate reads t_db and the monitor keys only under the soft-filter
     # attack; the other attacks refuse them as flags.
     commands += [("simulate", "--attack", "none", "--t-db", "50", "--nep", "1e-11"),

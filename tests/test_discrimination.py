@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from srqkd import (
-    DetectorConfig,
     Protocol,
     SetupConfig,
     build_povm,

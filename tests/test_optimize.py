@@ -12,7 +12,6 @@ from srqkd import (
     DetectorConfig,
     Protocol,
     SetupConfig,
-    b_interval,
     derive_channel,
     grey_region_mu_floor,
     maximize_eve_information,
@@ -29,6 +28,8 @@ from srqkd.optimize import (
     grid_then_golden_max,
 )
 from srqkd.rates import bb84_rate_bound
+
+from oracles import b_interval
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -15,6 +15,7 @@ import srqkd
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "srqkd").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -33,14 +34,15 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
 
 
 def test_no_line_exceeds_99_characters():
-    paths = [*SOURCES, *sorted((ROOT / "tests").glob("*.py"))]
+    paths = [*SOURCES, *TESTS]
     long_lines = [f"{path.name}:{i}" for path in paths
                   for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                   if len(line) > 99]
@@ -53,6 +55,21 @@ def test_all_lists_the_public_namespace():
     assert sorted(srqkd.__all__) == sorted(public)
     assert len(srqkd.__all__) == len(set(srqkd.__all__))
 
+
+def test_src_defines_no_test_only_function():
+    # Every module-level function of the package is called (or passed) by
+    # name elsewhere in src/; a reference function that only tests need
+    # lives in tests/oracles.py. The exceptions are library entry points
+    # that no module calls: attack_point (one b's full parameter set,
+    # criterion 4), decoy_bounds (criterion 8) and its standard-BB84 twin
+    # bb84_pns_bounds, which returns the same record.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    defined = {node.name for path, tree in trees.items() if path.name != "__init__.py"
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loaded = {n.id for tree in trees.values() for node in tree.body for n in ast.walk(node)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+              and not (isinstance(node, ast.FunctionDef) and node.name == n.id)}
+    assert defined - loaded == {"attack_point", "decoy_bounds", "bb84_pns_bounds"}
 
 
 def _imports(path: Path, module_level: bool = False) -> list[tuple[str, str]]:

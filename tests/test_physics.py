@@ -21,10 +21,7 @@ from srqkd import (
     monitoring_unacceptable,
     overlap,
     qber_from_received,
-    rate_residual,
-    success_probability,
     transmittance,
-    unitarity_residual,
 )
 from srqkd.physics import PLANCK_H, SPEED_OF_LIGHT
 
@@ -213,17 +210,11 @@ def test_holevo_chi():
     pytest.param(lambda: bb84_gain_error(math.nan, DetectorConfig(), 10.0), id="gain-nan"),
     pytest.param(lambda: overlap(math.nan), id="overlap-nan"),
     pytest.param(lambda: overlap(math.inf), id="overlap-inf"),
-    pytest.param(lambda: success_probability(math.nan, 1.0, 0.1), id="success-nan"),
-    pytest.param(lambda: success_probability(0.2, math.inf, 0.1), id="success-inf"),
     pytest.param(lambda: fock_dimension(math.nan), id="fock-nan"),
     pytest.param(lambda: fock_dimension(math.inf), id="fock-inf"),
     # exp(-mu) is subnormal: the Poisson sum used to loop forever.
     pytest.param(lambda: fock_dimension(1000.0), id="fock-1000"),
     pytest.param(lambda: coherent_state_fock(math.nan, 3), id="fock-state-nan"),
-    pytest.param(lambda: unitarity_residual(math.nan, 1.0, 0.5, 0.3), id="unitarity-nan"),
-    pytest.param(lambda: unitarity_residual(0.5, math.inf, 0.5, 0.3), id="unitarity-inf"),
-    pytest.param(lambda: rate_residual(math.nan, 0.2, 0.1, 0.2, 0.15), id="rate-residual-nan"),
-    pytest.param(lambda: rate_residual(0.5, 0.2, 0.1, 0.2, math.inf), id="rate-residual-inf"),
 ])
 def test_scalar_functions_reject_non_finite(call):
     with pytest.raises(ValueError):

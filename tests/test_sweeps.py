@@ -490,3 +490,13 @@ def test_train_capacity_values():
         train_capacity(-1.0, 5e6)
     with pytest.raises(ValueError):
         train_capacity(10.0, 0.0)
+
+
+def test_train_capacity_out_of_float_range_is_refused():
+    # Finite inputs whose capacity overflows: refused by name, not an
+    # OverflowError from math.floor(inf).
+    for storage_km, pulse_rate_hz in ((1e308, 1e308), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="storage_km=.*pulse_rate_hz=.*n_fib="):
+            train_capacity(storage_km, pulse_rate_hz)
+    # A capacity near the top of float range keeps the defining expression.
+    assert train_capacity(1e290, 1e10) == math.floor(1e290 * 1e3 * 1.47 * 1e10 / constants.c)
