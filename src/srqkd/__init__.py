@@ -8,7 +8,6 @@ that turns all of it into datasets.
 """
 
 from .attack import (
-    amplification,
     attack_point,
     beam_splitting_information,
     maximize_eve_information,
@@ -83,7 +82,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SweepRow",
-    "amplification",
     "attack_point",
     "bb84_gain_error",
     "bb84_pns_bounds",

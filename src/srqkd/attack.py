@@ -97,14 +97,6 @@ def _expm1(x: float) -> float:
     return math.expm1(x) if x <= MAX_EXP_ARG else math.inf
 
 
-def amplification(b: float, mu: float, eta: float, mu_prime: float, delta: float) -> float:
-    """Amplification coefficient a solving the unitarity constraint for given b."""
-    log_arg = 1.0 - math.exp(-2.0 * eta * mu_prime * delta) * _expm1(2.0 * mu * (1.0 - b))
-    if not log_arg > 0.0:
-        raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
-    return 1.0 - math.log(log_arg) / (2.0 * mu)
-
-
 def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, float]:
     """Feasible attenuation interval (b_min, b_max).
 
@@ -139,7 +131,7 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
 # mu'(1 +/- delta) forwarded on success and fail (mu_min < 0 once delta > 1),
 # Bob's conclusive probability, and the click weights success = p*w_s and
 # fail = (1-p)*w_f, so that success*chi is p*w_s*chi bit for bit.
-_Terms = namedtuple("_Terms", "mu eta mu_prime delta b_min b_max q p mu_max mu_min "
+_Terms = namedtuple("_Terms", "mu mu_prime delta b_min b_max q p mu_max mu_min "
                               "conclusive success fail")
 
 
@@ -152,7 +144,7 @@ def _terms(mu: float, eta: float, channel: ChannelDerived) -> _Terms:
     # w_f = -expm1(x_f) overflows only where p rounds to 1: 1 - p is 0 there.
     x_f = -2.0 * eta * mu_min
     fail = 0.0 if x_f > MAX_EXP_ARG else (1.0 - p) * -math.expm1(x_f)
-    return _Terms(mu, eta, mu_prime, delta, b_min, b_max, q, p, mu_max, mu_min,
+    return _Terms(mu, mu_prime, delta, b_min, b_max, q, p, mu_max, mu_min,
                   conclusive=-math.expm1(-2.0 * eta * mu_prime),
                   success=p * -math.expm1(-2.0 * eta * mu_max), fail=fail)
 
@@ -199,9 +191,9 @@ def _information_curve(b, terms: _Terms):
 def _information(b: float, terms: _Terms) -> float:
     """Scalar twin of :func:`_information_curve`, written with ``math``.
 
-    Same formula, clamps and feasibility test, and ``a`` comes from the
-    expression :func:`amplification` uses, so a finite value here means
-    ``amplification(b, ...)`` succeeds. It scores every single b: each
+    Same formula, clamps and feasibility test, and ``a`` is the unitarity
+    solution 1 - log(1 - q*expm1(2*mu*(1 - b)))/(2*mu), so a finite value
+    here means the point at b has one. It scores every single b: each
     Brent step, every candidate the maximizer can return, and
     :func:`attack_point`, which so reproduces the maximizer's optimum.
     Each branch's ``holevo_chi(max(eps, 0.0))`` is written out inline, bit
@@ -257,7 +249,8 @@ def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig) -> Atta
 
 
 def _filtering_point(b: float, i_e: float, terms: _Terms) -> AttackPoint:
-    a = amplification(b, terms.mu, terms.eta, terms.mu_prime, terms.delta)
+    # a solves unitarity at b, as in _information; a feasible b keeps the log finite.
+    a = 1.0 - math.log(1.0 - terms.q * _expm1(2.0 * terms.mu * (1.0 - b))) / (2.0 * terms.mu)
     return AttackPoint(
         b=b, p=terms.p, a=a,
         beta_s_sq=terms.mu_max, beta_f_sq=terms.mu_min,
@@ -266,13 +259,12 @@ def _filtering_point(b: float, i_e: float, terms: _Terms) -> AttackPoint:
     )
 
 
-def _beam_splitting_point(terms: _Terms) -> AttackPoint:
+def _beam_splitting_point(i_e: float, terms: _Terms) -> AttackPoint:
     # b = a = 1: no filtering; Eve taps mu - mu' from every pulse.
     tap = terms.mu - terms.mu_prime
     return AttackPoint(
         b=1.0, p=terms.p, a=1.0,
-        beta_s_sq=terms.mu_prime, beta_f_sq=terms.mu_prime, eps_s_sq=tap, eps_f_sq=tap,
-        i_e=beam_splitting_information(terms.mu, terms.mu_prime),
+        beta_s_sq=terms.mu_prime, beta_f_sq=terms.mu_prime, eps_s_sq=tap, eps_f_sq=tap, i_e=i_e,
     )
 
 
@@ -318,8 +310,8 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     (:func:`~srqkd.optimize.grid_then_golden_max` on the two-point grid
     (b_min, b_max)), so that endpoint optima are returned exactly, and an
     optimum between two infeasible edges is still found. Every candidate is
-    scored by the scalar objective, whose feasibility test matches
-    :func:`amplification` bit for bit. Ties (an I_E = 1 plateau) go to
+    scored by the scalar objective, whose feasibility test is the one the
+    returned point's ``a`` passes. Ties (an I_E = 1 plateau) go to
     b_min, then b_max, then the search's point: an edge on the plateau is
     returned whatever path the search took.
     """
@@ -331,6 +323,7 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     b_best, i_best = (grid_then_golden_max(information, (terms.b_min, terms.b_max))
                       if terms.b_min < terms.b_max else (1.0, -math.inf))
     empty = i_best == -math.inf
-    best = _beam_splitting_point(terms) if empty else _filtering_point(b_best, i_best, terms)
+    best = (_beam_splitting_point(beam_splitting_information(terms.mu, terms.mu_prime), terms)
+            if empty else _filtering_point(b_best, i_best, terms))
     return AttackSolution(best=best, b_min=terms.b_min, b_max=terms.b_max,
                           delta=terms.delta, interval_empty=empty)

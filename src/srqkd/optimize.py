@@ -104,16 +104,16 @@ def grid_then_golden_max(f: Callable[[float], float], xs: Sequence[float],
                          ) -> tuple[float, float]:
     """Best point of the increasing grid xs, then one Brent search around it.
 
-    f scores each grid point once; a non-finite value scores -inf. The search
-    runs between the neighbours of the first best point, starting from it, so it
-    is not scored again and a flat stretch (a zero rate) in the middle of a wide
-    cell does not lead it away from the peak (a two-point grid's search starts
-    in the middle). It runs even when no grid value is finite: the peak may lie
-    between infeasible grid points. The better of the grid point and the
-    search's point is returned, and a tie goes to the grid point. So a two-point
-    grid (a, b) returns a, then b, then the search's point: an optimum at an
-    end, or an end on a plateau, comes back exactly. A grid collapsed to one
-    point (xs[0] == xs[-1]) is scored once.
+    f scores each grid point at most once; a non-finite value scores -inf. The
+    search runs between the neighbours of the first best point, starting from
+    it, so it is not scored again and a flat stretch (a zero rate) in the middle
+    of a wide cell does not lead it away from the peak (a two-point grid's
+    search starts in the middle). It runs even when no grid value is finite: the
+    peak may lie between infeasible grid points. The better of the grid point
+    and the search's point is returned, and a tie goes to the grid point. So a
+    two-point grid (a, b) returns a, then b, then the search's point: an optimum
+    at an end, or an end on a plateau, comes back exactly. A grid collapsed to
+    one point (xs[0] == xs[-1]) is scored once.
 
     bound, when given, is an upper bound on f at each grid point (nan: no
     bound), cheaper than f. Every grid point's bound is computed first; then
@@ -122,7 +122,8 @@ def grid_then_golden_max(f: Callable[[float], float], xs: Sequence[float],
     after the first best point (Tuy's monotonic branch and bound, SIAM J.
     Optim. 11, 2000, over a grid). No point left unscored can beat that best,
     or tie it at an earlier index, so the first best point, the search and the
-    result are those of the same call without bound.
+    result are those of the same call without bound, which scores every grid
+    point in index order.
     """
     lo, hi = float(xs[0]), float(xs[-1])
     if hi < lo:
@@ -133,23 +134,20 @@ def grid_then_golden_max(f: Callable[[float], float], xs: Sequence[float],
 
     if hi == lo:
         return lo, score(f(lo))
-    if bound is None:
-        scores = [score(f(float(x))) for x in xs]
-        k = scores.index(max(scores))
-        best = scores[k]
-    else:
-        # -bound sorts the highest bound first; a nan bound sorts before all.
-        keys = [-v if v == v else -math.inf for v in (bound(float(x)) for x in xs)]
-        # k is the first best index of the scores so far, an unscored point
-        # counting as -inf (its f is at most its bound, which is below best or
-        # ties it at a later index, so it cannot become the first best).
-        k, best = 0, -math.inf
-        for i in sorted(range(len(xs)), key=keys.__getitem__):
-            if -keys[i] < best or (-keys[i] == best and i > k):
-                break
-            v = score(f(float(xs[i])))
-            if v > best or (v == best and i < k):
-                k, best = i, v
+    # -bound sorts the highest bound first; a nan bound, like no bound at all,
+    # sorts before all, and ties keep index order.
+    keys = ([-math.inf] * len(xs) if bound is None
+            else [-v if v == v else -math.inf for v in (bound(float(x)) for x in xs)])
+    # k is the first best index of the scores so far, an unscored point
+    # counting as -inf (its f is at most its bound, which is below best or
+    # ties it at a later index, so it cannot become the first best).
+    k, best = 0, -math.inf
+    for i in sorted(range(len(xs)), key=keys.__getitem__):
+        if -keys[i] < best or (-keys[i] == best and i > k):
+            break
+        v = score(f(float(xs[i])))
+        if v > best or (v == best and i < k):
+            k, best = i, v
     grid_best = float(xs[k]), best
     # Two ends tell the search nothing of the inside: it starts in the middle.
     x_ref, v_ref = golden_max(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)]),

@@ -11,6 +11,7 @@ be reproduced by calling those modules directly with the row's inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -406,7 +407,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     skipped. criterion "positive-rate" returns the smallest nu with
     r_sec > 0; "0.99-of-max" the smallest nu whose rate is within 1% of the
     scan maximum (the intensity needed to stop paying rate for dimming the
-    SRP). The thresholds at a fixed mu come from rate_vs_t.
+    SRP). A scan with no positive rate gives nu_threshold, mu_at and t_db_at
+    nan and r_sec_hz 0. The thresholds at a fixed mu come from rate_vs_t.
     """
     if criterion not in ("positive-rate", "0.99-of-max"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -424,7 +426,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
                                opt.r_sec_hz))
 
     if not candidates:
-        raise RuntimeError("no positive secret rate anywhere in the scan")
+        return MinSrpResult(length_km=length_km, criterion=criterion, nu_threshold=math.nan,
+                            mu_at=math.nan, t_db_at=math.nan, r_sec_hz=0.0)
     if criterion == "0.99-of-max":
         r_max = max(c[3] for c in candidates)
         candidates = [c for c in candidates if c[3] >= 0.99 * r_max]
@@ -444,9 +447,15 @@ def train_capacity(storage_km: float, pulse_rate_hz: float,
         raise ValueError(f"storage_km must be >= 0, got {storage_km}")
     if pulse_rate_hz <= 0 or n_fib <= 0:
         raise ValueError("pulse_rate_hz and n_fib must be > 0")
-    capacity = storage_km * 1e3 * n_fib * pulse_rate_hz / SPEED_OF_LIGHT
-    if not math.isfinite(capacity):
+    # The exact floor, from each float's integer ratio: storage_km * 1e3 may
+    # overflow a float (1e306 km) where the capacity does not.
+    den, num = SPEED_OF_LIGHT.as_integer_ratio()  # num/den = 1/c
+    for value in (storage_km, 1e3, n_fib, pulse_rate_hz):
+        n, d = float(value).as_integer_ratio()
+        num, den = num * n, den * d
+    capacity = num // den
+    if capacity > sys.float_info.max:
         raise ValueError(f"the capacity storage_km*1e3*n_fib*pulse_rate_hz/c overflows "
                          f"a float at storage_km={storage_km}, "
                          f"pulse_rate_hz={pulse_rate_hz}, n_fib={n_fib}")
-    return math.floor(capacity)
+    return capacity

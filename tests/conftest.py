@@ -7,11 +7,10 @@ from srqkd import (
     DetectorConfig,
     Protocol,
     SetupConfig,
-    amplification,
     holevo_chi,
 )
 
-from oracles import success_probability
+from oracles import amplification, success_probability
 
 
 @pytest.fixture

@@ -2,19 +2,28 @@
 
 The attack pins p and a once b is chosen: the filter is unitary, and Bob's
 conclusive-click rate is preserved (see ``srqkd.attack``). Nothing in the
-package computes these residuals; tests compute them here to check the
-points the package returns. Arguments are the finite values the tests
-pass, so nothing here validates them.
+package computes these residuals, nor a from (b, mu, eta, mu', delta);
+tests compute them here to check the points the package returns. Arguments
+are the finite values the tests pass, so nothing here validates them,
+except that ``amplification`` refuses a b without a unitarity solution.
 """
 
 import math
 
-from srqkd.attack import _setup_terms
+from srqkd.attack import _expm1, _setup_terms
 
 
 def success_probability(eta: float, mu_prime: float, delta: float) -> float:
     """Filtering success probability p = 1/(1 + exp(-2*eta*mu'*delta))."""
     return 1.0 / (1.0 + math.exp(-2.0 * eta * mu_prime * delta))
+
+
+def amplification(b: float, mu: float, eta: float, mu_prime: float, delta: float) -> float:
+    """Amplification coefficient a solving the unitarity constraint for given b."""
+    log_arg = 1.0 - math.exp(-2.0 * eta * mu_prime * delta) * _expm1(2.0 * mu * (1.0 - b))
+    if not log_arg > 0.0:
+        raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
+    return 1.0 - math.log(log_arg) / (2.0 * mu)
 
 
 def unitarity_residual(p: float, a: float, b: float, mu: float) -> float:

@@ -13,7 +13,6 @@ from srqkd import (
     DetectorConfig,
     Protocol,
     SetupConfig,
-    amplification,
     attack_point,
     beam_splitting_information,
     derive_channel,
@@ -34,7 +33,13 @@ from srqkd.attack import (
 )
 from srqkd.optimize import golden_max
 
-from oracles import b_interval, rate_residual, success_probability, unitarity_residual
+from oracles import (
+    amplification,
+    b_interval,
+    rate_residual,
+    success_probability,
+    unitarity_residual,
+)
 
 # Frozen at the reference setup (mu=0.3, t=65dB, L=10km, default detector)
 # against a from-scratch evaluation of the filtering formulas.
@@ -183,11 +188,11 @@ def test_information_literal_reimplementation():
         assert pt.i_e == pytest.approx(min(max(i_lit, 0.0), 1.0), rel=1e-9, abs=1e-12)
 
 
-def _information_by_holevo_chi(b, terms):
+def _information_by_holevo_chi(b, terms, eta):
     # The objective composed from its reference functions: amplification's
     # feasibility test and a, and holevo_chi on each clamped branch.
     try:
-        a = amplification(b, terms.mu, terms.eta, terms.mu_prime, terms.delta)
+        a = amplification(b, terms.mu, eta, terms.mu_prime, terms.delta)
     except ValueError:
         return -math.inf
     eps_s = a * terms.mu - terms.mu_max
@@ -223,7 +228,8 @@ def test_objective_is_the_holevo_chi_composition():
         best = maximize_eve_information(setup, detector).best.b
         for b in (terms.b_min, terms.b_max, *map(float, inside), best):
             value = _information(b, terms)
-            assert repr(value) == repr(_information_by_holevo_chi(b, terms)), (setup, b)
+            assert repr(value) == repr(_information_by_holevo_chi(b, terms, detector.eta)), (
+                setup, b)
             finite += math.isfinite(value)
     assert feasible > 300 and grey > 50 and finite > 5 * feasible
 
@@ -231,7 +237,7 @@ def test_objective_is_the_holevo_chi_composition():
 def test_inline_chi_is_holevo_chi_at_edge_intensities():
     # q = 0 makes a = 1 exactly. With mu = 1 and mu_min = 0, eps_f is b itself
     # and eps_s = mu - mu_max = 0, so the fail branch alone scores b.
-    fail_only = _Terms(mu=1.0, eta=1.0, mu_prime=0.0, delta=0.0, b_min=0.0, b_max=1.0, q=0.0,
+    fail_only = _Terms(mu=1.0, mu_prime=0.0, delta=0.0, b_min=0.0, b_max=1.0, q=0.0,
                        p=1.0, mu_max=1.0, mu_min=0.0, conclusive=1.0, success=0.0, fail=1.0)
     # From eps = 19 on, x = (1 - exp(-2*eps))/2 rounds to 1/2; at 18.5 it does not.
     assert [-math.expm1(-2.0 * eps) / 2.0 for eps in (18.5, 19.0)] == [
@@ -518,6 +524,9 @@ def test_maximizer_deep_grey_points(detector, mu, t_db, length_km):
 # delta = 1.55: eps_s cancels, and the two forms differ by 1.1e-12 relative.
 @example(mu=0.9310066060050135, t_db=40.0, length_km=0.9310066060050135,
          u=0.9310066060050135)
+# mu' rounds to 0 on the interval [0, 1]: no conclusive click, so both forms
+# take their zero-conclusive branch and score 0.0.
+@example(mu=5e-324, t_db=3000.0, length_km=20.0, u=0.5)
 def test_scalar_objective_matches_curve(information_rounding, mu, t_db, length_km, u):
     detector = DetectorConfig()
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db,

@@ -442,10 +442,18 @@ def test_delta_overflow_at_unit_mu_names_t_and_l(capsys, argv):
     assert out.splitlines()[1].endswith(",grey-region;clamped")
 
 
-def test_min_srp_without_positive_rate_exits_2(capsys):
-    code, _, err = _run(["min-srp", "--p-opt", "0.5"] + FAST_MU + FAST_T, capsys)
-    assert code == 2
-    assert "no positive secret rate" in err
+def test_min_srp_without_positive_rate_is_a_row(capsys):
+    # No positive rate in the scan is a result, as optimize-mu's found=false
+    # row is: exit 0, with no threshold (nan in CSV, null in JSON).
+    argv = ["min-srp", "--p-opt", "0.5"] + FAST_MU + FAST_T
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "10,positive-rate,nan,nan,nan,0"
+    code, out, _ = _run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == [{"length_km": 10.0, "criterion": "positive-rate",
+                                "nu_threshold": None, "mu_at": None, "t_db_at": None,
+                                "r_sec_hz": 0.0}]
 
 
 def test_min_srp_row_schema(capsys):
@@ -872,7 +880,8 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     # too small and an f_ec below 1, refused by validation.
     commands += [("optimize-mu", "--mu-points", "1000000000000"),
                  ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
-    # Finite inputs whose train capacity overflows a float, refused by name.
+    # Finite inputs whose train capacity is in float range although the float
+    # expression storage_km*1e3*n_fib*f/c overflows: the exact floor.
     commands += [("train-capacity", "--storage-km", "1e300", "--rate-hz", "1e10")]
     # simulate reads t_db and the monitor keys only under the soft-filter
     # attack; the other attacks refuse them as flags.

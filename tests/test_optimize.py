@@ -140,6 +140,18 @@ def test_grid_then_golden_no_finite_cell():
     assert all(xs[0] <= c <= xs[1] for c in calls[len(xs):])
 
 
+def test_grid_then_golden_unbounded_scores_grid_in_order():
+    # Without a bound every grid point is scored once, in index order, also
+    # after the first best (index 1, tied at index 3); then the search runs
+    # between that point's neighbours and does not score it again.
+    xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    at_grid = dict(zip(xs, [0.0, 1.0, -math.inf, 1.0, 0.5]))
+    f, calls = _counted(lambda x: at_grid.get(x, 1.0 - (x - 0.25) ** 2))
+    assert grid_then_golden_max(f, xs) == (0.25, 1.0)
+    assert calls[:len(xs)] == xs and len(calls) > len(xs)
+    assert all(0.0 <= c <= 0.5 and c != 0.25 for c in calls[len(xs):])
+
+
 def test_grid_then_golden_finds_peak_between_infeasible_ends():
     # Both ends infeasible, the interior finite: only the search finds the
     # peak (as for an attack interval whose two edges are both infeasible).

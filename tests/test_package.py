@@ -178,6 +178,28 @@ def test_attack_terms_are_worked_out_once():
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     for name in ("derive_channel", "_b_bounds"):
         assert len([f.name for f in functions if _calls(f, name)]) == 1, name
+    # The points read every b-independent term (q, p, mu'(1 +/- delta)) from
+    # the terms: they call only math, _expm1 and AttackPoint, and name
+    # neither eta nor delta.
+    for function in functions:
+        if function.name in ("_filtering_point", "_beam_splitting_point"):
+            calls = {ast.unparse(n.func) for n in ast.walk(function) if isinstance(n, ast.Call)}
+            assert {c for c in calls if not c.startswith("math.")} <= {"_expm1", "AttackPoint"}
+            attrs = {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+            assert not (_names(function) | attrs) & {"eta", "delta"}, function.name
+
+
+def test_grid_search_scores_in_one_loop():
+    # grid_then_golden_max calls f in two places: the collapsed grid's one
+    # point, and one loop, which scores the grid with a bound or without one
+    # (every point then, in index order). No comprehension scores a grid.
+    node = _function(SOURCES[0].parent / "optimize.py", "grid_then_golden_max")
+    (collapsed,) = [n for n in ast.walk(node)
+                    if isinstance(n, ast.If) and ast.unparse(n.test) == "hi == lo"]
+    (loop,) = [n for n in ast.walk(node) if isinstance(n, ast.For)]
+    assert [len(_calls(n, "f")) for n in (node, collapsed, loop)] == [2, 1, 1]
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [n for n in ast.walk(node) if isinstance(n, comprehensions) and _calls(n, "f")]
 
 
 def test_attack_objective_makes_no_python_call_per_b():

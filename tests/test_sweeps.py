@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -475,9 +476,11 @@ def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol
 
 
 def test_min_srp_no_positive_rate():
+    # No positive rate anywhere in the scan is a result: a row without a threshold.
     bad = DetectorConfig(p_opt=0.5)
-    with pytest.raises(RuntimeError, match="no positive secret rate"):
-        min_srp_photons(10.0, bad, t_grid=[60.0, 70.0], mu_bounds=(0.1, 0.5))
+    result = min_srp_photons(10.0, bad, t_grid=[60.0, 70.0], mu_bounds=(0.1, 0.5))
+    assert (result.length_km, result.criterion, result.r_sec_hz) == (10.0, "positive-rate", 0.0)
+    assert all(math.isnan(v) for v in (result.nu_threshold, result.mu_at, result.t_db_at))
 
 
 def test_train_capacity_values():
@@ -486,17 +489,33 @@ def test_train_capacity_values():
     assert train_capacity(0.0, 5e6) == 0
     # Agreement with the defining expression.
     assert train_capacity(37.0, 2.5e6) == math.floor(37.0e3 * 1.47 * 2.5e6 / constants.c)
+    # Integers and NumPy scalars are read as the floats they convert to.
+    assert train_capacity(np.int64(10), 5_000_000, n_fib=np.float32(1.47)) == 245
     with pytest.raises(ValueError):
         train_capacity(-1.0, 5e6)
     with pytest.raises(ValueError):
         train_capacity(10.0, 0.0)
 
 
+def _exact_capacity(storage_km, pulse_rate_hz, n_fib=1.47):
+    return math.floor(Fraction(storage_km) * 1000 * Fraction(n_fib) * Fraction(pulse_rate_hz)
+                      / Fraction(constants.c))
+
+
 def test_train_capacity_out_of_float_range_is_refused():
-    # Finite inputs whose capacity overflows: refused by name, not an
+    # Finite inputs whose capacity overflows a float: refused by name, not an
     # OverflowError from math.floor(inf).
-    for storage_km, pulse_rate_hz in ((1e308, 1e308), (1e300, 1e10)):
-        with pytest.raises(ValueError, match="storage_km=.*pulse_rate_hz=.*n_fib="):
-            train_capacity(storage_km, pulse_rate_hz)
-    # A capacity near the top of float range keeps the defining expression.
-    assert train_capacity(1e290, 1e10) == math.floor(1e290 * 1e3 * 1.47 * 1e10 / constants.c)
+    with pytest.raises(ValueError, match="storage_km=.*pulse_rate_hz=.*n_fib="):
+        train_capacity(1e308, 1e308)
+    # A capacity in float range is the exact floor, even where storage_km*1e3
+    # overflows (1e306 km) or the float expression does (1e300 km at 1e10 Hz).
+    for storage_km, pulse_rate_hz in ((1e306, 1e-10), (1e300, 1e10)):
+        assert math.isinf(storage_km * 1e3 * 1.47 * pulse_rate_hz)
+        capacity = train_capacity(storage_km, pulse_rate_hz)
+        assert capacity == _exact_capacity(storage_km, pulse_rate_hz)
+        assert float(capacity) == pytest.approx(
+            storage_km * (1e3 / constants.c) * 1.47 * pulse_rate_hz, rel=1e-14)
+    # Near the top of float range the float expression's floor is off by far
+    # more than 1 (its ulp is about 1e278); the exact floor is not.
+    near_top = math.floor(1e290 * 1e3 * 1.47 * 1e10 / constants.c)
+    assert train_capacity(1e290, 1e10) == _exact_capacity(1e290, 1e10) != near_top
