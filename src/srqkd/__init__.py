@@ -39,7 +39,6 @@ from .rates import (
     DecoyConfig,
     RateBreakdown,
     bb84_gain_error,
-    bb84_pns_bounds,
     bb84_secret_rate,
     decoy_bounds,
     sr_secret_rate,
@@ -84,7 +83,6 @@ __all__ = [
     "SweepRow",
     "attack_point",
     "bb84_gain_error",
-    "bb84_pns_bounds",
     "bb84_secret_rate",
     "beam_splitting_information",
     "binary_entropy",

@@ -452,7 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, RuntimeError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

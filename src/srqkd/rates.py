@@ -35,10 +35,12 @@ _TOL = 1e-9
 class RateBreakdown:
     """Secret-rate decomposition R_sec = R_raw*(i_ab - i_e), clamped at 0.
 
-    r_raw and r_sec are absolute rates in Hz; per_pulse is r_sec divided by
-    the pulse repetition frequency. For the BB84 baselines i_e is the
-    fraction of each sifted bit conceded to the eavesdropper under the
-    bounds in use, defined so that the decomposition identity still holds.
+    per_pulse is the secret rate per pulse, exact; r_raw, r_sec and
+    r_sec_unclamped are rates in Hz, each the per-pulse value times the
+    pulse repetition frequency f, one rounding away from it. For the BB84
+    baselines i_e is the fraction of each sifted bit conceded to the
+    eavesdropper under the bounds in use, defined so that the decomposition
+    identity still holds.
     """
 
     r_raw: float
@@ -54,7 +56,7 @@ class RateBreakdown:
             raise ValueError("r_sec must be clamped at 0 (+0.0)")
         if self.r_sec > self.r_raw * (1.0 + _TOL) + _TOL:
             raise ValueError("r_sec cannot exceed r_raw")
-        # A subnormal r_raw can round the product to 0 while i_ab > i_e, so a
+        # A subnormal pulse rate can round r_sec to 0 while i_ab > i_e, so a
         # zero r_sec is checked against the product, not against i_ab - i_e.
         # Every comparison with a nan is False, so a nan is refused either way.
         if self.r_sec > 0.0:
@@ -102,14 +104,16 @@ class Bb84Yields:
             raise ValueError("y0 must be >= 0")
 
 
-def _breakdown(r_raw: float, qber: float, i_ab: float, i_e: float,
+def _breakdown(raw: float, qber: float, i_ab: float, i_e: float,
                pulse_rate_hz: float) -> RateBreakdown:
-    unclamped = r_raw * (i_ab - i_e)
+    # raw is per pulse: the pulse rate enters the rate chain here, and only here.
+    unclamped = raw * (i_ab - i_e)
     # 0 * (i_ab - i_e) can be -0.0, which max(-0.0, 0.0) would keep.
-    r_sec = unclamped if unclamped > 0.0 else 0.0
+    per_pulse = unclamped if unclamped > 0.0 else 0.0
     return RateBreakdown(
-        r_raw=r_raw, qber=qber, i_ab=i_ab, i_e=i_e,
-        r_sec=r_sec, per_pulse=r_sec / pulse_rate_hz, r_sec_unclamped=unclamped,
+        r_raw=raw * pulse_rate_hz, qber=qber, i_ab=i_ab, i_e=i_e,
+        r_sec=per_pulse * pulse_rate_hz, per_pulse=per_pulse,
+        r_sec_unclamped=unclamped * pulse_rate_hz,
     )
 
 
@@ -124,9 +128,9 @@ def sr_secret_rate(setup: SetupConfig, detector: DetectorConfig,
         raise ValueError(f"sr_secret_rate needs an SR protocol, got {setup.protocol.value}")
     channel = derive_channel(setup, detector)
     conclusive = -math.expm1(-2.0 * detector.eta * channel.mu_prime)
-    r_raw = setup.protocol.sifting_factor * setup.pulse_rate_hz * conclusive
+    raw = setup.protocol.sifting_factor * conclusive
     i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)
-    return _breakdown(r_raw, channel.qber, i_ab, i_e, setup.pulse_rate_hz)
+    return _breakdown(raw, channel.qber, i_ab, i_e, setup.pulse_rate_hz)
 
 
 def _check_intensity(intensity: float) -> None:
@@ -163,7 +167,12 @@ _Yields = tuple[float, float, float, float, float]
 
 
 def _pns_yields(mu: float, detector: DetectorConfig, length_km: float) -> _Yields:
-    # bb84_pns_bounds' record as floats.
+    # Single-photon bounds for standard BB84 under photon-number splitting.
+    # Eve blocks single-photon pulses and forwards one photon less from every
+    # multi-photon pulse over a lossless line, so the surviving photons see
+    # only the detector efficiency eta:
+    #     Q1 >= Q_mu - 1 + (exp(-eta*mu) - eta*exp(-mu))/(1 - eta).
+    # A non-positive bound (long distance) floors at 0 and kills the rate.
     if not 0.0 < detector.eta < 1.0:
         raise ValueError("photon-number-splitting bound requires 0 < eta < 1")
     eta = detector.eta
@@ -172,20 +181,6 @@ def _pns_yields(mu: float, detector: DetectorConfig, length_km: float) -> _Yield
     q1 = min(max(q1, 0.0), q_mu)
     e1 = min(q_mu * e_mu / q1, 0.5) if q1 > 0.0 else 0.5
     return q_mu, e_mu, 2.0 * detector.p_dc, q1, e1
-
-
-def bb84_pns_bounds(setup: SetupConfig, detector: DetectorConfig) -> Bb84Yields:
-    """Single-photon bounds for standard BB84 under photon-number splitting.
-
-    Eve blocks single-photon pulses and forwards one photon less from every
-    multi-photon pulse over a lossless line, so the surviving photons see
-    only the detector efficiency eta:
-
-        Q1 >= Q_mu - 1 + (exp(-eta*mu) - eta*exp(-mu))/(1 - eta).
-
-    A non-positive bound (long distance) floors at 0 and kills the rate.
-    """
-    return Bb84Yields(*_pns_yields(setup.mu, detector, setup.length_km))
 
 
 def _decoy_yields(mu: float, decoy: DecoyConfig, detector: DetectorConfig,
@@ -244,46 +239,45 @@ def _bb84_yields(protocol: Protocol, mu: float, length_km: float, detector: Dete
 
 
 def _gllp(q_mu: float, e_mu: float, q1: float, secret_fraction: float, p_mu: float,
-          pulse_rate_hz: float, detector: DetectorConfig) -> tuple[float, float, float]:
-    # r_raw, i_ab and i_e of the GLLP rate, where secret_fraction = 1 - H(E1).
-    r_raw = 0.5 * pulse_rate_hz * p_mu * q_mu
+          detector: DetectorConfig) -> tuple[float, float, float]:
+    # Per-pulse raw rate, i_ab and i_e of the GLLP rate, where secret_fraction = 1 - H(E1).
+    raw = 0.5 * p_mu * q_mu
     i_ab = 1.0 - detector.f_ec * binary_entropy(e_mu)
     i_e = 1.0 - q1 / q_mu * secret_fraction if q_mu > 0.0 else 1.0
-    return r_raw, i_ab, i_e
+    return raw, i_ab, i_e
 
 
 def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
                      decoy: DecoyConfig = DecoyConfig()) -> RateBreakdown:
     """GLLP secret rate for a BB84 baseline (standard or decoy-state).
 
-    The decomposition fields are defined so r_sec = r_raw*(i_ab - i_e)
-    holds exactly: r_raw = (1/2)*f*p_mu*Q_mu (p_mu = 1 for standard BB84),
-    i_ab = 1 - f_ec*H(E_mu), and i_e = 1 - (Q1/Q_mu)*(1 - H(E1)) is the
-    sifted-bit fraction conceded under the single-photon bounds. Standard
-    BB84 ignores decoy.
+    The decomposition fields are defined so per_pulse = raw*(i_ab - i_e)
+    holds exactly: the per-pulse raw rate is raw = (1/2)*p_mu*Q_mu (p_mu = 1
+    for standard BB84; r_raw = raw*f), i_ab = 1 - f_ec*H(E_mu), and
+    i_e = 1 - (Q1/Q_mu)*(1 - H(E1)) is the sifted-bit fraction conceded
+    under the single-photon bounds. Standard BB84 ignores decoy.
     """
     floats, p_mu = _bb84_yields(setup.protocol, setup.mu, setup.length_km, detector, decoy)
     yields = Bb84Yields(*floats)
-    r_raw, i_ab, i_e = _gllp(yields.q_mu, yields.e_mu, yields.q1_lower,
-                             1.0 - binary_entropy(yields.e1_upper), p_mu,
-                             setup.pulse_rate_hz, detector)
-    return _breakdown(r_raw, yields.e_mu, i_ab, i_e, setup.pulse_rate_hz)
+    raw, i_ab, i_e = _gllp(yields.q_mu, yields.e_mu, yields.q1_lower,
+                           1.0 - binary_entropy(yields.e1_upper), p_mu, detector)
+    return _breakdown(raw, yields.e_mu, i_ab, i_e, setup.pulse_rate_hz)
 
 
-def bb84_rate_bound(protocol: Protocol, mu: float, length_km: float, pulse_rate_hz: float,
+def bb84_rate_bound(protocol: Protocol, mu: float, length_km: float,
                     detector: DetectorConfig, decoy: DecoyConfig = DecoyConfig()) -> float:
-    """An upper bound on the BB84 baseline's r_sec: its rate if single photons had no errors.
+    """An upper bound on the BB84 baseline's per_pulse: its rate if single photons had no errors.
 
     The setup's fields come as scalars, already checked (a mu search checks
-    them once, in the SetupConfig of its lowest mu). The bound is
-    bb84_secret_rate's rate with H(E1) = 0, i.e. i_e' = 1 - Q1/Q_mu, from
-    the same floats and expressions. Rounding is monotone and
-    (Q1/Q_mu)*(1 - H(E1)) <= Q1/Q_mu, so i_e' <= i_e and the bound holds
-    bit for bit. It skips the second entropy and the records' checks, and
-    refuses a protocol or detector that bb84_secret_rate refuses, with its
-    message.
+    them once, in the SetupConfig of its lowest mu). The bound is a rate per
+    pulse, as the mu search scores: bb84_secret_rate's per_pulse with
+    H(E1) = 0, i.e. i_e' = 1 - Q1/Q_mu, from the same floats and
+    expressions. Rounding is monotone and (Q1/Q_mu)*(1 - H(E1)) <= Q1/Q_mu,
+    so i_e' <= i_e and the bound holds bit for bit. It skips the second
+    entropy and the records' checks, and refuses a protocol or detector
+    that bb84_secret_rate refuses, with its message.
     """
     (q_mu, e_mu, _, q1, _), p_mu = _bb84_yields(protocol, mu, length_km, detector, decoy)
-    r_raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, pulse_rate_hz, detector)
-    unclamped = r_raw * (i_ab - i_e)
+    raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)
+    unclamped = raw * (i_ab - i_e)
     return unclamped if unclamped > 0.0 else 0.0  # +0.0, as _breakdown clamps

@@ -227,14 +227,17 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                 mu_range: tuple[float, float] | tuple[float, float, int] = GridSpec().mu_range,
                 mu_floor: Optional[float] = None,
                 decoy: DecoyConfig = DecoyConfig()) -> MuOptimum:
-    """Maximize r_sec over mu at fixed (t, L).
+    """Maximize the secret rate over mu at fixed (t, L).
 
     Serves every protocol; the BB84 baselines ignore t_db, and decoy-BB84
-    sets its decoys by decoy's ratios to each mu. The search runs in
-    y = log10 mu: it rates a grid, then one Brent search refines its best
-    point (optimize.grid_then_golden_max), rating each grid mu at most once
-    and the range's ends exactly. Without mu_floor the grid is the log grid
-    of mu_range = (lo, hi, points): below the grey floor r_sec can have two
+    sets its decoys by decoy's ratios to each mu. The search scores and
+    bounds per-pulse rates, so mu_opt, found and per_pulse do not depend on
+    pulse_rate_hz, which only scales the result: r_sec_hz = per_pulse*f is
+    the product secret_rate forms at mu_opt. The search runs in y = log10
+    mu: it rates a grid, then one Brent search refines its best point
+    (optimize.grid_then_golden_max), rating each grid mu at most once and
+    the range's ends exactly. Without mu_floor the grid is the log grid of
+    mu_range = (lo, hi, points): below the grey floor the rate can have two
     peaks, which the grid tells apart. Every grid mu's rate is first bounded
     from above: for an SR protocol by the rate at Eve's better b edge
     (attack.edge_information, which her maximum never falls below), for a
@@ -245,7 +248,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     mu is the only grid mu rated.
 
     mu_floor restricts the search from below, to stay out of the
-    grey-monitoring region. Above the floor r_sec has one peak, so the
+    grey-monitoring region. Above the floor the rate has one peak, so the
     grid of a floored search is its two ends, max(lo, mu_floor) and hi, and
     mu_range may be the pair (lo, hi). Where that search finds no positive
     rate, a log grid of 40 points per decade (2 to 401 points) over the
@@ -281,13 +284,14 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
                                length_km=length_km, pulse_rate_hz=pulse_rate_hz)
 
         def objective(y: float) -> float:
-            return secret_rate(setup_at(y), detector, decoy=decoy).r_sec
+            return secret_rate(setup_at(y), detector, decoy=decoy).per_pulse
 
         def rate_bound(y: float) -> float:
             if protocol.uses_reference_pulse:
                 setup = setup_at(y)
-                return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
-            return bb84_rate_bound(protocol, mu_at(y), length_km, pulse_rate_hz, detector, decoy)
+                return sr_secret_rate(setup, detector,
+                                      edge_information(setup, detector)).per_pulse
+            return bb84_rate_bound(protocol, mu_at(y), length_km, detector, decoy)
 
         y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)
         if r_best <= 0.0 and mu_floor is not None and lo < hi:
@@ -298,7 +302,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
         return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=math.nan,
                          r_sec_hz=0.0, per_pulse=0.0, found=False)
     return MuOptimum(length_km=length_km, t_db=t_db, mu_opt=mu_at(y_best),
-                     r_sec_hz=r_best, per_pulse=r_best / pulse_rate_hz, found=True)
+                     r_sec_hz=r_best * pulse_rate_hz, per_pulse=r_best, found=True)
 
 
 def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],

@@ -6,11 +6,14 @@ package computes these residuals, nor a from (b, mu, eta, mu', delta);
 tests compute them here to check the points the package returns. Arguments
 are the finite values the tests pass, so nothing here validates them,
 except that ``amplification`` refuses a b without a unitarity solution.
+``bb84_pns_bounds`` is the checked record of standard BB84's
+photon-number-splitting bounds, which the package uses as bare floats.
 """
 
 import math
 
 from srqkd.attack import _expm1, _setup_terms
+from srqkd.rates import Bb84Yields, _pns_yields
 
 
 def success_probability(eta: float, mu_prime: float, delta: float) -> float:
@@ -44,3 +47,12 @@ def b_interval(setup, detector) -> tuple[float, float]:
     """Feasible attenuation interval (b_min, b_max) of a setup's attack."""
     terms = _setup_terms(setup, detector)
     return terms.b_min, terms.b_max
+
+
+def bb84_pns_bounds(setup, detector) -> Bb84Yields:
+    """Single-photon bounds for standard BB84 under photon-number splitting.
+
+    The Bb84Yields record of rates._pns_yields' floats, so the record's
+    checks run on them; it refuses a detector without 0 < eta < 1.
+    """
+    return Bb84Yields(*_pns_yields(setup.mu, detector, setup.length_km))

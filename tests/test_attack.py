@@ -344,6 +344,18 @@ def test_attack_point_refuses_out_of_range_fields(field, value, message):
         AttackPoint(**{**_VALID_POINT, field: value})
 
 
+def test_attack_point_refuses_an_infeasible_b(detector):
+    # Deep in the grey region a b inside [b_min, b_max] can still have no
+    # unitarity solution: at b_min here the objective is -inf, and
+    # attack_point refuses that b instead of building a point.
+    setup = SetupConfig(protocol=Protocol.B92_SR, mu=20000.0, t_db=0.0, length_km=100.0,
+                        pulse_rate_hz=5e6)
+    terms = _setup_terms(setup, detector)
+    assert terms.b_min < terms.b_max and _information(terms.b_min, terms) == -math.inf
+    with pytest.raises(ValueError, match="infeasible: unitarity has no solution"):
+        attack_point(terms.b_min, setup, detector)
+
+
 def test_point_p_and_a_are_the_reference_functions():
     # The points read p from the per-setup terms, not from
     # success_probability; both must still give the same float, and a is

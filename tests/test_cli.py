@@ -399,6 +399,24 @@ def test_overflowing_fail_weight_exits_0(capsys, argv):
     assert cells["flags"] == {"rate": "grey-region;clamped", "attack": "grey-region"}[argv[0]]
 
 
+def _overflowing_handler(config, args):
+    raise OverflowError("math range error")
+
+
+@pytest.mark.parametrize("handler, message", [
+    (lambda config, args: [{"mu": config.mu, "r_sec_hz": math.inf}],
+     "non-finite value in output"),
+    (_overflowing_handler, "math range error"),
+], ids=["inf-row", "overflow"])
+def test_numerical_failure_exits_2(capsys, monkeypatch, handler, message):
+    # No input is known to reach exit 2, so a fake handler stands in for a
+    # command whose result is not finite: nothing goes to stdout.
+    monkeypatch.setitem(cli._COMMANDS, "rate", (handler, cli._COMMANDS["rate"][1]))
+    code, out, err = _run(["rate"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"numerical failure: {message}"), err
+
+
 @pytest.mark.parametrize("protocol", ["bb84-decoy", "bb84-standard"])
 @pytest.mark.parametrize("command", ["sweep-mu-t", "rate-vs-t"])
 def test_sr_sweep_of_bb84_exits_1(capsys, command, protocol):

@@ -87,7 +87,8 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
     # that finds no positive rate searches once more on its fallback grid
     # (40 points per decade), which is held to as well. Each grid rate is
     # recomputed, and every grid the search scored is bounded: each of its
-    # mu has a rate at most the bound that let the search leave it unrated.
+    # mu has a per-pulse rate at most the bound that let the search leave it
+    # unrated.
     grids, bounds, search = [], [], sweeps.grid_then_golden_max
 
     def recording(f, xs, bound=None):
@@ -136,12 +137,12 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
             setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length,
                                 pulse_rate_hz=5e6)
             checks[floor is not None] += 1
-            rate = secret_rate(setup, detector).r_sec
-            assert _no_less(rate, opt.r_sec_hz), (protocol, length, t_db, floor, mu)
+            rate = secret_rate(setup, detector)
+            assert _no_less(rate.r_sec, opt.r_sec_hz), (protocol, length, t_db, floor, mu)
             if bound_at is not None:
                 bound, y = bound_at
                 bounded[protocol.uses_reference_pulse] += 1
-                assert rate <= bound(y), (protocol, length, t_db, floor, mu)
+                assert rate.per_pulse <= bound(y), (protocol, length, t_db, floor, mu)
     assert min(bounded.values()) > 400, bounded
     assert min(checks.values()) > 500, checks
 

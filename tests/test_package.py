@@ -61,15 +61,14 @@ def test_src_defines_no_test_only_function():
     # name elsewhere in src/; a reference function that only tests need
     # lives in tests/oracles.py. The exceptions are library entry points
     # that no module calls: attack_point (one b's full parameter set,
-    # criterion 4), decoy_bounds (criterion 8) and its standard-BB84 twin
-    # bb84_pns_bounds, which returns the same record.
+    # criterion 4) and decoy_bounds (criterion 8).
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     defined = {node.name for path, tree in trees.items() if path.name != "__init__.py"
                for node in tree.body if isinstance(node, ast.FunctionDef)}
     loaded = {n.id for tree in trees.values() for node in tree.body for n in ast.walk(node)
               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
               and not (isinstance(node, ast.FunctionDef) and node.name == n.id)}
-    assert defined - loaded == {"attack_point", "decoy_bounds", "bb84_pns_bounds"}
+    assert defined - loaded == {"attack_point", "decoy_bounds"}
 
 
 def _imports(path: Path, module_level: bool = False) -> list[tuple[str, str]]:
@@ -200,6 +199,32 @@ def test_grid_search_scores_in_one_loop():
     assert [len(_calls(n, "f")) for n in (node, collapsed, loop)] == [2, 1, 1]
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert not [n for n in ast.walk(node) if isinstance(n, comprehensions) and _calls(n, "f")]
+
+
+def test_pulse_rate_enters_the_rate_chain_once():
+    # The rate chain works per pulse. In rates the pulse rate is read only by
+    # _breakdown, which forms each Hz value as one product with it, and the
+    # mu search scores and bounds per-pulse rates, so no mu depends on it.
+    src = SOURCES[0].parent
+    tree = ast.parse((src / "rates.py").read_text(encoding="utf-8"))
+    (breakdown,) = [n for n in tree.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "_breakdown"]
+    inside = {id(n) for n in ast.walk(breakdown)}
+    passed = {id(arg) for call in _calls(tree, "_breakdown") for arg in call.args
+              if ast.unparse(arg) == "setup.pulse_rate_hz"}
+    named = [n for n in ast.walk(tree) if "pulse_rate_hz" in (
+        getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "arg", None))]
+    assert len(passed) == 2
+    assert [n.lineno for n in named if id(n) not in inside | passed] == []
+    for function in (srqkd.rates._gllp, srqkd.rates.bb84_rate_bound):
+        assert "pulse_rate_hz" not in inspect.signature(function).parameters
+    search = _function(src / "sweeps.py", "optimize_mu")
+    closures = [n for n in ast.walk(search) if isinstance(n, ast.FunctionDef)
+                and n.name in ("objective", "rate_bound")]
+    assert len(closures) == 2
+    for closure in closures:
+        attrs = {n.attr for n in ast.walk(closure) if isinstance(n, ast.Attribute)}
+        assert "pulse_rate_hz" not in _names(closure) | attrs, closure.name
 
 
 def test_attack_objective_makes_no_python_call_per_b():

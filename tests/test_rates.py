@@ -1,5 +1,6 @@
 """Secret-rate models: SR breakdowns, BB84 gains, PNS and decoy bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from srqkd import (
     RateBreakdown,
     SetupConfig,
     bb84_gain_error,
-    bb84_pns_bounds,
     bb84_secret_rate,
     decoy_bounds,
     maximize_eve_information,
@@ -24,6 +24,8 @@ from srqkd import (
     transmittance,
 )
 from srqkd.rates import bb84_rate_bound
+
+from oracles import bb84_pns_bounds
 
 # Frozen against Y0 + 1 - exp(-eta*mu*T) evaluated by hand at mu=0.1, L=20km.
 Q_REF_01_20 = 0.007970529507673872
@@ -213,8 +215,9 @@ def test_rate_breakdown_validation():
 
 
 def test_underflowing_rate_is_zero_not_refused(detector):
-    # At a subnormal pulse rate r_raw*(i_ab - i_e) rounds to 0 although
-    # i_ab > i_e: the rate is +0.0, unflagged, and not refused.
+    # At a subnormal pulse rate per_pulse*f rounds to 0 although i_ab > i_e:
+    # the rate in Hz is +0.0, unflagged, and not refused, beside the exact
+    # per-pulse rate, which no pulse rate moves.
     for protocol, mu, pulse_rate_hz in ((Protocol.B92_SR, 0.3, 4e-323),
                                         (Protocol.BB84_STANDARD, 0.45, 1e-322),
                                         (Protocol.BB84_DECOY, 0.9, 1e-322)):
@@ -222,8 +225,10 @@ def test_underflowing_rate_is_zero_not_refused(detector):
                             pulse_rate_hz=pulse_rate_hz)
         out = secret_rate(setup, detector)
         assert out.r_raw > 0.0 and out.i_ab > out.i_e, protocol
-        assert out.r_sec_unclamped == 0.0 and out.r_sec == 0.0 == out.per_pulse
+        assert out.r_sec_unclamped == 0.0 and out.r_sec == 0.0
         assert math.copysign(1.0, out.r_sec) == 1.0
+        at_1_hz = secret_rate(dataclasses.replace(setup, pulse_rate_hz=1.0), detector)
+        assert out.per_pulse == at_1_hz.per_pulse == at_1_hz.r_sec > 0.0, protocol
     # The record still refuses a zero r_sec beside a positive product, and a
     # positive r_sec with i_ab <= i_e.
     with pytest.raises(ValueError, match="vanish exactly"):
@@ -272,30 +277,32 @@ def _wide_bb84_draws(n, seed):
 
 
 def test_bb84_rate_bound_is_the_rate_with_error_free_single_photons():
-    # The bound is bb84_secret_rate's rate with H(E1) = 0, bit for bit from
-    # the records' floats, so it is never below the rate.
+    # The bound is bb84_secret_rate's per-pulse rate with H(E1) = 0, bit for
+    # bit from the records' floats, so it is never below the rate.
     positive = loose = 0
     for setup, detector, decoy in _wide_bb84_draws(3000, 20261020):
         out = bb84_secret_rate(setup, detector, decoy)
-        bound = bb84_rate_bound(setup.protocol, setup.mu, setup.length_km,
-                                setup.pulse_rate_hz, detector, decoy)
-        yields = (bb84_pns_bounds(setup, detector) if setup.protocol is Protocol.BB84_STANDARD
-                  else decoy_bounds(setup.mu, decoy, detector, setup.length_km))
+        bound = bb84_rate_bound(setup.protocol, setup.mu, setup.length_km, detector, decoy)
+        if setup.protocol is Protocol.BB84_STANDARD:
+            yields, p_mu = bb84_pns_bounds(setup, detector), 1.0
+        else:
+            yields = decoy_bounds(setup.mu, decoy, detector, setup.length_km)
+            p_mu = decoy.p_mu
         i_e = 1.0 - yields.q1_lower / yields.q_mu if yields.q_mu > 0.0 else 1.0
-        unclamped = out.r_raw * (out.i_ab - i_e)
+        unclamped = 0.5 * p_mu * yields.q_mu * (out.i_ab - i_e)
         assert bound == (unclamped if unclamped > 0.0 else 0.0)
         assert math.copysign(1.0, bound) == 1.0
-        assert bound >= out.r_sec, (setup, detector, decoy)
-        positive += out.r_sec > 0.0
-        loose += bound > out.r_sec
+        assert bound >= out.per_pulse, (setup, detector, decoy)
+        positive += out.per_pulse > 0.0
+        loose += bound > out.per_pulse
     assert positive > 200 and loose > 200, (positive, loose)
     # It refuses what the rate refuses.
     setup = SetupConfig(protocol=Protocol.BB84_STANDARD, mu=0.3, t_db=65.0,
                         length_km=10.0, pulse_rate_hz=5e6)
     with pytest.raises(ValueError, match="0 < eta < 1"):
-        bb84_rate_bound(setup.protocol, 0.3, 10.0, 5e6, DetectorConfig(eta=1.0))
+        bb84_rate_bound(setup.protocol, 0.3, 10.0, DetectorConfig(eta=1.0))
     with pytest.raises(ValueError, match="BB84 baseline"):
-        bb84_rate_bound(Protocol.B92_SR, 0.3, 10.0, 5e6, DetectorConfig())
+        bb84_rate_bound(Protocol.B92_SR, 0.3, 10.0, DetectorConfig())
 
 
 def test_decoy_bounds_work_out_the_transmittance_once(monkeypatch, detector):

@@ -165,6 +165,23 @@ def test_optimize_mu_floor_above_range(detector):
     assert opt.r_sec_hz == 0.0
 
 
+def test_optimize_mu_does_not_depend_on_the_pulse_rate(detector):
+    # The pulse rate f only scales the rate: the search scores per-pulse
+    # rates, so mu_opt, found and per_pulse are the same floats at any f,
+    # subnormal or huge, and r_sec_hz is per_pulse*f.
+    searches = [(protocol, length, None) for protocol in Protocol for length in (10.0, 40.0)]
+    searches += [(protocol, length, grey_region_mu_floor(length, 65.0, detector))
+                 for protocol in (Protocol.B92_SR, Protocol.BB84_SR) for length in (10.0, 40.0)]
+    for protocol, length, floor in searches:
+        results = []
+        for f in (1e-322, 1.0, 5e6, 1e300):
+            opt = optimize_mu(length, 65.0, detector, protocol=protocol, pulse_rate_hz=f,
+                              mu_range=COARSE_MU, mu_floor=floor)
+            assert opt.found and opt.r_sec_hz == opt.per_pulse * f, (protocol, length, f)
+            results.append((opt.mu_opt, opt.found, opt.per_pulse))
+        assert results == results[:1] * 4, (protocol, length, floor)
+
+
 def test_floored_optimize_mu_matches_dense_scan():
     # Above the grey floor r_sec has one peak, so one Brent search between
     # the two ends finds it: no point of a dense log scan (both ends exact)
