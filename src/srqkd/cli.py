@@ -69,6 +69,15 @@ _CHANNEL_KEYS = ("mu", "t_db", "length_km", "eta", *_MONITOR_KEYS)  # fix mu' an
 _SWEEP_KEYS = ("protocol", "length_km", "pulse_rate_hz", *_DETECTOR_KEYS)  # rates at one L
 # simulate reads these only under the soft-filter attack, whose optimum depends on delta.
 _SOFT_FILTER_KEYS = ("t_db", *_MONITOR_KEYS)
+# The keys each protocol's rate ignores: BB84 has no reference pulse, and only
+# decoy-BB84 has decoys. rate and optimize-mu still read t_db, which their rows echo.
+_NO_REFERENCE_KEYS = ("t_db", *_MONITOR_KEYS)
+_IGNORED_KEYS = {
+    Protocol.B92_SR: _DECOY_KEYS,
+    Protocol.BB84_SR: _DECOY_KEYS,
+    Protocol.BB84_STANDARD: _NO_REFERENCE_KEYS + _DECOY_KEYS,
+    Protocol.BB84_DECOY: _NO_REFERENCE_KEYS,
+}
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,23 @@ def _record(obj) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands: each returns its rows, whose keys are the columns
 
+def _refuse_flags(args, keys, why: str):
+    """Refuse the flags given for ``keys``, which have no effect, in one error."""
+    given = ["--" + key.replace("_", "-") for key in _FIELD_TYPES
+             if key in keys and getattr(args, key, None) is not None]
+    if given:
+        raise ValueError(f"{' '.join(given)}: no effect with {why}")
+
+
+def _refuse_ignored(config: RunConfig, args):
+    """rate's and optimize-mu's refusal of the flags their protocol ignores."""
+    protocol = Protocol(config.protocol)
+    ignored = set(_IGNORED_KEYS[protocol]) - {"t_db"}
+    _refuse_flags(args, ignored, f"protocol {protocol.value}")
+
+
 def _cmd_rate(config: RunConfig, args) -> list[dict]:
+    _refuse_ignored(config, args)
     setup, detector = config.setup(), config.detector()
     if setup.protocol.uses_reference_pulse:
         return [_record(evaluate_sr_point(setup, detector))]
@@ -268,6 +293,7 @@ def _cmd_sweep_mu_t(config: RunConfig, args) -> list[dict]:
 
 
 def _cmd_optimize_mu(config: RunConfig, args) -> list[dict]:
+    _refuse_ignored(config, args)
     return [_record(optimize_mu(config.length_km, config.t_db, config.detector(),
                                 protocol=Protocol(config.protocol),
                                 pulse_rate_hz=config.pulse_rate_hz,
@@ -285,6 +311,9 @@ def _cmd_rate_vs_t(config: RunConfig, args) -> list[dict]:
 
 def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
     protocols = [Protocol(p.strip()) for p in args.protocols.split(",") if p.strip()]
+    if protocols:  # rate_vs_distance refuses an empty list
+        ignored = set.intersection(*(set(_IGNORED_KEYS[p]) for p in protocols))
+        _refuse_flags(args, ignored, "protocols " + ",".join(p.value for p in protocols))
     comparison = rate_vs_distance(protocols, config.detector(),
                                   config.grid().l_values(), t_db=config.t_db,
                                   pulse_rate_hz=config.pulse_rate_hz,
@@ -303,18 +332,12 @@ def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
 
 def _cmd_simulate(config: RunConfig, args) -> list[dict]:
     kind = AttackKind(config.attack)
-    unread = ["--" + key.replace("_", "-") for key in _SOFT_FILTER_KEYS
-              if getattr(args, key) is not None]
-    if kind is not AttackKind.SOFT_FILTER and unread:
-        raise ValueError(f"{' '.join(unread)}: no effect with attack {kind.value},"
-                         f" only with {AttackKind.SOFT_FILTER.value}")
-    setup, detector = config.setup(), config.detector()
-    point = None
-    if kind is AttackKind.SOFT_FILTER:
-        point = maximize_eve_information(setup, detector).best
+    if kind is not AttackKind.SOFT_FILTER:
+        _refuse_flags(args, _SOFT_FILTER_KEYS,
+                      f"attack {kind.value}, only with {AttackKind.SOFT_FILTER.value}")
     sim = SimConfig(n_pulses=config.n_pulses, seed=config.seed, attack=kind,
-                    attack_point=point, double_click=config.double_click)
-    result = simulate(setup, detector, sim)
+                    double_click=config.double_click)
+    result = simulate(config.setup(), config.detector(), sim)
     row = {
         "n_pulses": result.n_pulses, "seed": config.seed, "attack": kind.value,
         "double_click": DoubleClickPolicy(config.double_click).value,

@@ -6,7 +6,8 @@ expressions average over: a conclusive signal click with probability
 plus an independent dark count on each of the two detectors. It exists to
 cross-check those closed forms and the rate-preservation property of the
 soft-filtering attack by sampling, so it deliberately shares no code with
-them beyond the channel attenuation.
+them beyond the channel attenuation. A soft-filter run samples Eve's optimum
+for the setup it is given, from attack.maximize_eve_information.
 
 The four events of a pulse are independent Bernoulli draws, so the counts
 of n pulses over their 16 joint patterns are one multinomial draw, and a
@@ -23,9 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Optional
 
-from .attack import AttackPoint
+from .attack import maximize_eve_information
 from .physics import DetectorConfig, SetupConfig, derive_channel
 
 # NumPy's binomial and multinomial take the pulse count as an int64.
@@ -49,7 +49,6 @@ class SimConfig:
     n_pulses: int
     seed: int
     attack: AttackKind = AttackKind.NONE
-    attack_point: Optional[AttackPoint] = None
     double_click: DoubleClickPolicy = DoubleClickPolicy.DISCARD
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class SimConfig:
             raise ValueError(f"n_pulses must be in [1, {_MAX_PULSES}], got {self.n_pulses}")
         object.__setattr__(self, "attack", AttackKind(self.attack))
         object.__setattr__(self, "double_click", DoubleClickPolicy(self.double_click))
-        if (self.attack is AttackKind.SOFT_FILTER) != (self.attack_point is not None):
-            raise ValueError("attack_point is required for soft-filter and only then")
 
 
 @dataclass(frozen=True)
@@ -125,16 +122,15 @@ def simulate(setup: SetupConfig, detector: DetectorConfig, config: SimConfig) ->
     """Run the Monte-Carlo model and aggregate counts with Wilson intervals."""
     import numpy as np
 
-    channel = derive_channel(setup, detector)
     rng = np.random.default_rng(config.seed)
     n = config.n_pulses
     if config.attack is AttackKind.SOFT_FILTER:
-        point = config.attack_point
+        point = maximize_eve_information(setup, detector).best
         n_success = int(rng.binomial(n, point.p))
         branches = ((n_success, point.beta_s_sq), (n - n_success, point.beta_f_sq))
     else:
         # Beam splitting forwards exactly mu' as well; Bob sees no difference.
-        branches = ((n, channel.mu_prime),)
+        branches = ((n, derive_channel(setup, detector).mu_prime),)
 
     conclusive, errors, doubles = map(sum, zip(
         *(_sample_branch(rng, size, intensity, detector) for size, intensity in branches)))

@@ -161,8 +161,9 @@ def test_config_seed_is_exact(capsys, tmp_path):
 
 
 # One valid value other than the default for each RunConfig key; a base config
-# on small grids keeps each run short. Each command runs from one or two base
-# configs: a key it reads changes its output on at least one of them.
+# on small grids keeps each run short. Each command runs from one or more base
+# configs: a key it reads changes its output on at least one of them. The
+# commands that dispatch on protocol run from one base per protocol.
 _KEY_BASE = {"mu_points": "4", "t_lo": "40", "t_hi": "80", "t_points": "2",
              "l_hi": "40", "l_points": "2", "n_pulses": "1000000000",
              "format": "json"}
@@ -175,17 +176,23 @@ _KEY_OTHER = {
     "l_hi": "30", "l_points": "3", "n_pulses": "2000000000", "seed": "7", "attack": "beam-split",
     "double_click": "random-bit", "format": "csv",
 }
+# A base protocol's other value: the other SR protocol, or the other BB84 baseline.
+_OTHER_PROTOCOL = {"b92-sr": "bb84-sr", "bb84-sr": "b92-sr",
+                   "bb84-standard": "bb84-decoy", "bb84-decoy": "bb84-standard"}
+_PER_PROTOCOL = [((), {"protocol": protocol}) for protocol in _OTHER_PROTOCOL]
+# Each command's runs: (its argv after the config, its base config).
 _KEY_RUNS = {
-    "rate": ((), ({"protocol": "b92-sr"}, {"protocol": "bb84-decoy"})),
-    "attack": ((), ({},)),
-    "sweep-mu-t": ((), ({},)),
-    "optimize-mu": ((), ({"protocol": "b92-sr"}, {"protocol": "bb84-decoy"})),
-    "rate-vs-t": ((), ({},)),
-    "rate-vs-distance": (("--protocols", "b92-sr,bb84-decoy"), ({},)),
-    "min-srp": ((), ({},)),
-    "simulate": ((), ({"attack": "soft-filter"}, {"attack": "none"})),
-    "povm-check": ((), ({},)),
-    "train-capacity": (("--storage-km", "10"), ({},)),
+    "rate": _PER_PROTOCOL,
+    "attack": [((), {})],
+    "sweep-mu-t": [((), {})],
+    "optimize-mu": _PER_PROTOCOL,
+    "rate-vs-t": [((), {})],
+    "rate-vs-distance": [(("--protocols", protocols), {}) for protocols in (
+        *_OTHER_PROTOCOL, "bb84-standard,bb84-decoy", "b92-sr,bb84-decoy")],
+    "min-srp": [((), {})],
+    "simulate": [((), {"attack": "soft-filter"}), ((), {"attack": "none"})],
+    "povm-check": [((), {})],
+    "train-capacity": [(("--storage-km", "10"), {})],
 }
 
 
@@ -201,25 +208,36 @@ def _key_flags(command):
 
 @pytest.mark.parametrize("command", sorted(_KEY_RUNS))
 def test_flags_are_the_keys_each_command_reads(tmp_path, command):
+    # A command takes a flag for each key it reads, and refuses a flag whose
+    # key leaves the output of that run unchanged (simulate's other attacks,
+    # a protocol's ignored keys). A config file may hold any key.
     assert sorted(_KEY_OTHER) == sorted(f.name for f in dataclasses.fields(RunConfig))
-    argv, bases = _KEY_RUNS[command]
+    flags = _key_flags(command)
     cfg_file = tmp_path / "run.cfg"
 
-    def run(values):
+    def run(values, *extra):
         cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        return _run_captured([command, "--config", str(cfg_file), *argv])
+        return _run_captured([command, "--config", str(cfg_file), *argv, *extra])
 
     read = set()
-    for base in bases:
+    for argv, base in _KEY_RUNS[command]:
         base = {**_KEY_BASE, **base}
         before = run(base)
         assert before[0] == 0, before
         for key, other in _KEY_OTHER.items():
-            if base.get(key) == "bb84-decoy":
-                other = "bb84-standard"  # the other BB84 baseline
-            if run({**base, key: other}) != before:
+            if key == "protocol" and key in base:
+                other = _OTHER_PROTOCOL[base[key]]
+            changed = run({**base, key: other})
+            if changed != before:
                 read.add(key)
-    flags = _key_flags(command)
+            if key not in flags:
+                continue
+            code, out, err = flag_run = run(base, flags[key][0], other)
+            if changed == before:
+                assert (code, out) == (1, "") and err.startswith(
+                    f"error: {flags[key][0]}: no effect with "), (argv, base, key, err)
+            else:
+                assert flag_run == changed, (argv, base, key)
     assert set(flags) == read
     spelled = {"pulse_rate_hz": ["--rate-hz"]} if command == "train-capacity" else {}
     assert flags == {key: spelled.get(key, ["--" + key.replace("_", "-")]) for key in flags}
@@ -509,14 +527,16 @@ def test_sweep_row_count(capsys):
 
 @pytest.mark.parametrize("protocol", ["bb84-standard", "bb84-decoy"])
 def test_optimize_mu_bb84_matches_rate_vs_distance_row(capsys, protocol):
+    # Only decoy-BB84 takes the decoy keys as flags.
     grid = ["--mu-points", "11", "--format", "json"]
-    code, out, _ = _run(["optimize-mu", "--protocol", protocol, "--length-km", "20",
-                         "--nu1-ratio", "0.1", "--p-mu", "0.9"] + grid, capsys)
+    if protocol == "bb84-decoy":
+        grid += ["--nu1-ratio", "0.1", "--p-mu", "0.9"]
+    code, out, _ = _run(["optimize-mu", "--protocol", protocol, "--length-km", "20"] + grid,
+                        capsys)
     assert code == 0
     (opt,) = json.loads(out)
     code, out, _ = _run(["rate-vs-distance", "--protocols", protocol, "--l-lo", "20",
-                         "--l-hi", "40", "--l-points", "2",
-                         "--nu1-ratio", "0.1", "--p-mu", "0.9"] + grid, capsys)
+                         "--l-hi", "40", "--l-points", "2"] + grid, capsys)
     assert code == 0
     row = json.loads(out)[0]
     assert opt["found"] is True
@@ -906,6 +926,11 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     commands += [("simulate", "--attack", "none", "--t-db", "50", "--nep", "1e-11"),
                  ("simulate", "--attack", "beam-split", "--tau-s", "1e-9",
                   "--lambda-m", "1.3e-6")]
+    # rate, optimize-mu and rate-vs-distance refuse as flags the keys that
+    # every protocol they rate ignores.
+    commands += [("rate", "--nu1-ratio", "0.1"),
+                 ("rate", "--protocol", "bb84-standard", "--nep", "1e-11"),
+                 ("rate-vs-distance", "--protocols", "bb84-decoy", "--t-db", "70")]
     # A mu too small for the command, refused by name, and the nearest that is not.
     commands += [("povm-check", "--mu", "2e-17"), ("povm-check", "--mu", "2.78e-17"),
                  ("rate", "--mu", "1e-320"), ("rate", "--mu", "1e-310"),

@@ -273,8 +273,9 @@ def test_one_rule_for_unimodal_searches():
 
 def test_each_input_has_one_source():
     # Decoys are ratios of the setup's mu, min-srp has one mu policy
-    # (optimized at each t within mu_bounds; rate-vs-t holds mu fixed), and
-    # the grey flag is read from the solution's delta.
+    # (optimized at each t within mu_bounds; rate-vs-t holds mu fixed), the
+    # grey flag is read from the solution's delta, and simulate solves Eve's
+    # point for the setup it samples.
     assert [f.name for f in dataclasses.fields(srqkd.DecoyConfig)] == [
         "nu1_ratio", "nu2_ratio", "p_mu"]
     params = inspect.signature(srqkd.min_srp_photons).parameters
@@ -283,6 +284,8 @@ def test_each_input_has_one_source():
         "length_km", "criterion", "nu_threshold", "mu_at", "t_db_at", "r_sec_hz"]
     assert [f.name for f in dataclasses.fields(srqkd.attack.AttackSolution)] == [
         "best", "b_min", "b_max", "delta", "interval_empty"]
+    assert [f.name for f in dataclasses.fields(srqkd.SimConfig)] == [
+        "n_pulses", "seed", "attack", "double_click"]
 
 
 def test_sweeps_state_each_rule_once():
@@ -308,3 +311,17 @@ def test_sweeps_state_each_rule_once():
                if "GREY_REGION_DELTA" in _names(ast.parse(path.read_text(encoding="utf-8")))
                | {n for _, n in _imports(path)}}
     assert readers == {"physics.py"}
+
+
+def test_mutation_catalogue_matches_the_code():
+    # Each mutant's text is in its file exactly once, and its killers are
+    # tests that exist; tests/run_mutants.py runs the mutants themselves.
+    from mutants import MUTANTS
+
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.id
+        assert mutant.new != mutant.old and mutant.killers, mutant.id
+        for killer in mutant.killers:
+            path, _, name = killer.partition("::")
+            assert _function(ROOT / path, name.split("[")[0]), killer

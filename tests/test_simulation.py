@@ -4,6 +4,7 @@ The sampler draws pattern counts; ``_reference_counts`` is the per-pulse
 sampler it replaced, kept here as a distribution oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,13 +22,13 @@ from srqkd import (
     simulate,
     wilson_interval,
 )
-from srqkd.attack import AttackPoint
+from srqkd import simulation
 
 
 def _reference_counts(rng, n, setup, detector, config):
     """Per-pulse arrays of every event; returns (conclusive, errors)."""
     if config.attack is AttackKind.SOFT_FILTER:
-        point = config.attack_point
+        point = maximize_eve_information(setup, detector).best
         success = rng.random(n) < point.p
         intensity = np.where(success, point.beta_s_sq, point.beta_f_sq)
     else:
@@ -52,18 +53,20 @@ def _reference_counts(rng, n, setup, detector, config):
     return int(np.count_nonzero(conclusive)), int(np.count_nonzero(errors))
 
 
-# A filtering point that exercises both branches and the clip of a negative
-# forwarded intensity; the sampler reads only p, beta_s_sq and beta_f_sq.
-_FILTER_POINT = AttackPoint(b=0.5, p=0.7, a=2.0, beta_s_sq=0.6, beta_f_sq=-0.05,
-                            eps_s_sq=0.1, eps_f_sq=0.1, i_e=0.5)
+# A grey-region setup (delta 2.30) whose soft-filtering optimum sends pulses
+# down both branches, the failure branch at a negative intensity, so the
+# sampler's clip is reached. The attack reads only eta, mu' and delta, so
+# _NOISY has the same optimum.
+_GREY = SetupConfig(protocol=Protocol.B92_SR, mu=0.3, t_db=45.0, length_km=10.0,
+                    pulse_rate_hz=5e6)
 # Dark counts this frequent make double clicks common enough to test.
 _NOISY = DetectorConfig(p_dc=0.05, p_opt=0.1)
 
 
-def _sim_config(n, seed, attack, policy):
-    point = _FILTER_POINT if attack == AttackKind.SOFT_FILTER else None
-    return SimConfig(n_pulses=n, seed=seed, attack=attack, attack_point=point,
-                     double_click=policy)
+def _sim_case(n, seed, attack, policy, setup):
+    """The setup a run samples, the grey one under soft filtering, and its SimConfig."""
+    config = SimConfig(n_pulses=n, seed=seed, attack=attack, double_click=policy)
+    return (_GREY if config.attack is AttackKind.SOFT_FILTER else setup), config
 
 
 _ATTACKS = [kind.value for kind in AttackKind]
@@ -73,7 +76,7 @@ _POLICIES = [policy.value for policy in DoubleClickPolicy]
 def _expected_fractions(setup, detector, config):
     """Per-pulse (conclusive, error) probabilities of the detection model."""
     if config.attack is AttackKind.SOFT_FILTER:
-        point = config.attack_point
+        point = maximize_eve_information(setup, detector).best
         weights = ((point.p, point.beta_s_sq), (1.0 - point.p, point.beta_f_sq))
     else:
         weights = ((1.0, derive_channel(setup, detector).mu_prime),)
@@ -125,8 +128,6 @@ def test_sim_config_validation():
         SimConfig(n_pulses=0, seed=1)
     with pytest.raises(ValueError, match="n_pulses"):
         SimConfig(n_pulses=2**63, seed=1)
-    with pytest.raises(ValueError, match="attack_point"):
-        SimConfig(n_pulses=10, seed=1, attack=AttackKind.SOFT_FILTER)
     # String values coerce to the enums.
     cfg = SimConfig(n_pulses=10, seed=1, attack="beam-split", double_click="random-bit")
     assert cfg.attack is AttackKind.BEAM_SPLIT
@@ -178,9 +179,8 @@ def test_estimates_match_closed_forms_grid(detector):
 def test_soft_filter_preserves_bobs_rate(b92_setup, detector):
     """The attack is calibrated so Bob's conclusive rate is unchanged."""
     n = 2_000_000
-    sol = maximize_eve_information(b92_setup, detector)
     attacked = simulate(b92_setup, detector, SimConfig(
-        n_pulses=n, seed=77, attack=AttackKind.SOFT_FILTER, attack_point=sol.best))
+        n_pulses=n, seed=77, attack=AttackKind.SOFT_FILTER))
     quiet = simulate(b92_setup, detector, SimConfig(n_pulses=n, seed=78))
     expected = -math.expm1(-2.0 * detector.eta * derive_channel(b92_setup, detector).mu_prime)
     assert _sigma_distance(attacked.rate_hat, expected, n) < 3.5
@@ -199,10 +199,35 @@ def test_double_click_policies(b92_setup, detector):
     assert keep.conclusive_count - discard.conclusive_count < 50 * math.sqrt(n)
 
 
-def test_policies_share_draws_under_soft_filter(b92_setup):
+def test_grey_setup_reaches_both_branches_and_the_clip():
+    for detector_ in (DetectorConfig(), _NOISY):
+        point = maximize_eve_information(_GREY, detector_).best
+        assert 0.0 < point.p < 1.0
+        assert point.beta_f_sq < 0.0 < point.beta_s_sq
+
+
+@pytest.mark.parametrize("attack", _ATTACKS)
+def test_soft_filter_samples_eves_optimum_for_its_setup(monkeypatch, b92_setup, attack):
+    # Eve's point is solved for the setup being sampled, once per run, and
+    # only under the soft-filter attack.
+    calls = []
+
+    def maximizer(setup, detector):
+        calls.append((setup, detector))
+        return maximize_eve_information(setup, detector)
+
+    monkeypatch.setattr(simulation, "maximize_eve_information", maximizer)
+    for setup in (_GREY, b92_setup):
+        calls.clear()
+        simulate(setup, _NOISY, SimConfig(n_pulses=1000, seed=1, attack=attack))
+        assert calls == ([(setup, _NOISY)] if attack == "soft-filter" else [])
+
+
+def test_policies_share_draws_under_soft_filter():
     # The random-bit coin is the last draw, so at one seed random-bit adds
     # the double clicks, and some of them as errors, to discard's counts.
-    discard, keep = (simulate(b92_setup, _NOISY, _sim_config(100_000, 9, "soft-filter", policy))
+    discard, keep = (simulate(_GREY, _NOISY, SimConfig(n_pulses=100_000, seed=9,
+                                                       attack="soft-filter", double_click=policy))
                      for policy in _POLICIES)
     doubles = keep.conclusive_count - discard.conclusive_count
     assert doubles > 0
@@ -214,17 +239,17 @@ def test_policies_share_draws_under_soft_filter(b92_setup):
 def test_matches_per_pulse_reference(b92_setup, attack, policy):
     """Mean counts agree with the per-pulse sampler within 5 standard errors."""
     n, runs = 20_000, 300
+    setup, config = _sim_case(n, 0, attack, policy, b92_setup)
     fast = np.array([
         (res.conclusive_count, res.error_count) for res in (
-            simulate(b92_setup, _NOISY, _sim_config(n, seed, attack, policy))
+            simulate(setup, _NOISY, dataclasses.replace(config, seed=seed))
             for seed in range(runs))])
-    config = _sim_config(n, 0, attack, policy)
-    slow = np.array([_reference_counts(np.random.default_rng(10_000 + seed), n, b92_setup,
+    slow = np.array([_reference_counts(np.random.default_rng(10_000 + seed), n, setup,
                                        _NOISY, config) for seed in range(runs)])
     stderr = np.sqrt((fast.var(axis=0, ddof=1) + slow.var(axis=0, ddof=1)) / runs)
     assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0)) < 5.0 * stderr)
     # The mean also sits on the closed forms.
-    expected = n * np.array(_expected_fractions(b92_setup, _NOISY, config))
+    expected = n * np.array(_expected_fractions(setup, _NOISY, config))
     assert np.all(np.abs(fast.mean(axis=0) - expected) < 5.0 * stderr)
 
 
@@ -232,10 +257,10 @@ def test_matches_per_pulse_reference(b92_setup, attack, policy):
 def test_trillion_pulses_match_closed_forms(b92_setup, detector_, address_space_cap):
     # A per-pulse sampler could not finish this run.
     n = 10**12
-    for config in (_sim_config(n, 2024, attack, policy)
-                   for attack in _ATTACKS for policy in _POLICIES):
-        res = simulate(b92_setup, detector_, config)
-        p_conclusive, p_error = _expected_fractions(b92_setup, detector_, config)
+    for setup, config in (_sim_case(n, 2024, attack, policy, b92_setup)
+                          for attack in _ATTACKS for policy in _POLICIES):
+        res = simulate(setup, detector_, config)
+        p_conclusive, p_error = _expected_fractions(setup, detector_, config)
         for count, p in ((res.conclusive_count, p_conclusive), (res.error_count, p_error)):
             assert abs(count - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p)), config
 
