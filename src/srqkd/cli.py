@@ -5,7 +5,8 @@ keys match the RunConfig fields below; command-line flags override file
 values, which override the library's defaults (DetectorConfig, GridSpec,
 the sweeps' pulse rate and attenuation). The SRQKD_CONFIG environment
 variable names a default config file. A file may hold any key; a subcommand
-takes unabbreviated flags for exactly the keys it reads (_COMMANDS).
+takes unabbreviated flags for exactly the keys it reads (_COMMANDS), and
+refuses those its attack or protocol ignores (_IGNORED_KEYS).
 
 Each row is the record the library returns (SweepRow, MuOptimum,
 DistancePoint, MinSrpResult; the attack row spreads AttackPoint), written
@@ -67,16 +68,16 @@ _L_AXIS = ("l_lo", "l_hi", "l_points")
 _SIMULATOR_KEYS = ("n_pulses", "seed", "attack", "double_click")
 _CHANNEL_KEYS = ("mu", "t_db", "length_km", "eta", *_MONITOR_KEYS)  # fix mu' and delta
 _SWEEP_KEYS = ("protocol", "length_km", "pulse_rate_hz", *_DETECTOR_KEYS)  # rates at one L
-# simulate reads these only under the soft-filter attack, whose optimum depends on delta.
-_SOFT_FILTER_KEYS = ("t_db", *_MONITOR_KEYS)
-# The keys each protocol's rate ignores: BB84 has no reference pulse, and only
-# decoy-BB84 has decoys. rate and optimize-mu still read t_db, which their rows echo.
-_NO_REFERENCE_KEYS = ("t_db", *_MONITOR_KEYS)
+# Read only through the reference pulse's delta: simulate reads these only under
+# the soft-filter attack, whose optimum depends on delta, and BB84 rates never.
+_DELTA_KEYS = ("t_db", *_MONITOR_KEYS)
+# The keys each protocol's rate ignores; only decoy-BB84 has decoys. rate and
+# optimize-mu still read t_db, which their rows echo.
 _IGNORED_KEYS = {
     Protocol.B92_SR: _DECOY_KEYS,
     Protocol.BB84_SR: _DECOY_KEYS,
-    Protocol.BB84_STANDARD: _NO_REFERENCE_KEYS + _DECOY_KEYS,
-    Protocol.BB84_DECOY: _NO_REFERENCE_KEYS,
+    Protocol.BB84_STANDARD: _DELTA_KEYS + _DECOY_KEYS,
+    Protocol.BB84_DECOY: _DELTA_KEYS,
 }
 
 
@@ -333,7 +334,7 @@ def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
 def _cmd_simulate(config: RunConfig, args) -> list[dict]:
     kind = AttackKind(config.attack)
     if kind is not AttackKind.SOFT_FILTER:
-        _refuse_flags(args, _SOFT_FILTER_KEYS,
+        _refuse_flags(args, _DELTA_KEYS,
                       f"attack {kind.value}, only with {AttackKind.SOFT_FILTER.value}")
     sim = SimConfig(n_pulses=config.n_pulses, seed=config.seed, attack=kind,
                     double_click=config.double_click)

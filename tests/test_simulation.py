@@ -4,7 +4,6 @@ The sampler draws pattern counts; ``_reference_counts`` is the per-pulse
 sampler it replaced, kept here as a distribution oracle.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -63,10 +62,13 @@ _GREY = SetupConfig(protocol=Protocol.B92_SR, mu=0.3, t_db=45.0, length_km=10.0,
 _NOISY = DetectorConfig(p_dc=0.05, p_opt=0.1)
 
 
-def _sim_case(n, seed, attack, policy, setup):
-    """The setup a run samples, the grey one under soft filtering, and its SimConfig."""
-    config = SimConfig(n_pulses=n, seed=seed, attack=attack, double_click=policy)
-    return (_GREY if config.attack is AttackKind.SOFT_FILTER else setup), config
+def _sim_config(n, seed, attack, policy):
+    return SimConfig(n_pulses=n, seed=seed, attack=attack, double_click=policy)
+
+
+def _sampled(setup, attack):
+    """The setup a run of this attack samples: the grey one under soft filtering."""
+    return _GREY if attack == AttackKind.SOFT_FILTER else setup
 
 
 _ATTACKS = [kind.value for kind in AttackKind]
@@ -226,8 +228,7 @@ def test_soft_filter_samples_eves_optimum_for_its_setup(monkeypatch, b92_setup, 
 def test_policies_share_draws_under_soft_filter():
     # The random-bit coin is the last draw, so at one seed random-bit adds
     # the double clicks, and some of them as errors, to discard's counts.
-    discard, keep = (simulate(_GREY, _NOISY, SimConfig(n_pulses=100_000, seed=9,
-                                                       attack="soft-filter", double_click=policy))
+    discard, keep = (simulate(_GREY, _NOISY, _sim_config(100_000, 9, "soft-filter", policy))
                      for policy in _POLICIES)
     doubles = keep.conclusive_count - discard.conclusive_count
     assert doubles > 0
@@ -239,11 +240,12 @@ def test_policies_share_draws_under_soft_filter():
 def test_matches_per_pulse_reference(b92_setup, attack, policy):
     """Mean counts agree with the per-pulse sampler within 5 standard errors."""
     n, runs = 20_000, 300
-    setup, config = _sim_case(n, 0, attack, policy, b92_setup)
+    setup = _sampled(b92_setup, attack)
     fast = np.array([
         (res.conclusive_count, res.error_count) for res in (
-            simulate(setup, _NOISY, dataclasses.replace(config, seed=seed))
+            simulate(setup, _NOISY, _sim_config(n, seed, attack, policy))
             for seed in range(runs))])
+    config = _sim_config(n, 0, attack, policy)
     slow = np.array([_reference_counts(np.random.default_rng(10_000 + seed), n, setup,
                                        _NOISY, config) for seed in range(runs)])
     stderr = np.sqrt((fast.var(axis=0, ddof=1) + slow.var(axis=0, ddof=1)) / runs)
@@ -257,8 +259,9 @@ def test_matches_per_pulse_reference(b92_setup, attack, policy):
 def test_trillion_pulses_match_closed_forms(b92_setup, detector_, address_space_cap):
     # A per-pulse sampler could not finish this run.
     n = 10**12
-    for setup, config in (_sim_case(n, 2024, attack, policy, b92_setup)
-                          for attack in _ATTACKS for policy in _POLICIES):
+    for config in (_sim_config(n, 2024, attack, policy)
+                   for attack in _ATTACKS for policy in _POLICIES):
+        setup = _sampled(b92_setup, config.attack)
         res = simulate(setup, detector_, config)
         p_conclusive, p_error = _expected_fractions(setup, detector_, config)
         for count, p in ((res.conclusive_count, p_conclusive), (res.error_count, p_error)):
