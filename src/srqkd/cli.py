@@ -6,7 +6,7 @@ values, which override the library's defaults (DetectorConfig, GridSpec,
 the sweeps' pulse rate and attenuation). The SRQKD_CONFIG environment
 variable names a default config file. A file may hold any key; a subcommand
 takes unabbreviated flags for exactly the keys it reads (_COMMANDS), and
-refuses those its attack or protocol ignores (_IGNORED_KEYS).
+refuses those its attack or protocol ignores (_ignored_keys).
 
 Each row is the record the library returns (SweepRow, MuOptimum,
 DistancePoint, MinSrpResult; the attack row spreads AttackPoint), written
@@ -71,14 +71,6 @@ _SWEEP_KEYS = ("protocol", "length_km", "pulse_rate_hz", *_DETECTOR_KEYS)  # rat
 # Read only through the reference pulse's delta: simulate reads these only under
 # the soft-filter attack, whose optimum depends on delta, and BB84 rates never.
 _DELTA_KEYS = ("t_db", *_MONITOR_KEYS)
-# The keys each protocol's rate ignores; only decoy-BB84 has decoys. rate and
-# optimize-mu still read t_db, which their rows echo.
-_IGNORED_KEYS = {
-    Protocol.B92_SR: _DECOY_KEYS,
-    Protocol.BB84_SR: _DECOY_KEYS,
-    Protocol.BB84_STANDARD: _DELTA_KEYS + _DECOY_KEYS,
-    Protocol.BB84_DECOY: _DELTA_KEYS,
-}
 
 
 @dataclass(frozen=True)
@@ -260,15 +252,18 @@ def _refuse_flags(args, keys, why: str):
         raise ValueError(f"{' '.join(given)}: no effect with {why}")
 
 
-def _refuse_ignored(config: RunConfig, args):
-    """rate's and optimize-mu's refusal of the flags their protocol ignores."""
-    protocol = Protocol(config.protocol)
-    ignored = set(_IGNORED_KEYS[protocol]) - {"t_db"}
-    _refuse_flags(args, ignored, f"protocol {protocol.value}")
+def _ignored_keys(protocol: Protocol) -> set[str]:
+    """The keys a protocol's rate ignores: delta's without a reference pulse, the
+    decoy keys but for decoy-BB84. rate and optimize-mu still read t_db, which
+    their rows echo."""
+    keys = set() if protocol.uses_reference_pulse else set(_DELTA_KEYS)
+    return keys if protocol is Protocol.BB84_DECOY else keys | set(_DECOY_KEYS)
 
 
 def _cmd_rate(config: RunConfig, args) -> list[dict]:
-    _refuse_ignored(config, args)
+    protocol = Protocol(config.protocol)
+    ignored = _ignored_keys(protocol) - {"t_db"}
+    _refuse_flags(args, ignored, f"protocol {protocol.value}")
     setup, detector = config.setup(), config.detector()
     if setup.protocol.uses_reference_pulse:
         return [_record(evaluate_sr_point(setup, detector))]
@@ -294,9 +289,11 @@ def _cmd_sweep_mu_t(config: RunConfig, args) -> list[dict]:
 
 
 def _cmd_optimize_mu(config: RunConfig, args) -> list[dict]:
-    _refuse_ignored(config, args)
+    protocol = Protocol(config.protocol)
+    ignored = _ignored_keys(protocol) - {"t_db"}
+    _refuse_flags(args, ignored, f"protocol {protocol.value}")
     return [_record(optimize_mu(config.length_km, config.t_db, config.detector(),
-                                protocol=Protocol(config.protocol),
+                                protocol=protocol,
                                 pulse_rate_hz=config.pulse_rate_hz,
                                 mu_range=config.grid().mu_range, decoy=config.decoy()))]
 
@@ -313,7 +310,7 @@ def _cmd_rate_vs_t(config: RunConfig, args) -> list[dict]:
 def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
     protocols = [Protocol(p.strip()) for p in args.protocols.split(",") if p.strip()]
     if protocols:  # rate_vs_distance refuses an empty list
-        ignored = set.intersection(*(set(_IGNORED_KEYS[p]) for p in protocols))
+        ignored = set.intersection(*map(_ignored_keys, protocols))
         _refuse_flags(args, ignored, "protocols " + ",".join(p.value for p in protocols))
     comparison = rate_vs_distance(protocols, config.detector(),
                                   config.grid().l_values(), t_db=config.t_db,

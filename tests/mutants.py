@@ -66,9 +66,9 @@ MUTANTS = (
             "tests/test_simulation.py::test_matches_per_pulse_reference")),
     # Each protocol refuses the flags its rate ignores.
     Mutant("rate-takes-ignored-flags", "src/srqkd/cli.py",
-           "def _cmd_rate(config: RunConfig, args) -> list[dict]:\n"
-           "    _refuse_ignored(config, args)\n",
-           "def _cmd_rate(config: RunConfig, args) -> list[dict]:\n",
+           '    _refuse_flags(args, ignored, f"protocol {protocol.value}")\n'
+           "    setup, detector = config.setup(), config.detector()\n",
+           "    setup, detector = config.setup(), config.detector()\n",
            ("tests/test_cli.py::test_flags_are_the_keys_each_command_reads[rate]",)),
     Mutant("distance-refuses-read-flags", "src/srqkd/cli.py",
            "ignored = set.intersection(", "ignored = set.union(",

@@ -1,15 +1,18 @@
 """Run the mutation catalogue of tests/mutants.py and report which mutants survive.
 
-    python tests/run_mutants.py [MUTANT_ID ...]
+    python tests/run_mutants.py
 
 Copies src/, tests/ and pyproject.toml to a temporary directory (pytest's
-``pythonpath = ["src"]`` picks the copy's src/), checks that every killer
-passes there unmutated, then applies one mutant at a time. Each mutant runs
-its killers with ``-x``; a mutant they miss runs the whole suite. The known
-failure of acceptance criterion 3 is deselected from every run, since it
-would read every mutant as killed. Prints one line per mutant (killed or
-survived, by which run, seconds) and exits 1 if any mutant survives.
-Not a pytest module: pytest collects only test_*.py.
+``pythonpath = ["src"]`` picks the copy's src/), checks that the whole suite
+passes there unmutated, then applies every mutant, one at a time. Each
+mutant runs its killers with ``-x``; a mutant they miss runs the whole
+suite. A mutant is killed only by failing tests (pytest exit 1); any other
+exit (a collection or import error, a usage error, no test collected) is a
+runner error, reported with exit 2, since it says nothing of the guards.
+The known failure of acceptance criterion 3 is deselected from every run,
+since it would read every mutant as killed. Prints one line per mutant
+(killed or survived, by which run, seconds) and exits 1 if any mutant
+survives. Not a pytest module: pytest collects only test_*.py.
 """
 
 import os
@@ -28,19 +31,22 @@ PYTEST = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--deselect", KNOWN_FAILURE)
 
 
-def _passes(workdir: Path, tests) -> bool:
+class RunnerError(Exception):
+    """pytest ended neither with all tests passed nor with some failed."""
+
+
+def _fails(workdir: Path, tests) -> bool:
+    """Whether some of ``tests`` (the whole suite if none) fail in ``workdir``."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("SRQKD_CONFIG", None)
     run = subprocess.run([*PYTEST, *tests], cwd=workdir, env=env,
                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return run.returncode == 0
+    if run.returncode not in (0, 1):
+        raise RunnerError(f"pytest exited {run.returncode} on {' '.join(tests) or 'the suite'}")
+    return run.returncode == 1
 
 
-def main(ids) -> int:
-    mutants = [m for m in MUTANTS if not ids or m.id in ids]
-    if not mutants or ids and len(mutants) != len(set(ids)):
-        print(f"unknown mutant ids; known: {' '.join(m.id for m in MUTANTS)}")
-        return 2
+def main() -> int:
     print(f"deselected in every run: {KNOWN_FAILURE} (a known failure)")
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="srqkd-mutants-") as tmp:
@@ -49,32 +55,35 @@ def main(ids) -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, workdir / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", workdir)
-        killers = sorted({k for m in mutants for k in m.killers})
-        if not _passes(workdir, killers):
-            print("the killers fail on the unmutated code; no mutant run")
-            return 2
-        survivors = []
-        for mutant in mutants:
-            path = workdir / mutant.file
-            original = path.read_text(encoding="utf-8")
-            if original.count(mutant.old) != 1:
-                print(f"{mutant.id}: old text not found exactly once in {mutant.file}")
+        try:
+            if _fails(workdir, ()):
+                print("the suite fails on the unmutated code; no mutant run")
                 return 2
-            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-            t0 = time.perf_counter()
-            if not _passes(workdir, mutant.killers):
-                verdict = "killed by its killers"
-            elif not _passes(workdir, ()):
-                verdict = "killed by the full suite only"
-            else:
-                verdict = "SURVIVED"
-                survivors.append(mutant.id)
-            path.write_text(original, encoding="utf-8")
-            print(f"{mutant.id:<30} {verdict:<30} {time.perf_counter() - t0:6.1f} s")
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed"
+            survivors = []
+            for mutant in MUTANTS:
+                path = workdir / mutant.file
+                original = path.read_text(encoding="utf-8")
+                if original.count(mutant.old) != 1:
+                    print(f"{mutant.id}: old text not found exactly once in {mutant.file}")
+                    return 2
+                path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+                t0 = time.perf_counter()
+                if _fails(workdir, mutant.killers):
+                    verdict = "killed by its killers"
+                elif _fails(workdir, ()):
+                    verdict = "killed by the full suite only"
+                else:
+                    verdict = "SURVIVED"
+                    survivors.append(mutant.id)
+                path.write_text(original, encoding="utf-8")
+                print(f"{mutant.id:<30} {verdict:<30} {time.perf_counter() - t0:6.1f} s")
+        except RunnerError as exc:
+            print(f"runner error: {exc}")
+            return 2
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed"
           f" in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
