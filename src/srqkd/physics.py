@@ -95,11 +95,6 @@ class SetupConfig:
         if not self.pulse_rate_hz > 0:
             raise ValueError(f"pulse_rate_hz must be > 0, got {self.pulse_rate_hz}")
 
-    @property
-    def nu(self) -> float:
-        """SRP mean photon number at the transmitter (>= mu since t_db >= 0)."""
-        return self.mu * 10.0 ** (self.t_db / 10.0)
-
 
 @dataclass(frozen=True)
 class DetectorConfig:

@@ -1,11 +1,12 @@
 """Secret-key rates for the SR protocols and the BB84 baselines.
 
-Pure rate assembly from scalar formulas. The strong-reference protocols
-use R_sec = R_raw*(I_AB - I_E), with the eavesdropper information I_E
-supplied by the caller (``sweeps.secret_rate`` takes it from the
-soft-filtering maximization). The BB84 baselines use the GLLP rate
+Pure rate assembly from scalar formulas, per pulse: the pulse rate never
+enters here. The strong-reference protocols use R_sec = R_raw*(I_AB - I_E),
+with the eavesdropper information I_E supplied by the caller
+(``sweeps.secret_rate`` takes it from the soft-filtering maximization).
+The BB84 baselines use the GLLP rate
 
-    R = (1/2)*f*{Q1*[1 - H(E1)] - Q_mu*f_ec*H(E_mu)},
+    R = (1/2)*{Q1*[1 - H(E1)] - Q_mu*f_ec*H(E_mu)},
 
 with (Q1, E1) replaced by a lower/upper bound pair: the photon-number-
 splitting bound for standard BB84, or two-decoy experimental bounds for
@@ -33,39 +34,35 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class RateBreakdown:
-    """Secret-rate decomposition R_sec = R_raw*(i_ab - i_e), clamped at 0.
+    """Secret-rate decomposition per_pulse = raw*(i_ab - i_e), clamped at 0.
 
-    per_pulse is the secret rate per pulse, exact; r_raw, r_sec and
-    r_sec_unclamped are rates in Hz, each the per-pulse value times the
-    pulse repetition frequency f, one rounding away from it. For the BB84
-    baselines i_e is the fraction of each sifted bit conceded to the
-    eavesdropper under the bounds in use, defined so that the decomposition
-    identity still holds.
+    Every rate is per pulse: raw is the raw key rate, unclamped the secret
+    rate before the clamp. A rate in Hz is the per-pulse value times the
+    pulse repetition frequency f, formed where an output record is built.
+    For the BB84 baselines i_e is the fraction of each sifted bit conceded
+    to the eavesdropper under the bounds in use, defined so that the
+    decomposition identity still holds.
     """
 
-    r_raw: float
+    raw: float
     qber: float
     i_ab: float
     i_e: float
-    r_sec: float
     per_pulse: float
-    r_sec_unclamped: float
+    unclamped: float
 
     def __post_init__(self):
-        if math.copysign(1.0, self.r_sec) < 0.0:
-            raise ValueError("r_sec must be clamped at 0 (+0.0)")
-        if self.r_sec > self.r_raw * (1.0 + _TOL) + _TOL:
-            raise ValueError("r_sec cannot exceed r_raw")
-        # A subnormal pulse rate can round r_sec to 0 while i_ab > i_e, so a
-        # zero r_sec is checked against the product, not against i_ab - i_e.
+        if math.copysign(1.0, self.per_pulse) < 0.0:
+            raise ValueError("per_pulse must be clamped at 0 (+0.0)")
+        if self.per_pulse > self.raw * (1.0 + _TOL) + _TOL:
+            raise ValueError("per_pulse cannot exceed raw")
         # Every comparison with a nan is False, so a nan is refused either way.
-        if self.r_sec > 0.0:
-            consistent = (self.i_ab > self.i_e and self.r_raw != 0.0
-                          and self.r_sec_unclamped > 0.0)
+        if self.per_pulse > 0.0:
+            consistent = self.i_ab > self.i_e and self.raw != 0.0 and self.unclamped > 0.0
         else:
-            consistent = self.r_sec == 0.0 and self.r_sec_unclamped <= 0.0
+            consistent = self.per_pulse == 0.0 and self.unclamped <= 0.0
         if not consistent:
-            raise ValueError("r_sec must vanish exactly when i_ab <= i_e")
+            raise ValueError("per_pulse must vanish exactly when i_ab <= i_e")
 
 
 @dataclass(frozen=True)
@@ -104,17 +101,12 @@ class Bb84Yields:
             raise ValueError("y0 must be >= 0")
 
 
-def _breakdown(raw: float, qber: float, i_ab: float, i_e: float,
-               pulse_rate_hz: float) -> RateBreakdown:
-    # raw is per pulse: the pulse rate enters the rate chain here, and only here.
+def _breakdown(raw: float, qber: float, i_ab: float, i_e: float) -> RateBreakdown:
     unclamped = raw * (i_ab - i_e)
     # 0 * (i_ab - i_e) can be -0.0, which max(-0.0, 0.0) would keep.
     per_pulse = unclamped if unclamped > 0.0 else 0.0
-    return RateBreakdown(
-        r_raw=raw * pulse_rate_hz, qber=qber, i_ab=i_ab, i_e=i_e,
-        r_sec=per_pulse * pulse_rate_hz, per_pulse=per_pulse,
-        r_sec_unclamped=unclamped * pulse_rate_hz,
-    )
+    return RateBreakdown(raw=raw, qber=qber, i_ab=i_ab, i_e=i_e, per_pulse=per_pulse,
+                         unclamped=unclamped)
 
 
 def sr_secret_rate(setup: SetupConfig, detector: DetectorConfig,
@@ -130,7 +122,7 @@ def sr_secret_rate(setup: SetupConfig, detector: DetectorConfig,
     conclusive = -math.expm1(-2.0 * detector.eta * channel.mu_prime)
     raw = setup.protocol.sifting_factor * conclusive
     i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)
-    return _breakdown(raw, channel.qber, i_ab, i_e, setup.pulse_rate_hz)
+    return _breakdown(raw, channel.qber, i_ab, i_e)
 
 
 def _check_intensity(intensity: float) -> None:
@@ -252,8 +244,8 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
     """GLLP secret rate for a BB84 baseline (standard or decoy-state).
 
     The decomposition fields are defined so per_pulse = raw*(i_ab - i_e)
-    holds exactly: the per-pulse raw rate is raw = (1/2)*p_mu*Q_mu (p_mu = 1
-    for standard BB84; r_raw = raw*f), i_ab = 1 - f_ec*H(E_mu), and
+    holds exactly: the raw rate is raw = (1/2)*p_mu*Q_mu (p_mu = 1 for
+    standard BB84), i_ab = 1 - f_ec*H(E_mu), and
     i_e = 1 - (Q1/Q_mu)*(1 - H(E1)) is the sifted-bit fraction conceded
     under the single-photon bounds. Standard BB84 ignores decoy.
     """
@@ -261,7 +253,7 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
     yields = Bb84Yields(*floats)
     raw, i_ab, i_e = _gllp(yields.q_mu, yields.e_mu, yields.q1_lower,
                            1.0 - binary_entropy(yields.e1_upper), p_mu, detector)
-    return _breakdown(raw, yields.e_mu, i_ab, i_e, setup.pulse_rate_hz)
+    return _breakdown(raw, yields.e_mu, i_ab, i_e)
 
 
 def bb84_rate_bound(protocol: Protocol, mu: float, length_km: float,

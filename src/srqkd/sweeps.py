@@ -34,8 +34,9 @@ DEFAULT_FIBER_INDEX = 1.47
 FLAG_GREY = "grey-region"
 FLAG_CLAMPED = "clamped"
 FLAG_INFEASIBLE = "attack-infeasible"
-# Most points on any sweep axis: a larger one is refused before laying it out
-# fails with a MemoryError.
+# Most points on any sweep axis, and in any sweep's grid: a larger axis is
+# refused before laying it out fails with a MemoryError, a larger grid
+# before a run that could not finish starts.
 MAX_GRID_POINTS = 10**6
 
 
@@ -52,6 +53,11 @@ def _check_axis(name: str, lo: float, hi: float, points: int, log: bool) -> None
         raise ValueError(f"{name} range needs at most {MAX_GRID_POINTS} points")
     if log and not lo > 0:
         raise ValueError(f"{name} range needs lo > 0 on its log scale")
+
+
+def _check_grid(caller: str, points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{caller} would rate {points} points, over the cap of {MAX_GRID_POINTS}")
 
 
 def _log_axis(lo: float, hi: float,
@@ -186,13 +192,14 @@ def row_flags(solution: Optional[AttackSolution], clamped: bool) -> tuple[str, .
 
 def rate_row(setup: SetupConfig, breakdown: RateBreakdown,
              solution: Optional[AttackSolution] = None) -> SweepRow:
-    """The row of one rated setup; without an attack solution delta is nan."""
+    """A rated setup's row, r_sec_hz = per_pulse*f; without an attack solution delta is nan."""
     return SweepRow(
         mu=setup.mu, t_db=setup.t_db, length_km=setup.length_km,
         delta=math.nan if solution is None else solution.delta,
         qber=breakdown.qber, i_e=breakdown.i_e,
-        r_sec_per_pulse=breakdown.per_pulse, r_sec_hz=breakdown.r_sec,
-        flags=row_flags(solution, clamped=breakdown.r_sec_unclamped < 0.0),
+        r_sec_per_pulse=breakdown.per_pulse,
+        r_sec_hz=breakdown.per_pulse * setup.pulse_rate_hz,
+        flags=row_flags(solution, clamped=breakdown.unclamped < 0.0),
     )
 
 
@@ -216,6 +223,7 @@ def sweep_mu_t(length_km: float, grid: GridSpec, detector: DetectorConfig,
                pulse_rate_hz: float = DEFAULT_PULSE_RATE_HZ) -> list[SweepRow]:
     """Rate grid over (mu, t) at fixed distance; row order is mu-major."""
     protocol = _sr_protocol(protocol, "sweep_mu_t")
+    _check_grid("sweep_mu_t", grid.mu_range[2] * grid.t_range_db[2])
     t_grid = grid.t_values()
     return [row for mu in grid.mu_values() for row in
             rate_vs_t(length_km, mu, t_grid, detector, protocol, pulse_rate_hz).rows]
@@ -232,8 +240,8 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     Serves every protocol; the BB84 baselines ignore t_db, and decoy-BB84
     sets its decoys by decoy's ratios to each mu. The search scores and
     bounds per-pulse rates, so mu_opt, found and per_pulse do not depend on
-    pulse_rate_hz, which only scales the result: r_sec_hz = per_pulse*f is
-    the product secret_rate forms at mu_opt. The search runs in y = log10
+    pulse_rate_hz, which only scales the result: r_sec_hz = per_pulse*f, the
+    product rate_row forms at mu_opt. The search runs in y = log10
     mu: it rates a grid, then one Brent search refines its best point
     (optimize.grid_then_golden_max), rating each grid mu at most once and
     the range's ends exactly. Without mu_floor the grid is the log grid of
@@ -313,7 +321,8 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
     Reports the saturation onset t_sat_db (smallest t whose rate is within
     1% of the rate at the top of the grid; there nu = mu*10^(t_sat_db/10))
     and the positive-rate onset with its intensity onset_nu = mu*10^(t/10).
-    Both are computed over rows with acceptable monitoring only: in the
+    Both compare per-pulse rates, so neither depends on pulse_rate_hz, and
+    both are computed over rows with acceptable monitoring only: in the
     grey region the rate formula can stay positive (the attack degenerates
     to beam splitting), but the monitor cannot vouch for the reference pulse
     there, so those rows are returned flagged and skipped for the summaries.
@@ -325,11 +334,11 @@ def rate_vs_t(length_km: float, mu: float, t_grid: Sequence[float],
                             length_km=length_km, pulse_rate_hz=pulse_rate_hz)
         rows.append(evaluate_sr_point(setup, detector))
 
-    ok = [row for row in rows if FLAG_GREY not in row.flags]
+    ok = [(row.t_db, row.r_sec_per_pulse) for row in rows if FLAG_GREY not in row.flags]
     t_sat = None
-    if ok and ok[-1].r_sec_hz > 0.0:
-        t_sat = next(row.t_db for row in ok if row.r_sec_hz >= 0.99 * ok[-1].r_sec_hz)
-    onset_t = next((row.t_db for row in ok if row.r_sec_hz > 0.0), None)
+    if ok and ok[-1][1] > 0.0:
+        t_sat = next(t_db for t_db, rate in ok if rate >= 0.99 * ok[-1][1])
+    onset_t = next((t_db for t_db, rate in ok if rate > 0.0), None)
     onset_nu = None if onset_t is None else mu * 10.0 ** (onset_t / 10.0)
     return TSaturation(rows=rows, t_sat_db=t_sat, onset_t_db=onset_t, onset_nu=onset_nu)
 
@@ -344,13 +353,14 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
     SR protocols run at the given SRP attenuation; BB84 baselines have no
     reference pulse, and decoy-BB84 takes its decoy ratios from decoy. The
     crossover is where the B92-SR and decoy-BB84 curves intersect,
-    interpolated linearly in log-rate between grid points. protocols must
-    be non-empty and hold each protocol at most once.
+    interpolated linearly in log-rate between the per-pulse rates at grid
+    points. protocols must be non-empty and hold each protocol at most once.
     """
     protocols = [Protocol(p) for p in protocols]
     if not protocols or len(set(protocols)) < len(protocols):
         raise ValueError("protocols must be a non-empty list without repeats, got "
                          f"{[p.value for p in protocols]}")
+    _check_grid("rate_vs_distance", len(l_grid) * mu_range[2] * len(protocols))
     rows = []
     by_protocol: dict[Protocol, list[float]] = {p: [] for p in protocols}
     for length_km in map(float, l_grid):
@@ -360,7 +370,7 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
             rows.append(DistancePoint(protocol=protocol.value, length_km=length_km,
                                       mu=opt.mu_opt, r_sec_hz=opt.r_sec_hz,
                                       per_pulse=opt.per_pulse))
-            by_protocol[protocol].append(opt.r_sec_hz)
+            by_protocol[protocol].append(opt.per_pulse)
 
     crossover = None
     if Protocol.B92_SR in by_protocol and Protocol.BB84_DECOY in by_protocol:
@@ -409,10 +419,11 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     At each t mu is optimized within mu_bounds = (lo, hi) above the grey
     floor (optimize_mu with mu_floor), so a t whose floor lies above hi is
     skipped. criterion "positive-rate" returns the smallest nu with
-    r_sec > 0; "0.99-of-max" the smallest nu whose rate is within 1% of the
-    scan maximum (the intensity needed to stop paying rate for dimming the
-    SRP). A scan with no positive rate gives nu_threshold, mu_at and t_db_at
-    nan and r_sec_hz 0. The thresholds at a fixed mu come from rate_vs_t.
+    r_sec > 0; "0.99-of-max" the smallest nu whose per-pulse rate is within
+    1% of the scan maximum (the intensity needed to stop paying rate for
+    dimming the SRP). Neither depends on pulse_rate_hz. A scan with no
+    positive rate gives nu_threshold, mu_at and t_db_at nan and r_sec_hz 0.
+    The thresholds at a fixed mu come from rate_vs_t.
     """
     if criterion not in ("positive-rate", "0.99-of-max"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -420,24 +431,23 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     if t_grid is None:
         t_grid = GridSpec().t_values()
 
-    candidates = []  # (nu, mu, t_db, r_sec)
+    candidates = []  # (nu, MuOptimum) of each found optimum
     for t_db in map(float, t_grid):
         opt = optimize_mu(length_km, t_db, detector, protocol=protocol,
                           pulse_rate_hz=pulse_rate_hz, mu_range=mu_bounds,
                           mu_floor=grey_region_mu_floor(length_km, t_db, detector))
-        if opt.r_sec_hz > 0.0:
-            candidates.append((opt.mu_opt * 10.0 ** (t_db / 10.0), opt.mu_opt, t_db,
-                               opt.r_sec_hz))
+        if opt.found:
+            candidates.append((opt.mu_opt * 10.0 ** (t_db / 10.0), opt))
 
     if not candidates:
         return MinSrpResult(length_km=length_km, criterion=criterion, nu_threshold=math.nan,
                             mu_at=math.nan, t_db_at=math.nan, r_sec_hz=0.0)
     if criterion == "0.99-of-max":
-        r_max = max(c[3] for c in candidates)
-        candidates = [c for c in candidates if c[3] >= 0.99 * r_max]
-    nu, mu_at, t_at, rate = min(candidates, key=lambda c: c[0])
+        r_max = max(opt.per_pulse for _, opt in candidates)
+        candidates = [c for c in candidates if c[1].per_pulse >= 0.99 * r_max]
+    nu, best = min(candidates, key=lambda c: c[0])
     return MinSrpResult(length_km=length_km, criterion=criterion, nu_threshold=nu,
-                        mu_at=mu_at, t_db_at=t_at, r_sec_hz=rate)
+                        mu_at=best.mu_opt, t_db_at=best.t_db, r_sec_hz=best.r_sec_hz)
 
 
 def train_capacity(storage_km: float, pulse_rate_hz: float,

@@ -12,24 +12,61 @@ from collections import namedtuple
 Mutant = namedtuple("Mutant", "id file old new killers")
 
 MUTANTS = (
-    # The mu search scores and bounds per-pulse rates, so no mu depends on f.
+    # The rate chain works per pulse: rates never reads f, and the mu search
+    # and the sweep summaries compare per-pulse rates, so none depends on f.
     Mutant("objective-scores-hz", "src/srqkd/sweeps.py",
            "return secret_rate(setup_at(y), detector, decoy=decoy).per_pulse",
-           "return secret_rate(setup_at(y), detector, decoy=decoy).r_sec",
+           "return secret_rate(setup_at(y), detector, decoy=decoy).per_pulse * pulse_rate_hz",
            ("tests/test_sweeps.py::test_optimize_mu_does_not_depend_on_the_pulse_rate",)),
-    Mutant("per-pulse-through-hz", "src/srqkd/rates.py",
-           "per_pulse=per_pulse,",
-           "per_pulse=per_pulse * pulse_rate_hz / pulse_rate_hz,",
+    Mutant("per-pulse-through-hz", "src/srqkd/sweeps.py",
+           "r_sec_per_pulse=breakdown.per_pulse,",
+           "r_sec_per_pulse=breakdown.per_pulse * setup.pulse_rate_hz / setup.pulse_rate_hz,",
            ("tests/test_rates.py::test_underflowing_rate_is_zero_not_refused",
-            "tests/test_sweeps.py::test_optimize_mu_does_not_depend_on_the_pulse_rate")),
+            "tests/test_package.py::test_pulse_rate_enters_the_rate_chain_once")),
     Mutant("sr-raw-rate-in-hz", "src/srqkd/rates.py",
-           "    raw = setup.protocol.sifting_factor * conclusive\n"
-           "    i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)\n"
-           "    return _breakdown(raw, channel.qber, i_ab, i_e, setup.pulse_rate_hz)\n",
-           "    raw = setup.protocol.sifting_factor * conclusive * setup.pulse_rate_hz\n"
-           "    i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)\n"
-           "    return _breakdown(raw, channel.qber, i_ab, i_e, 1.0)\n",
+           "    raw = setup.protocol.sifting_factor * conclusive\n",
+           "    raw = setup.protocol.sifting_factor * conclusive * setup.pulse_rate_hz\n",
            ("tests/test_package.py::test_pulse_rate_enters_the_rate_chain_once",)),
+    Mutant("t-sat-reads-hz", "src/srqkd/sweeps.py",
+           "ok = [(row.t_db, row.r_sec_per_pulse) for row in rows",
+           "ok = [(row.t_db, row.r_sec_hz) for row in rows",
+           ("tests/test_sweeps.py::test_sweep_summaries_do_not_depend_on_the_pulse_rate",)),
+    Mutant("min-srp-keeps-positive-hz", "src/srqkd/sweeps.py",
+           "        if opt.found:\n            candidates.append(",
+           "        if opt.r_sec_hz > 0.0:\n            candidates.append(",
+           ("tests/test_sweeps.py::test_sweep_summaries_do_not_depend_on_the_pulse_rate",)),
+    Mutant("crossover-reads-hz", "src/srqkd/sweeps.py",
+           "by_protocol[protocol].append(opt.per_pulse)",
+           "by_protocol[protocol].append(opt.r_sec_hz)",
+           ("tests/test_sweeps.py::test_sweep_summaries_do_not_depend_on_the_pulse_rate",)),
+    # A sweep of more points than the cap is refused before any rate.
+    Mutant("grid-cap-dropped", "src/srqkd/sweeps.py",
+           "    if points > MAX_GRID_POINTS:\n        raise ValueError(f\"{caller} would rate",
+           "    if False:\n        raise ValueError(f\"{caller} would rate",
+           ("tests/test_sweeps.py::test_sweeps_refuse_a_grid_over_the_cap",)),
+    # The mu search's upper bounds: each at or above the rate it bounds, and
+    # a nan bound rated first, like no bound at all.
+    Mutant("empty-interval-edge-bound-zero", "src/srqkd/attack.py",
+           "        return beam_splitting_information(terms.mu, terms.mu_prime)\n"
+           "    i_e = max(_information(terms.b_min, terms)",
+           "        return 0.0\n    i_e = max(_information(terms.b_min, terms)",
+           ("tests/test_attack.py::test_edge_information_bounds_the_optimum",)),
+    Mutant("nan-bound-rated-last", "src/srqkd/optimize.py",
+           "else [-v if v == v else -math.inf for v",
+           "else [-v if v == v else math.inf for v",
+           ("tests/test_optimize.py::test_grid_bound_changes_nothing",)),
+    Mutant("bb84-bound-without-p-mu", "src/srqkd/rates.py",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, 1.0, detector)",
+           ("tests/test_rates.py::"
+            "test_bb84_rate_bound_is_the_rate_with_error_free_single_photons",)),
+    # The decoy bounds work out T(L) once for their three intensities.
+    Mutant("decoy-transmittance-thrice", "src/srqkd/rates.py",
+           "    q_n1, e_n1 = _gain_error(nu1, detector, trans)\n"
+           "    q_n2, e_n2 = _gain_error(nu2, detector, trans)\n",
+           "    q_n1, e_n1 = _gain_error(nu1, detector, transmittance(length_km))\n"
+           "    q_n2, e_n2 = _gain_error(nu2, detector, transmittance(length_km))\n",
+           ("tests/test_rates.py::test_decoy_bounds_work_out_the_transmittance_once",)),
     # attack_point builds no point at an infeasible b.
     Mutant("infeasible-b-accepted", "src/srqkd/attack.py",
            '    if not math.isfinite(i_e):\n        raise ValueError(f"b={b} infeasible:',

@@ -905,18 +905,16 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                   "--eta", "0.5", "--length-km", "0", "--n-pulses", "1000")]
     commands += [argv + ("--format", "json") for argv in commands]
     # A positive rate that underflows to 0 at a subnormal pulse rate: a zero
-    # row, or a search's subnormal optimum, not a refusal. The two
-    # optimize-mu outputs are pinned as they are, not as they should be: at
-    # such a pulse rate r_sec is a multiple of 5e-324, so the search
-    # maximizes rounding (mu_opt 0.106 against 0.359 at 5e6 Hz, and
-    # found=false for bb84-decoy). A search of the per-pulse rate would
-    # change both, and their golden entries with it.
+    # r_sec_hz beside the exact per-pulse rate, not a refusal. The searches
+    # score per-pulse rates, so they find the mu they find at 5e6 Hz.
     commands += [("rate", "--pulse-rate-hz", "4e-323"),
                  ("optimize-mu", "--pulse-rate-hz", "1e-322"),
                  ("optimize-mu", "--protocol", "bb84-decoy", "--pulse-rate-hz", "1e-322")]
-    # A grid too large to lay out, refused before any array is made; a grid
-    # too small and an f_ec below 1, refused by validation.
+    # A grid too large to lay out, refused before any array is made; a sweep
+    # of more points than the cap, refused before any rate is computed; a
+    # grid too small and an f_ec below 1, refused by validation.
     commands += [("optimize-mu", "--mu-points", "1000000000000"),
+                 ("sweep-mu-t", "--mu-points", "1000", "--t-points", "1001"),
                  ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
     # Finite inputs whose train capacity is in float range although the float
     # expression storage_km*1e3*n_fib*f/c overflows: the exact floor.

@@ -101,8 +101,8 @@ def test_fock_basis_helpers():
 
 
 def acceptance_rate(setup, detector):
-    # Per-pulse conclusive-bit probability; r_raw does not depend on i_e.
-    return sr_secret_rate(setup, detector, i_e=0.0).r_raw / setup.pulse_rate_hz
+    # Per-pulse conclusive-bit probability; raw does not depend on i_e.
+    return sr_secret_rate(setup, detector, i_e=0.0).raw
 
 
 def test_acceptance_rate_reference(b92_setup, detector):

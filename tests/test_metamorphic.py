@@ -138,7 +138,8 @@ def test_optimize_mu_beats_its_grid(monkeypatch):
                                 pulse_rate_hz=5e6)
             checks[floor is not None] += 1
             rate = secret_rate(setup, detector)
-            assert _no_less(rate.r_sec, opt.r_sec_hz), (protocol, length, t_db, floor, mu)
+            assert _no_less(rate.per_pulse * setup.pulse_rate_hz, opt.r_sec_hz), (
+                protocol, length, t_db, floor, mu)
             if bound_at is not None:
                 bound, y = bound_at
                 bounded[protocol.uses_reference_pulse] += 1

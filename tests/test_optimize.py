@@ -309,12 +309,12 @@ def test_brent_partly_infeasible_bracket(feasible, peak):
 
 def _rate_bound(protocol, mu, length_km, t_db, detector):
     # The bound optimize_mu hands the helper at a grid mu, times the pulse
-    # rate: in Hz, as _breakdown forms r_sec from per_pulse.
+    # rate: in Hz, as rate_row forms r_sec_hz from per_pulse.
     if not protocol.uses_reference_pulse:
         return bb84_rate_bound(protocol, mu, length_km, detector) * 5e6
     setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
-    return sr_secret_rate(setup, detector, edge_information(setup, detector)).r_sec
+    return sr_secret_rate(setup, detector, edge_information(setup, detector)).per_pulse * 5e6
 
 
 def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):

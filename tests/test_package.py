@@ -202,23 +202,36 @@ def test_grid_search_scores_in_one_loop():
 
 
 def test_pulse_rate_enters_the_rate_chain_once():
-    # The rate chain works per pulse. In rates the pulse rate is read only by
-    # _breakdown, which forms each Hz value as one product with it, and the
-    # mu search scores and bounds per-pulse rates, so no mu depends on it.
+    # The rate chain works per pulse: rates never reads the pulse rate, and
+    # in sweeps f multiplies a rate only where an output record is built,
+    # in rate_row and in optimize_mu's result. The mu search scores and
+    # bounds per-pulse rates, so no mu depends on f.
     src = SOURCES[0].parent
-    tree = ast.parse((src / "rates.py").read_text(encoding="utf-8"))
-    (breakdown,) = [n for n in tree.body
-                    if isinstance(n, ast.FunctionDef) and n.name == "_breakdown"]
-    inside = {id(n) for n in ast.walk(breakdown)}
-    passed = {id(arg) for call in _calls(tree, "_breakdown") for arg in call.args
-              if ast.unparse(arg) == "setup.pulse_rate_hz"}
-    named = [n for n in ast.walk(tree) if "pulse_rate_hz" in (
+    rates_tree = ast.parse((src / "rates.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(rates_tree) if "pulse_rate_hz" in (
         getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "arg", None))]
-    assert len(passed) == 2
-    assert [n.lineno for n in named if id(n) not in inside | passed] == []
-    for function in (srqkd.rates._gllp, srqkd.rates.bb84_rate_bound):
-        assert "pulse_rate_hz" not in inspect.signature(function).parameters
+    fields = [field.name for field in dataclasses.fields(srqkd.RateBreakdown)]
+    assert fields == ["raw", "qber", "i_ab", "i_e", "per_pulse", "unclamped"]
+    assert list(inspect.signature(srqkd.rates._breakdown).parameters) == [
+        "raw", "qber", "i_ab", "i_e"]
+
+    def names_f(node: ast.AST) -> bool:
+        return "pulse_rate_hz" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    tree = ast.parse((src / "sweeps.py").read_text(encoding="utf-8"))
+    products = {}
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            for n in ast.walk(function):
+                if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                        and (names_f(n.left) or names_f(n.right))):
+                    products.setdefault(function.name, []).append(ast.unparse(n))
+    assert products == {"rate_row": ["breakdown.per_pulse * setup.pulse_rate_hz"],
+                        "optimize_mu": ["r_best * pulse_rate_hz"]}
     search = _function(src / "sweeps.py", "optimize_mu")
+    (result,) = [n for n in _calls(search, "MuOptimum")
+                 if any(names_f(m) for m in ast.walk(n))]
+    assert "r_best * pulse_rate_hz" in ast.unparse(result)
     closures = [n for n in ast.walk(search) if isinstance(n, ast.FunctionDef)
                 and n.name in ("objective", "rate_bound")]
     assert len(closures) == 2

@@ -45,11 +45,10 @@ def test_transmittance_basics():
         transmittance(-1.0)
 
 
-def test_setup_validation_and_nu():
+def test_setup_validation():
     s = SetupConfig(protocol="b92-sr", mu=0.3, t_db=65.0, length_km=10.0,
                     pulse_rate_hz=5e6)
     assert s.protocol is Protocol.B92_SR
-    assert s.nu == pytest.approx(0.3 * 10 ** 6.5, rel=1e-15)
     member = Protocol.BB84_SR  # kept as it is: no Protocol() call per setup
     assert SetupConfig(protocol=member, mu=0.3, t_db=65.0, length_km=10.0,
                        pulse_rate_hz=5e6).protocol is member

@@ -17,6 +17,7 @@ from srqkd import (
     bb84_gain_error,
     bb84_secret_rate,
     decoy_bounds,
+    evaluate_sr_point,
     maximize_eve_information,
     rates,
     secret_rate,
@@ -24,6 +25,7 @@ from srqkd import (
     transmittance,
 )
 from srqkd.rates import bb84_rate_bound
+from srqkd.sweeps import rate_row
 
 from oracles import bb84_pns_bounds
 
@@ -93,7 +95,7 @@ def test_pns_bound_floors_at_long_distance(detector):
     y = bb84_pns_bounds(setup, detector)
     assert y.q1_lower == 0.0
     assert y.e1_upper == 0.5
-    assert bb84_secret_rate(setup, detector).r_sec == 0.0
+    assert bb84_secret_rate(setup, detector).per_pulse == 0.0
 
 
 def test_decoy_sandwich(detector):
@@ -143,7 +145,7 @@ def test_decoy_bounds_tiny_mu(detector, mu):
     y = decoy_bounds(mu, DecoyConfig(), detector, 10.0)
     assert 0.0 <= y.q1_lower <= y.q_mu
     rate = bb84_secret_rate(setup, detector)
-    assert rate.r_sec == 0.0 and rate.r_sec_unclamped < 0.0
+    assert rate.per_pulse == 0.0 and rate.unclamped < 0.0
 
 
 @pytest.mark.parametrize("mu", [709.0, 709.8, 710.0, 1e4, 1e300])
@@ -154,7 +156,7 @@ def test_decoy_bounds_past_exp_range(detector, mu):
     assert (y.y0, y.q1_lower, y.e1_upper) == (0.0, 0.0, 0.5)
     setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=mu, t_db=65.0, length_km=10.0,
                         pulse_rate_hz=5e6)
-    assert bb84_secret_rate(setup, detector).r_sec == 0.0
+    assert bb84_secret_rate(setup, detector).per_pulse == 0.0
 
 
 def test_decoy_config_validation():
@@ -175,9 +177,11 @@ def test_decoy_config_validation():
 def test_sr_breakdown_identities(b92_setup, detector):
     i_e = maximize_eve_information(b92_setup, detector).best.i_e
     out = sr_secret_rate(b92_setup, detector, i_e)
-    assert out.r_sec > 0.0
-    assert out.r_sec == pytest.approx(out.r_raw * (out.i_ab - out.i_e), rel=1e-12)
-    assert out.per_pulse == pytest.approx(out.r_sec / b92_setup.pulse_rate_hz, rel=1e-15)
+    assert out.per_pulse > 0.0
+    assert out.per_pulse == pytest.approx(out.raw * (out.i_ab - out.i_e), rel=1e-12)
+    row = evaluate_sr_point(b92_setup, detector)
+    assert row.r_sec_per_pulse == out.per_pulse
+    assert row.r_sec_hz == row.r_sec_per_pulse * b92_setup.pulse_rate_hz
     assert 0.0 <= out.i_e <= 1.0
     assert out.qber < 0.5
 
@@ -185,11 +189,11 @@ def test_sr_breakdown_identities(b92_setup, detector):
 def test_sr_forced_information_limits(b92_setup, detector):
     # No eavesdropper: the rate is raw times the reconciliation efficiency.
     free = sr_secret_rate(b92_setup, detector, i_e=0.0)
-    assert free.r_sec == pytest.approx(free.r_raw * free.i_ab, rel=1e-12)
+    assert free.per_pulse == pytest.approx(free.raw * free.i_ab, rel=1e-12)
     # Fully informed eavesdropper: nothing survives, clamp engages.
     gone = sr_secret_rate(b92_setup, detector, i_e=1.0)
-    assert gone.r_sec == 0.0
-    assert gone.r_sec_unclamped < 0.0
+    assert gone.per_pulse == 0.0
+    assert gone.unclamped < 0.0
 
 
 def test_sr_rejects_non_sr_protocol(detector):
@@ -201,55 +205,54 @@ def test_sr_rejects_non_sr_protocol(detector):
 
 def test_rate_breakdown_validation():
     with pytest.raises(ValueError, match="clamped at 0"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.5, i_e=0.6,
-                      r_sec=-0.1, per_pulse=-0.1, r_sec_unclamped=-0.1)
-    with pytest.raises(ValueError, match="exceed r_raw"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=2.0, i_e=0.0,
-                      r_sec=2.0, per_pulse=2.0, r_sec_unclamped=2.0)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.5, i_e=0.6, per_pulse=-0.1, unclamped=-0.1)
+    with pytest.raises(ValueError, match="exceed raw"):
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=2.0, i_e=0.0, per_pulse=2.0, unclamped=2.0)
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.5, i_e=0.6,
-                      r_sec=0.1, per_pulse=0.1, r_sec_unclamped=-0.1)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.5, i_e=0.6, per_pulse=0.1, unclamped=-0.1)
     with pytest.raises(ValueError, match="clamped at 0"):
-        RateBreakdown(r_raw=0.0, qber=0.5, i_ab=0.0, i_e=1.0,
-                      r_sec=-0.0, per_pulse=0.0, r_sec_unclamped=-0.0)
+        RateBreakdown(raw=0.0, qber=0.5, i_ab=0.0, i_e=1.0, per_pulse=-0.0, unclamped=-0.0)
 
 
 def test_underflowing_rate_is_zero_not_refused(detector):
     # At a subnormal pulse rate per_pulse*f rounds to 0 although i_ab > i_e:
-    # the rate in Hz is +0.0, unflagged, and not refused, beside the exact
-    # per-pulse rate, which no pulse rate moves.
+    # the row's rate in Hz is +0.0, unflagged, and not refused, beside the
+    # exact per-pulse rate, which no pulse rate moves.
+    def row_at(setup):
+        if setup.protocol.uses_reference_pulse:
+            return evaluate_sr_point(setup, detector)
+        return rate_row(setup, secret_rate(setup, detector))
+
     for protocol, mu, pulse_rate_hz in ((Protocol.B92_SR, 0.3, 4e-323),
                                         (Protocol.BB84_STANDARD, 0.45, 1e-322),
                                         (Protocol.BB84_DECOY, 0.9, 1e-322)):
         setup = SetupConfig(protocol=protocol, mu=mu, t_db=65.0, length_km=10.0,
                             pulse_rate_hz=pulse_rate_hz)
         out = secret_rate(setup, detector)
-        assert out.r_raw > 0.0 and out.i_ab > out.i_e, protocol
-        assert out.r_sec_unclamped == 0.0 and out.r_sec == 0.0
-        assert math.copysign(1.0, out.r_sec) == 1.0
-        at_1_hz = secret_rate(dataclasses.replace(setup, pulse_rate_hz=1.0), detector)
-        assert out.per_pulse == at_1_hz.per_pulse == at_1_hz.r_sec > 0.0, protocol
-    # The record still refuses a zero r_sec beside a positive product, and a
-    # positive r_sec with i_ab <= i_e.
+        assert out.raw > 0.0 and out.i_ab > out.i_e, protocol
+        row = row_at(setup)
+        assert row.r_sec_hz == 0.0 and math.copysign(1.0, row.r_sec_hz) == 1.0
+        assert "clamped" not in row.flags, protocol
+        at_1_hz = row_at(dataclasses.replace(setup, pulse_rate_hz=1.0))
+        assert row.r_sec_per_pulse == out.per_pulse, protocol
+        assert out.per_pulse == at_1_hz.r_sec_per_pulse == at_1_hz.r_sec_hz > 0.0, protocol
+    # The record refuses a zero per_pulse beside a positive product, and a
+    # positive per_pulse with i_ab <= i_e or a zero raw rate.
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=0.5,
-                      r_sec=0.0, per_pulse=0.0, r_sec_unclamped=0.1)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.6, i_e=0.5, per_pulse=0.0, unclamped=0.1)
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.5, i_e=0.5,
-                      r_sec=0.1, per_pulse=0.1, r_sec_unclamped=0.1)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.5, i_e=0.5, per_pulse=0.1, unclamped=0.1)
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=0.0, qber=0.1, i_ab=0.6, i_e=0.5,
-                      r_sec=1e-12, per_pulse=1e-12, r_sec_unclamped=1e-12)
-    # A nan i_e is refused, as it was before the underflow case passed.
+        RateBreakdown(raw=0.0, qber=0.1, i_ab=0.6, i_e=0.5, per_pulse=1e-12, unclamped=1e-12)
+    # A nan is refused.
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=math.nan,
-                      r_sec=0.0, per_pulse=0.0, r_sec_unclamped=math.nan)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.6, i_e=math.nan, per_pulse=0.0,
+                      unclamped=math.nan)
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=math.nan,
-                      r_sec=0.1, per_pulse=0.1, r_sec_unclamped=0.1)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.6, i_e=math.nan, per_pulse=0.1, unclamped=0.1)
     with pytest.raises(ValueError, match="vanish exactly"):
-        RateBreakdown(r_raw=1.0, qber=0.1, i_ab=0.6, i_e=0.5,
-                      r_sec=math.nan, per_pulse=math.nan, r_sec_unclamped=math.nan)
+        RateBreakdown(raw=1.0, qber=0.1, i_ab=0.6, i_e=0.5, per_pulse=math.nan,
+                      unclamped=math.nan)
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=0.3, t_db=65.0, length_km=10.0,
                         pulse_rate_hz=5e6)
     with pytest.raises(ValueError, match="vanish exactly when i_ab <= i_e"):
@@ -332,16 +335,15 @@ def test_bb84_yields_validation():
 
 @pytest.mark.parametrize("protocol", [Protocol.BB84_STANDARD, Protocol.BB84_DECOY])
 def test_zero_gain_rate_is_positive_zero(protocol):
-    # Q_mu = 0 makes r_raw = 0, and 0 * (i_ab - i_e) is -0.0 when i_e > i_ab.
+    # Q_mu = 0 makes raw = 0, and 0 * (i_ab - i_e) is -0.0 when i_e > i_ab.
     detector = DetectorConfig(p_dc=0.0)
     assert bb84_gain_error(5e-324, detector, 10.0) == (0.0, 0.5)
     setup = SetupConfig(protocol=protocol, mu=5e-324, t_db=65.0, length_km=10.0,
                         pulse_rate_hz=5e6)
     out = bb84_secret_rate(setup, detector)
-    assert (out.r_raw, out.i_e) == (0.0, 1.0)
-    assert math.copysign(1.0, out.r_sec_unclamped) == -1.0
-    for value in (out.r_sec, out.per_pulse):
-        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert (out.raw, out.i_e) == (0.0, 1.0)
+    assert math.copysign(1.0, out.unclamped) == -1.0
+    assert out.per_pulse == 0.0 and math.copysign(1.0, out.per_pulse) == 1.0
 
 
 def test_bb84_rate_refusals(b92_setup, detector):
@@ -358,9 +360,7 @@ def test_bb84_decomposition_identity(detector):
         setup = SetupConfig(protocol=proto, mu=0.3, t_db=65.0,
                             length_km=length, pulse_rate_hz=5e6)
         out = bb84_secret_rate(setup, detector)
-        assert out.r_sec_unclamped == pytest.approx(
-            out.r_raw * (out.i_ab - out.i_e), rel=1e-12, abs=1e-12
-        )
+        assert out.unclamped == out.raw * (out.i_ab - out.i_e)
         assert 0.0 <= out.i_e <= 1.0
 
 
@@ -368,8 +368,8 @@ def test_decoy_beats_standard_at_long_distance(detector):
     kw = dict(mu=0.3, t_db=65.0, length_km=50.0, pulse_rate_hz=5e6)
     std = bb84_secret_rate(SetupConfig(protocol=Protocol.BB84_STANDARD, **kw), detector)
     dec = bb84_secret_rate(SetupConfig(protocol=Protocol.BB84_DECOY, **kw), detector)
-    assert std.r_sec == 0.0
-    assert dec.r_sec > 0.0
+    assert std.per_pulse == 0.0
+    assert dec.per_pulse > 0.0
 
 
 def test_secret_rate_dispatch(b92_setup, detector):

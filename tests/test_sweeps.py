@@ -182,6 +182,33 @@ def test_optimize_mu_does_not_depend_on_the_pulse_rate(detector):
         assert results == results[:1] * 4, (protocol, length, floor)
 
 
+def test_sweep_summaries_do_not_depend_on_the_pulse_rate(detector):
+    # Every summary compares per-pulse rates, so rounding at a subnormal or
+    # huge f picks no threshold: rate_vs_t's three summaries, both
+    # min_srp_photons criteria and rate_vs_distance's crossover are the same
+    # floats at any f, and each rate in Hz is the 1 Hz rate times f.
+    t_grid = sweeps._axis(40.0, 90.0, 21)
+    l_grid = sweeps._axis(0.0, 120.0, 13)
+    results = []
+    for f in (1.0, 1e-322, 5e6, 1e300):
+        curve = rate_vs_t(10.0, 0.3, t_grid, detector, pulse_rate_hz=f)
+        srp = [min_srp_photons(10.0, detector, t_grid=t_grid, criterion=criterion,
+                               pulse_rate_hz=f)
+               for criterion in ("positive-rate", "0.99-of-max")]
+        comparison = rate_vs_distance([Protocol.B92_SR, Protocol.BB84_DECOY], detector,
+                                      l_grid, pulse_rate_hz=f, mu_range=COARSE_MU)
+        results.append(((curve.t_sat_db, curve.onset_t_db, curve.onset_nu),
+                        [(r.nu_threshold, r.mu_at, r.t_db_at) for r in srp],
+                        comparison.crossover_km))
+        hz = [r.r_sec_hz for r in srp]
+        if f == 1.0:
+            at_1_hz = hz
+        assert hz == [rate * f for rate in at_1_hz], f
+    assert results == results[:1] * 4
+    (t_sat, onset_t, _), _, crossover = results[0]
+    assert (t_sat, onset_t) == (60.0, 52.5) and crossover is not None
+
+
 def test_floored_optimize_mu_matches_dense_scan():
     # Above the grey floor r_sec has one peak, so one Brent search between
     # the two ends finds it: no point of a dense log scan (both ends exact)
@@ -203,7 +230,7 @@ def test_floored_optimize_mu_matches_dense_scan():
         opt = optimize_mu(length, t_db, detector, protocol=protocol, mu_floor=floor)
         rates = [sweeps.secret_rate(SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                                                 length_km=length, pulse_rate_hz=5e6),
-                                    detector).r_sec
+                                    detector).per_pulse * 5e6
                  for mu in sweeps._axis(max(0.01, floor), 1.0, 2001, log=True)]
         top = max(rates)
         case = (protocol, length, t_db, detector)
@@ -247,7 +274,7 @@ def test_floored_optimize_mu_matches_dense_scan_wide_detectors():
                           mu_range=(lo, 1.0))
         top = max(sweeps.secret_rate(SetupConfig(protocol=protocol, mu=mu, t_db=t_db,
                                                  length_km=length, pulse_rate_hz=5e6),
-                                     detector).r_sec
+                                     detector).per_pulse * 5e6
                   for mu in sweeps._axis(max(lo, floor), 1.0, 401, log=True))
         positive += top > 0.0
         case = (protocol, length, t_db, lo, detector)
@@ -349,7 +376,8 @@ def test_rate_vs_distance_honours_decoy_config(detector):
     (row,) = comp.rows
     setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=row.mu, t_db=0.0,
                         length_km=20.0, pulse_rate_hz=5e6)
-    assert row.r_sec_hz == bb84_secret_rate(setup, detector, decoy=decoy).r_sec
+    assert row.per_pulse == bb84_secret_rate(setup, detector, decoy=decoy).per_pulse
+    assert row.r_sec_hz == row.per_pulse * 5e6
     default = rate_vs_distance([Protocol.BB84_DECOY], detector, l_grid=[20.0],
                                mu_range=(0.01, 1.0, 11))
     assert default.rows[0].r_sec_hz != row.r_sec_hz
@@ -490,6 +518,29 @@ def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol
     with pytest.raises(ValueError, match=f"rate_vs_t needs an SR protocol, got {protocol.value}"):
         rate_vs_t(10.0, 0.3, [60.0, 70.0], detector, protocol=protocol)
     assert calls == []
+
+
+def test_sweeps_refuse_a_grid_over_the_cap(monkeypatch, detector):
+    # Each axis is capped, and so is the number of points a sweep rates:
+    # a larger grid is refused before any rate is computed. A maximizer
+    # call is counted and stops the sweep, which would not finish.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the sweep rated a point before refusing its grid")
+
+    monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
+    grid = GridSpec(mu_range=(0.1, 0.5, 1000), t_range_db=(60.0, 70.0, 1001))
+    with pytest.raises(ValueError, match="^sweep_mu_t would rate 1001000 points, over the "
+                                         "cap of 1000000$"):
+        sweep_mu_t(10.0, grid, detector)
+    with pytest.raises(ValueError, match="^rate_vs_distance would rate 1000200 points, over "
+                                         "the cap of 1000000$"):
+        rate_vs_distance([Protocol.B92_SR, Protocol.BB84_DECOY], detector,
+                         sweeps._axis(0.0, 120.0, 5001), mu_range=(0.01, 1.0, 100))
+    assert calls == []
+    sweeps._check_grid("sweep_mu_t", sweeps.MAX_GRID_POINTS)  # the cap itself is allowed
 
 
 def test_min_srp_no_positive_rate():
