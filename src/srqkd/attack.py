@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable
 
 from .optimize import grid_then_golden_max
 from .physics import (
@@ -83,12 +84,17 @@ class AttackPoint:
 
 @dataclass(frozen=True)
 class AttackSolution:
-    """Result of maximizing Eve's information over the attenuation b."""
+    """Result of maximizing Eve's information over the attenuation b.
+
+    channel is the setup's derived channel the attack was solved for: the
+    rate of the point (``rates.sr_secret_rate``) and its grey flag (from
+    ``channel.delta``) read it, so a rated point derives its channel once.
+    """
 
     best: AttackPoint
     b_min: float
     b_max: float
-    delta: float
+    channel: ChannelDerived
     interval_empty: bool = False
 
 
@@ -126,12 +132,13 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
     return b_lo, b_hi
 
 
-# Every b-independent term of one setup's attack: the b-interval, q =
-# exp(-2*eta*mu'*delta), p = 1/(1 + q), the intensities mu_max and mu_min =
-# mu'(1 +/- delta) forwarded on success and fail (mu_min < 0 once delta > 1),
-# Bob's conclusive probability, and the click weights success = p*w_s and
-# fail = (1-p)*w_f, so that success*chi is p*w_s*chi bit for bit.
-_Terms = namedtuple("_Terms", "mu mu_prime delta b_min b_max q p mu_max mu_min "
+# Every b-independent term of one setup's attack: the derived channel (mu',
+# delta), the b-interval, q = exp(-2*eta*mu'*delta), p = 1/(1 + q), the
+# intensities mu_max and mu_min = mu'(1 +/- delta) forwarded on success and
+# fail (mu_min < 0 once delta > 1), Bob's conclusive probability, and the
+# click weights success = p*w_s and fail = (1-p)*w_f, so that success*chi
+# is p*w_s*chi bit for bit.
+_Terms = namedtuple("_Terms", "mu channel b_min b_max q p mu_max mu_min "
                               "conclusive success fail")
 
 
@@ -144,7 +151,7 @@ def _terms(mu: float, eta: float, channel: ChannelDerived) -> _Terms:
     # w_f = -expm1(x_f) overflows only where p rounds to 1: 1 - p is 0 there.
     x_f = -2.0 * eta * mu_min
     fail = 0.0 if x_f > MAX_EXP_ARG else (1.0 - p) * -math.expm1(x_f)
-    return _Terms(mu, mu_prime, delta, b_min, b_max, q, p, mu_max, mu_min,
+    return _Terms(mu, channel, b_min, b_max, q, p, mu_max, mu_min,
                   conclusive=-math.expm1(-2.0 * eta * mu_prime),
                   success=p * -math.expm1(-2.0 * eta * mu_max), fail=fail)
 
@@ -188,48 +195,60 @@ def _information_curve(b, terms: _Terms):
         return np.where(valid, np.clip(info, 0.0, 1.0), -np.inf)
 
 
-def _information(b: float, terms: _Terms) -> float:
-    """Scalar twin of :func:`_information_curve`, written with ``math``.
+def _objective(terms: _Terms) -> Callable[[float], float]:
+    """Eve's information I_E(b) for one setup: the scalar twin of :func:`_information_curve`.
 
     Same formula, clamps and feasibility test, and ``a`` is the unitarity
     solution 1 - log(1 - q*expm1(2*mu*(1 - b)))/(2*mu), so a finite value
-    here means the point at b has one. It scores every single b: each
-    Brent step, every candidate the maximizer can return, and
+    means the point at b has one. It scores every single b: each Brent
+    step, every candidate the maximizer can return, and
     :func:`attack_point`, which so reproduces the maximizer's optimum.
-    Each branch's ``holevo_chi(max(eps, 0.0))`` is written out inline, bit
-    for bit: the calls through ``binary_entropy`` cost about 40% of an
-    evaluation.
+    The terms' b-independent floats and ``math.expm1``/``math.log`` are
+    bound once per setup, and each branch's ``holevo_chi(max(eps, 0.0))``
+    is written out inline, bit for bit: an evaluation makes no Python call.
     """
-    mu = terms.mu
-    try:
-        log_arg = 1.0 - terms.q * math.expm1(2.0 * mu * (1.0 - b))
-    except OverflowError:
-        # _expm1 would give +inf: an infeasible b. Inline, to spare the hot
-        # path a call.
-        return -math.inf
-    if not log_arg > 0.0:
-        return -math.inf
-    a = 1.0 - math.log(log_arg) / (2.0 * mu)
+    mu, q, mu_max, mu_min = terms.mu, terms.q, terms.mu_max, terms.mu_min
+    conclusive, success, fail = terms.conclusive, terms.success, terms.fail
+    expm1, log, inf, eps_floor, ln2 = math.expm1, math.log, math.inf, -_EPS_CLAMP, _LN2
 
-    eps_s = a * mu - terms.mu_max
-    eps_f = b * mu - terms.mu_min
-    if not (eps_s >= -_EPS_CLAMP and eps_f >= -_EPS_CLAMP):
-        return -math.inf
-    if terms.conclusive <= 0.0:
-        return 0.0
+    def information(b: float) -> float:
+        try:
+            log_arg = 1.0 - q * expm1(2.0 * mu * (1.0 - b))
+        except OverflowError:
+            # _expm1 would give +inf: an infeasible b. Inline, to spare the
+            # hot path a call.
+            return -inf
+        if not log_arg > 0.0:
+            return -inf
+        a = 1.0 - log(log_arg) / (2.0 * mu)
 
-    info = 0.0
-    for weight, eps in ((terms.success, eps_s), (terms.fail, eps_f)):
-        if not eps < math.inf:
-            raise ValueError(f"intensity must be finite and >= 0, got {eps}")
-        # chi = H(x), x = (1 - exp(-2*eps))/2, clamped to [0, 1]. Where chi
-        # is 0 the branch is skipped: adding weight * 0.0 would not move info.
-        x = -math.expm1(-2.0 * eps) / 2.0 if eps > 0.0 else 0.0
+        eps_s = a * mu - mu_max
+        eps_f = b * mu - mu_min
+        if not (eps_s >= eps_floor and eps_f >= eps_floor):
+            return -inf
+        if conclusive <= 0.0:
+            return 0.0
+
+        # chi = H(x), x = (1 - exp(-2*eps))/2, clamped to [0, 1], for the
+        # success branch, then the fail branch. Where chi is 0 a branch is
+        # skipped: adding weight * 0.0 would not move info.
+        info = 0.0
+        if not eps_s < inf:
+            raise ValueError(f"intensity must be finite and >= 0, got {eps_s}")
+        x = -expm1(-2.0 * eps_s) / 2.0 if eps_s > 0.0 else 0.0
         if 0.0 < x < 1.0:
-            h = -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
-            info += weight * (0.0 if h < 0.0 else 1.0 if h > 1.0 else h)
-    info /= terms.conclusive
-    return 0.0 if info < 0.0 else 1.0 if info > 1.0 else info
+            h = -(x * log(x) + (1.0 - x) * log(1.0 - x)) / ln2
+            info += success * (0.0 if h < 0.0 else 1.0 if h > 1.0 else h)
+        if not eps_f < inf:
+            raise ValueError(f"intensity must be finite and >= 0, got {eps_f}")
+        x = -expm1(-2.0 * eps_f) / 2.0 if eps_f > 0.0 else 0.0
+        if 0.0 < x < 1.0:
+            h = -(x * log(x) + (1.0 - x) * log(1.0 - x)) / ln2
+            info += fail * (0.0 if h < 0.0 else 1.0 if h > 1.0 else h)
+        info /= conclusive
+        return 0.0 if info < 0.0 else 1.0 if info > 1.0 else info
+
+    return information
 
 
 def beam_splitting_information(mu: float, mu_prime: float) -> float:
@@ -242,14 +261,14 @@ def attack_point(b: float, setup: SetupConfig, detector: DetectorConfig) -> Atta
     terms = _setup_terms(setup, detector)
     if not terms.b_min - 1e-12 <= b <= terms.b_max + 1e-12:
         raise ValueError(f"b={b} outside feasible interval [{terms.b_min}, {terms.b_max}]")
-    i_e = _information(b, terms)
+    i_e = _objective(terms)(b)
     if not math.isfinite(i_e):
         raise ValueError(f"b={b} infeasible: unitarity has no solution with a >= 1")
     return _filtering_point(b, i_e, terms)
 
 
 def _filtering_point(b: float, i_e: float, terms: _Terms) -> AttackPoint:
-    # a solves unitarity at b, as in _information; a feasible b keeps the log finite.
+    # a solves unitarity at b, as in _objective; a feasible b keeps the log finite.
     a = 1.0 - math.log(1.0 - terms.q * _expm1(2.0 * terms.mu * (1.0 - b))) / (2.0 * terms.mu)
     return AttackPoint(
         b=b, p=terms.p, a=a,
@@ -261,10 +280,11 @@ def _filtering_point(b: float, i_e: float, terms: _Terms) -> AttackPoint:
 
 def _beam_splitting_point(i_e: float, terms: _Terms) -> AttackPoint:
     # b = a = 1: no filtering; Eve taps mu - mu' from every pulse.
-    tap = terms.mu - terms.mu_prime
+    mu_prime = terms.channel.mu_prime
+    tap = terms.mu - mu_prime
     return AttackPoint(
         b=1.0, p=terms.p, a=1.0,
-        beta_s_sq=terms.mu_prime, beta_f_sq=terms.mu_prime, eps_s_sq=tap, eps_f_sq=tap, i_e=i_e,
+        beta_s_sq=mu_prime, beta_f_sq=mu_prime, eps_s_sq=tap, eps_f_sq=tap, i_e=i_e,
     )
 
 
@@ -286,7 +306,8 @@ def scan_information(setup: SetupConfig,
             for x, v in zip(bs, _information_curve(bs, terms))]
 
 
-def edge_information(setup: SetupConfig, detector: DetectorConfig) -> float:
+def edge_information(setup: SetupConfig,
+                     detector: DetectorConfig) -> tuple[float, ChannelDerived]:
     """A lower bound on Eve's optimum from the two edges of the b-interval.
 
     :func:`maximize_eve_information` scores both edges before its search and
@@ -294,13 +315,16 @@ def edge_information(setup: SetupConfig, detector: DetectorConfig) -> float:
     from below bit for bit, at 2 evaluations of the objective instead of
     about 24. With both edges infeasible the bound is 0.0 (every I_E is at
     least 0); an empty interval gives the beam-splitting information, which
-    is the optimum itself.
+    is the optimum itself. Returns (bound, channel): the setup's derived
+    channel comes with it, so a rate built on the bound
+    (``rates.sr_secret_rate``) derives none of its own.
     """
     terms = _setup_terms(setup, detector)
     if not terms.b_min < terms.b_max:
-        return beam_splitting_information(terms.mu, terms.mu_prime)
-    i_e = max(_information(terms.b_min, terms), _information(terms.b_max, terms))
-    return i_e if i_e > -math.inf else 0.0
+        return beam_splitting_information(terms.mu, terms.channel.mu_prime), terms.channel
+    information = _objective(terms)
+    i_e = max(information(terms.b_min), information(terms.b_max))
+    return (i_e if i_e > -math.inf else 0.0), terms.channel
 
 
 def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> AttackSolution:
@@ -316,14 +340,11 @@ def maximize_eve_information(setup: SetupConfig, detector: DetectorConfig) -> At
     returned whatever path the search took.
     """
     terms = _setup_terms(setup, detector)
-
-    def information(b: float) -> float:
-        return _information(b, terms)
-
-    b_best, i_best = (grid_then_golden_max(information, (terms.b_min, terms.b_max))
+    b_best, i_best = (grid_then_golden_max(_objective(terms), (terms.b_min, terms.b_max))
                       if terms.b_min < terms.b_max else (1.0, -math.inf))
     empty = i_best == -math.inf
-    best = (_beam_splitting_point(beam_splitting_information(terms.mu, terms.mu_prime), terms)
+    best = (_beam_splitting_point(
+                beam_splitting_information(terms.mu, terms.channel.mu_prime), terms)
             if empty else _filtering_point(b_best, i_best, terms))
     return AttackSolution(best=best, b_min=terms.b_min, b_max=terms.b_max,
-                          delta=terms.delta, interval_empty=empty)
+                          channel=terms.channel, interval_empty=empty)

@@ -277,7 +277,7 @@ def _cmd_attack(config: RunConfig, args) -> list[dict]:
         trace_rows = [{"b": b, "i_e": v} for b, v in scan_information(setup, detector)]
         Path(args.trace_out).write_text(render_rows(trace_rows, ("b", "i_e"), config.format))
     return [{"mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
-             "delta": solution.delta, "b_min": solution.b_min, "b_max": solution.b_max,
+             "delta": solution.channel.delta, "b_min": solution.b_min, "b_max": solution.b_max,
              **_record(solution.best), "flags": row_flags(solution, clamped=False)}]
 
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 from .physics import (
     MAX_EXP_ARG,
+    ChannelDerived,
     DetectorConfig,
     Protocol,
     SetupConfig,
     binary_entropy,
-    derive_channel,
     transmittance,
 )
 
@@ -109,18 +109,20 @@ def _breakdown(raw: float, qber: float, i_ab: float, i_e: float) -> RateBreakdow
                          unclamped=unclamped)
 
 
-def sr_secret_rate(setup: SetupConfig, detector: DetectorConfig,
+def sr_secret_rate(protocol: Protocol, channel: ChannelDerived, detector: DetectorConfig,
                    i_e: float) -> RateBreakdown:
     """Secret rate of a strong-reference protocol given Eve's information i_e.
 
-    i_e is bits per conclusive bit: the attack maximum for the secure rate,
-    0 for the no-attack limit, 1 for a fully compromised key.
+    channel is the setup's derived channel (``physics.derive_channel``), the
+    one the attack behind i_e was solved for: ``AttackSolution.channel`` or
+    the channel ``attack.edge_information`` returns with its bound. i_e is
+    bits per conclusive bit: the attack maximum for the secure rate, 0 for
+    the no-attack limit, 1 for a fully compromised key.
     """
-    if not setup.protocol.uses_reference_pulse:
-        raise ValueError(f"sr_secret_rate needs an SR protocol, got {setup.protocol.value}")
-    channel = derive_channel(setup, detector)
+    if not protocol.uses_reference_pulse:
+        raise ValueError(f"sr_secret_rate needs an SR protocol, got {protocol.value}")
     conclusive = -math.expm1(-2.0 * detector.eta * channel.mu_prime)
-    raw = setup.protocol.sifting_factor * conclusive
+    raw = protocol.sifting_factor * conclusive
     i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)
     return _breakdown(raw, channel.qber, i_ab, i_e)
 

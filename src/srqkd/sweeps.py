@@ -38,6 +38,9 @@ FLAG_INFEASIBLE = "attack-infeasible"
 # refused before laying it out fails with a MemoryError, a larger grid
 # before a run that could not finish starts.
 MAX_GRID_POINTS = 10**6
+# Most mu a floored search rates: its zero-rate fallback grid, 40 points per
+# decade, capped here.
+MAX_FALLBACK_POINTS = 401
 
 
 def _check_axis(name: str, lo: float, hi: float, points: int, log: bool) -> None:
@@ -184,7 +187,8 @@ def row_flags(solution: Optional[AttackSolution], clamped: bool) -> tuple[str, .
 
     solution is the attack behind the row; BB84 baselines have none.
     """
-    flags = ((FLAG_GREY, solution is not None and monitoring_unacceptable(solution.delta)),
+    flags = ((FLAG_GREY, solution is not None
+              and monitoring_unacceptable(solution.channel.delta)),
              (FLAG_CLAMPED, clamped),
              (FLAG_INFEASIBLE, solution is not None and solution.interval_empty))
     return tuple(name for name, raised in flags if raised)
@@ -195,7 +199,7 @@ def rate_row(setup: SetupConfig, breakdown: RateBreakdown,
     """A rated setup's row, r_sec_hz = per_pulse*f; without an attack solution delta is nan."""
     return SweepRow(
         mu=setup.mu, t_db=setup.t_db, length_km=setup.length_km,
-        delta=math.nan if solution is None else solution.delta,
+        delta=math.nan if solution is None else solution.channel.delta,
         qber=breakdown.qber, i_e=breakdown.i_e,
         r_sec_per_pulse=breakdown.per_pulse,
         r_sec_hz=breakdown.per_pulse * setup.pulse_rate_hz,
@@ -204,17 +208,22 @@ def rate_row(setup: SetupConfig, breakdown: RateBreakdown,
 
 
 def evaluate_sr_point(setup: SetupConfig, detector: DetectorConfig) -> SweepRow:
-    """Full evaluation of one SR setup: attack maximization plus rate assembly."""
+    """Full evaluation of one SR setup: attack maximization plus rate assembly.
+
+    The rate reads the channel the attack was solved for, so the setup's
+    channel is derived once.
+    """
     solution = maximize_eve_information(setup, detector)
-    return rate_row(setup, sr_secret_rate(setup, detector, solution.best.i_e), solution)
+    breakdown = sr_secret_rate(setup.protocol, solution.channel, detector, solution.best.i_e)
+    return rate_row(setup, breakdown, solution)
 
 
 def secret_rate(setup: SetupConfig, detector: DetectorConfig,
                 decoy: DecoyConfig = DecoyConfig()) -> RateBreakdown:
     """Rate of any protocol: SR setups under the optimal attack, BB84 by GLLP."""
     if setup.protocol.uses_reference_pulse:
-        i_e = maximize_eve_information(setup, detector).best.i_e
-        return sr_secret_rate(setup, detector, i_e)
+        solution = maximize_eve_information(setup, detector)
+        return sr_secret_rate(setup.protocol, solution.channel, detector, solution.best.i_e)
     return bb84_secret_rate(setup, detector, decoy)
 
 
@@ -296,14 +305,13 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
 
         def rate_bound(y: float) -> float:
             if protocol.uses_reference_pulse:
-                setup = setup_at(y)
-                return sr_secret_rate(setup, detector,
-                                      edge_information(setup, detector)).per_pulse
+                i_e, channel = edge_information(setup_at(y), detector)
+                return sr_secret_rate(protocol, channel, detector, i_e).per_pulse
             return bb84_rate_bound(protocol, mu_at(y), length_km, detector, decoy)
 
         y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)
         if r_best <= 0.0 and mu_floor is not None and lo < hi:
-            points = min(401, max(2, math.ceil(40.0 * (ys[-1] - ys[0])) + 1))
+            points = min(MAX_FALLBACK_POINTS, max(2, math.ceil(40.0 * (ys[-1] - ys[0])) + 1))
             ys = _log_axis(lo, hi, points)[0]  # same ends, so the same mu_at
             y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)
     if r_best <= 0.0:
@@ -423,13 +431,16 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     1% of the scan maximum (the intensity needed to stop paying rate for
     dimming the SRP). Neither depends on pulse_rate_hz. A scan with no
     positive rate gives nu_threshold, mu_at and t_db_at nan and r_sec_hz 0.
-    The thresholds at a fixed mu come from rate_vs_t.
+    The thresholds at a fixed mu come from rate_vs_t. A t grid is refused
+    before any search when its points times the largest grid a floored
+    search can rate (MAX_FALLBACK_POINTS) exceed MAX_GRID_POINTS.
     """
     if criterion not in ("positive-rate", "0.99-of-max"):
         raise ValueError(f"unknown criterion {criterion!r}")
     protocol = _sr_protocol(protocol, "min_srp_photons")
     if t_grid is None:
         t_grid = GridSpec().t_values()
+    _check_grid("min_srp_photons", len(t_grid) * MAX_FALLBACK_POINTS)
 
     candidates = []  # (nu, MuOptimum) of each found optimum
     for t_db in map(float, t_grid):

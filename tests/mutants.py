@@ -23,9 +23,9 @@ MUTANTS = (
            "r_sec_per_pulse=breakdown.per_pulse * setup.pulse_rate_hz / setup.pulse_rate_hz,",
            ("tests/test_rates.py::test_underflowing_rate_is_zero_not_refused",
             "tests/test_package.py::test_pulse_rate_enters_the_rate_chain_once")),
-    Mutant("sr-raw-rate-in-hz", "src/srqkd/rates.py",
-           "    raw = setup.protocol.sifting_factor * conclusive\n",
-           "    raw = setup.protocol.sifting_factor * conclusive * setup.pulse_rate_hz\n",
+    Mutant("bb84-raw-rate-in-hz", "src/srqkd/rates.py",
+           "return _breakdown(raw, yields.e_mu, i_ab, i_e)",
+           "return _breakdown(raw * setup.pulse_rate_hz, yields.e_mu, i_ab, i_e)",
            ("tests/test_package.py::test_pulse_rate_enters_the_rate_chain_once",)),
     Mutant("t-sat-reads-hz", "src/srqkd/sweeps.py",
            "ok = [(row.t_db, row.r_sec_per_pulse) for row in rows",
@@ -39,17 +39,22 @@ MUTANTS = (
            "by_protocol[protocol].append(opt.per_pulse)",
            "by_protocol[protocol].append(opt.r_sec_hz)",
            ("tests/test_sweeps.py::test_sweep_summaries_do_not_depend_on_the_pulse_rate",)),
-    # A sweep of more points than the cap is refused before any rate.
+    # A sweep of more points than the cap is refused before any rate, and
+    # min-srp counts the fallback grid each of its searches may rate.
     Mutant("grid-cap-dropped", "src/srqkd/sweeps.py",
            "    if points > MAX_GRID_POINTS:\n        raise ValueError(f\"{caller} would rate",
            "    if False:\n        raise ValueError(f\"{caller} would rate",
            ("tests/test_sweeps.py::test_sweeps_refuse_a_grid_over_the_cap",)),
+    Mutant("min-srp-cap-counts-t-only", "src/srqkd/sweeps.py",
+           '_check_grid("min_srp_photons", len(t_grid) * MAX_FALLBACK_POINTS)',
+           '_check_grid("min_srp_photons", len(t_grid))',
+           ("tests/test_sweeps.py::test_sweeps_refuse_a_grid_over_the_cap",)),
     # The mu search's upper bounds: each at or above the rate it bounds, and
     # a nan bound rated first, like no bound at all.
     Mutant("empty-interval-edge-bound-zero", "src/srqkd/attack.py",
-           "        return beam_splitting_information(terms.mu, terms.mu_prime)\n"
-           "    i_e = max(_information(terms.b_min, terms)",
-           "        return 0.0\n    i_e = max(_information(terms.b_min, terms)",
+           "        return beam_splitting_information(terms.mu, terms.channel.mu_prime), "
+           "terms.channel\n    information = _objective(terms)",
+           "        return 0.0, terms.channel\n    information = _objective(terms)",
            ("tests/test_attack.py::test_edge_information_bounds_the_optimum",)),
     Mutant("nan-bound-rated-last", "src/srqkd/optimize.py",
            "else [-v if v == v else -math.inf for v",
@@ -67,6 +72,34 @@ MUTANTS = (
            "    q_n1, e_n1 = _gain_error(nu1, detector, transmittance(length_km))\n"
            "    q_n2, e_n2 = _gain_error(nu2, detector, transmittance(length_km))\n",
            ("tests/test_rates.py::test_decoy_bounds_work_out_the_transmittance_once",)),
+    # One compiled objective per setup: the terms' floats read once, and no
+    # Python call per b.
+    Mutant("objective-mu-min-as-mu-max", "src/srqkd/attack.py",
+           "terms.mu, terms.q, terms.mu_max, terms.mu_min",
+           "terms.mu, terms.q, terms.mu_max, terms.mu_max",
+           ("tests/test_attack.py::test_objective_is_the_holevo_chi_composition",)),
+    Mutant("success-branch-takes-inf", "src/srqkd/attack.py",
+           "        if not eps_s < inf:\n            raise ValueError(",
+           "        if False:\n            raise ValueError(",
+           ("tests/test_attack.py::test_inline_chi_is_holevo_chi_at_edge_intensities",)),
+    Mutant("objective-wrapped-per-b", "src/srqkd/attack.py",
+           "grid_then_golden_max(_objective(terms), (terms.b_min, terms.b_max))",
+           "grid_then_golden_max(lambda b: _objective(terms)(b),"
+           " (terms.b_min, terms.b_max))",
+           ("tests/test_package.py::test_attack_objective_makes_no_python_call_per_b",)),
+    # One channel per SR rating: the rate reads the attack's channel.
+    Mutant("sr-point-derives-twice", "src/srqkd/sweeps.py",
+           "    breakdown = sr_secret_rate(setup.protocol, solution.channel, detector,",
+           "    from .physics import derive_channel\n"
+           "    breakdown = sr_secret_rate(setup.protocol, derive_channel(setup, detector),"
+           " detector,",
+           ("tests/test_optimize.py::test_each_sr_rating_derives_its_channel_once",)),
+    Mutant("sr-bound-derives-twice", "src/srqkd/sweeps.py",
+           "i_e, channel = edge_information(setup_at(y), detector)",
+           "i_e, _ = edge_information(setup_at(y), detector)\n"
+           "                from .physics import derive_channel\n"
+           "                channel = derive_channel(setup_at(y), detector)",
+           ("tests/test_optimize.py::test_each_sr_rating_derives_its_channel_once",)),
     # attack_point builds no point at an infeasible b.
     Mutant("infeasible-b-accepted", "src/srqkd/attack.py",
            '    if not math.isfinite(i_e):\n        raise ValueError(f"b={b} infeasible:',

@@ -2,7 +2,8 @@
 
     python tests/run_mutants.py
 
-Copies src/, tests/ and pyproject.toml to a temporary directory (pytest's
+Copies src/, tests/, tools/, pyproject.toml and BENCH_TRAJECTORY.json (what
+the suite reads) to a temporary directory (pytest's
 ``pythonpath = ["src"]`` picks the copy's src/), checks that the whole suite
 passes there unmutated, then applies every mutant, one at a time. Each
 mutant runs its killers with ``-x``; a mutant they miss runs the whole
@@ -52,9 +53,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="srqkd-mutants-") as tmp:
         workdir = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "tools"):
             shutil.copytree(ROOT / name, workdir / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", workdir)
+        for name in ("pyproject.toml", "BENCH_TRAJECTORY.json"):
+            shutil.copy2(ROOT / name, workdir)
         try:
             if _fails(workdir, ()):
                 print("the suite fails on the unmutated code; no mutant run")

@@ -25,8 +25,8 @@ from srqkd.attack import (
     edge_information,
     _expm1,
     _Terms,
-    _information,
     _information_curve,
+    _objective,
     _setup_terms,
     _terms,
     scan_information,
@@ -119,13 +119,13 @@ def test_large_attenuation_argument_is_infeasible():
     channel = ChannelDerived(transmittance=mu_prime / mu, mu_prime=mu_prime, delta=delta,
                              qber=0.0)
     terms = _terms(mu, eta, channel)
-    assert _information(0.0, terms) == -math.inf
+    assert _objective(terms)(0.0) == -math.inf
     with pytest.raises(ValueError, match="infeasible"):
         amplification(0.0, mu, eta, mu_prime, delta)
     with np.errstate(over="ignore"):
         curve = _information_curve(np.array([0.0, 1.0]), terms)
     assert curve[0] == -math.inf
-    assert curve[1] == _information(1.0, terms)
+    assert curve[1] == _objective(terms)(1.0)
 
 
 @pytest.mark.parametrize("mu", [1000.0, 1e300])
@@ -192,7 +192,7 @@ def _information_by_holevo_chi(b, terms, eta):
     # The objective composed from its reference functions: amplification's
     # feasibility test and a, and holevo_chi on each clamped branch.
     try:
-        a = amplification(b, terms.mu, eta, terms.mu_prime, terms.delta)
+        a = amplification(b, terms.mu, eta, terms.channel.mu_prime, terms.channel.delta)
     except ValueError:
         return -math.inf
     eps_s = a * terms.mu - terms.mu_max
@@ -207,7 +207,7 @@ def _information_by_holevo_chi(b, terms, eta):
 
 
 def test_objective_is_the_holevo_chi_composition():
-    # _information writes holevo_chi out inline. It must return the composed
+    # _objective writes holevo_chi out inline. It must return the composed
     # float bit for bit: at both edges, inside, and at the maximizer's optimum,
     # on wide draws that reach the grey region (delta > 1, where
     # mu'(1 - delta) < 0 and the fail weight is negative).
@@ -226,8 +226,9 @@ def test_objective_is_the_holevo_chi_composition():
         grey += terms.mu_min < 0.0
         inside = terms.b_min + rng.uniform(size=3) * (terms.b_max - terms.b_min)
         best = maximize_eve_information(setup, detector).best.b
+        information = _objective(terms)
         for b in (terms.b_min, terms.b_max, *map(float, inside), best):
-            value = _information(b, terms)
+            value = information(b)
             assert repr(value) == repr(_information_by_holevo_chi(b, terms, detector.eta)), (
                 setup, b)
             finite += math.isfinite(value)
@@ -237,21 +238,27 @@ def test_objective_is_the_holevo_chi_composition():
 def test_inline_chi_is_holevo_chi_at_edge_intensities():
     # q = 0 makes a = 1 exactly. With mu = 1 and mu_min = 0, eps_f is b itself
     # and eps_s = mu - mu_max = 0, so the fail branch alone scores b.
-    fail_only = _Terms(mu=1.0, mu_prime=0.0, delta=0.0, b_min=0.0, b_max=1.0, q=0.0,
-                       p=1.0, mu_max=1.0, mu_min=0.0, conclusive=1.0, success=0.0, fail=1.0)
+    channel = ChannelDerived(transmittance=0.0, mu_prime=0.0, delta=0.0, qber=0.0)
+    fail_only = _Terms(mu=1.0, channel=channel, b_min=0.0, b_max=1.0, q=0.0, p=1.0,
+                       mu_max=1.0, mu_min=0.0, conclusive=1.0, success=0.0, fail=1.0)
     # From eps = 19 on, x = (1 - exp(-2*eps))/2 rounds to 1/2; at 18.5 it does not.
     assert [-math.expm1(-2.0 * eps) / 2.0 for eps in (18.5, 19.0)] == [
         0.49999999999999994, 0.5]
     for eps in (0.0, -0.0, 5e-324, 1e-300, 1e-17, 0.3, 18.5, 19.0, 1e3):
-        assert repr(_information(eps, fail_only)) == repr(holevo_chi(max(eps, 0.0))), eps
+        assert repr(_objective(fail_only)(eps)) == repr(holevo_chi(max(eps, 0.0))), eps
         if eps > 0.0:
             # mu = eps and mu_max = 0 give eps_s = eps; b = 1 gives eps_f = 0.
             success_only = fail_only._replace(mu=eps, mu_max=0.0, mu_min=eps,
                                               success=1.0, fail=0.0)
-            assert repr(_information(1.0, success_only)) == repr(holevo_chi(eps)), eps
+            assert repr(_objective(success_only)(1.0)) == repr(holevo_chi(eps)), eps
     # holevo_chi's refusal of a non-finite intensity stays.
     with pytest.raises(ValueError, match="intensity must be finite and >= 0, got inf"):
-        _information(math.inf, fail_only)
+        _objective(fail_only)(math.inf)
+    # Each branch refuses it: at b = 1, a = 1 and eps_s = mu - mu_max overflows.
+    huge = fail_only._replace(mu=8e307, mu_max=-1.7e308, mu_min=8e307,
+                              success=1.0, fail=0.0)
+    with pytest.raises(ValueError, match="intensity must be finite and >= 0, got inf"):
+        _objective(huge)(1.0)
 
 
 def test_b_interval_reference(b92_setup, detector):
@@ -270,7 +277,7 @@ def test_frozen_reference_point(b92_setup, detector):
     assert sol.best.i_e == pytest.approx(I_E_REF, rel=1e-9)
     assert sol.best.b == pytest.approx(B_BEST_REF, abs=1e-6)
     assert not sol.interval_empty
-    assert not monitoring_unacceptable(sol.delta)
+    assert not monitoring_unacceptable(sol.channel.delta)
 
 
 def test_maximizer_reproducible_and_bounded(b92_setup, detector):
@@ -302,7 +309,7 @@ def test_empty_interval_falls_back_to_beam_splitting(detector):
                         length_km=50.0, pulse_rate_hz=5e6)
     sol = maximize_eve_information(setup, detector)
     assert sol.interval_empty
-    assert monitoring_unacceptable(sol.delta)
+    assert monitoring_unacceptable(sol.channel.delta)
     assert sol.best.b == 1.0 and sol.best.a == 1.0
     mu_prime = derive_channel(setup, detector).mu_prime
     assert sol.best.i_e == beam_splitting_information(setup.mu, mu_prime)
@@ -351,7 +358,7 @@ def test_attack_point_refuses_an_infeasible_b(detector):
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=20000.0, t_db=0.0, length_km=100.0,
                         pulse_rate_hz=5e6)
     terms = _setup_terms(setup, detector)
-    assert terms.b_min < terms.b_max and _information(terms.b_min, terms) == -math.inf
+    assert terms.b_min < terms.b_max and _objective(terms)(terms.b_min) == -math.inf
     with pytest.raises(ValueError, match="infeasible: unitarity has no solution"):
         attack_point(terms.b_min, setup, detector)
 
@@ -376,7 +383,7 @@ def test_point_p_and_a_are_the_reference_functions():
             checked += 1
             saturated += sol.best.p == 1.0
             b = sol.b_min + rng.uniform() * (sol.b_max - sol.b_min)
-            if math.isfinite(_information(b, _setup_terms(setup, detector))):
+            if math.isfinite(_objective(_setup_terms(setup, detector))(b)):
                 points.append(attack_point(b, setup, detector))
         for pt in points:
             assert pt.p == success_probability(eta, mu_prime, delta)
@@ -418,11 +425,7 @@ def test_plateau_tie_rule(detector, mu, t_db, length_km, b_best):
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
     sol = maximize_eve_information(setup, detector)
-    terms = _setup_terms(setup, detector)
-
-    def f(b):
-        return _information(b, terms)
-
+    f = _objective(_setup_terms(setup, detector))
     candidates = [(sol.b_min, f(sol.b_min)), (sol.b_max, f(sol.b_max)),
                   golden_max(f, sol.b_min, sol.b_max)]
     assert candidates[0][1] == -math.inf
@@ -434,7 +437,7 @@ def test_plateau_tie_rule(detector, mu, t_db, length_km, b_best):
 def _grid_maximum(setup, detector):
     # I_E of the maximizer that the whole-interval search replaced: the best
     # cell of a 2000-point _information_curve scan, refined by golden_max
-    # between its neighbours and scored, with both edges, by _information.
+    # between its neighbours and scored, with both edges, by _objective.
     terms = _setup_terms(setup, detector)
     b_lo, b_hi = b_interval(setup, detector)
     bs = np.linspace(b_lo, b_hi, 2000)
@@ -442,10 +445,7 @@ def _grid_maximum(setup, detector):
     k = int(np.argmax(values))
     if values[k] == -math.inf:
         return -math.inf
-
-    def f(b):
-        return _information(b, terms)
-
+    f = _objective(terms)
     _, refined = golden_max(f, float(bs[max(k - 1, 0)]), float(bs[min(k + 1, len(bs) - 1)]))
     return max(f(float(bs[k])), refined, f(b_lo), f(b_hi))
 
@@ -470,7 +470,7 @@ def test_maximizer_never_below_grid_maximizer():
             assert sol.interval_empty
             continue
         feasible += 1
-        max_delta = max(max_delta, sol.delta)
+        max_delta = max(max_delta, sol.channel.delta)
         grid = _grid_maximum(setup, detector)
         found = -math.inf if sol.interval_empty else sol.best.i_e
         assert found >= grid - (1e-9 * abs(grid) + 1e-13), (setup, detector)
@@ -496,7 +496,8 @@ def test_edge_information_bounds_the_optimum():
                             t_db=rng.uniform(0.0, 30.0) if deep else rng.uniform(20.0, 95.0),
                             length_km=rng.uniform(0.0, 120.0), pulse_rate_hz=5e6)
         sol = maximize_eve_information(setup, detector)
-        bound = edge_information(setup, detector)
+        bound, channel = edge_information(setup, detector)
+        assert channel == sol.channel == derive_channel(setup, detector)
         assert bound <= sol.best.i_e, (setup, detector)
         at_edge = sol.interval_empty or sol.best.b in (sol.b_min, sol.b_max)
         if at_edge:
@@ -524,7 +525,7 @@ def test_maximizer_deep_grey_points(detector, mu, t_db, length_km):
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=mu, t_db=t_db,
                         length_km=length_km, pulse_rate_hz=5e6)
     sol = maximize_eve_information(setup, detector)
-    assert monitoring_unacceptable(sol.delta)
+    assert monitoring_unacceptable(sol.channel.delta)
     assert sol.b_min <= sol.best.b <= sol.b_max
     assert sol.best.a >= 1.0
     assert 0.0 <= sol.best.i_e <= 1.0
@@ -547,8 +548,8 @@ def test_scalar_objective_matches_curve(information_rounding, mu, t_db, length_k
     assume(b_lo < b_hi)
     b = b_lo + u * (b_hi - b_lo)
     terms = _setup_terms(setup, detector)
-    args = (mu, detector.eta, terms.mu_prime, terms.delta)
-    scalar = _information(b, terms)
+    args = (mu, detector.eta, terms.channel.mu_prime, terms.channel.delta)
+    scalar = _objective(terms)(b)
     lane = float(_information_curve(b, terms)[0])
     if b != b_lo:
         assert math.isfinite(scalar) == math.isfinite(lane)

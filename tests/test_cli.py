@@ -915,6 +915,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
     # grid too small and an f_ec below 1, refused by validation.
     commands += [("optimize-mu", "--mu-points", "1000000000000"),
                  ("sweep-mu-t", "--mu-points", "1000", "--t-points", "1001"),
+                 ("min-srp", "--t-points", "2494"),
                  ("optimize-mu", "--mu-points", "1"), ("rate", "--f-ec", "0.5")]
     # Finite inputs whose train capacity is in float range although the float
     # expression storage_km*1e3*n_fib*f/c overflows: the exact floor.

@@ -10,6 +10,7 @@ from srqkd import (
     SetupConfig,
     build_povm,
     coherent_state_fock,
+    derive_channel,
     fock_dimension,
     outcome_probabilities,
     overlap,
@@ -102,7 +103,8 @@ def test_fock_basis_helpers():
 
 def acceptance_rate(setup, detector):
     # Per-pulse conclusive-bit probability; raw does not depend on i_e.
-    return sr_secret_rate(setup, detector, i_e=0.0).raw
+    return sr_secret_rate(setup.protocol, derive_channel(setup, detector), detector,
+                          i_e=0.0).raw
 
 
 def test_acceptance_rate_reference(b92_setup, detector):

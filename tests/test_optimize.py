@@ -1,6 +1,7 @@
 """Brent's parabolic-golden search, the one helper built on it, and its callers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from srqkd import (
     maximize_eve_information,
     optimize,
     optimize_mu,
+    physics,
+    secret_rate,
     sr_secret_rate,
     sweeps,
 )
@@ -314,7 +317,8 @@ def _rate_bound(protocol, mu, length_km, t_db, detector):
         return bb84_rate_bound(protocol, mu, length_km, detector) * 5e6
     setup = SetupConfig(protocol=protocol, mu=mu, t_db=t_db, length_km=length_km,
                         pulse_rate_hz=5e6)
-    return sr_secret_rate(setup, detector, edge_information(setup, detector)).per_pulse * 5e6
+    i_e, channel = edge_information(setup, detector)
+    return sr_secret_rate(protocol, channel, detector, i_e).per_pulse * 5e6
 
 
 def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
@@ -354,6 +358,43 @@ def test_optimize_mu_scores_each_mu_once(monkeypatch, detector):
     scored.clear()
     opt = optimize_mu(10.0, 65.0, detector, mu_floor=1.0)
     assert scored == [1.0] and opt.mu_opt == 1.0
+
+
+def test_each_sr_rating_derives_its_channel_once(monkeypatch, b92_setup, detector):
+    # The attack derives a setup's channel and the SR rate reads that one:
+    # one derive_channel per evaluate_sr_point, per SR secret_rate, and per
+    # grid bound and rating of an SR mu search.
+    counts = dict.fromkeys(("derive", "bound", "rating"), 0)
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    derive = physics.derive_channel
+    for name, module in list(sys.modules.items()):
+        if name.startswith("srqkd") and getattr(module, "derive_channel", None) is derive:
+            monkeypatch.setattr(module, "derive_channel", counted("derive", derive))
+    monkeypatch.setattr(sweeps, "edge_information",
+                        counted("bound", sweeps.edge_information))
+    monkeypatch.setattr(sweeps, "maximize_eve_information",
+                        counted("rating", sweeps.maximize_eve_information))
+
+    def run(call) -> tuple[int, int, int]:
+        counts.update(dict.fromkeys(counts, 0))
+        call()
+        return counts["derive"], counts["bound"], counts["rating"]
+
+    assert run(lambda: sweeps.evaluate_sr_point(b92_setup, detector)) == (1, 0, 1)
+    assert run(lambda: secret_rate(b92_setup, detector)) == (1, 0, 1)
+    # The default unfloored search at L = 0: 81 grid bounds and 21 ratings.
+    assert run(lambda: optimize_mu(0.0, 65.0, detector)) == (102, 81, 21)
+    floor = grey_region_mu_floor(10.0, 65.0, detector)
+    derived, bounds, ratings = run(lambda: optimize_mu(10.0, 65.0, detector, mu_floor=floor))
+    assert derived == bounds + ratings and ratings > 0
+    assert run(lambda: optimize_mu(10.0, 65.0, detector, protocol=Protocol.BB84_DECOY)) == (
+        0, 0, 0)
 
 
 def test_grid_then_golden_two_point_grid():

@@ -241,12 +241,32 @@ def test_pulse_rate_enters_the_rate_chain_once():
 
 
 def test_attack_objective_makes_no_python_call_per_b():
-    # The scalar objective runs about 23 times per maximizer call, so it
-    # computes chi inline: every call in it is a math function, or the
-    # ValueError it raises for an infinite intensity.
-    node = _function(SOURCES[0].parent / "attack.py", "_information")
-    calls = [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
-    assert calls and [c for c in calls if not c.startswith("math.") and c != "ValueError"] == []
+    # The scalar objective runs about 23 times per maximizer call. Its
+    # factory _objective binds math's functions once per setup, and the
+    # closure it returns computes chi inline: every call in the closure is
+    # a math function the factory bound, or the ValueError it raises for an
+    # infinite intensity. The maximizer hands the closure to its search
+    # with no wrapper, and no second scalar objective is left.
+    path = SOURCES[0].parent / "attack.py"
+    factory = _function(path, "_objective")
+    from_math = set()
+    for node in factory.body:
+        if isinstance(node, ast.Assign):
+            (target,) = node.targets
+            pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                     else [(target, node.value)])
+            from_math |= {t.id for t, v in pairs if ast.unparse(v).startswith("math.")}
+    (closure,) = [n for n in factory.body if isinstance(n, ast.FunctionDef)]
+    calls = [ast.unparse(n.func) for n in ast.walk(closure) if isinstance(n, ast.Call)]
+    assert {"expm1", "log"} <= from_math and calls
+    assert [c for c in calls if c not in from_math | {"ValueError"}] == []
+    maximizer = _function(path, "maximize_eve_information")
+    assert not [n for stmt in maximizer.body for n in ast.walk(stmt)
+                if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+    (call,) = _calls(maximizer, "grid_then_golden_max")
+    assert ast.unparse(call.args[0]) == "_objective(terms)"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "_information" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
 def test_json_is_never_encoded_with_indent():
@@ -287,7 +307,8 @@ def test_one_rule_for_unimodal_searches():
 def test_each_input_has_one_source():
     # Decoys are ratios of the setup's mu, min-srp has one mu policy
     # (optimized at each t within mu_bounds; rate-vs-t holds mu fixed), the
-    # grey flag is read from the solution's delta, and simulate solves Eve's
+    # grey flag and the SR rate read the channel the attack was solved for
+    # (sr_secret_rate takes no setup beside it), and simulate solves Eve's
     # point for the setup it samples.
     assert [f.name for f in dataclasses.fields(srqkd.DecoyConfig)] == [
         "nu1_ratio", "nu2_ratio", "p_mu"]
@@ -296,7 +317,9 @@ def test_each_input_has_one_source():
     assert [f.name for f in dataclasses.fields(srqkd.sweeps.MinSrpResult)] == [
         "length_km", "criterion", "nu_threshold", "mu_at", "t_db_at", "r_sec_hz"]
     assert [f.name for f in dataclasses.fields(srqkd.attack.AttackSolution)] == [
-        "best", "b_min", "b_max", "delta", "interval_empty"]
+        "best", "b_min", "b_max", "channel", "interval_empty"]
+    assert list(inspect.signature(srqkd.sr_secret_rate).parameters) == [
+        "protocol", "channel", "detector", "i_e"]
     assert [f.name for f in dataclasses.fields(srqkd.SimConfig)] == [
         "n_pulses", "seed", "attack", "double_click"]
 

@@ -17,6 +17,7 @@ from srqkd import (
     bb84_gain_error,
     bb84_secret_rate,
     decoy_bounds,
+    derive_channel,
     evaluate_sr_point,
     maximize_eve_information,
     rates,
@@ -176,7 +177,7 @@ def test_decoy_config_validation():
 
 def test_sr_breakdown_identities(b92_setup, detector):
     i_e = maximize_eve_information(b92_setup, detector).best.i_e
-    out = sr_secret_rate(b92_setup, detector, i_e)
+    out = sr_secret_rate(b92_setup.protocol, derive_channel(b92_setup, detector), detector, i_e)
     assert out.per_pulse > 0.0
     assert out.per_pulse == pytest.approx(out.raw * (out.i_ab - out.i_e), rel=1e-12)
     row = evaluate_sr_point(b92_setup, detector)
@@ -188,10 +189,11 @@ def test_sr_breakdown_identities(b92_setup, detector):
 
 def test_sr_forced_information_limits(b92_setup, detector):
     # No eavesdropper: the rate is raw times the reconciliation efficiency.
-    free = sr_secret_rate(b92_setup, detector, i_e=0.0)
+    channel = derive_channel(b92_setup, detector)
+    free = sr_secret_rate(b92_setup.protocol, channel, detector, i_e=0.0)
     assert free.per_pulse == pytest.approx(free.raw * free.i_ab, rel=1e-12)
     # Fully informed eavesdropper: nothing survives, clamp engages.
-    gone = sr_secret_rate(b92_setup, detector, i_e=1.0)
+    gone = sr_secret_rate(b92_setup.protocol, channel, detector, i_e=1.0)
     assert gone.per_pulse == 0.0
     assert gone.unclamped < 0.0
 
@@ -200,7 +202,7 @@ def test_sr_rejects_non_sr_protocol(detector):
     setup = SetupConfig(protocol=Protocol.BB84_STANDARD, mu=0.3, t_db=65.0,
                         length_km=10.0, pulse_rate_hz=5e6)
     with pytest.raises(ValueError, match="SR protocol"):
-        sr_secret_rate(setup, detector, 0.0)
+        sr_secret_rate(setup.protocol, derive_channel(setup, detector), detector, 0.0)
 
 
 def test_rate_breakdown_validation():
@@ -256,7 +258,7 @@ def test_underflowing_rate_is_zero_not_refused(detector):
     setup = SetupConfig(protocol=Protocol.B92_SR, mu=0.3, t_db=65.0, length_km=10.0,
                         pulse_rate_hz=5e6)
     with pytest.raises(ValueError, match="vanish exactly when i_ab <= i_e"):
-        sr_secret_rate(setup, detector, math.nan)
+        sr_secret_rate(setup.protocol, derive_channel(setup, detector), detector, math.nan)
 
 
 def _wide_bb84_draws(n, seed):
@@ -374,7 +376,9 @@ def test_decoy_beats_standard_at_long_distance(detector):
 
 def test_secret_rate_dispatch(b92_setup, detector):
     i_e = maximize_eve_information(b92_setup, detector).best.i_e
-    assert secret_rate(b92_setup, detector) == sr_secret_rate(b92_setup, detector, i_e)
+    channel = derive_channel(b92_setup, detector)
+    assert secret_rate(b92_setup, detector) == sr_secret_rate(b92_setup.protocol, channel,
+                                                              detector, i_e)
     setup = SetupConfig(protocol=Protocol.BB84_DECOY, mu=0.3, t_db=65.0,
                         length_km=10.0, pulse_rate_hz=5e6)
     assert secret_rate(setup, detector) == bb84_secret_rate(setup, detector)

@@ -522,8 +522,9 @@ def test_sr_sweeps_reject_bb84_before_maximizing(monkeypatch, detector, protocol
 
 def test_sweeps_refuse_a_grid_over_the_cap(monkeypatch, detector):
     # Each axis is capped, and so is the number of points a sweep rates:
-    # a larger grid is refused before any rate is computed. A maximizer
-    # call is counted and stops the sweep, which would not finish.
+    # a larger grid is refused before any rate is computed. An attack call
+    # (a maximizer or a bound) is counted and stops the sweep, which would
+    # not finish.
     calls = []
 
     def counting(*args, **kwargs):
@@ -531,6 +532,7 @@ def test_sweeps_refuse_a_grid_over_the_cap(monkeypatch, detector):
         raise AssertionError("the sweep rated a point before refusing its grid")
 
     monkeypatch.setattr(sweeps, "maximize_eve_information", counting)
+    monkeypatch.setattr(sweeps, "edge_information", counting)
     grid = GridSpec(mu_range=(0.1, 0.5, 1000), t_range_db=(60.0, 70.0, 1001))
     with pytest.raises(ValueError, match="^sweep_mu_t would rate 1001000 points, over the "
                                          "cap of 1000000$"):
@@ -539,8 +541,14 @@ def test_sweeps_refuse_a_grid_over_the_cap(monkeypatch, detector):
                                          "the cap of 1000000$"):
         rate_vs_distance([Protocol.B92_SR, Protocol.BB84_DECOY], detector,
                          sweeps._axis(0.0, 120.0, 5001), mu_range=(0.01, 1.0, 100))
+    # min-srp runs one floored mu search per t, and each may rate its
+    # fallback grid: 2494 t points could rate 2494 * 401 mu.
+    with pytest.raises(ValueError, match="^min_srp_photons would rate 1000094 points, over "
+                                         "the cap of 1000000$"):
+        min_srp_photons(10.0, detector, t_grid=sweeps._axis(40.0, 90.0, 2494))
     assert calls == []
     sweeps._check_grid("sweep_mu_t", sweeps.MAX_GRID_POINTS)  # the cap itself is allowed
+    sweeps._check_grid("min_srp_photons", 2493 * sweeps.MAX_FALLBACK_POINTS)
 
 
 def test_min_srp_no_positive_rate():
