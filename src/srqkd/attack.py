@@ -133,13 +133,12 @@ def _b_bounds(mu: float, eta: float, channel: ChannelDerived) -> tuple[float, fl
 
 
 # Every b-independent term of one setup's attack: the derived channel (mu',
-# delta), the b-interval, q = exp(-2*eta*mu'*delta), p = 1/(1 + q), the
-# intensities mu_max and mu_min = mu'(1 +/- delta) forwarded on success and
-# fail (mu_min < 0 once delta > 1), Bob's conclusive probability, and the
-# click weights success = p*w_s and fail = (1-p)*w_f, so that success*chi
-# is p*w_s*chi bit for bit.
-_Terms = namedtuple("_Terms", "mu channel b_min b_max q p mu_max mu_min "
-                              "conclusive success fail")
+# delta and Bob's conclusive probability), the b-interval,
+# q = exp(-2*eta*mu'*delta), p = 1/(1 + q), the intensities mu_max and
+# mu_min = mu'(1 +/- delta) forwarded on success and fail (mu_min < 0 once
+# delta > 1), and the click weights success = p*w_s and fail = (1-p)*w_f,
+# so that success*chi is p*w_s*chi bit for bit.
+_Terms = namedtuple("_Terms", "mu channel b_min b_max q p mu_max mu_min success fail")
 
 
 def _terms(mu: float, eta: float, channel: ChannelDerived) -> _Terms:
@@ -152,7 +151,6 @@ def _terms(mu: float, eta: float, channel: ChannelDerived) -> _Terms:
     x_f = -2.0 * eta * mu_min
     fail = 0.0 if x_f > MAX_EXP_ARG else (1.0 - p) * -math.expm1(x_f)
     return _Terms(mu, channel, b_min, b_max, q, p, mu_max, mu_min,
-                  conclusive=-math.expm1(-2.0 * eta * mu_prime),
                   success=p * -math.expm1(-2.0 * eta * mu_max), fail=fail)
 
 
@@ -186,12 +184,12 @@ def _information_curve(b, terms: _Terms):
         eps_s = a * mu - terms.mu_max
         eps_f = b * mu - terms.mu_min
         valid &= (eps_s >= -_EPS_CLAMP) & (eps_f >= -_EPS_CLAMP)
-        if terms.conclusive <= 0.0:
+        if terms.channel.conclusive <= 0.0:
             return np.where(valid, 0.0, -np.inf)
 
         info = (terms.success * _chi_curve(np.where(valid, np.clip(eps_s, 0.0, None), 0.0))
                 + terms.fail * _chi_curve(np.where(valid, np.clip(eps_f, 0.0, None), 0.0))
-                ) / terms.conclusive
+                ) / terms.channel.conclusive
         return np.where(valid, np.clip(info, 0.0, 1.0), -np.inf)
 
 
@@ -208,7 +206,7 @@ def _objective(terms: _Terms) -> Callable[[float], float]:
     is written out inline, bit for bit: an evaluation makes no Python call.
     """
     mu, q, mu_max, mu_min = terms.mu, terms.q, terms.mu_max, terms.mu_min
-    conclusive, success, fail = terms.conclusive, terms.success, terms.fail
+    conclusive, success, fail = terms.channel.conclusive, terms.success, terms.fail
     expm1, log, inf, eps_floor, ln2 = math.expm1, math.log, math.inf, -_EPS_CLAMP, _LN2
 
     def information(b: float) -> float:

@@ -3,9 +3,9 @@
 Configuration is a flat ``key = value`` file (``#`` starts a comment) whose
 keys match the RunConfig fields below; command-line flags override file
 values, which override the library's defaults (DetectorConfig, GridSpec,
-the sweeps' pulse rate and attenuation). The SRQKD_CONFIG environment
-variable names a default config file. A file may hold any key; a subcommand
-takes unabbreviated flags for exactly the keys it reads (_COMMANDS), and
+the sweeps' pulse rate and attenuation). --config alone names the file,
+which is read as UTF-8. A file may hold any key; a subcommand takes
+unabbreviated flags for exactly the keys it reads (_COMMANDS), and
 refuses those its attack or protocol ignores (_ignored_keys).
 
 Each row is the record the library returns (SweepRow, MuOptimum,
@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +49,6 @@ from .sweeps import (
     sweep_mu_t,
     train_capacity,
 )
-
-CONFIG_ENV_VAR = "SRQKD_CONFIG"
 
 _DETECTOR = DetectorConfig()
 _GRID = GridSpec()
@@ -183,9 +180,9 @@ def dump_config(config: RunConfig) -> str:
 
 def load_run_config(config_path: Optional[str], overrides: dict) -> RunConfig:
     values = {}
-    path = config_path or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        values.update(parse_config_text(Path(path).read_text(), source=path))
+    if config_path:
+        values.update(parse_config_text(Path(config_path).read_text(encoding="utf-8"),
+                                        source=config_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values).validate()
 
@@ -403,7 +400,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_override_flags(parser: argparse.ArgumentParser, keys: Sequence[str]):
     """--config, --out, --dump-config, --format and one flag per key, in RunConfig order."""
-    parser.add_argument("--config", help="config file path (default: $SRQKD_CONFIG)")
+    parser.add_argument("--config", help="config file path")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the merged configuration and exit")

@@ -152,11 +152,15 @@ class ChannelDerived:
     mu is done last so that identity holds exactly in floating point.
     Values above ``GREY_REGION_DELTA`` mean the monitoring is too coarse to
     be trusted (callers flag such points rather than masking them).
+    conclusive is Bob's conclusive-click probability 1 - exp(-2*eta*mu'),
+    the raw-rate factor of ``rates.sr_secret_rate`` and the rate the
+    soft-filtering attack preserves; both read it from here.
     """
 
     transmittance: float
     mu_prime: float
     delta: float
+    conclusive: float
     qber: float
 
 
@@ -244,5 +248,6 @@ def derive_channel(setup: SetupConfig, detector: DetectorConfig) -> ChannelDeriv
         transmittance=trans,
         mu_prime=mu_prime,
         delta=_delta_at_unit_mu(setup.t_db, setup.length_km, detector) / setup.mu,
+        conclusive=-math.expm1(-2.0 * detector.eta * mu_prime),
         qber=qber_from_received(mu_prime, detector),
     )

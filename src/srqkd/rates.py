@@ -121,8 +121,7 @@ def sr_secret_rate(protocol: Protocol, channel: ChannelDerived, detector: Detect
     """
     if not protocol.uses_reference_pulse:
         raise ValueError(f"sr_secret_rate needs an SR protocol, got {protocol.value}")
-    conclusive = -math.expm1(-2.0 * detector.eta * channel.mu_prime)
-    raw = protocol.sifting_factor * conclusive
+    raw = protocol.sifting_factor * channel.conclusive
     i_ab = 1.0 - detector.f_ec * binary_entropy(channel.qber)
     return _breakdown(raw, channel.qber, i_ab, i_e)
 

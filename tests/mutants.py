@@ -143,4 +143,96 @@ MUTANTS = (
     Mutant("distance-refuses-read-flags", "src/srqkd/cli.py",
            "ignored = set.intersection(", "ignored = set.union(",
            ("tests/test_cli.py::test_flags_are_the_keys_each_command_reads[rate-vs-distance]",)),
+    # --config is the one source of a config file, read as UTF-8 in any locale.
+    Mutant("config-path-from-environment", "src/srqkd/cli.py",
+           "    values = {}\n    if config_path:\n",
+           "    values = {}\n"
+           "    config_path = config_path or __import__('os').environ.get('SRQKD_CONFIG')\n"
+           "    if config_path:\n",
+           ("tests/test_cli.py::test_environment_names_no_config",
+            "tests/test_package.py::test_no_module_reads_the_environment")),
+    Mutant("config-read-in-locale-encoding", "src/srqkd/cli.py",
+           'Path(config_path).read_text(encoding="utf-8")', "Path(config_path).read_text()",
+           ("tests/test_cli.py::test_config_file_is_utf8_whatever_the_locale",)),
+    # Bob's conclusive probability is derived with the channel, and read from it.
+    Mutant("conclusive-half-exponent", "src/srqkd/physics.py",
+           "conclusive=-math.expm1(-2.0 * detector.eta * mu_prime),",
+           "conclusive=-math.expm1(-1.0 * detector.eta * mu_prime),",
+           ("tests/test_physics.py::test_derive_channel_consistency",)),
+    Mutant("sr-rate-derives-conclusive", "src/srqkd/rates.py",
+           "raw = protocol.sifting_factor * channel.conclusive",
+           "raw = protocol.sifting_factor * -math.expm1(-2.0 * detector.eta * channel.mu_prime)",
+           ("tests/test_package.py::test_each_input_has_one_source",)),
+    Mutant("objective-conclusive-no-eta", "src/srqkd/attack.py",
+           "conclusive, success, fail = terms.channel.conclusive, terms.success, terms.fail",
+           "conclusive, success, fail = (-math.expm1(-2.0 * terms.channel.mu_prime),"
+           " terms.success, terms.fail)",
+           ("tests/test_attack.py::test_objective_is_the_holevo_chi_composition",)),
+    # The grid's bound rule (PR 27 and PR 28 prose): stop only at a bound
+    # below the best, or equal to it after the first best index; ties go to
+    # the lower index; an unscored point counts as -inf, not as a zero rate.
+    Mutant("strict-stop-only", "src/srqkd/optimize.py",
+           "if -keys[i] < best or (-keys[i] == best and i > k):",
+           "if -keys[i] < best:",
+           ("tests/test_optimize.py::test_grid_bound_changes_nothing",)),
+    Mutant("grid-ties-to-later-index", "src/srqkd/optimize.py",
+           "if v > best or (v == best and i < k):",
+           "if v >= best:",
+           ("tests/test_optimize.py::test_grid_bound_changes_nothing",)),
+    Mutant("unscored-points-scored-zero", "src/srqkd/optimize.py",
+           "k, best = 0, -math.inf",
+           "k, best = 0, 0.0",
+           ("tests/test_optimize.py::test_grid_then_golden_no_finite_cell",
+            "tests/test_optimize.py::test_grid_then_golden_interior")),
+    # Eve's edge bound is the better finite edge, never above her optimum.
+    Mutant("both-infeasible-edge-bound-one", "src/srqkd/attack.py",
+           "return (i_e if i_e > -math.inf else 0.0), terms.channel",
+           "return (i_e if i_e > -math.inf else 1.0), terms.channel",
+           ("tests/test_attack.py::test_edge_information_bounds_the_optimum",)),
+    Mutant("edge-bound-b-min-only", "src/srqkd/attack.py",
+           "i_e = max(information(terms.b_min), information(terms.b_max))",
+           "i_e = information(terms.b_min)",
+           ("tests/test_attack.py::test_edge_information_bounds_the_optimum",)),
+    Mutant("edge-bound-raised", "src/srqkd/attack.py",
+           "i_e = max(information(terms.b_min), information(terms.b_max))",
+           "i_e = max(information(terms.b_min), information(terms.b_max)) + 1e-3",
+           ("tests/test_attack.py::test_edge_information_bounds_the_optimum",
+            "tests/test_metamorphic.py::test_optimize_mu_beats_its_grid")),
+    # Every mu grid is bounded, the fallback grid too, and a BB84 bound is
+    # its rate with error-free single photons: neither H(E_mu) nor 0.1% low.
+    Mutant("mu-grid-unbounded", "src/srqkd/sweeps.py",
+           "        y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)\n"
+           "        if r_best",
+           "        y_best, r_best = grid_then_golden_max(objective, ys)\n        if r_best",
+           ("tests/test_package.py::test_one_rule_for_unimodal_searches",
+            "tests/test_optimize.py::test_optimize_mu_scores_each_mu_once")),
+    Mutant("fallback-grid-unbounded", "src/srqkd/sweeps.py",
+           "  # same ends, so the same mu_at\n"
+           "            y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)",
+           "  # same ends, so the same mu_at\n"
+           "            y_best, r_best = grid_then_golden_max(objective, ys)",
+           ("tests/test_package.py::test_one_rule_for_unimodal_searches",
+            "tests/test_metamorphic.py::test_optimize_mu_beats_its_grid")),
+    Mutant("bb84-bound-dropped", "src/srqkd/sweeps.py",
+           "return bb84_rate_bound(protocol, mu_at(y), length_km, detector, decoy)",
+           "return math.nan",
+           ("tests/test_optimize.py::test_optimize_mu_scores_each_mu_once",
+            "tests/test_metamorphic.py::test_optimize_mu_beats_its_grid")),
+    Mutant("bb84-bound-with-e-mu", "src/srqkd/rates.py",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e_mu), p_mu, detector)",
+           ("tests/test_rates.py::"
+            "test_bb84_rate_bound_is_the_rate_with_error_free_single_photons",)),
+    Mutant("bb84-bound-low", "src/srqkd/rates.py",
+           "return unclamped if unclamped > 0.0 else 0.0  # +0.0, as _breakdown clamps",
+           "return unclamped * 0.999 if unclamped > 0.0 else 0.0",
+           ("tests/test_rates.py::"
+            "test_bb84_rate_bound_is_the_rate_with_error_free_single_photons",)),
+    # The mu search checks its setup once, at its lowest mu, before any bound.
+    Mutant("mu-search-setup-unchecked", "src/srqkd/sweeps.py",
+           "        protocol = SetupConfig(protocol=protocol, mu=lo, t_db=t_db,"
+           " length_km=length_km,\n"
+           "                               pulse_rate_hz=pulse_rate_hz).protocol\n",
+           "        protocol = Protocol(protocol)\n",
+           ("tests/test_optimize.py::test_optimize_mu_bound_changes_nothing",)),
 )

@@ -39,7 +39,6 @@ class RunnerError(Exception):
 def _fails(workdir: Path, tests) -> bool:
     """Whether some of ``tests`` (the whole suite if none) fail in ``workdir``."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("SRQKD_CONFIG", None)
     run = subprocess.run([*PYTEST, *tests], cwd=workdir, env=env,
                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     if run.returncode not in (0, 1):

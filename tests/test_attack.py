@@ -117,7 +117,7 @@ def test_large_attenuation_argument_is_infeasible():
     # infeasible, where math.expm1 used to raise OverflowError.
     mu, eta, mu_prime, delta = 400.0, 0.2, 0.63, 1e-5
     channel = ChannelDerived(transmittance=mu_prime / mu, mu_prime=mu_prime, delta=delta,
-                             qber=0.0)
+                             conclusive=-math.expm1(-2.0 * eta * mu_prime), qber=0.0)
     terms = _terms(mu, eta, channel)
     assert _objective(terms)(0.0) == -math.inf
     with pytest.raises(ValueError, match="infeasible"):
@@ -199,10 +199,10 @@ def _information_by_holevo_chi(b, terms, eta):
     eps_f = b * terms.mu - terms.mu_min
     if not (eps_s >= -1e-12 and eps_f >= -1e-12):
         return -math.inf
-    if terms.conclusive <= 0.0:
+    if terms.channel.conclusive <= 0.0:
         return 0.0
     info = (terms.success * holevo_chi(max(eps_s, 0.0))
-            + terms.fail * holevo_chi(max(eps_f, 0.0))) / terms.conclusive
+            + terms.fail * holevo_chi(max(eps_f, 0.0))) / terms.channel.conclusive
     return min(max(info, 0.0), 1.0)
 
 
@@ -238,9 +238,10 @@ def test_objective_is_the_holevo_chi_composition():
 def test_inline_chi_is_holevo_chi_at_edge_intensities():
     # q = 0 makes a = 1 exactly. With mu = 1 and mu_min = 0, eps_f is b itself
     # and eps_s = mu - mu_max = 0, so the fail branch alone scores b.
-    channel = ChannelDerived(transmittance=0.0, mu_prime=0.0, delta=0.0, qber=0.0)
+    channel = ChannelDerived(transmittance=0.0, mu_prime=0.0, delta=0.0, conclusive=1.0,
+                             qber=0.0)
     fail_only = _Terms(mu=1.0, channel=channel, b_min=0.0, b_max=1.0, q=0.0, p=1.0,
-                       mu_max=1.0, mu_min=0.0, conclusive=1.0, success=0.0, fail=1.0)
+                       mu_max=1.0, mu_min=0.0, success=0.0, fail=1.0)
     # From eps = 19 on, x = (1 - exp(-2*eps))/2 rounds to 1/2; at 18.5 it does not.
     assert [-math.expm1(-2.0 * eps) / 2.0 for eps in (18.5, 19.0)] == [
         0.49999999999999994, 0.5]

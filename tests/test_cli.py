@@ -34,11 +34,6 @@ FAST_MU = ["--mu-lo", "0.1", "--mu-hi", "0.6"]
 FAST_T = ["--t-lo", "55", "--t-hi", "75", "--t-points", "3"]
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_config(monkeypatch):
-    monkeypatch.delenv("SRQKD_CONFIG", raising=False)
-
-
 def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -103,17 +98,33 @@ def test_dump_config_round_trip(capsys, tmp_path):
     assert reparsed.mu == 0.42 and reparsed.t_db == 70.0
 
 
-def test_env_var_names_config(capsys, tmp_path, monkeypatch):
+def test_environment_names_no_config(capsys, tmp_path, monkeypatch):
+    # --config is the one source of a config file: SRQKD_CONFIG, which once
+    # named a default file, is ignored.
     cfg_file = tmp_path / "env.cfg"
-    cfg_file.write_text("mu = 0.17\nlength_km = 33\n")
+    cfg_file.write_text("mu = 0.17\n", encoding="utf-8")
     monkeypatch.setenv("SRQKD_CONFIG", str(cfg_file))
     code, out, _ = _run(["rate", "--dump-config"], capsys)
     assert code == 0
-    assert "mu = 0.17" in out
-    assert "length_km = 33" in out
-    # Explicit flags still win over the environment config.
-    code, out, _ = _run(["rate", "--mu", "0.5", "--dump-config"], capsys)
-    assert "mu = 0.5\n" in out
+    assert RunConfig(**parse_config_text(out)).mu == 0.3
+    monkeypatch.delenv("SRQKD_CONFIG")
+    assert _run(["rate", "--dump-config"], capsys) == (0, out, "")
+
+
+def test_config_file_is_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale, without UTF-8 mode, open() defaults to ASCII; a
+    # non-ASCII comment must still read as it does under a UTF-8 locale.
+    env = {**_child_env(), "LC_ALL": "C", "LANG": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    script = "import sys; from srqkd.cli import main; sys.exit(main())"
+    outputs = []
+    for name, text in (("plain.cfg", "mu = 0.2\n"), ("comment.cfg", "mu = 0.2  # signal μ\n")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-c", script, "rate", "--config",
+                               str(tmp_path / name)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[1] == outputs[0] and outputs[0].splitlines()[1].startswith("0.2,")
 
 
 def test_run_config_defaults_are_the_library_defaults():
@@ -1062,7 +1073,6 @@ def write_golden_corpus() -> None:
 
     A new key whose entry equals a removed key's is reported as a rename.
     """
-    os.environ.pop("SRQKD_CONFIG", None)
     old = (json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
            if GOLDEN_CORPUS.exists() else {})
     corpus = {" ".join(argv): _run_captured(argv) for argv in _corpus_commands()}

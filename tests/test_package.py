@@ -308,8 +308,9 @@ def test_each_input_has_one_source():
     # Decoys are ratios of the setup's mu, min-srp has one mu policy
     # (optimized at each t within mu_bounds; rate-vs-t holds mu fixed), the
     # grey flag and the SR rate read the channel the attack was solved for
-    # (sr_secret_rate takes no setup beside it), and simulate solves Eve's
-    # point for the setup it samples.
+    # (sr_secret_rate takes no setup beside it), simulate solves Eve's
+    # point for the setup it samples, and Bob's conclusive probability is
+    # derived with the channel: the attack's terms and the SR rate read it.
     assert [f.name for f in dataclasses.fields(srqkd.DecoyConfig)] == [
         "nu1_ratio", "nu2_ratio", "p_mu"]
     params = inspect.signature(srqkd.min_srp_photons).parameters
@@ -322,6 +323,25 @@ def test_each_input_has_one_source():
         "protocol", "channel", "detector", "i_e"]
     assert [f.name for f in dataclasses.fields(srqkd.SimConfig)] == [
         "n_pulses", "seed", "attack", "double_click"]
+    assert [f.name for f in dataclasses.fields(srqkd.ChannelDerived)] == [
+        "transmittance", "mu_prime", "delta", "conclusive", "qber"]
+    assert "conclusive" not in srqkd.attack._Terms._fields
+    rate = _function(SOURCES[0].parent / "rates.py", "sr_secret_rate")
+    attrs = {n.attr for n in ast.walk(rate) if isinstance(n, ast.Attribute)}
+    assert not (_names(rate) | attrs) & {"eta", "expm1"}
+
+
+def test_no_module_reads_the_environment():
+    # A run's inputs are its flags and its --config file: no module of src/
+    # reads the process environment.
+    readers = {"environ", "environb", "getenv"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        imported = {name for _, name in _imports(path)}
+        found += [f"{path.name}: {name}" for name in sorted((attrs | imported) & readers)]
+    assert found == []
 
 
 def test_sweeps_state_each_rule_once():

@@ -229,6 +229,8 @@ def test_derive_channel_consistency(b92_setup, detector):
     nu_prime = ch.mu_prime * 10 ** 6.5
     assert ch.delta == pytest.approx(K_MONITOR / nu_prime, rel=1e-12)
     assert ch.qber == qber_from_received(ch.mu_prime, detector)
+    # Bob's conclusive probability, bit for bit the expression the rates read.
+    assert ch.conclusive == -math.expm1(-2.0 * detector.eta * ch.mu_prime)
     assert not monitoring_unacceptable(ch.delta)
 
 

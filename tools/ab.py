@@ -78,7 +78,7 @@ def _build_tree(tree: Path, rev: str | None) -> None:
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SRQKD_CONFIG")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
