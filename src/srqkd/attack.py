@@ -300,8 +300,8 @@ def scan_information(setup: SetupConfig,
     if terms.b_min >= terms.b_max:
         return []
     bs = np.linspace(terms.b_min, terms.b_max, SCAN_POINTS)
-    return [(float(x), float(v) if math.isfinite(v) else math.nan)
-            for x, v in zip(bs, _information_curve(bs, terms))]
+    curve = _information_curve(bs, terms)
+    return list(zip(bs.tolist(), np.where(np.isfinite(curve), curve, np.nan).tolist()))
 
 
 def edge_information(setup: SetupConfig,

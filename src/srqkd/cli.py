@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -211,19 +212,34 @@ def _json_cell(value, nested: bool = False) -> str:
     return json.dumps(value)  # without indent, json stays in C and refuses what it cannot write
 
 
+# The float reprs json.dumps writes as null; every other cell maps to itself.
+_JSON_NULLS = dict.fromkeys(("nan", "inf", "-inf"), "null")
+
+
+def _render_column(column: list, fmt: str) -> list[str]:
+    """One column's cells. A column of exact floats is formatted in one C-level
+    pass: "%.12g" % v is format(v, ".12g"), and a JSON cell is the float's repr
+    with nan and ±inf then patched to null. Any other column goes cell by cell."""
+    if set(map(type, column)) != {float}:
+        return list(map(_json_cell if fmt == "json" else _csv_cell, column))
+    if fmt != "json":
+        return list(map("%.12g".__mod__, column))
+    cells = list(map(float.__repr__, column))
+    if not all(map(math.isfinite, column)):
+        cells = list(map(_JSON_NULLS.get, cells, cells))
+    return cells
+
+
 def render_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str) -> str:
+    if fmt == "json" and not rows:
+        return "[]\n"
+    columns = [_render_column(list(map(itemgetter(k), rows)), fmt) for k in fieldnames]
     if fmt == "json":
-        if not rows:
-            return "[]\n"
-        prefixes = [(k, "\n    " + json.dumps(k) + ": ") for k in fieldnames]
-        objects = ("  {" + ",".join([prefix + _json_cell(row[k]) for k, prefix in prefixes])
-                   + "\n  }" for row in rows)
-        return "[\n" + ",\n".join(objects) + "\n]\n"
-    lines = [",".join(fieldnames)]
-    # For an exact float, "%.12g" % v is format(v, ".12g"), only faster.
-    lines.extend(",".join(["%.12g" % v if type(v) is float else _csv_cell(v)
-                           for v in map(row.__getitem__, fieldnames)]) for row in rows)
-    return "\n".join(lines) + "\n"
+        # One row object, as json.dumps(indent=2) lays it out, with a %s per cell.
+        template = "  {" + ",".join(["\n    " + json.dumps(k).replace("%", "%%") + ": %s"
+                                     for k in fieldnames]) + "\n  }"
+        return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n]\n"
+    return "\n".join([",".join(fieldnames), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _emit(text: str, out: Optional[str]):

@@ -259,18 +259,17 @@ def bb84_secret_rate(setup: SetupConfig, detector: DetectorConfig,
 
 def bb84_rate_bound(protocol: Protocol, mu: float, length_km: float,
                     detector: DetectorConfig, decoy: DecoyConfig = DecoyConfig()) -> float:
-    """An upper bound on the BB84 baseline's per_pulse: its rate if single photons had no errors.
+    """An upper bound on the BB84 baseline's per_pulse: the rate itself, without its records.
 
     The setup's fields come as scalars, already checked (a mu search checks
     them once, in the SetupConfig of its lowest mu). The bound is a rate per
-    pulse, as the mu search scores: bb84_secret_rate's per_pulse with
-    H(E1) = 0, i.e. i_e' = 1 - Q1/Q_mu, from the same floats and
-    expressions. Rounding is monotone and (Q1/Q_mu)*(1 - H(E1)) <= Q1/Q_mu,
-    so i_e' <= i_e and the bound holds bit for bit. It skips the second
-    entropy and the records' checks, and refuses a protocol or detector
-    that bb84_secret_rate refuses, with its message.
+    pulse, as the mu search scores: bb84_secret_rate's per_pulse from the
+    same floats and expressions, so it equals that rate bit for bit and the
+    best-first mu search fully rates only the grid's first best point. It
+    skips the records' checks, and refuses a protocol or detector that
+    bb84_secret_rate refuses, with its message.
     """
-    (q_mu, e_mu, _, q1, _), p_mu = _bb84_yields(protocol, mu, length_km, detector, decoy)
-    raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)
+    (q_mu, e_mu, _, q1, e1), p_mu = _bb84_yields(protocol, mu, length_km, detector, decoy)
+    raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e1), p_mu, detector)
     unclamped = raw * (i_ab - i_e)
     return unclamped if unclamped > 0.0 else 0.0  # +0.0, as _breakdown clamps

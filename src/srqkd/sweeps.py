@@ -59,6 +59,11 @@ def _check_axis(name: str, lo: float, hi: float, points: int, log: bool) -> None
 
 
 def _check_grid(caller: str, points: int) -> None:
+    """Refuse a sweep whose grids hold more than MAX_GRID_POINTS points in all.
+
+    The count is of grid points only: each mu search on them also runs one
+    Brent refinement of at most optimize.GOLDEN_MAX_ITER ratings, not counted.
+    """
     if points > MAX_GRID_POINTS:
         raise ValueError(f"{caller} would rate {points} points, over the cap of {MAX_GRID_POINTS}")
 
@@ -258,7 +263,7 @@ def optimize_mu(length_km: float, t_db: float, detector: DetectorConfig,
     peaks, which the grid tells apart. Every grid mu's rate is first bounded
     from above: for an SR protocol by the rate at Eve's better b edge
     (attack.edge_information, which her maximum never falls below), for a
-    BB84 baseline by its rate with error-free single photons
+    BB84 baseline by its rate itself, without the records
     (rates.bb84_rate_bound). A mu whose bound is below the best rate so far,
     or ties it above the best mu, is not rated: the result is bit for bit
     that of rating every grid mu. Where every bound is 0, the grid's lowest
@@ -363,6 +368,10 @@ def rate_vs_distance(protocols: Sequence[Protocol], detector: DetectorConfig,
     crossover is where the B92-SR and decoy-BB84 curves intersect,
     interpolated linearly in log-rate between the per-pulse rates at grid
     points. protocols must be non-empty and hold each protocol at most once.
+    Before any rate, a sweep of more than MAX_GRID_POINTS grid mu (L points
+    times mu points times protocols) is refused; the cap counts grid points
+    only, and each mu search adds at most optimize.GOLDEN_MAX_ITER Brent
+    refinements to its grid's ratings.
     """
     protocols = [Protocol(p) for p in protocols]
     if not protocols or len(set(protocols)) < len(protocols):
@@ -433,7 +442,8 @@ def min_srp_photons(length_km: float, detector: DetectorConfig,
     positive rate gives nu_threshold, mu_at and t_db_at nan and r_sec_hz 0.
     The thresholds at a fixed mu come from rate_vs_t. A t grid is refused
     before any search when its points times the largest grid a floored
-    search can rate (MAX_FALLBACK_POINTS) exceed MAX_GRID_POINTS.
+    search can rate (MAX_FALLBACK_POINTS) exceed MAX_GRID_POINTS; like every
+    sweep cap it counts grid points, not each search's Brent refinements.
     """
     if criterion not in ("positive-rate", "0.99-of-max"):
         raise ValueError(f"unknown criterion {criterion!r}")

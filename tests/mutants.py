@@ -61,8 +61,8 @@ MUTANTS = (
            "else [-v if v == v else math.inf for v",
            ("tests/test_optimize.py::test_grid_bound_changes_nothing",)),
     Mutant("bb84-bound-without-p-mu", "src/srqkd/rates.py",
-           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)",
-           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, 1.0, detector)",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e1), p_mu, detector)",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e1), 1.0, detector)",
            ("tests/test_rates.py::"
             "test_bb84_rate_bound_is_the_rate_with_error_free_single_photons",)),
     # The decoy bounds work out T(L) once for their three intensities.
@@ -100,11 +100,30 @@ MUTANTS = (
            "                from .physics import derive_channel\n"
            "                channel = derive_channel(setup_at(y), detector)",
            ("tests/test_optimize.py::test_each_sr_rating_derives_its_channel_once",)),
-    # attack_point builds no point at an infeasible b.
+    # attack_point takes b up to 1e-12 past either end, inclusive, and builds
+    # no point at an infeasible b.
+    Mutant("b-min-tolerance-exclusive", "src/srqkd/attack.py",
+           "if not terms.b_min - 1e-12 <= b <= terms.b_max + 1e-12:",
+           "if not terms.b_min - 1e-12 < b <= terms.b_max + 1e-12:",
+           ("tests/test_attack.py::test_attack_point_takes_b_up_to_its_tolerance",)),
+    Mutant("b-max-tolerance-exclusive", "src/srqkd/attack.py",
+           "if not terms.b_min - 1e-12 <= b <= terms.b_max + 1e-12:",
+           "if not terms.b_min - 1e-12 <= b < terms.b_max + 1e-12:",
+           ("tests/test_attack.py::test_attack_point_takes_b_up_to_its_tolerance",)),
     Mutant("infeasible-b-accepted", "src/srqkd/attack.py",
            '    if not math.isfinite(i_e):\n        raise ValueError(f"b={b} infeasible:',
            '    if False:\n        raise ValueError(f"b={b} infeasible:',
            ("tests/test_attack.py::test_attack_point_refuses_an_infeasible_b",)),
+    # An all-float column is rendered in one pass, with the per-cell bytes:
+    # nan and +-inf as JSON null, and "%.12g" in CSV.
+    Mutant("render-column-null-patch-dropped", "src/srqkd/cli.py",
+           "    if not all(map(math.isfinite, column)):\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_render_rows_long_columns_match_their_oracles",)),
+    Mutant("render-csv-column-repr", "src/srqkd/cli.py",
+           'return list(map("%.12g".__mod__, column))',
+           "return list(map(float.__repr__, column))",
+           ("tests/test_cli.py::test_render_rows_long_columns_match_their_oracles",)),
     # A non-finite output is a numerical failure, exit 2.
     Mutant("inf-row-printed", "src/srqkd/cli.py",
            "if isinstance(value, float) and math.isinf(value):",
@@ -182,7 +201,8 @@ MUTANTS = (
     Mutant("unscored-points-scored-zero", "src/srqkd/optimize.py",
            "k, best = 0, -math.inf",
            "k, best = 0, 0.0",
-           ("tests/test_optimize.py::test_grid_then_golden_no_finite_cell",
+           ("tests/test_optimize.py::test_grid_bound_changes_nothing",
+            "tests/test_optimize.py::test_grid_then_golden_no_finite_cell",
             "tests/test_optimize.py::test_grid_then_golden_interior")),
     # Eve's edge bound is the better finite edge, never above her optimum.
     Mutant("both-infeasible-edge-bound-one", "src/srqkd/attack.py",
@@ -199,7 +219,7 @@ MUTANTS = (
            ("tests/test_attack.py::test_edge_information_bounds_the_optimum",
             "tests/test_metamorphic.py::test_optimize_mu_beats_its_grid")),
     # Every mu grid is bounded, the fallback grid too, and a BB84 bound is
-    # its rate with error-free single photons: neither H(E_mu) nor 0.1% low.
+    # its rate, H(E1) included: neither H(E_mu) nor 0.1% low.
     Mutant("mu-grid-unbounded", "src/srqkd/sweeps.py",
            "        y_best, r_best = grid_then_golden_max(objective, ys, rate_bound)\n"
            "        if r_best",
@@ -219,8 +239,13 @@ MUTANTS = (
            ("tests/test_optimize.py::test_optimize_mu_scores_each_mu_once",
             "tests/test_metamorphic.py::test_optimize_mu_beats_its_grid")),
     Mutant("bb84-bound-with-e-mu", "src/srqkd/rates.py",
-           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e1), p_mu, detector)",
            "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e_mu), p_mu, detector)",
+           ("tests/test_rates.py::"
+            "test_bb84_rate_bound_is_the_rate_with_error_free_single_photons",)),
+    Mutant("bb84-bound-without-h-e1", "src/srqkd/rates.py",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0 - binary_entropy(e1), p_mu, detector)",
+           "raw, i_ab, i_e = _gllp(q_mu, e_mu, q1, 1.0, p_mu, detector)",
            ("tests/test_rates.py::"
             "test_bb84_rate_bound_is_the_rate_with_error_free_single_photons",)),
     Mutant("bb84-bound-low", "src/srqkd/rates.py",

@@ -364,6 +364,16 @@ def test_attack_point_refuses_an_infeasible_b(detector):
         attack_point(terms.b_min, setup, detector)
 
 
+def test_attack_point_takes_b_up_to_its_tolerance(b92_setup, detector):
+    # The range check allows 1e-12 past either end, inclusive: exactly that
+    # b is a point, and the next float outward is refused as outside.
+    b_min, b_max = b_interval(b92_setup, detector)
+    for edge, outward in ((b_min - 1e-12, -math.inf), (b_max + 1e-12, math.inf)):
+        assert attack_point(edge, b92_setup, detector).b == edge
+        with pytest.raises(ValueError, match="outside feasible interval"):
+            attack_point(math.nextafter(edge, outward), b92_setup, detector)
+
+
 def test_point_p_and_a_are_the_reference_functions():
     # The points read p from the per-setup terms, not from
     # success_probability; both must still give the same float, and a is

@@ -657,6 +657,26 @@ def test_render_rows_matches_its_oracles(case):
         assert "%.12g" % value == format(value, ".12g")
 
 
+def test_render_rows_long_columns_match_their_oracles():
+    # 2000 rows, as a trace has: an all-float column with nan, +-inf, -0.0
+    # and 5e-324 in its middle (formatted as one column, then patched to
+    # null in JSON), a column of np.float64 and one mixing floats with a
+    # flags tuple (both cell by cell), under keys json and % would misread.
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    rng = np.random.default_rng(2000)
+    plain = (rng.uniform(-1e3, 1e3, 2000) * 10.0 ** rng.integers(-20, 21, 2000)).tolist()
+    plain[1000:1000] = odd
+    del plain[-len(odd):]
+    rows = [{"b": b, "%s i_e": np.float64(b / 3.0), 'fl"ags': b if i % 7 else ("grey", "x")}
+            for i, b in enumerate(plain)]
+    names = ("b", "%s i_e", 'fl"ags')
+    assert {type(row["b"]) for row in rows} == {float}
+    payload = [{k: _oracle_cell(row[k]) for k in names} for row in rows]
+    assert cli.render_rows(rows, names, "json") == json.dumps(payload, indent=2) + "\n"
+    csv = [",".join(names)] + [",".join(cli._csv_cell(row[k]) for k in names) for row in rows]
+    assert cli.render_rows(rows, names, "csv") == "\n".join(csv) + "\n"
+
+
 def test_render_rows_refuses_what_json_refuses():
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli.render_rows([{"x": object()}], ("x",), "json")

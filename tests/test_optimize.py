@@ -436,6 +436,9 @@ def _bounded_grids(draw):
 @example(case=([0.0] * 6, [0.0] * 6, 0.5, 0.0))
 @example(case=([0.5, 1.0, 0.5, 1.0, 1.0], [1.0] * 5, 0.5, 2.0))
 @example(case=([0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0], 0.2, -1.0))
+# Every score at or below 0, -inf among them, and a nan bound: an unscored
+# point counts as -inf, not as a zero rate.
+@example(case=([-1.0, -math.inf, -0.5, -0.25], [-1.0, math.nan, -0.5, -0.25], 0.5, -1.0))
 def test_grid_bound_changes_nothing(case):
     # A bound only spares grid points that cannot win: the result is the
     # unbounded call's, bit for bit. No point is scored twice, and the grid
@@ -451,20 +454,27 @@ def test_grid_bound_changes_nothing(case):
         return at_grid[x] if x in at_grid else height - (x - peak) ** 2
 
     counted, calls = _counted(f)
-    assert grid_then_golden_max(counted, xs, bound_at.__getitem__) == grid_then_golden_max(f, xs)
+    x_best, v_best = grid_then_golden_max(counted, xs, bound_at.__getitem__)
+    assert (x_best, v_best) == grid_then_golden_max(f, xs)
+    assert v_best == (f(x_best) if math.isfinite(f(x_best)) else -math.inf)
     on_grid = [x for x in calls if x in at_grid]
     assert len(on_grid) == len(set(on_grid))
     assert on_grid == sorted(on_grid, key=lambda x: (-bound_at[x] if bound_at[x] == bound_at[x]
                                                       else -math.inf, x))
-    best, first = -math.inf, 0
+    best, first, scored = -math.inf, 0, set()
     for x in calls:
         if x not in at_grid:
             break  # the search has begun
+        scored.add(x)
         i, bound = xs.index(x), bound_at[x]
         assert bound != bound or bound > best or (bound == best and i <= first), (x, calls)
         value = f(x) if math.isfinite(f(x)) else -math.inf
         if value > best or (value == best and i < first):
             best, first = value, i
+    # Every grid point left unscored could not become the first best.
+    for i, x in enumerate(xs):
+        if x not in scored:
+            assert bound_at[x] < best or (bound_at[x] == best and i > first), (x, calls)
 
 
 def _unbounded(f, xs, bound=None):

@@ -2,33 +2,44 @@
 
     python tools/ab.py --base REV [--change REV] --pairs N --seconds S [--workload W ...]
 
-Builds two temporary trees. The base tree is ``git archive REV src``; the
-change tree is ``git archive`` of ``--change`` or, without it, a copy of
-the working tree's ``src/``. Each tree gets a copy of the current
-``bench/`` and ``BENCHMARK.json``, so both sides run the same benchmark
-code and settings, and only ``src/`` differs. For every workload (all of
-``BENCHMARK.json``'s by default) it runs N pairs of
-``bench/run.py --trace 0``, one seed per pair shared by both sides (pair
-i uses seed i + 1), alternating which side runs first.
+Builds two temporary trees, both from ``git archive`` tar streams of
+``src/``: the base side's of REV, the change side's of ``--change`` or,
+without it, of a tree object written from the working tree's ``src/``
+through a temporary index (no ref and no checked-out file changes). Each
+tree gets a copy of the current ``bench/`` and ``BENCHMARK.json``, so both
+sides run the same benchmark code and settings, and only ``src/`` differs.
+For every workload (all of ``BENCHMARK.json``'s by default) it runs N
+pairs of ``bench/run.py --trace 0``, N even, one seed per pair shared by
+both sides (pair i uses seed i + 1). Which side runs first alternates from
+pair to pair, and in one pair of each two consecutive pairs the two sides
+swap directories, so each order and each directory serves each side on
+half of the pairs.
 
 Prints, per workload and end-to-end metric: both medians with their
 quartiles, the change's wins over the pairs (ties count for neither side),
 and a verdict against the metric's bound in ``BENCHMARK.json``:
 
 - ``regression``: the change's median is worse by more than the bound;
-- ``gain``: the change wins at least 9 of 10 pairs, and its median is
-  better by more than the base's quartile distance;
+- ``gain``: three conditions hold, and a line names each one that fails
+  where the change's median is better: an exact one-sided sign test on
+  the wins (a tie counting as a loss) gives p <= 0.02 (6 of 6 pairs, 8 of
+  9 or 9 of 10; never 5 pairs), the median gap exceeds the base's
+  quartile distance, and its share of the base median exceeds the
+  metric's A/A spread: in the latest A/A record of
+  ``BENCH_TRAJECTORY.json`` (both sides the same ``src/`` tree), the
+  largest of the two sides' quartile distances over median and the
+  medians' relative gap. Without an A/A record that condition is skipped;
 - ``unresolved``: the base's quartile distance is wider than the bound,
   and not every change run beats every base run;
 - ``within bound`` otherwise.
 
 A workload whose runs are not all ``correct``, or where the change fails
 more items than the base, is reported too. Then one record (commit, base,
-host, medians and verdicts) is appended to ``BENCH_TRAJECTORY.json`` at
-the repository root. Nothing is written under ``bench/``: each run writes
-its results inside its temporary tree, which is removed at the end.
-``--dry-run`` builds and lists both trees and the runs it would make,
-runs nothing and appends no record.
+both ``src/`` tree ids, host, medians and verdicts) is appended to
+``BENCH_TRAJECTORY.json`` at the repository root. Nothing is written under
+``bench/``: each run writes its results inside its temporary tree, which
+is removed at the end. ``--dry-run`` builds and lists both trees and the
+runs it would make, runs nothing and appends no record.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -49,30 +61,52 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRAJECTORY = ROOT / "BENCH_TRAJECTORY.json"
-GAIN_SHARE = 0.9
+GAIN_P = 0.02
+SIDES = ("base", "change")
 
 
-def _git(*args: str) -> bytes:
+def _git(*args: str, env: dict | None = None) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True).stdout
+                          capture_output=True, env=env).stdout
 
 
 def _rev(rev: str) -> str:
     return _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
 
 
-def _build_tree(tree: Path, rev: str | None) -> None:
-    """src/ at rev (the working tree's when None), with the current bench/."""
+def _worktree_tree() -> str:
+    """A tree object holding the working tree's src/ (ignored files left out).
+
+    It is written through a temporary index, so no ref, no index of the
+    checkout and no checked-out file changes."""
+    with tempfile.TemporaryDirectory(prefix="srqkd-ab-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git("add", "--all", "--", "src", env=env)
+        return _git("write-tree", env=env).decode().strip()
+
+
+def _src_tree(treeish: str) -> str:
+    """The id of treeish's src/ tree: two sides with the same id run the same code."""
+    return _git("rev-parse", "--verify", f"{treeish}:src").decode().strip()
+
+
+def _build_tree(tree: Path, treeish: str) -> None:
+    """treeish's src/, extracted from a git archive tar stream, with the current bench/."""
     tree.mkdir()
-    if rev is None:
-        shutil.copytree(ROOT / "src", tree / "src",
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    else:
-        with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev, "src"))) as tar:
-            tar.extractall(tree, filter="data")
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", treeish, "src"))) as tar:
+        tar.extractall(tree, filter="data")
     shutil.copytree(ROOT / "bench", tree / "bench",
                     ignore=shutil.ignore_patterns("__pycache__", "results"))
     shutil.copy2(ROOT / "BENCHMARK.json", tree)
+
+
+def _plan(pairs: int) -> list[tuple[tuple[str, str], bool]]:
+    """Per pair: the order of the sides, and whether they swap directories.
+
+    The order alternates; pairs 2j and 2j + 1 run one with and one without
+    the swap, so over an even number of pairs each holds on exactly half."""
+    return [(SIDES if i % 2 == 0 else SIDES[::-1], (i + 1) // 2 % 2 == 1)
+            for i in range(pairs)]
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -94,16 +128,55 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(base: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Medians, quartiles, wins and the verdict of one metric over paired runs."""
+def sign_test_p(wins: int, pairs: int) -> float:
+    """One-sided exact sign test: P(at least wins of pairs fair coin flips), ties as losses."""
+    return sum(math.comb(pairs, k) for k in range(wins, pairs + 1)) / 2.0 ** pairs
+
+
+def aa_spread(record: dict, workload: str, metric: str) -> float:
+    """A metric's noise in an A/A record: the largest of both sides' quartile
+    distances over median and of the medians' relative gap."""
+    m = record["workloads"][workload]["metrics"][metric]
+    spreads = [(q3 - q1) / abs(med) for (q1, q3), med in
+               ((m["base_quartiles"], m["base_median"]),
+                (m["change_quartiles"], m["change_median"])) if med]
+    return max(spreads + [abs(m["change_vs_base"] or 0.0)])
+
+
+def latest_aa(records: list[dict], workload: str) -> dict | None:
+    """The latest record with the same src/ tree on both sides that ran workload."""
+    for record in reversed(records):
+        if (record.get("base_src") and record.get("base_src") == record.get("change_src")
+                and workload in record["workloads"]):
+            return record
+    return None
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float,
+            aa: float | None = None) -> dict:
+    """Medians, quartiles, wins and the verdict of one metric over paired runs.
+
+    aa is the metric's A/A spread (see aa_spread), None when no A/A record
+    exists."""
     sign = 1.0 if better == "lower" else -1.0
     b1, b_med, b3 = _quartiles(base)
     c1, c_med, c3 = _quartiles(change)
     wins = sum(sign * (b - c) > 0.0 for b, c in zip(base, change))
-    worse_by = sign * (c_med - b_med) / abs(b_med) if b_med else 0.0
+    p = sign_test_p(wins, len(base))
+    gap = sign * (b_med - c_med)
+    worse_by = -gap / abs(b_med) if b_med else 0.0
+    gain_failed = []
+    if p > GAIN_P:
+        gain_failed.append(f"sign test p {p:.3g} > {GAIN_P} ({wins} of {len(base)} pairs)")
+    if not gap > b3 - b1:
+        gain_failed.append(f"median gap {gap:.4g} not above the base's quartile distance "
+                           f"{b3 - b1:.4g}")
+    if aa is not None and not (b_med and gap / abs(b_med) > aa):
+        gain_failed.append(f"median gap {100.0 * gap / abs(b_med) if b_med else 0.0:.2f}% "
+                           f"not above the A/A spread {100.0 * aa:.2f}%")
     if worse_by > bound:
         outcome = "regression"
-    elif wins >= GAIN_SHARE * len(base) and sign * (b_med - c_med) > b3 - b1:
+    elif not gain_failed:
         outcome = "gain"
     elif (b3 - b1) > bound * abs(b_med) and not all(
             sign * (b - c) > 0.0 for b in base for c in change):
@@ -113,7 +186,8 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     return {"base_median": b_med, "base_quartiles": [b1, b3],
             "change_median": c_med, "change_quartiles": [c1, c3],
             "change_vs_base": c_med / b_med - 1.0 if b_med else None,
-            "wins": wins, "pairs": len(base), "verdict": outcome}
+            "wins": wins, "pairs": len(base), "sign_p": p, "aa_spread": aa,
+            "gain_failed": gain_failed, "verdict": outcome}
 
 
 def _host() -> dict:
@@ -128,8 +202,12 @@ def _host() -> dict:
     return host
 
 
+def _records() -> list[dict]:
+    return json.loads(TRAJECTORY.read_text(encoding="utf-8")) if TRAJECTORY.exists() else []
+
+
 def _append(record: dict) -> None:
-    records = json.loads(TRAJECTORY.read_text(encoding="utf-8")) if TRAJECTORY.exists() else []
+    records = _records()
     records.append(record)
     TRAJECTORY.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
@@ -146,8 +224,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dry-run", action="store_true",
                         help="build and list both trees and the runs; run nothing")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 2 or args.pairs % 2 or not args.seconds > 0:
+        parser.error("--pairs must be even and >= 2, and --seconds > 0")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     known = [w["name"] for w in benchmark["workloads"]]
     workloads = args.workload or known
@@ -156,52 +234,65 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {known}")
 
     base = _rev(args.base)
-    change = _rev(args.change) if args.change else None
-    head = _rev("HEAD")
-    commit = change or f"{head}+worktree"
+    change = _rev(args.change) if args.change else _worktree_tree()
+    commit = change if args.change else f"{_rev('HEAD')}+worktree"
+    src = {"base": _src_tree(base), "change": _src_tree(change)}
+    records = _records()
+    plan = _plan(args.pairs)
     with tempfile.TemporaryDirectory(prefix="srqkd-ab-") as tmp:
-        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
-        _build_tree(trees["base"], base)
-        _build_tree(trees["change"], change)
-        print(f"base   {base}  {trees['base']}")
-        print(f"change {commit}  {trees['change']}")
+        dirs = (Path(tmp) / "a", Path(tmp) / "b")
+        _build_tree(dirs[0], base)
+        _build_tree(dirs[1], change)
+        print(f"base   {base}  src {src['base']}  in {dirs[0]} (swapped: {dirs[1]})")
+        print(f"change {commit}  src {src['change']}  in {dirs[1]} (swapped: {dirs[0]})")
         if args.dry_run:
-            for side, tree in trees.items():
+            for side, tree in zip(SIDES, dirs):
                 files = sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*.py"))
                 print(f"{side}: {len(files)} .py files: {' '.join(files)}")
             for workload in workloads:
-                for i in range(args.pairs):
-                    order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                    print(f"would run {workload} seed {i + 1}: {' then '.join(order)}")
+                for i, (order, swapped) in enumerate(plan):
+                    print(f"would run {workload} seed {i + 1}: {' then '.join(order)}"
+                          f"{', directories swapped' if swapped else ''}")
             return 0
 
-        results = {}
+        results, swapped_now = {}, False
         for workload in workloads:
             runs = {"base": [], "change": []}
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for i, (order, swapped) in enumerate(plan):
+                if swapped != swapped_now:  # each side's tree moves to the other directory
+                    dirs[0].rename(Path(tmp) / "swap")
+                    dirs[1].rename(dirs[0])
+                    (Path(tmp) / "swap").rename(dirs[1])
+                    swapped_now = swapped
                 for side in order:
                     t0 = time.perf_counter()
-                    runs[side].append(_run(trees[side], workload, i + 1, args.seconds))
-                    print(f"  {workload} pair {i + 1} {side:<6} seed {i + 1} "
+                    tree = dirs[SIDES.index(side) ^ swapped]
+                    runs[side].append(_run(tree, workload, i + 1, args.seconds))
+                    print(f"  {workload} pair {i + 1} {side:<6} seed {i + 1} in {tree.name} "
                           f"wall_s {runs[side][-1]['metrics']['wall_s']['value']:.5g} "
                           f"({time.perf_counter() - t0:.0f} s)", flush=True)
+            aa = latest_aa(records, workload)
             metrics = {}
             for spec in benchmark["end_to_end"]:
                 name = spec["name"]
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                           for side in runs}
                 metrics[name] = verdict(values["base"], values["change"], spec["better"],
-                                        spec["bound"])
+                                        spec["bound"],
+                                        aa_spread(aa, workload, name) if aa else None)
             failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
             attempted = {side: sum(r["attempted"] for r in runs[side]) for side in runs}
             results[workload] = {
                 "metrics": metrics, "failed": failed, "attempted": attempted,
                 "correct": all(r["correct"] for side in runs for r in runs[side]),
                 "more_failures": (failed["change"] * attempted["base"]
-                                  > failed["base"] * attempted["change"])}
+                                  > failed["base"] * attempted["change"]),
+                "aa_record": aa["date"] if aa else None}
 
+    spec_better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
     for workload, result in results.items():
+        print(f"\n{workload}: A/A spreads from the record of {result['aa_record']}"
+              if result["aa_record"] else f"\n{workload}: no A/A record; no A/A condition")
         print(f"\n{workload}: {args.pairs} pairs of {args.seconds:g} s, correct "
               f"{str(result['correct']).lower()}, failed {result['failed']['base']} of "
               f"{result['attempted']['base']} (base) / {result['failed']['change']} of "
@@ -213,9 +304,14 @@ def main(argv=None) -> int:
                   f"[{m['change_quartiles'][0]:.5g}, {m['change_quartiles'][1]:.5g}]  "
                   f"{100.0 * (m['change_vs_base'] or 0.0):+.1f}%  "
                   f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+            if m["verdict"] != "gain" and m["change_vs_base"] and (
+                    (m["change_vs_base"] < 0.0) == (spec_better[name] == "lower")):
+                for reason in m["gain_failed"]:
+                    print(f"    not gain: {reason}")
         if result["more_failures"]:
             print("  the change fails a larger share of items than the base")
-    _append({"commit": commit, "base": base, "host": _host(),
+    _append({"commit": commit, "base": base, "base_src": src["base"],
+             "change_src": src["change"], "host": _host(),
              "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
              "pairs": args.pairs, "seconds": args.seconds, "workloads": results})
     print(f"\nappended a record to {TRAJECTORY.name}")
