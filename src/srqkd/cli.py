@@ -8,10 +8,12 @@ which is read as UTF-8. A file may hold any key; a subcommand takes
 unabbreviated flags for exactly the keys it reads (_COMMANDS), and
 refuses those its attack or protocol ignores (_ignored_keys).
 
-Each row is the record the library returns (SweepRow, MuOptimum,
-DistancePoint, MinSrpResult; the attack row spreads AttackPoint), written
-as CSV (default; lowercase-e scientific notation) or JSON (an array of row
-objects with the same field names, in ``json.dumps(indent=2)``'s layout,
+Each row is vars(record) of the record the library returns (SweepRow,
+MuOptimum, DistancePoint, MinSrpResult; the attack row spreads AttackPoint):
+its fields in declaration order. render_rows takes a header and value
+tuples, each row's values or the --trace-out scan's (b, i_e) pairs, and
+writes CSV (default; lowercase-e scientific notation) or JSON (an array of
+row objects with the same field names, in ``json.dumps(indent=2)``'s layout,
 written directly). Output for a given config and seed is byte-identical
 between runs, and help is wrapped at 80 columns whatever the terminal.
 Exit codes: 0 on success, 1 on validation errors, 2 on numerical failure.
@@ -25,7 +27,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -216,7 +217,7 @@ def _json_cell(value, nested: bool = False) -> str:
 _JSON_NULLS = dict.fromkeys(("nan", "inf", "-inf"), "null")
 
 
-def _render_column(column: list, fmt: str) -> list[str]:
+def _render_column(column: Sequence, fmt: str) -> list[str]:
     """One column's cells. A column of exact floats is formatted in one C-level
     pass: "%.12g" % v is format(v, ".12g"), and a JSON cell is the float's repr
     with nan and ±inf then patched to null. Any other column goes cell by cell."""
@@ -230,10 +231,11 @@ def _render_column(column: list, fmt: str) -> list[str]:
     return cells
 
 
-def render_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str) -> str:
+def render_rows(fieldnames: Sequence[str], rows: Sequence[tuple], fmt: str) -> str:
+    """A table of value tuples, each in ``fieldnames`` order."""
     if fmt == "json" and not rows:
         return "[]\n"
-    columns = [_render_column(list(map(itemgetter(k), rows)), fmt) for k in fieldnames]
+    columns = [_render_column(column, fmt) for column in zip(*rows)]
     if fmt == "json":
         # One row object, as json.dumps(indent=2) lays it out, with a %s per cell.
         template = "  {" + ",".join(["\n    " + json.dumps(k).replace("%", "%%") + ": %s"
@@ -247,11 +249,6 @@ def _emit(text: str, out: Optional[str]):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _record(obj) -> dict:
-    """A dataclass's fields, in declaration order: the columns of its row."""
-    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +270,44 @@ def _ignored_keys(protocol: Protocol) -> set[str]:
     return keys if protocol is Protocol.BB84_DECOY else keys | set(_DECOY_KEYS)
 
 
-def _cmd_rate(config: RunConfig, args) -> list[dict]:
+def _checked_protocol(config: RunConfig, args) -> Protocol:
+    """The config's protocol, once the flags its rate ignores are refused."""
     protocol = Protocol(config.protocol)
-    ignored = _ignored_keys(protocol) - {"t_db"}
-    _refuse_flags(args, ignored, f"protocol {protocol.value}")
+    _refuse_flags(args, _ignored_keys(protocol) - {"t_db"}, f"protocol {protocol.value}")
+    return protocol
+
+
+def _cmd_rate(config: RunConfig, args) -> list[dict]:
+    protocol = _checked_protocol(config, args)
     setup, detector = config.setup(), config.detector()
-    if setup.protocol.uses_reference_pulse:
-        return [_record(evaluate_sr_point(setup, detector))]
-    return [_record(rate_row(setup, bb84_secret_rate(setup, detector, config.decoy())))]
+    if protocol.uses_reference_pulse:
+        return [vars(evaluate_sr_point(setup, detector))]
+    return [vars(rate_row(setup, bb84_secret_rate(setup, detector, config.decoy())))]
 
 
 def _cmd_attack(config: RunConfig, args) -> list[dict]:
     setup, detector = config.setup(), config.detector()
     solution = maximize_eve_information(setup, detector)
     if args.trace_out is not None:
-        trace_rows = [{"b": b, "i_e": v} for b, v in scan_information(setup, detector)]
-        Path(args.trace_out).write_text(render_rows(trace_rows, ("b", "i_e"), config.format))
+        Path(args.trace_out).write_text(
+            render_rows(("b", "i_e"), scan_information(setup, detector), config.format))
     return [{"mu": setup.mu, "t_db": setup.t_db, "length_km": setup.length_km,
              "delta": solution.channel.delta, "b_min": solution.b_min, "b_max": solution.b_max,
-             **_record(solution.best), "flags": row_flags(solution, clamped=False)}]
+             **vars(solution.best), "flags": row_flags(solution, clamped=False)}]
 
 
 def _cmd_sweep_mu_t(config: RunConfig, args) -> list[dict]:
     rows = sweep_mu_t(config.length_km, config.grid(), config.detector(),
                       protocol=Protocol(config.protocol),
                       pulse_rate_hz=config.pulse_rate_hz)
-    return [_record(r) for r in rows]
+    return list(map(vars, rows))
 
 
 def _cmd_optimize_mu(config: RunConfig, args) -> list[dict]:
-    protocol = Protocol(config.protocol)
-    ignored = _ignored_keys(protocol) - {"t_db"}
-    _refuse_flags(args, ignored, f"protocol {protocol.value}")
-    return [_record(optimize_mu(config.length_km, config.t_db, config.detector(),
-                                protocol=protocol,
-                                pulse_rate_hz=config.pulse_rate_hz,
-                                mu_range=config.grid().mu_range, decoy=config.decoy()))]
+    return [vars(optimize_mu(config.length_km, config.t_db, config.detector(),
+                             protocol=_checked_protocol(config, args),
+                             pulse_rate_hz=config.pulse_rate_hz,
+                             mu_range=config.grid().mu_range, decoy=config.decoy()))]
 
 
 def _cmd_rate_vs_t(config: RunConfig, args) -> list[dict]:
@@ -317,7 +316,7 @@ def _cmd_rate_vs_t(config: RunConfig, args) -> list[dict]:
                       pulse_rate_hz=config.pulse_rate_hz)
     print(f"t_sat_db = {curve.t_sat_db}  onset_t_db = {curve.onset_t_db}"
           f"  onset_nu = {curve.onset_nu}", file=sys.stderr)
-    return [_record(r) for r in curve.rows]
+    return list(map(vars, curve.rows))
 
 
 def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
@@ -330,15 +329,15 @@ def _cmd_rate_vs_distance(config: RunConfig, args) -> list[dict]:
                                   pulse_rate_hz=config.pulse_rate_hz,
                                   mu_range=config.grid().mu_range, decoy=config.decoy())
     print(f"crossover_km = {comparison.crossover_km}", file=sys.stderr)
-    return [_record(r) for r in comparison.rows]
+    return list(map(vars, comparison.rows))
 
 
 def _cmd_min_srp(config: RunConfig, args) -> list[dict]:
-    return [_record(min_srp_photons(config.length_km, config.detector(),
-                                    t_grid=config.grid().t_values(), criterion=args.criterion,
-                                    protocol=Protocol(config.protocol),
-                                    pulse_rate_hz=config.pulse_rate_hz,
-                                    mu_bounds=(config.mu_lo, config.mu_hi)))]
+    return [vars(min_srp_photons(config.length_km, config.detector(),
+                                 t_grid=config.grid().t_values(), criterion=args.criterion,
+                                 protocol=Protocol(config.protocol),
+                                 pulse_rate_hz=config.pulse_rate_hz,
+                                 mu_bounds=(config.mu_lo, config.mu_hi)))]
 
 
 def _cmd_simulate(config: RunConfig, args) -> list[dict]:
@@ -349,15 +348,14 @@ def _cmd_simulate(config: RunConfig, args) -> list[dict]:
     sim = SimConfig(n_pulses=config.n_pulses, seed=config.seed, attack=kind,
                     double_click=config.double_click)
     result = simulate(config.setup(), config.detector(), sim)
-    row = {
+    return [{
         "n_pulses": result.n_pulses, "seed": config.seed, "attack": kind.value,
         "double_click": DoubleClickPolicy(config.double_click).value,
         "conclusive_count": result.conclusive_count, "error_count": result.error_count,
         "qber_hat": result.qber_hat, "rate_hat": result.rate_hat,
         "qber_ci_lo": result.qber_ci[0], "qber_ci_hi": result.qber_ci[1],
         "rate_ci_lo": result.rate_ci[0], "rate_ci_hi": result.rate_ci[1],
-    }
-    return [row]
+    }]
 
 
 def _cmd_povm_check(config: RunConfig, args) -> list[dict]:
@@ -481,7 +479,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the common interactive use: just answer with the number
             sys.stdout.write(f"{rows[0]['capacity']}\n")
             return 0
-        _emit(render_rows(rows, tuple(rows[0]), config.format), args.out)
+        _emit(render_rows(tuple(rows[0]), [tuple(row.values()) for row in rows],
+                          config.format), args.out)
         return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

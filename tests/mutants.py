@@ -124,6 +124,23 @@ MUTANTS = (
            'return list(map("%.12g".__mod__, column))',
            "return list(map(float.__repr__, column))",
            ("tests/test_cli.py::test_render_rows_long_columns_match_their_oracles",)),
+    # A table is a header and value tuples: the trace scan goes in as it is
+    # returned, and a record's row is vars(record), its fields in order.
+    Mutant("trace-row-dicts", "src/srqkd/cli.py",
+           'render_rows(("b", "i_e"), scan_information(setup, detector), config.format)',
+           'render_rows(("b", "i_e"), [tuple({"b": b, "i_e": v}.values())\n'
+           "                                      for b, v in scan_information(setup, detector)],"
+           " config.format)",
+           ("tests/test_package.py::test_trace_scan_goes_to_the_renderer_as_it_is",)),
+    Mutant("attack-point-slots", "src/srqkd/attack.py",
+           "@dataclass(frozen=True)\nclass AttackPoint:",
+           "@dataclass(frozen=True, slots=True)\nclass AttackPoint:",
+           ("tests/test_cli.py::test_printed_records_are_their_fields_in_declaration_order",)),
+    Mutant("sweep-row-extra-attribute", "src/srqkd/sweeps.py",
+           '            raise ValueError("grey-region flag inconsistent with delta")\n',
+           '            raise ValueError("grey-region flag inconsistent with delta")\n'
+           '        object.__setattr__(self, "grey", FLAG_GREY in self.flags)\n',
+           ("tests/test_cli.py::test_printed_records_are_their_fields_in_declaration_order",)),
     # A non-finite output is a numerical failure, exit 2.
     Mutant("inf-row-printed", "src/srqkd/cli.py",
            "if isinstance(value, float) and math.isinf(value):",
@@ -155,8 +172,9 @@ MUTANTS = (
             "tests/test_simulation.py::test_matches_per_pulse_reference")),
     # Each protocol refuses the flags its rate ignores.
     Mutant("rate-takes-ignored-flags", "src/srqkd/cli.py",
-           '    _refuse_flags(args, ignored, f"protocol {protocol.value}")\n'
+           "    protocol = _checked_protocol(config, args)\n"
            "    setup, detector = config.setup(), config.detector()\n",
+           "    protocol = Protocol(config.protocol)\n"
            "    setup, detector = config.setup(), config.detector()\n",
            ("tests/test_cli.py::test_flags_are_the_keys_each_command_reads[rate]",)),
     Mutant("distance-refuses-read-flags", "src/srqkd/cli.py",

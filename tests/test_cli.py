@@ -649,10 +649,11 @@ def _oracle_cell(value):
 @given(case=_render_rows())
 def test_render_rows_matches_its_oracles(case):
     rows, names = case
+    table = [tuple(row[k] for k in names) for row in rows]
     payload = [{k: _oracle_cell(row[k]) for k in names} for row in rows]
-    assert cli.render_rows(rows, names, "json") == json.dumps(payload, indent=2) + "\n"
+    assert cli.render_rows(names, table, "json") == json.dumps(payload, indent=2) + "\n"
     csv = [",".join(names)] + [",".join(cli._csv_cell(row[k]) for k in names) for row in rows]
-    assert cli.render_rows(rows, names, "csv") == "\n".join(csv) + "\n"
+    assert cli.render_rows(names, table, "csv") == "\n".join(csv) + "\n"
     for value in (v for row in rows for v in row.values() if isinstance(v, float)):
         assert "%.12g" % value == format(value, ".12g")
 
@@ -671,15 +672,36 @@ def test_render_rows_long_columns_match_their_oracles():
             for i, b in enumerate(plain)]
     names = ("b", "%s i_e", 'fl"ags')
     assert {type(row["b"]) for row in rows} == {float}
+    table = [tuple(row[k] for k in names) for row in rows]
     payload = [{k: _oracle_cell(row[k]) for k in names} for row in rows]
-    assert cli.render_rows(rows, names, "json") == json.dumps(payload, indent=2) + "\n"
+    assert cli.render_rows(names, table, "json") == json.dumps(payload, indent=2) + "\n"
     csv = [",".join(names)] + [",".join(cli._csv_cell(row[k]) for k in names) for row in rows]
-    assert cli.render_rows(rows, names, "csv") == "\n".join(csv) + "\n"
+    assert cli.render_rows(names, table, "csv") == "\n".join(csv) + "\n"
 
 
 def test_render_rows_refuses_what_json_refuses():
     with pytest.raises(TypeError, match="not JSON serializable"):
-        cli.render_rows([{"x": object()}], ("x",), "json")
+        cli.render_rows(("x",), [(object(),)], "json")
+
+
+def test_printed_records_are_their_fields_in_declaration_order():
+    # A command's row is vars(record), the instance's own dict: its keys are
+    # the CSV header and the JSON keys, so they must be the record's fields,
+    # in declaration order, and nothing else.
+    setup = srqkd.SetupConfig("b92-sr", 0.3, 65.0, 10.0, DEFAULT_PULSE_RATE_HZ)
+    detector = DetectorConfig()
+    records = (
+        srqkd.evaluate_sr_point(setup, detector),
+        srqkd.optimize_mu(10.0, 65.0, detector, mu_range=(0.1, 0.6, 5)),
+        *srqkd.rate_vs_distance([srqkd.Protocol.BB84_STANDARD], detector, [10.0],
+                                mu_range=(0.1, 0.6, 5)).rows,
+        srqkd.min_srp_photons(10.0, detector, t_grid=[55.0, 75.0], mu_bounds=(0.1, 0.6)),
+        srqkd.maximize_eve_information(setup, detector).best,
+    )
+    assert [type(r).__name__ for r in records] == [
+        "SweepRow", "MuOptimum", "DistancePoint", "MinSrpResult", "AttackPoint"]
+    for record in records:
+        assert list(vars(record)) == [f.name for f in dataclasses.fields(record)], record
 
 
 def test_povm_check_row(capsys):

@@ -278,6 +278,17 @@ def test_json_is_never_encoded_with_indent():
     assert calls == []
 
 
+def test_trace_scan_goes_to_the_renderer_as_it_is():
+    # render_rows takes value tuples, and scan_information returns the
+    # (b, I_E) tuples: attack --trace-out hands the one to the other with no
+    # per-row object built in between.
+    node = _function(SOURCES[0].parent / "cli.py", "_cmd_attack")
+    (call,) = _calls(node, "render_rows")
+    assert ast.unparse(call.args[1]) == "scan_information(setup, detector)"
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [n for n in ast.walk(node) if isinstance(n, comprehensions)]
+
+
 def test_one_rule_for_unimodal_searches():
     # One helper, optimize.grid_then_golden_max, serves every maximizer:
     # Brent's search runs only inside optimize, and optimize_mu calls the
