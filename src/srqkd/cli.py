@@ -16,6 +16,8 @@ writes CSV (default; lowercase-e scientific notation) or JSON (an array of
 row objects with the same field names, in ``json.dumps(indent=2)``'s layout,
 written directly). Output for a given config and seed is byte-identical
 between runs, and help is wrapped at 80 columns whatever the terminal.
+The parser, every command's, is built by the first build_parser call and
+serves every later main call in the process: parsing leaves it unchanged.
 Exit codes: 0 on success, 1 on validation errors, 2 on numerical failure.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -424,23 +427,22 @@ def _add_override_flags(parser: argparse.ArgumentParser, keys: Sequence[str]):
                                 type=_PARSE.get(kind))
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The srqkd parser, with the subparser of ``command`` only or of every command.
+def build_parser() -> argparse.ArgumentParser:
+    """The srqkd parser with every command's subparser, built on the first call
+    and shared by every later one, so callers must not change it. Parsing leaves
+    it unchanged; building it costs more than a quick command takes to run. A
+    plain function over the cached _parser, so a tracer counts each call."""
+    return _parser()
 
-    All ten subparsers take longer to build than a quick command takes to
-    run; help, an empty argv and an unknown command need them all.
-    """
-    parser = _Parser(prog="srqkd", description=__doc__.splitlines()[0])
-    names = tuple(_COMMANDS) if command is None else (command,)
-    # One command's usage line still lists every command. The full parser keeps
-    # no metavar, so its errors name the argument "command".
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                                metavar=metavar)
 
-    for name in names:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="srqkd", description=__doc__.splitlines()[0],
+                     allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)  # one spelling per flag
-        _add_override_flags(p, _COMMANDS[name][1])
+        _add_override_flags(p, keys)
         if name == "attack":
             p.add_argument("--trace-out", help="write the (b, i_e) scan to this file")
         elif name == "rate-vs-distance":
@@ -460,10 +462,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     try:
         config = load_run_config(args.config, overrides)

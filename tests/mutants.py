@@ -141,6 +141,15 @@ MUTANTS = (
            '            raise ValueError("grey-region flag inconsistent with delta")\n'
            '        object.__setattr__(self, "grey", FLAG_GREY in self.flags)\n',
            ("tests/test_cli.py::test_printed_records_are_their_fields_in_declaration_order",)),
+    # One parser per process, built on first use, with one spelling per flag
+    # at the top level too.
+    Mutant("parser-built-per-call", "src/srqkd/cli.py",
+           "@functools.cache\ndef _parser()", "def _parser()",
+           ("tests/test_cli.py::test_one_parser_serves_every_call",)),
+    Mutant("top-level-abbreviations", "src/srqkd/cli.py",
+           "description=__doc__.splitlines()[0],\n                     allow_abbrev=False)",
+           "description=__doc__.splitlines()[0])",
+           ("tests/test_cli.py::test_golden_cli_corpus",)),
     # A non-finite output is a numerical failure, exit 2.
     Mutant("inf-row-printed", "src/srqkd/cli.py",
            "if isinstance(value, float) and math.isinf(value):",

@@ -211,7 +211,7 @@ def _key_flags(command):
     """The RunConfig keys that command takes as flags, with their spellings."""
     from srqkd import cli
 
-    (sub,) = [a for a in cli.build_parser(command)._actions
+    (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
     return {action.dest: action.option_strings for action in sub.choices[command]._actions
             if action.dest in _KEY_OTHER}
@@ -366,21 +366,24 @@ def test_empty_argv_names_missing_command(capsys):
     assert "the following arguments are required: command" in capsys.readouterr().err
 
 
-def test_parser_for_one_command(capsys, monkeypatch):
-    from srqkd import cli
-
-    one, full = cli.build_parser("rate"), cli.build_parser()
-    (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == ["rate"]
-    assert one.format_usage() == full.format_usage()
-    # main builds the parser once, for the command it was given.
-    built = []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: built.append(command) or full)
-    assert main(["rate", "--dump-config"]) == 0
-    with pytest.raises(SystemExit):
-        main(["bogus"])
-    assert built == ["rate", None]
+def test_one_parser_serves_every_call(monkeypatch):
+    # The parser is built once; main asks for it once per call, and nothing
+    # a parse sets reaches the next call.
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    build, calls = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    runs = []
+    for argv in (["rate", "--mu", "0.2", "--dump-config"], ["rate", "--bogus", "1"],
+                 ["bogus"], ["rate", "--dump-config"]):
+        calls.clear()
+        runs.append(_run_captured(argv))
+        assert len(calls) == 1, argv
+    assert runs[0] == [0, cli.dump_config(RunConfig(mu=0.2)), ""]
+    assert runs[1][0] == runs[2][0] == 1
+    assert runs[3] == [0, cli.dump_config(RunConfig()), ""]
 
 
 def test_deep_grey_rate_exits_0(capsys):
@@ -1011,7 +1014,7 @@ def _corpus_commands() -> list[tuple[str, ...]]:
                  ("min-srp", "--fixed-mu", "0.3")]
     # argparse's own output: help, usage lines and usage errors.
     return commands + [
-        ("-h",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),
+        ("-h",), ("--he",), ("bogus",), ("rate", "-h"), ("train-capacity", "-h"),
         ("rate", "--bogus", "1"), ("rate", "0.3"), ("rate", "--mu", "x"),
         ("min-srp", "--criterion", "z"), ("train-capacity",), ("rate", "--m", "0.2"),
         # No abbreviations, and no flag for a key the command does not read.
